@@ -10,6 +10,7 @@
 
 use proptest::prelude::*;
 
+use hypoquery_algebra::scope::dom_update;
 use hypoquery_engine::{Database, PreparedState, Strategy, WhatIfTree};
 use hypoquery_testkit::{
     arb_atomic_update_seq, arb_db, arb_pure_query, arb_query, arb_update, Universe,
@@ -124,18 +125,20 @@ proptest! {
         let branch = hypoquery_eval::eval_update(&updates, &state).unwrap();
         // The base state is bit-for-bit what it was.
         prop_assert_eq!(&state, &pristine);
-        // Relations present in both and equal in value must share
-        // storage in at least the untouched case: verify that every
-        // relation the update left identical is not a deep copy.
+        // Relations outside the update's `dom` are never written, so the
+        // branch must share their storage. Relations inside it may come
+        // back value-equal in fresh storage (e.g. deleting rows that are
+        // not there); no sharing is promised for those.
+        let dom = dom_update(&updates);
         for (name, base_rel) in state.iter() {
-            if let Some(branch_rel) = branch.get_ref(name) {
-                if base_rel == branch_rel {
-                    prop_assert!(
-                        base_rel.ptr_eq(branch_rel),
-                        "untouched relation {} was deep-copied", name
-                    );
-                }
+            if dom.contains(name) {
+                continue;
             }
+            let branch_rel = branch.get_ref(name);
+            prop_assert!(
+                branch_rel.is_some_and(|r| base_rel.ptr_eq(r)),
+                "untouched relation {} was deep-copied", name
+            );
         }
     }
 

@@ -30,7 +30,7 @@ use hypoquery_storage::{
 use hypoquery_algebra::{Predicate, Query};
 
 use crate::access;
-use crate::direct::eval_aggregate;
+use crate::aggregate::eval_aggregate;
 use crate::error::EvalError;
 use crate::join::{join_iter, split_equi_pairs, EquiPair};
 use crate::xsub::XsubValue;

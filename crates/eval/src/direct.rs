@@ -9,13 +9,13 @@
 //! workspace is property-tested against.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 
-use hypoquery_storage::{DatabaseState, RelName, Relation, Tuple, Value};
+use hypoquery_storage::{DatabaseState, RelName, Relation};
 
-use hypoquery_algebra::{AggExpr, ExplicitSubst, Query, StateExpr, Update};
+use hypoquery_algebra::{ExplicitSubst, Query, StateExpr, Update};
 
 use crate::access;
+use crate::aggregate::eval_aggregate;
 use crate::error::EvalError;
 use crate::join;
 
@@ -220,65 +220,10 @@ pub fn apply_subst(db: &DatabaseState, eps: &ExplicitSubst) -> Result<DatabaseSt
     Ok(out)
 }
 
-/// Grouped aggregation over a materialized relation (§6 extension).
-///
-/// Set semantics; an empty input yields an empty output (including when
-/// there are no grouping columns — we do not emit SQL's global zero-row).
-pub fn eval_aggregate(
-    input: &Relation,
-    group_by: &[usize],
-    aggs: &[AggExpr],
-) -> Result<Relation, EvalError> {
-    let mut groups: BTreeMap<Tuple, Vec<&Tuple>> = BTreeMap::new();
-    for t in input.iter() {
-        groups.entry(t.project(group_by)).or_default().push(t);
-    }
-    let mut out = Relation::empty(group_by.len() + aggs.len());
-    for (key, members) in groups {
-        let mut fields: Vec<Value> = key.fields().to_vec();
-        for agg in aggs {
-            fields.push(eval_one_agg(agg, &members)?);
-        }
-        out.insert(Tuple::new(fields))?;
-    }
-    Ok(out)
-}
-
-fn eval_one_agg(agg: &AggExpr, members: &[&Tuple]) -> Result<Value, EvalError> {
-    match agg {
-        AggExpr::Count => Ok(Value::int(members.len() as i64)),
-        AggExpr::Sum(col) => {
-            let mut total: i64 = 0;
-            for t in members {
-                match t[*col].as_int() {
-                    Some(v) => total += v,
-                    None => {
-                        return Err(EvalError::AggregateType {
-                            agg: "sum",
-                            value: t[*col].to_string(),
-                        })
-                    }
-                }
-            }
-            Ok(Value::int(total))
-        }
-        AggExpr::Min(col) => Ok(members
-            .iter()
-            .map(|t| t[*col].clone())
-            .min()
-            .expect("groups are non-empty by construction")),
-        AggExpr::Max(col) => Ok(members
-            .iter()
-            .map(|t| t[*col].clone())
-            .max()
-            .expect("groups are non-empty by construction")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypoquery_algebra::{CmpOp, Predicate};
+    use hypoquery_algebra::{AggExpr, CmpOp, Predicate};
     use hypoquery_storage::{tuple, Catalog};
 
     fn db() -> DatabaseState {

@@ -179,9 +179,17 @@ mod tests {
         if num_workers() < 2 {
             return; // single-core CI: nothing to assert
         }
+        // Items 0 and 1 meet at a barrier: whichever worker takes item 0
+        // blocks there until a *different* worker takes item 1, so the
+        // two must run at the same time however the OS schedules them.
+        let meet = std::sync::Barrier::new(2);
         let items: Vec<usize> = (0..64).collect();
-        let ids: Vec<std::thread::ThreadId> =
-            parallel_map(&items, |_, _| std::thread::current().id());
+        let ids: Vec<std::thread::ThreadId> = parallel_map(&items, |i, _| {
+            if i < 2 {
+                meet.wait();
+            }
+            std::thread::current().id()
+        });
         let distinct: std::collections::BTreeSet<String> =
             ids.iter().map(|id| format!("{id:?}")).collect();
         assert!(distinct.len() > 1, "expected fan-out across threads");

@@ -21,7 +21,7 @@ use hypoquery_storage::{DatabaseState, Relation};
 use hypoquery_algebra::{ExplicitSubst, Query, StateExpr};
 
 use crate::access;
-use crate::direct::eval_aggregate;
+use crate::aggregate::eval_aggregate;
 use crate::error::EvalError;
 use crate::join;
 use crate::xsub::XsubValue;

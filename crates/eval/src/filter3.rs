@@ -22,8 +22,8 @@ use hypoquery_storage::{DatabaseState, Relation};
 use hypoquery_algebra::{Query, StateExpr, Update};
 
 use crate::access;
+use crate::aggregate::eval_aggregate;
 use crate::delta::{eval_filter_d, DeltaValue, RelDelta};
-use crate::direct::eval_aggregate;
 use crate::error::EvalError;
 use crate::join;
 

@@ -11,7 +11,10 @@
 //!   six-operand `join-when`, and delta-filtered evaluation (§5.5);
 //! * [`filter3`] — Figure 4 / Algorithm HQL-3 (delta-based eager);
 //! * [`exec`] — scoped-thread fan-out for independent scenarios
-//!   (copy-on-write snapshots make branches share-nothing writers).
+//!   (copy-on-write snapshots make branches share-nothing writers);
+//! * [`physical`] — the pipelined executor every strategy lowers to;
+//! * [`aggregate`] — the streaming group accumulator shared by the
+//!   evaluators above and the pipeline.
 //!
 //! The lazy strategy needs no engine of its own: `hypoquery-core::red`
 //! produces a pure RA query evaluated by [`direct::eval_pure`].
@@ -19,7 +22,9 @@
 #![warn(missing_docs)]
 
 pub mod access;
+pub mod aggregate;
 pub mod bag;
+mod chain;
 pub mod delta;
 pub mod direct;
 pub mod error;

@@ -25,11 +25,30 @@
 //!
 //! Pipeline *breakers* materialize exactly what they must: a hash join
 //! materializes only its build side; `Diff`/`Intersect` only their right
-//! operand; `Aggregate` its input groups; `Dedup` the distinct set seen
-//! so far. The plan sink materializes the final result, so set semantics
-//! are restored at every breaker and at the output — streaming segments
-//! may carry duplicates in flight (see [`PhysOp::Dedup`] for where the
-//! lowering chooses to collapse them early).
+//! operand; `Aggregate` one running accumulator per group; `Dedup` the
+//! distinct set seen so far. The plan sink materializes the final result,
+//! so set semantics are restored at every breaker and at the output —
+//! streaming segments may carry duplicates in flight (see
+//! [`PhysOp::Dedup`] for where the lowering chooses to collapse them
+//! early).
+//!
+//! # Duplicate-freedom
+//!
+//! Each node carries a static [`PhysNode::distinct`] flag: `true` when
+//! its output stream provably never repeats a row. Sources, `Dedup` and
+//! `Aggregate` are distinct; filters, set differences/intersections and
+//! the hypothetical wrappers inherit it from their streaming input; joins
+//! are distinct when every streamed input is; `Project` and `Union` are
+//! not. The lowering puts a `Dedup` under a join operand exactly when the
+//! operand is not distinct, and `Aggregate` folds a distinct input
+//! straight into its accumulators, skipping its own dedup set.
+//!
+//! # Hash tables
+//!
+//! The hash join's build side and the aggregate's groups live in
+//! arena-backed chained tables (`chain::ChainTable`): key
+//! columns are hashed in place with a per-table keyed SipHash and
+//! compared on a hash match, so neither operator allocates a key per row.
 //!
 //! # Hypothetical operators
 //!
@@ -60,7 +79,7 @@
 
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -68,8 +87,9 @@ use hypoquery_storage::{lookup_or_build_index, DatabaseState, RelName, Relation,
 
 use hypoquery_algebra::{AggExpr, Predicate};
 
+use crate::aggregate::AggState;
+use crate::chain::{cols_eq, ChainTable};
 use crate::delta::{effective_iter, DeltaValue, RelDelta};
-use crate::direct::eval_aggregate;
 use crate::error::EvalError;
 use crate::join::EquiPair;
 use crate::xsub::XsubValue;
@@ -204,9 +224,11 @@ pub enum PhysOp {
         /// Input plan.
         input: Box<PhysNode>,
     },
-    /// Grouped aggregation (§6 extension). A full pipeline breaker: the
-    /// input is materialized into a set (restoring set semantics for
-    /// `COUNT`) and grouped.
+    /// Grouped aggregation (§6 extension). A full pipeline breaker that
+    /// folds each input row into its group's running accumulators
+    /// (`AggState`); only a non-[`distinct`](PhysNode::distinct) input
+    /// first passes a dedup set, restoring set semantics for `COUNT` and
+    /// `SUM`.
     Aggregate {
         /// Input plan.
         input: Box<PhysNode>,
@@ -235,13 +257,16 @@ pub enum PhysOp {
 }
 
 /// A node of a physical plan: an operator plus its plan-wide id (index
-/// into the metrics table) and output arity.
+/// into the metrics table), output arity and duplicate-freedom.
 #[derive(Clone, Debug)]
 pub struct PhysNode {
     /// Dense per-plan id, assigned by [`PhysPlan::new`].
     pub id: usize,
     /// Output arity.
     pub arity: usize,
+    /// Whether the output stream provably never repeats a row, computed
+    /// from the children by [`PhysNode::new`].
+    pub distinct: bool,
     /// The operator.
     pub op: PhysOp,
 }
@@ -250,7 +275,27 @@ impl PhysNode {
     /// A node with the given output arity; its `id` is assigned when the
     /// node is installed into a [`PhysPlan`].
     pub fn new(arity: usize, op: PhysOp) -> PhysNode {
-        PhysNode { id: 0, arity, op }
+        let distinct = match &op {
+            PhysOp::Scan { .. }
+            | PhysOp::IndexProbe { .. }
+            | PhysOp::Const { .. }
+            | PhysOp::Dedup { .. }
+            | PhysOp::Aggregate { .. } => true,
+            PhysOp::Filter { input, .. } => input.distinct,
+            PhysOp::Diff { left, .. } | PhysOp::Intersect { left, .. } => left.distinct,
+            PhysOp::XsubRebind { body, .. } | PhysOp::DeltaApply { body, .. } => body.distinct,
+            // Distinct pairs of input rows concatenate to distinct rows;
+            // an index join's other side is a stored base relation.
+            PhysOp::HashJoin { left, right, .. } => left.distinct && right.distinct,
+            PhysOp::IndexJoin { probe, .. } => probe.distinct,
+            PhysOp::Project { .. } | PhysOp::Union { .. } => false,
+        };
+        PhysNode {
+            id: 0,
+            arity,
+            distinct,
+            op,
+        }
     }
 
     fn children_mut(&mut self) -> Vec<&mut PhysNode> {
@@ -596,11 +641,20 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
         } => {
             let base = ctx.db.get(rel)?;
             let idx = ctx.timed(id, || lookup_or_build_index(&base, index_cols));
+            // One key column probes with the row's own field; wider keys
+            // reuse one buffer.
+            let mut buf: Vec<Value> = Vec::with_capacity(probe_cols.len());
             run(probe, ctx, env, &mut |t| {
                 ctx.row_in(id);
-                let key: Vec<Value> =
-                    ctx.timed(id, || probe_cols.iter().map(|&c| t[c].clone()).collect());
-                for m in idx.probe(&key) {
+                let matches = ctx.timed(id, || match probe_cols.as_slice() {
+                    [c] => idx.probe(std::slice::from_ref(&t[*c])),
+                    cols => {
+                        buf.clear();
+                        buf.extend(cols.iter().map(|&c| t[c].clone()));
+                        idx.probe(&buf)
+                    }
+                });
+                for m in matches {
                     let joined = ctx.timed(id, || match probe_side {
                         Side::Left => t.concat(m),
                         Side::Right => m.concat(&t),
@@ -651,11 +705,11 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
             let mut seen: HashSet<Tuple> = HashSet::new();
             run(input, ctx, env, &mut |t| {
                 ctx.row_in(id);
-                if ctx.timed(id, || seen.contains(t.as_ref())) {
+                // One hash per row: a clone is a reference-count bump.
+                let owned = t.into_owned();
+                if !ctx.timed(id, || seen.insert(owned.clone())) {
                     return Ok(());
                 }
-                let owned = t.into_owned();
-                ctx.timed(id, || seen.insert(owned.clone()));
                 ctx.row_out(id);
                 out(Cow::Owned(owned))
             })
@@ -665,14 +719,26 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
             group_by,
             aggs,
         } => {
-            let mut acc: Vec<Tuple> = Vec::new();
-            run(input, ctx, env, &mut |t| {
-                ctx.row_in(id);
-                ctx.timed(id, || acc.push(t.into_owned()));
-                Ok(())
-            })?;
-            let acc = Relation::from_tuple_set(input.arity, acc.into_iter().collect())?;
-            let result = ctx.timed(id, || eval_aggregate(&acc, group_by, aggs))?;
+            let mut st = AggState::new(group_by, aggs);
+            if input.distinct {
+                run(input, ctx, env, &mut |t| {
+                    ctx.row_in(id);
+                    ctx.timed(id, || st.push(&t))
+                })?;
+            } else {
+                let mut seen: HashSet<Tuple> = HashSet::new();
+                run(input, ctx, env, &mut |t| {
+                    ctx.row_in(id);
+                    ctx.timed(id, || {
+                        if seen.insert(t.as_ref().clone()) {
+                            st.push(&t)
+                        } else {
+                            Ok(())
+                        }
+                    })
+                })?;
+            }
+            let result = ctx.timed(id, || st.finish())?;
             for t in result.iter() {
                 ctx.row_out(id);
                 out(Cow::Borrowed(t))?;
@@ -812,32 +878,38 @@ fn run_hash_join(
         .map(|p| if build_is_left { p.right } else { p.left })
         .collect();
 
-    let mut table: HashMap<Vec<Value>, Vec<Tuple>> = HashMap::new();
+    // Build rows live in an arena; the chained table maps key hashes to
+    // arena positions (entry `i` of the table is `rows[i]`).
+    let mut table = ChainTable::new();
+    let mut rows: Vec<Tuple> = Vec::new();
     run(build_child, ctx, env, &mut |t| {
         ctx.row_in(id);
         ctx.timed(id, || {
-            let key: Vec<Value> = build_cols.iter().map(|&c| t[c].clone()).collect();
-            table.entry(key).or_default().push(t.into_owned());
+            table.push(table.hash_cols(&t, &build_cols));
+            rows.push(t.into_owned());
         });
         Ok(())
     })?;
 
     run(probe_child, ctx, env, &mut |t| {
         ctx.row_in(id);
-        let key: Vec<Value> = ctx.timed(id, || probe_cols.iter().map(|&c| t[c].clone()).collect());
-        if let Some(matches) = table.get(&key) {
-            for b in matches {
-                let joined = ctx.timed(id, || {
-                    if build_is_left {
-                        b.concat(&t)
-                    } else {
-                        t.concat(b)
-                    }
-                });
-                if ctx.timed(id, || residual.iter().all(|p| p.eval(&joined))) {
-                    ctx.row_out(id);
-                    out(Cow::Owned(joined))?;
+        let hash = ctx.timed(id, || table.hash_cols(&t, &probe_cols));
+        for i in table.matches(hash) {
+            let b = &rows[i];
+            let joined = ctx.timed(id, || {
+                if !cols_eq(b, &build_cols, &t, &probe_cols) {
+                    return None;
                 }
+                let joined = if build_is_left {
+                    b.concat(&t)
+                } else {
+                    t.concat(b)
+                };
+                residual.iter().all(|p| p.eval(&joined)).then_some(joined)
+            });
+            if let Some(joined) = joined {
+                ctx.row_out(id);
+                out(Cow::Owned(joined))?;
             }
         }
         Ok(())
@@ -1166,5 +1238,226 @@ mod tests {
         assert_eq!(out.len(), 3);
         assert_eq!(m.node(0).rows_in, 6);
         assert_eq!(m.node(0).rows_out, 3);
+    }
+
+    fn union(l: PhysNode, r: PhysNode) -> PhysNode {
+        PhysNode::new(
+            l.arity,
+            PhysOp::Union {
+                left: Box::new(l),
+                right: Box::new(r),
+            },
+        )
+    }
+
+    fn project(input: PhysNode, cols: Vec<usize>) -> PhysNode {
+        PhysNode::new(
+            cols.len(),
+            PhysOp::Project {
+                input: Box::new(input),
+                cols,
+            },
+        )
+    }
+
+    fn hash_join(l: PhysNode, r: PhysNode) -> PhysNode {
+        PhysNode::new(
+            l.arity + r.arity,
+            PhysOp::HashJoin {
+                left: Box::new(l),
+                right: Box::new(r),
+                pairs: vec![EquiPair { left: 0, right: 0 }],
+                residual: vec![],
+                build: Side::Right,
+            },
+        )
+    }
+
+    #[test]
+    fn distinct_flag_per_operator_kind() {
+        let dup = || union(scan("R"), scan("S"));
+        let filter = |input: PhysNode| {
+            PhysNode::new(
+                input.arity,
+                PhysOp::Filter {
+                    input: Box::new(input),
+                    pred: Predicate::col_cmp(0, CmpOp::Ge, 2),
+                },
+            )
+        };
+        let aggregate = |input: PhysNode| {
+            PhysNode::new(
+                1,
+                PhysOp::Aggregate {
+                    input: Box::new(input),
+                    group_by: vec![],
+                    aggs: vec![AggExpr::Count],
+                },
+            )
+        };
+        let probe = PhysNode::new(
+            2,
+            PhysOp::IndexProbe {
+                name: "R".into(),
+                col: 0,
+                value: Value::int(1),
+                pred: Predicate::col_cmp(0, CmpOp::Eq, 1),
+            },
+        );
+        let konst = PhysNode::new(
+            2,
+            PhysOp::Const {
+                rel: Relation::empty(2),
+            },
+        );
+        let index_join = |probe: PhysNode| {
+            PhysNode::new(
+                4,
+                PhysOp::IndexJoin {
+                    probe: Box::new(probe),
+                    probe_side: Side::Left,
+                    rel: "S".into(),
+                    index_cols: vec![0],
+                    probe_cols: vec![0],
+                    residual: vec![],
+                },
+            )
+        };
+        let diff = |l: PhysNode, r: PhysNode| {
+            PhysNode::new(
+                2,
+                PhysOp::Diff {
+                    left: Box::new(l),
+                    right: Box::new(r),
+                },
+            )
+        };
+        let intersect = |l: PhysNode, r: PhysNode| {
+            PhysNode::new(
+                2,
+                PhysOp::Intersect {
+                    left: Box::new(l),
+                    right: Box::new(r),
+                },
+            )
+        };
+        let xsub = |body: PhysNode| {
+            PhysNode::new(
+                body.arity,
+                PhysOp::XsubRebind {
+                    bindings: vec![("R".into(), dup())],
+                    body: Box::new(body),
+                },
+            )
+        };
+        let delta = |body: PhysNode| {
+            PhysNode::new(
+                body.arity,
+                PhysOp::DeltaApply {
+                    atoms: vec![DeltaAtom {
+                        name: "R".into(),
+                        insert: true,
+                        input: dup(),
+                    }],
+                    body: Box::new(body),
+                },
+            )
+        };
+        let dedup = PhysNode::new(
+            2,
+            PhysOp::Dedup {
+                input: Box::new(dup()),
+            },
+        );
+
+        // Sources and breakers that restore set semantics.
+        for n in [scan("R"), probe, konst, dedup, aggregate(dup())] {
+            assert!(n.distinct, "{}", op_label(&n));
+        }
+        // Duplicate producers.
+        assert!(!project(scan("R"), vec![0]).distinct);
+        assert!(!union(scan("R"), scan("S")).distinct);
+        // Inherit from the streaming input or body only.
+        assert!(filter(scan("R")).distinct);
+        assert!(!filter(dup()).distinct);
+        assert!(diff(scan("R"), dup()).distinct);
+        assert!(!diff(dup(), scan("R")).distinct);
+        assert!(intersect(scan("R"), dup()).distinct);
+        assert!(!intersect(dup(), scan("R")).distinct);
+        assert!(xsub(scan("R")).distinct);
+        assert!(!xsub(dup()).distinct);
+        assert!(delta(scan("R")).distinct);
+        assert!(!delta(dup()).distinct);
+        // Joins: every streamed input must be distinct.
+        assert!(hash_join(scan("R"), scan("S")).distinct);
+        assert!(!hash_join(scan("R"), dup()).distinct);
+        assert!(!hash_join(dup(), scan("S")).distinct);
+        assert!(index_join(scan("R")).distinct);
+        assert!(!index_join(dup()).distinct);
+    }
+
+    #[test]
+    fn aggregate_restores_set_semantics_on_duplicate_input() {
+        let db = db();
+        // π₀(R ∪ R) streams every key twice; COUNT and SUM must see each
+        // distinct row once.
+        let input = project(union(scan("R"), scan("R")), vec![0]);
+        assert!(!input.distinct);
+        let plan = PhysPlan::new(PhysNode::new(
+            2,
+            PhysOp::Aggregate {
+                input: Box::new(input),
+                group_by: vec![],
+                aggs: vec![AggExpr::Count, AggExpr::Sum(0)],
+            },
+        ));
+        let (out, m) = plan.execute_analyze(&db).unwrap();
+        assert_eq!(out, Relation::singleton(tuple![3, 6]));
+        assert_eq!(m.node(0).rows_in, 6);
+
+        // Grouped over a distinct join: straight into the accumulators.
+        let plan = PhysPlan::new(PhysNode::new(
+            3,
+            PhysOp::Aggregate {
+                input: Box::new(hash_join(scan("R"), scan("S"))),
+                group_by: vec![0],
+                aggs: vec![AggExpr::Count, AggExpr::Max(3)],
+            },
+        ));
+        let out = plan.execute(&db).unwrap();
+        assert_eq!(
+            out,
+            Relation::from_rows(3, [tuple![2, 1, 200], tuple![3, 1, 300]]).unwrap()
+        );
+    }
+
+    #[test]
+    fn hash_join_keys_compare_every_column() {
+        let mut cat = Catalog::new();
+        cat.declare_arity("A", 2).unwrap();
+        cat.declare_arity("B", 2).unwrap();
+        let mut db = DatabaseState::new(cat);
+        db.insert_rows("A", [tuple![1, 1], tuple![1, 2], tuple![2, 1]])
+            .unwrap();
+        db.insert_rows("B", [tuple![1, 1], tuple![1, 2], tuple![2, 2]])
+            .unwrap();
+        let plan = PhysPlan::new(PhysNode::new(
+            4,
+            PhysOp::HashJoin {
+                left: Box::new(scan("A")),
+                right: Box::new(scan("B")),
+                pairs: vec![
+                    EquiPair { left: 0, right: 0 },
+                    EquiPair { left: 1, right: 1 },
+                ],
+                residual: vec![],
+                build: Side::Left,
+            },
+        ));
+        let out = plan.execute(&db).unwrap();
+        assert_eq!(
+            out,
+            Relation::from_rows(4, [tuple![1, 1, 1, 1], tuple![1, 2, 1, 2]]).unwrap()
+        );
     }
 }

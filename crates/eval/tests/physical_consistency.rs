@@ -5,10 +5,13 @@
 //! ENF for HQL-1/HQL-2, modified ENF for HQL-3), with and without
 //! declared secondary indexes, and on duplicate-producing ("bag")
 //! workloads where the streaming segments carry duplicates internally.
+//! Aggregates run over inputs the plan proves duplicate-free (folded
+//! straight into the accumulators) and over duplicate-carrying ones
+//! (deduplicated first), with and without grouping columns.
 
 use proptest::prelude::*;
 
-use hypoquery_algebra::{Query, StateExpr};
+use hypoquery_algebra::{Query, StateExpr, Update};
 use hypoquery_core::{fully_lazy, to_enf_query, to_mod_enf, RewriteTrace};
 use hypoquery_eval::{
     algorithm_hql1, algorithm_hql2, algorithm_hql3, eval_bag_query, eval_pure, eval_query,
@@ -16,7 +19,9 @@ use hypoquery_eval::{
 };
 use hypoquery_opt::{lower_plan, lower_query, plan, Statistics};
 use hypoquery_storage::{DatabaseState, RelName, Relation};
-use hypoquery_testkit::{arb_db, arb_predicate, arb_query, arb_tuple, arb_update, Universe};
+use hypoquery_testkit::{
+    arb_agg, arb_db, arb_predicate, arb_query, arb_tuple, arb_update, Universe,
+};
 
 fn universe() -> Universe {
     Universe::standard()
@@ -95,6 +100,43 @@ fn arb_positive_query(universe: &Universe, arity: usize, depth: u32) -> BoxedStr
         );
     }
     prop::strategy::Union::new(options).boxed()
+}
+
+/// `aggregate [group_by; aggs] (input)` over an arity-`arity` input:
+/// zero to two grouping columns, one to three aggregates.
+fn arb_aggregate_over(input: BoxedStrategy<Query>, arity: usize) -> BoxedStrategy<Query> {
+    (
+        input,
+        prop::collection::vec(0..arity, 0..=2),
+        prop::collection::vec(arb_agg(arity), 1..=3),
+    )
+        .prop_map(|(q, group_by, aggs)| q.aggregate(group_by, aggs))
+        .boxed()
+}
+
+/// Inputs mostly lowered to duplicate-free plans — base scans, joins of
+/// them, `when` bodies over them — plus arbitrary standard queries.
+fn arb_distinct_input(universe: &Universe) -> BoxedStrategy<Query> {
+    let base = prop::sample::select(universe.names_of_arity(2)).prop_map(Query::Base);
+    let unary = prop::sample::select(universe.names_of_arity(1)).prop_map(Query::Base);
+    prop_oneof![
+        base.clone().boxed(),
+        (unary.clone(), unary, arb_predicate(2, 1))
+            .prop_map(|(a, b, p)| a.join(b, p))
+            .boxed(),
+        (base, arb_update(universe, 1))
+            .prop_map(|(q, u)| q.when(StateExpr::update(u)))
+            .boxed(),
+        arb_query(universe, 2, 2),
+    ]
+    .boxed()
+}
+
+/// An arity-2 aggregate (`[c; agg]`), for use as an operand.
+fn arb_aggregate2(universe: &Universe) -> BoxedStrategy<Query> {
+    (arb_query(universe, 2, 2), 0..2usize, arb_agg(2))
+        .prop_map(|(q, c, agg)| q.aggregate([c], [agg]))
+        .boxed()
 }
 
 /// Pipelined == every legacy evaluator, on the strategy's own prepared
@@ -178,5 +220,60 @@ proptest! {
         prop_assert_eq!(&pipelined(&q, &declare_all(&db))?, &expected);
         let bag = eval_bag_query(&q, &BagState::from_set(&db)).unwrap();
         prop_assert_eq!(bag.to_set(), expected);
+    }
+
+    /// Aggregates over duplicate-free inputs, at top level and under a
+    /// hypothetical update; grouped and ungrouped; inputs may be empty.
+    #[test]
+    fn pipelined_matches_legacy_aggregate_over_distinct_inputs(
+        q in arb_aggregate_over(arb_distinct_input(&universe()), 2),
+        wide in arb_aggregate_over(
+            (arb_query(&universe(), 2, 1), arb_query(&universe(), 2, 1), arb_predicate(4, 1))
+                .prop_map(|(a, b, p)| a.join(b, p))
+                .boxed(),
+            4,
+        ),
+        u in arb_update(&universe(), 1),
+        db in arb_db(&universe(), 6),
+    ) {
+        for q in [q.clone(), wide, q.when(StateExpr::update(u))] {
+            check_all_strategies(&q, &db)?;
+            check_all_strategies(&q, &declare_all(&db))?;
+        }
+    }
+
+    /// Aggregates over streams that carry duplicates (projections and
+    /// unions underneath): set semantics for `COUNT`/`SUM` must hold.
+    #[test]
+    fn pipelined_matches_legacy_aggregate_over_duplicate_streams(
+        q in arb_aggregate_over(arb_positive_query(&universe(), 2, 3), 2),
+        unary in arb_aggregate_over(arb_positive_query(&universe(), 1, 2), 1),
+        db in arb_db(&universe(), 6),
+    ) {
+        for q in [q, unary] {
+            check_all_strategies(&q, &db)?;
+            check_all_strategies(&q, &declare_all(&db))?;
+        }
+    }
+
+    /// Aggregates as operands: joined, unioned, and as the source rows
+    /// of a hypothetical insertion.
+    #[test]
+    fn pipelined_matches_legacy_aggregate_operands(
+        agg in arb_aggregate2(&universe()),
+        other in arb_query(&universe(), 2, 2),
+        body in arb_query(&universe(), 2, 1),
+        p in arb_predicate(4, 1),
+        db in arb_db(&universe(), 6),
+    ) {
+        let queries = [
+            agg.clone().join(other.clone(), p),
+            agg.clone().union(other),
+            body.when(StateExpr::update(Update::insert("R", agg))),
+        ];
+        for q in queries {
+            check_all_strategies(&q, &db)?;
+            check_all_strategies(&q, &declare_all(&db))?;
+        }
     }
 }

@@ -40,9 +40,9 @@
 //! checks inside `filter1`/`eval_filter_d`.
 //!
 //! Duplicate semantics: streamed segments may carry duplicates (set
-//! semantics are restored at pipeline breakers); where a duplicate
-//! stream would multiply join work, the lowering inserts an explicit
-//! [`PhysOp::Dedup`].
+//! semantics are restored at pipeline breakers); a join operand whose
+//! node is not [`distinct`](PhysNode::distinct) gets an explicit
+//! [`PhysOp::Dedup`], so duplicates never multiply join work.
 
 use hypoquery_storage::Catalog;
 
@@ -354,20 +354,18 @@ impl Lowerer<'_> {
 }
 
 /// Wrap `node` in a [`PhysOp::Dedup`] when its output stream may carry
-/// duplicates that would multiply downstream join work.
+/// duplicates (it is not [`distinct`](PhysNode::distinct)) that would
+/// multiply downstream join work.
 fn dedup_if_dup_stream(node: PhysNode) -> PhysNode {
-    match node.op {
-        PhysOp::Project { .. } | PhysOp::Union { .. } => {
-            let arity = node.arity;
-            PhysNode::new(
-                arity,
-                PhysOp::Dedup {
-                    input: Box::new(node),
-                },
-            )
-        }
-        _ => node,
+    if node.distinct {
+        return node;
     }
+    PhysNode::new(
+        node.arity,
+        PhysOp::Dedup {
+            input: Box::new(node),
+        },
+    )
 }
 
 #[cfg(test)]
@@ -478,13 +476,22 @@ mod tests {
     #[test]
     fn projected_join_side_gets_dedup() {
         let db = db();
-        let q = Query::base("R").project(vec![0]).product(Query::base("S"));
-        let plan = lower_in(&db, &q);
-        let PhysOp::HashJoin { left, .. } = &plan.root.op else {
-            panic!("expected HashJoin, got {:?}", plan.root.op);
-        };
-        assert!(matches!(left.op, PhysOp::Dedup { .. }));
-        let out = plan.execute(&db).unwrap();
-        assert_eq!(out, eval_query(&q, &db).unwrap());
+        let projected = Query::base("R").project(vec![0]);
+        // A filter over a projection still carries duplicates.
+        let filtered = projected
+            .clone()
+            .select(Predicate::col_cmp(0, CmpOp::Ge, 2));
+        for side in [projected, filtered] {
+            let q = side.product(Query::base("S"));
+            let plan = lower_in(&db, &q);
+            let PhysOp::HashJoin { left, right, .. } = &plan.root.op else {
+                panic!("expected HashJoin, got {:?}", plan.root.op);
+            };
+            assert!(matches!(left.op, PhysOp::Dedup { .. }));
+            assert!(matches!(right.op, PhysOp::Scan { .. }));
+            assert!(plan.root.distinct);
+            let out = plan.execute(&db).unwrap();
+            assert_eq!(out, eval_query(&q, &db).unwrap());
+        }
     }
 }
