@@ -13,7 +13,6 @@
 //! numbers are not meaningful, but every code path runs and every
 //! `BENCH_*.json` file is written.
 
-use std::io::Write as _;
 use std::time::Instant;
 
 use hypoquery_algebra::{Query, StateExpr};
@@ -53,23 +52,78 @@ fn reps(n: usize) -> usize {
     }
 }
 
-fn time_ms(f: impl FnOnce() -> usize) -> (f64, usize) {
-    let t = Instant::now();
-    let out = f();
-    (t.elapsed().as_secs_f64() * 1e3, out)
+/// Run `f` `reps` times (at least 3): the median wall time in
+/// nanoseconds, and `f`'s last result.
+fn median_ns(reps: usize, mut f: impl FnMut() -> usize) -> (f64, usize) {
+    let mut out = 0;
+    let mut samples: Vec<f64> = (0..reps.max(3))
+        .map(|_| {
+            let t = Instant::now();
+            out = std::hint::black_box(f());
+            t.elapsed().as_secs_f64() * 1e9
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    (samples[samples.len() / 2], out)
 }
 
-/// Median-of-3 timing to damp scheduler noise.
-fn bench_ms(mut f: impl FnMut() -> usize) -> (f64, usize) {
-    let mut times = Vec::with_capacity(3);
-    let mut out = 0;
-    for _ in 0..3 {
-        let (t, o) = time_ms(&mut f);
-        times.push(t);
-        out = o;
+/// Median-of-3 timing in milliseconds, to damp scheduler noise.
+fn bench_ms(f: impl FnMut() -> usize) -> (f64, usize) {
+    let (ns, out) = median_ns(3, f);
+    (ns / 1e6, out)
+}
+
+/// One experiment's machine-readable results: median-of-N nanosecond
+/// timings (plus derived figures) as a flat JSON map, written to
+/// `BENCH_<id>.json` in the current directory, or to the path in
+/// `BENCH_<ID>_JSON`.
+struct BenchJson {
+    id: &'static str,
+    entries: Vec<(String, f64)>,
+}
+
+impl BenchJson {
+    fn new(id: &'static str) -> Self {
+        BenchJson {
+            id,
+            entries: Vec::new(),
+        }
     }
-    times.sort_by(f64::total_cmp);
-    (times[1], out)
+
+    /// Record and return the median of `reps` timings of `f`, in ns.
+    fn time(&mut self, config: &str, reps: usize, f: impl FnMut() -> usize) -> f64 {
+        let (median, _) = median_ns(reps, f);
+        self.record(config, median);
+        median
+    }
+
+    fn record(&mut self, config: &str, value: f64) {
+        self.entries.push((config.to_string(), value));
+    }
+
+    fn write(self) {
+        let var = format!("BENCH_{}_JSON", self.id.to_uppercase());
+        let path = std::env::var(var).unwrap_or_else(|_| format!("BENCH_{}.json", self.id));
+        let body: Vec<String> = self
+            .entries
+            .iter()
+            .map(|(config, value)| format!("  \"{config}\": {value:.1}"))
+            .collect();
+        let out = format!("{{\n{}\n}}\n", body.join(",\n"));
+        match std::fs::write(&path, out) {
+            Ok(()) => println!("wrote {path}"),
+            Err(e) => eprintln!("could not write {path}: {e}"),
+        }
+    }
+}
+
+/// A row count as a key fragment: `100000` → `100k`, `5000` → `5k`.
+fn kilo(n: usize) -> String {
+    if n.is_multiple_of(1000) {
+        format!("{}k", n / 1000)
+    } else {
+        n.to_string()
+    }
 }
 
 fn main() {
@@ -397,35 +451,21 @@ fn e9() {
     println!("k independent what-if branches over one base share it physically and");
     println!("fan out across cores (speedup ~min(k, cores)× when work dominates).\n");
 
-    // Median-of-N nanosecond timings, machine-readable for regression
-    // tracking across PRs.
-    let mut json: Vec<(String, f64)> = Vec::new();
-    let mut bench_ns = |config: &str, reps: usize, f: &mut dyn FnMut() -> usize| -> f64 {
-        let mut samples: Vec<f64> = (0..reps.max(3))
-            .map(|_| {
-                let t = Instant::now();
-                std::hint::black_box(f());
-                t.elapsed().as_secs_f64() * 1e9
-            })
-            .collect();
-        samples.sort_by(f64::total_cmp);
-        let median = samples[samples.len() / 2];
-        json.push((config.to_string(), median));
-        median
-    };
+    let mut json = BenchJson::new("e9");
 
     let rows = scaled(100_000);
+    let size = kilo(rows);
     let state = two_table_db(rows, rows, 1000, 9);
     println!("| config | median |");
     println!("|:--|---:|");
-    let t = bench_ns("clone_cow_100k", reps(101), &mut || {
+    let t = json.time(&format!("clone_cow_{size}"), reps(101), || {
         state.clone().total_tuples()
     });
     println!(
         "| `DatabaseState::clone` (CoW, {rows} rows) | {} |",
         fmt_ns(t)
     );
-    let t = bench_ns("clone_deep_100k", reps(5), &mut || {
+    let t = json.time(&format!("clone_deep_{size}"), reps(5), || {
         let mut out = DatabaseState::new(state.catalog().clone());
         for (name, rel) in state.iter() {
             let copy =
@@ -439,10 +479,10 @@ fn e9() {
     let db = e9_db(rows, 9);
     let k = 8usize;
     let scenarios = e9_scenarios(k);
-    let t_deep = bench_ns(
-        &format!("scenarios_deepcopy_seq_{k}x100k"),
+    let t_deep = json.time(
+        &format!("scenarios_deepcopy_seq_{k}x{size}"),
         reps(5),
-        &mut || {
+        || {
             scenarios
                 .iter()
                 .map(|q| {
@@ -467,7 +507,7 @@ fn e9() {
         "| {k} scenarios, deep snapshot each (seed cost model) | {} |",
         fmt_ns(t_deep)
     );
-    let t_seq = bench_ns(&format!("scenarios_cow_seq_{k}x100k"), reps(5), &mut || {
+    let t_seq = json.time(&format!("scenarios_cow_seq_{k}x{size}"), reps(5), || {
         scenarios
             .iter()
             .map(|q| {
@@ -481,7 +521,7 @@ fn e9() {
         "| {k} scenarios, CoW snapshots, sequential | {} |",
         fmt_ns(t_seq)
     );
-    let t_par = bench_ns(&format!("scenarios_cow_par_{k}x100k"), reps(5), &mut || {
+    let t_par = json.time(&format!("scenarios_cow_par_{k}x{size}"), reps(5), || {
         db.execute_many(&scenarios, hypoquery_engine::Strategy::Lazy)
             .unwrap()
             .iter()
@@ -499,17 +539,7 @@ fn e9() {
         t_deep / t_par
     );
 
-    let path = std::env::var("BENCH_E9_JSON").unwrap_or_else(|_| "BENCH_e9.json".to_string());
-    let mut out = String::from("{\n");
-    for (i, (config, median)) in json.iter().enumerate() {
-        let comma = if i + 1 < json.len() { "," } else { "" };
-        out.push_str(&format!("  \"{config}\": {median:.1}{comma}\n"));
-    }
-    out.push_str("}\n");
-    match std::fs::File::create(&path).and_then(|mut f| f.write_all(out.as_bytes())) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    json.write();
 }
 
 fn e10() {
@@ -544,24 +574,11 @@ fn e10() {
     .unwrap();
     let addr = handle.addr();
 
-    let mut json: Vec<(String, f64)> = Vec::new();
-    let mut bench_ns = |config: &str, reps: usize, f: &mut dyn FnMut() -> usize| -> f64 {
-        let mut samples: Vec<f64> = (0..reps.max(3))
-            .map(|_| {
-                let t = Instant::now();
-                std::hint::black_box(f());
-                t.elapsed().as_secs_f64() * 1e9
-            })
-            .collect();
-        samples.sort_by(f64::total_cmp);
-        let median = samples[samples.len() / 2];
-        json.push((config.to_string(), median));
-        median
-    };
+    let mut json = BenchJson::new("e10");
 
     println!("| config | median |");
     println!("|:--|---:|");
-    let t_inproc = bench_ns(&format!("inproc_query_{rows}"), reps(101), &mut || {
+    let t_inproc = json.time(&format!("inproc_query_{rows}"), reps(101), || {
         db.query(query).unwrap().len()
     });
     println!(
@@ -570,7 +587,7 @@ fn e10() {
     );
 
     let mut client = Client::connect(addr).unwrap();
-    let t_ping = bench_ns("wire_ping", reps(101), &mut || {
+    let t_ping = json.time("wire_ping", reps(101), || {
         client.ping().unwrap();
         1
     });
@@ -578,14 +595,14 @@ fn e10() {
         "| wire `PING` round-trip (protocol floor) | {} |",
         fmt_ns(t_ping)
     );
-    let t_wire = bench_ns(&format!("wire_query_{rows}"), reps(101), &mut || {
+    let t_wire = json.time(&format!("wire_query_{rows}"), reps(101), || {
         client.query(query).unwrap().len()
     });
     println!("| wire query round-trip | {} |", fmt_ns(t_wire));
 
     client.branch("cut", None, branch_update).unwrap();
     client.switch(Some("cut")).unwrap();
-    let t_branch = bench_ns(&format!("wire_branch_query_{rows}"), reps(101), &mut || {
+    let t_branch = json.time(&format!("wire_branch_query_{rows}"), reps(101), || {
         client.query(query).unwrap().len()
     });
     println!(
@@ -599,28 +616,24 @@ fn e10() {
 
     // Throughput: 8 concurrent clients, a fixed batch of queries each.
     let per_client = if quick() { 20 } else { 200 };
-    let t_total = bench_ns(
-        &format!("throughput_{CLIENTS}x{per_client}"),
-        3,
-        &mut || {
-            let threads: Vec<_> = (0..CLIENTS)
-                .map(|_| {
-                    std::thread::spawn(move || {
-                        let mut c = Client::connect(addr).unwrap();
-                        let mut n = 0usize;
-                        for _ in 0..per_client {
-                            n += c.query(query).unwrap().len();
-                        }
-                        n
-                    })
+    let t_total = json.time(&format!("throughput_{CLIENTS}x{per_client}"), 3, || {
+        let threads: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                std::thread::spawn(move || {
+                    let mut c = Client::connect(addr).unwrap();
+                    let mut n = 0usize;
+                    for _ in 0..per_client {
+                        n += c.query(query).unwrap().len();
+                    }
+                    n
                 })
-                .collect();
-            threads
-                .into_iter()
-                .map(|t| t.join().unwrap())
-                .sum::<usize>()
-        },
-    );
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().unwrap())
+            .sum::<usize>()
+    });
     let reqs = (CLIENTS * per_client) as f64;
     let rps = reqs / (t_total / 1e9);
     println!(
@@ -636,17 +649,7 @@ fn e10() {
     client.shutdown().unwrap();
     handle.join();
 
-    let path = std::env::var("BENCH_E10_JSON").unwrap_or_else(|_| "BENCH_e10.json".to_string());
-    let mut out = String::from("{\n");
-    for (i, (config, median)) in json.iter().enumerate() {
-        let comma = if i + 1 < json.len() { "," } else { "" };
-        out.push_str(&format!("  \"{config}\": {median:.1}{comma}\n"));
-    }
-    out.push_str("}\n");
-    match std::fs::File::create(&path).and_then(|mut f| f.write_all(out.as_bytes())) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    json.write();
 }
 
 fn e11() {
@@ -654,25 +657,13 @@ fn e11() {
     println!("claims: a declared hash index answers point-equality selects ≥10×");
     println!("faster than a full scan at 100k rows, and CoW branches that leave");
     println!("the indexed base untouched share the one physical index — zero");
-    println!("rebuilds across an 8-branch what-if tree.\n");
+    println!("rebuilds across an 8-branch what-if tree. Measured on the pipeline:");
+    println!("each query is lowered and executed; statistics are computed once.\n");
 
     use hypoquery_algebra::CmpOp;
     use hypoquery_storage::{tuple, RelName};
 
-    let mut json: Vec<(String, f64)> = Vec::new();
-    let mut bench_ns = |config: &str, reps: usize, f: &mut dyn FnMut() -> usize| -> f64 {
-        let mut samples: Vec<f64> = (0..reps.max(3))
-            .map(|_| {
-                let t = Instant::now();
-                std::hint::black_box(f());
-                t.elapsed().as_secs_f64() * 1e9
-            })
-            .collect();
-        samples.sort_by(f64::total_cmp);
-        let median = samples[samples.len() / 2];
-        json.push((config.to_string(), median));
-        median
-    };
+    let mut json = BenchJson::new("e11");
 
     let rows = scaled(100_000);
     let db = two_table_db(rows, rows, rows as i64, 11);
@@ -680,14 +671,18 @@ fn e11() {
     idb.declare_index(RelName::new("R"), 0).unwrap();
     // 64 probe keys spread over the key range.
     let keys: Vec<i64> = (0..64i64).map(|i| (i * 7919) % rows as i64).collect();
-    let point = |k: i64| hypoquery_bench::workload::sel(Query::base("R"), CmpOp::Eq, k);
+    // Lower and run `σ_{#0=k}(R)` in a state under its statistics.
+    let point = |k: i64, db: &DatabaseState, stats: &Statistics| {
+        let q = hypoquery_bench::workload::sel(Query::base("R"), CmpOp::Eq, k);
+        let plan = lower_query(&q, db.catalog(), stats).unwrap();
+        plan.execute(db).unwrap().len()
+    };
+    let (stats, istats) = (Statistics::of(&db), Statistics::of(&idb));
 
     println!("| config | median |");
     println!("|:--|---:|");
-    let t_scan = bench_ns(&format!("point_select_scan_{rows}"), reps(11), &mut || {
-        keys.iter()
-            .map(|&k| hypoquery_eval::eval_query(&point(k), &db).unwrap().len())
-            .sum()
+    let t_scan = json.time(&format!("point_select_scan_{rows}"), reps(11), || {
+        keys.iter().map(|&k| point(k, &db, &stats)).sum()
     });
     println!(
         "| {} point selects, full scan | {} |",
@@ -695,40 +690,31 @@ fn e11() {
         fmt_ns(t_scan)
     );
     // Warm the build so the timed series measures steady-state probes.
-    hypoquery_eval::eval_query(&point(keys[0]), &idb).unwrap();
-    let t_idx = bench_ns(
-        &format!("point_select_indexed_{rows}"),
-        reps(11),
-        &mut || {
-            keys.iter()
-                .map(|&k| hypoquery_eval::eval_query(&point(k), &idb).unwrap().len())
-                .sum()
-        },
-    );
+    point(keys[0], &idb, &istats);
+    let t_idx = json.time(&format!("point_select_indexed_{rows}"), reps(11), || {
+        keys.iter().map(|&k| point(k, &idb, &istats)).sum()
+    });
     println!(
         "| {} point selects, indexed | {} |",
         keys.len(),
         fmt_ns(t_idx)
     );
 
-    // 8 CoW branches, each mutating S; R's storage pointer — and with it
-    // the cached index — stays shared across every branch.
-    let branches: Vec<DatabaseState> = (0..8i64)
+    // 8 CoW branches, each mutating S; R's storage — and with it the
+    // cached index — stays shared across every branch.
+    let branches: Vec<(DatabaseState, Statistics)> = (0..8i64)
         .map(|i| {
             let mut b = idb.clone();
             b.insert_row("S", tuple![rows as i64 + i, -i]).unwrap();
-            b
+            let stats = Statistics::of(&b);
+            (b, stats)
         })
         .collect();
     let before = hypoquery_storage::index_counters();
-    let t_branches = bench_ns(&format!("branch_probe_8x{rows}"), reps(11), &mut || {
+    let t_branches = json.time(&format!("branch_probe_8x{rows}"), reps(11), || {
         branches
             .iter()
-            .map(|b| {
-                keys.iter()
-                    .map(|&k| hypoquery_eval::eval_query(&point(k), b).unwrap().len())
-                    .sum::<usize>()
-            })
+            .map(|(b, stats)| keys.iter().map(|&k| point(k, b, stats)).sum::<usize>())
             .sum()
     });
     let rebuilds = hypoquery_storage::index_counters().builds - before.builds;
@@ -744,19 +730,9 @@ fn e11() {
         "\npoint-select speedup: {speedup:.1}×; index rebuilds across 8 branches: {rebuilds}\n"
     );
 
-    json.push(("point_select_speedup".to_string(), speedup));
-    json.push(("branch_index_rebuilds_8x".to_string(), rebuilds as f64));
-    let path = std::env::var("BENCH_E11_JSON").unwrap_or_else(|_| "BENCH_e11.json".to_string());
-    let mut out = String::from("{\n");
-    for (i, (config, median)) in json.iter().enumerate() {
-        let comma = if i + 1 < json.len() { "," } else { "" };
-        out.push_str(&format!("  \"{config}\": {median:.1}{comma}\n"));
-    }
-    out.push_str("}\n");
-    match std::fs::File::create(&path).and_then(|mut f| f.write_all(out.as_bytes())) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    json.record("point_select_speedup", speedup);
+    json.record("branch_index_rebuilds_8x", rebuilds as f64);
+    json.write();
 }
 
 fn e12() {
@@ -766,21 +742,8 @@ fn e12() {
     println!("tree-walkers, which materialize a BTreeSet per operator — on the");
     println!("same prepared query form under lazy, HQL-2, and HQL-3.\n");
 
-    let mut json: Vec<(String, f64)> = Vec::new();
+    let mut json = BenchJson::new("e12");
     let mut speedups: Vec<(String, f64)> = Vec::new();
-    let mut bench_ns = |config: &str, reps: usize, f: &mut dyn FnMut() -> usize| -> f64 {
-        let mut samples: Vec<f64> = (0..reps.max(3))
-            .map(|_| {
-                let t = Instant::now();
-                std::hint::black_box(f());
-                t.elapsed().as_secs_f64() * 1e9
-            })
-            .collect();
-        samples.sort_by(f64::total_cmp);
-        let median = samples[samples.len() / 2];
-        json.push((config.to_string(), median));
-        median
-    };
 
     println!("| shape | rows | strategy | legacy | pipelined | speedup |");
     println!("|:--|---:|:--|---:|---:|---:|");
@@ -807,15 +770,14 @@ fn e12() {
                 let phys = lower_query(pq, db.catalog(), &stats).unwrap();
                 // Differential check before timing anything.
                 assert_eq!(phys.execute(&db).unwrap().len(), legacy(pq));
-                let t_legacy = bench_ns(
-                    &format!("{shape}_{strat}_legacy_{rows}"),
-                    reps(7),
-                    &mut || legacy(pq),
-                );
-                let t_pipe = bench_ns(
+                let t_legacy =
+                    json.time(&format!("{shape}_{strat}_legacy_{rows}"), reps(7), || {
+                        legacy(pq)
+                    });
+                let t_pipe = json.time(
                     &format!("{shape}_{strat}_pipelined_{rows}"),
                     reps(7),
-                    &mut || phys.execute(&db).unwrap().len(),
+                    || phys.execute(&db).unwrap().len(),
                 );
                 let speedup = t_legacy / t_pipe;
                 speedups.push((format!("{shape}_{strat}_speedup_{rows}"), speedup));
@@ -829,18 +791,10 @@ fn e12() {
     }
     println!();
 
-    json.extend(speedups);
-    let path = std::env::var("BENCH_E12_JSON").unwrap_or_else(|_| "BENCH_e12.json".to_string());
-    let mut out = String::from("{\n");
-    for (i, (config, median)) in json.iter().enumerate() {
-        let comma = if i + 1 < json.len() { "," } else { "" };
-        out.push_str(&format!("  \"{config}\": {median:.1}{comma}\n"));
+    for (config, speedup) in speedups {
+        json.record(&config, speedup);
     }
-    out.push_str("}\n");
-    match std::fs::File::create(&path).and_then(|mut f| f.write_all(out.as_bytes())) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    json.write();
 }
 
 fn fmt_ns(ns: f64) -> String {

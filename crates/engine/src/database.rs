@@ -137,7 +137,7 @@ impl Database {
     ///
     /// Declarations are intent: the physical hash index is built lazily on
     /// the first probe that can use it, and — because indexes are cached
-    /// on the relation's shared storage pointer — every copy-on-write
+    /// in the relation's shared storage — every copy-on-write
     /// snapshot whose `name` is untouched reuses the same build for free.
     /// Returns `true` if the declaration is new.
     pub fn create_index(&mut self, name: &str, col: usize) -> Result<bool, EngineError> {
@@ -250,8 +250,8 @@ impl Database {
     pub fn execute(&self, q: &Query, strategy: Strategy) -> Result<Relation, EngineError> {
         arity_of(q, self.state.catalog())?;
         if strategy == Strategy::Auto {
-            let p = self.plan_query(q);
-            return self.execute_plan(&p);
+            let (_, phys) = self.plan_physical(q)?;
+            return Ok(phys.execute(&self.state)?);
         }
         let prepared = self.prepare_strategy_query(q, strategy)?;
         let stats = Statistics::of(&self.state);
@@ -369,6 +369,15 @@ impl Database {
         }
     }
 
+    /// Plan `q` and lower the plan, computing the statistics both steps
+    /// read once.
+    fn plan_physical(&self, q: &Query) -> Result<(Plan, PhysPlan), EngineError> {
+        let stats = Statistics::of(&self.state);
+        let p = plan(q, self.state.catalog(), &stats);
+        let phys = lower_plan(&p, self.state.catalog(), &stats)?;
+        Ok((p, phys))
+    }
+
     /// Lower a plan to its physical form against the current state's
     /// statistics (access paths depend on declared indexes and estimated
     /// cardinalities).
@@ -388,8 +397,7 @@ impl Database {
     /// before planning (e.g. a what-if branch's state expression).
     pub fn explain_query(&self, q: &Query) -> Result<String, EngineError> {
         arity_of(q, self.state.catalog())?;
-        let p = self.plan_query(q);
-        let phys = self.physical_plan(&p)?;
+        let (p, phys) = self.plan_physical(q)?;
         let mut out = String::new();
         use std::fmt::Write;
         let _ = writeln!(out, "query: {q}");
@@ -413,8 +421,7 @@ impl Database {
     /// queries before planning (e.g. a what-if branch).
     pub fn explain_analyze_query(&self, q: &Query) -> Result<String, EngineError> {
         arity_of(q, self.state.catalog())?;
-        let p = self.plan_query(q);
-        let phys = self.physical_plan(&p)?;
+        let (p, phys) = self.plan_physical(q)?;
         let (rel, metrics) = phys.execute_analyze(&self.state)?;
         Ok(Self::render_analyze(&p, &phys, &metrics, rel.len()))
     }

@@ -16,8 +16,9 @@ use hypoquery_storage::Relation;
 
 use hypoquery_algebra::typing::check_state_expr;
 use hypoquery_algebra::{ExplicitSubst, Query, StateExpr};
-use hypoquery_core::{lazy_state, sub_query, RewriteTrace};
-use hypoquery_eval::{filter1, materialize_subst, XsubValue};
+use hypoquery_core::{lazy_state, sub_query, to_enf_query, RewriteTrace};
+use hypoquery_eval::XsubValue;
+use hypoquery_opt::{lower_query, lower_under_xsub, Statistics};
 use hypoquery_parser::{parse_query_named, parse_state_expr_named};
 
 use crate::database::{Database, Strategy};
@@ -68,7 +69,13 @@ impl PreparedState {
     /// evaluation"). Re-run after the database changes — the cache is
     /// a snapshot.
     pub fn materialize(&mut self, db: &Database) -> Result<(), EngineError> {
-        self.xsub = Some(materialize_subst(&self.rho, db.state())?);
+        let stats = Statistics::of(db.state());
+        let mut e = XsubValue::empty();
+        for (name, q) in self.rho.iter() {
+            let phys = lower_query(q, db.catalog(), &stats)?;
+            e.bind(name.clone(), phys.execute(db.state())?);
+        }
+        self.xsub = Some(e);
         Ok(())
     }
 
@@ -84,12 +91,19 @@ impl PreparedState {
 
     /// Run one family member against this hypothetical state.
     ///
-    /// If materialized, evaluation is filtered through the cached
-    /// xsub-value (eager reuse); otherwise the substitution is applied
-    /// lazily (`sub` + conventional evaluation).
+    /// If materialized, the member is normalized to ENF and run on the
+    /// pipelined executor with the cached xsub-value bound as constants
+    /// (eager reuse: the snapshot is shared, never re-collected);
+    /// otherwise the substitution is applied lazily (`sub` +
+    /// conventional evaluation).
     pub fn query(&self, db: &Database, q: &Query) -> Result<Relation, EngineError> {
         match &self.xsub {
-            Some(e) => Ok(filter1(q, e, db.state())?),
+            Some(e) => {
+                let enf = to_enf_query(q, &mut RewriteTrace::new());
+                let stats = Statistics::of(db.state());
+                let phys = lower_under_xsub(&enf, e, db.catalog(), &stats)?;
+                Ok(phys.execute(db.state())?)
+            }
             None => {
                 let substituted = if q.is_pure() {
                     sub_query(q, &self.rho).expect("pure query under pure substitution")

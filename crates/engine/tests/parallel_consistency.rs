@@ -88,9 +88,8 @@ proptest! {
     }
 
     /// A prepared state's `query_batch` equals per-member `query`, both
-    /// lazy and materialized. Family members are pure queries — the
-    /// materialized (`filter1`) path requires ENF, i.e. no raw-update
-    /// `when` nesting inside members.
+    /// lazy and materialized. (Hypothetical members are covered by
+    /// `prepared_consistency.rs`.)
     #[test]
     fn prepared_batch_matches_sequential(
         updates in arb_atomic_update_seq(&Universe::standard(), 3),

@@ -19,20 +19,15 @@
 //! only nominally above a plain join, which is exactly the Heraclitus
 //! rule-of-thumb bench E5 reproduces.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
-use hypoquery_storage::{
-    lookup_index, lookup_or_build_index, ColumnIndex, DatabaseState, RelName, Relation, Tuple,
-    Value,
-};
+use hypoquery_storage::{DatabaseState, RelName, Relation, Tuple};
 
 use hypoquery_algebra::{Predicate, Query};
 
-use crate::access;
-use crate::aggregate::eval_aggregate;
 use crate::error::EvalError;
-use crate::join::{join_iter, split_equi_pairs, EquiPair};
+use crate::join::join_iter;
 use crate::xsub::XsubValue;
 
 /// A delta for one relation: `(deleted, inserted)`.
@@ -315,26 +310,6 @@ pub fn join_when(
     right_delta: Option<&RelDelta>,
     pred: &Predicate,
 ) -> Relation {
-    // Index-backed path: when the right *base* has a cached index on the
-    // equi columns, probe it per effective left tuple. Base candidates
-    // are filtered against R∇, and a small hash table over RΔ covers the
-    // inserted side — the index on the shared base storage stays valid no
-    // matter the delta.
-    let (pairs, residual) = split_equi_pairs(pred, left_base.arity());
-    if !pairs.is_empty() && !right_base.is_empty() {
-        let cols: Vec<usize> = pairs.iter().map(|p| p.right).collect();
-        if let Some(idx) = lookup_index(right_base, &cols) {
-            return join_when_indexed(
-                left_base,
-                left_delta,
-                right_base.arity(),
-                right_delta,
-                &idx,
-                &pairs,
-                &residual,
-            );
-        }
-    }
     let left = effective_iter(left_base, left_delta);
     let right: Vec<&Tuple> = effective_iter(right_base, right_delta).collect();
     join_iter(
@@ -346,122 +321,19 @@ pub fn join_when(
     )
 }
 
-/// `join_when` with the right base's cached index as the build side:
-/// effective-left tuples probe the base index (candidates checked against
-/// `R∇`) plus a hash table over the usually-small `RΔ`.
-fn join_when_indexed(
-    left_base: &Relation,
-    left_delta: Option<&RelDelta>,
-    right_arity: usize,
-    right_delta: Option<&RelDelta>,
-    idx: &ColumnIndex,
-    pairs: &[EquiPair],
-    residual: &[Predicate],
-) -> Relation {
-    let mut out = Relation::empty(left_base.arity() + right_arity);
-    let passes = |t: &Tuple| residual.iter().all(|p| p.eval(t));
-    let deleted = right_delta.map(|d| &d.deleted);
-    let mut inserted: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::new();
-    if let Some(d) = right_delta {
-        for t in d.inserted.iter() {
-            let key: Vec<Value> = pairs.iter().map(|p| t[p.right].clone()).collect();
-            inserted.entry(key).or_default().push(t);
-        }
-    }
-    for l in effective_iter(left_base, left_delta) {
-        let key: Vec<Value> = pairs.iter().map(|p| l[p.left].clone()).collect();
-        for r in idx.probe(&key) {
-            if deleted.is_some_and(|d| d.contains(r)) {
-                continue;
-            }
-            let joined = l.concat(r);
-            if passes(&joined) {
-                let _ = out.insert(joined);
-            }
-        }
-        if let Some(matches) = inserted.get(&key) {
-            for r in matches {
-                let joined = l.concat(r);
-                if passes(&joined) {
-                    let _ = out.insert(joined);
-                }
-            }
-        }
-    }
-    out
-}
-
 /// `eval_filter_d(Q, Δ)`: evaluate a **pure** RA query against
-/// `apply(DB, Δ)` using delta-filtered scans and `join-when`.
+/// `apply(DB, Δ)` using delta-filtered scans and `join-when` — the
+/// [`filter3`](crate::filter3::filter3) walk restricted to `when`-free
+/// queries.
 pub fn eval_filter_d(
     q: &Query,
     delta: &DeltaValue,
     db: &DatabaseState,
 ) -> Result<Relation, EvalError> {
-    match q {
-        Query::Base(name) => delta.relation_under(name, db),
-        Query::Singleton(t) => Ok(Relation::singleton(t.clone())),
-        Query::Empty { arity } => Ok(Relation::empty(*arity)),
-        Query::Select(inner, p) => {
-            let input = eval_filter_d(inner, delta, db)?;
-            // Point probe only for bases the delta leaves untouched —
-            // `relation_under` hands those back with shared base storage.
-            if let Query::Base(name) = &**inner {
-                if delta.get(name).is_none() {
-                    if let Some(out) = access::indexed_select(&input, p, &db.indexed_columns(name))
-                    {
-                        return Ok(out);
-                    }
-                }
-            }
-            Ok(input.select(|t| p.eval(t)))
-        }
-        Query::Project(inner, cols) => Ok(eval_filter_d(inner, delta, db)?.project(cols)?),
-        Query::Union(a, b) => {
-            Ok(eval_filter_d(a, delta, db)?.union(&eval_filter_d(b, delta, db)?)?)
-        }
-        Query::Intersect(a, b) => {
-            Ok(eval_filter_d(a, delta, db)?.intersect(&eval_filter_d(b, delta, db)?)?)
-        }
-        Query::Diff(a, b) => {
-            Ok(eval_filter_d(a, delta, db)?.difference(&eval_filter_d(b, delta, db)?)?)
-        }
-        Query::Product(a, b) => {
-            Ok(eval_filter_d(a, delta, db)?.product(&eval_filter_d(b, delta, db)?))
-        }
-        Query::Join(a, b, p) => {
-            // The headline case: base ⋈ base under a delta never
-            // materializes the hypothetical operands.
-            if let (Query::Base(l), Query::Base(r)) = (&**a, &**b) {
-                let lb = db.get(l)?;
-                let rb = db.get(r)?;
-                // Build the right base's declared index (lazily, cached on
-                // its shared storage) so join_when's probe finds it.
-                if !rb.is_empty() {
-                    let (pairs, _) = split_equi_pairs(p, lb.arity());
-                    if !pairs.is_empty() {
-                        let cols: Vec<usize> = pairs.iter().map(|pr| pr.right).collect();
-                        let decl = db.indexed_columns(r);
-                        if cols.iter().all(|c| decl.contains(c)) {
-                            let _ = lookup_or_build_index(&rb, &cols);
-                        }
-                    }
-                }
-                return Ok(join_when(&lb, delta.get(l), &rb, delta.get(r), p));
-            }
-            Ok(crate::join::join(
-                &eval_filter_d(a, delta, db)?,
-                &eval_filter_d(b, delta, db)?,
-                p,
-            ))
-        }
-        Query::When(_, _) => Err(EvalError::UnsupportedShape(q.to_string())),
-        Query::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => eval_aggregate(&eval_filter_d(input, delta, db)?, group_by, aggs),
+    if !q.is_pure() {
+        return Err(EvalError::UnsupportedShape(q.to_string()));
     }
+    crate::filter3::filter3(q, delta, db)
 }
 
 #[cfg(test)]
@@ -586,32 +458,6 @@ mod tests {
         assert_eq!(fast, slow);
         // Matches: (1,10)-(1,100) and (3,30)-(3,300).
         assert_eq!(fast.len(), 2);
-    }
-
-    #[test]
-    fn join_when_indexed_matches_fallback() {
-        let db = db();
-        let rb = db.get(&"S".into()).unwrap();
-        let lb = db.get(&"R".into()).unwrap();
-        let rd = RelDelta {
-            deleted: rel2(&[[4, 400]]),
-            inserted: rel2(&[[1, 100], [2, 200]]), // (2,200) also in base
-        };
-        let ld = RelDelta {
-            deleted: rel2(&[[2, 20]]),
-            inserted: rel2(&[[4, 40]]),
-        };
-        let p = Predicate::col_col(0, CmpOp::Eq, 2).and(Predicate::col_cmp(3, CmpOp::Lt, 250));
-        let plain = join_when(&lb, Some(&ld), &rb, Some(&rd), &p);
-        // Build the base index; the probe path must agree exactly.
-        let _ = lookup_or_build_index(&rb, &[0]);
-        let probed = join_when(&lb, Some(&ld), &rb, Some(&rd), &p);
-        assert_eq!(probed, plain);
-        // No right delta at all.
-        assert_eq!(join_when(&lb, Some(&ld), &rb, None, &p), {
-            let left = rel2(&[[1, 10], [3, 30], [4, 40]]);
-            crate::join::join_iter(left.iter(), 2, rb.iter(), 2, &p)
-        });
     }
 
     #[test]

@@ -14,20 +14,9 @@ use hypoquery_storage::{DatabaseState, RelName, Relation};
 
 use hypoquery_algebra::{ExplicitSubst, Query, StateExpr, Update};
 
-use crate::access;
 use crate::aggregate::eval_aggregate;
 use crate::error::EvalError;
 use crate::join;
-
-/// The declared indexed columns of `q` when it is a base-relation scan —
-/// the only shape whose evaluated value has the stable storage the index
-/// cache keys on. Empty for every computed shape.
-fn base_decls(q: &Query, r: &impl Resolver) -> Vec<usize> {
-    match q {
-        Query::Base(name) => r.indexed_columns(name),
-        _ => Vec::new(),
-    }
-}
 
 /// Resolves base relation names to relation values. The direct evaluator
 /// resolves against a [`DatabaseState`]; filtered evaluators
@@ -39,15 +28,6 @@ fn base_decls(q: &Query, r: &impl Resolver) -> Vec<usize> {
 pub trait Resolver {
     /// The relation currently named `name`.
     fn resolve(&self, name: &RelName) -> Result<Cow<'_, Relation>, EvalError>;
-
-    /// The columns of `name` carrying a declared secondary index, *iff*
-    /// this resolver resolves `name` to its stored base relation. The
-    /// default says "none" — overlay resolvers that rebind names
-    /// (xsub/placeholder) must not claim indexes for rebound values.
-    fn indexed_columns(&self, name: &RelName) -> Vec<usize> {
-        let _ = name;
-        Vec::new()
-    }
 }
 
 impl Resolver for DatabaseState {
@@ -57,10 +37,6 @@ impl Resolver for DatabaseState {
             // Declared-but-empty (or undeclared → error) go through `get`.
             None => Ok(Cow::Owned(self.get(name)?)),
         }
-    }
-
-    fn indexed_columns(&self, name: &RelName) -> Vec<usize> {
-        DatabaseState::indexed_columns(self, name)
     }
 }
 
@@ -76,93 +52,44 @@ impl Resolver for DatabaseState {
 /// queries go through [`eval_query`], which knows how to evaluate
 /// hypothetical states.
 pub fn eval_pure(q: &Query, r: &impl Resolver) -> Result<Relation, EvalError> {
-    Ok(eval_pure_cow(q, r)?.into_owned())
-}
-
-fn eval_pure_cow<'a>(q: &Query, r: &'a impl Resolver) -> Result<Cow<'a, Relation>, EvalError> {
-    match q {
-        Query::Base(name) => r.resolve(name),
-        Query::Singleton(t) => Ok(Cow::Owned(Relation::singleton(t.clone()))),
-        Query::Empty { arity } => Ok(Cow::Owned(Relation::empty(*arity))),
-        Query::Select(inner, p) => {
-            let input = eval_pure_cow(inner, r)?;
-            if let Query::Base(name) = inner.as_ref() {
-                if let Some(out) = access::indexed_select(&input, p, &r.indexed_columns(name)) {
-                    return Ok(Cow::Owned(out));
-                }
-            }
-            Ok(Cow::Owned(input.select(|t| p.eval(t))))
-        }
-        Query::Project(inner, cols) => {
-            let input = eval_pure_cow(inner, r)?;
-            Ok(Cow::Owned(input.project(cols)?))
-        }
-        Query::Union(a, b) => {
-            let (a, b) = (eval_pure_cow(a, r)?, eval_pure_cow(b, r)?);
-            Ok(Cow::Owned(a.union(&b)?))
-        }
-        Query::Intersect(a, b) => {
-            let (a, b) = (eval_pure_cow(a, r)?, eval_pure_cow(b, r)?);
-            Ok(Cow::Owned(a.intersect(&b)?))
-        }
-        Query::Diff(a, b) => {
-            let (a, b) = (eval_pure_cow(a, r)?, eval_pure_cow(b, r)?);
-            Ok(Cow::Owned(a.difference(&b)?))
-        }
-        Query::Product(a, b) => {
-            let (a, b) = (eval_pure_cow(a, r)?, eval_pure_cow(b, r)?);
-            Ok(Cow::Owned(a.product(&b)))
-        }
-        Query::Join(a, b, p) => {
-            let (va, vb) = (eval_pure_cow(a, r)?, eval_pure_cow(b, r)?);
-            access::prepare_join_index(&va, &base_decls(a, r), &vb, &base_decls(b, r), p);
-            Ok(Cow::Owned(join::join(&va, &vb, p)))
-        }
-        Query::When(_, _) => Err(EvalError::UnsupportedShape(q.to_string())),
-        Query::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let input = eval_pure_cow(input, r)?;
-            Ok(Cow::Owned(eval_aggregate(&input, group_by, aggs)?))
-        }
-    }
+    Ok(eval_cow(q, r, None)?.into_owned())
 }
 
 /// `[[Q]](DB)` — the direct semantics of a full HQL query (§4.2).
 pub fn eval_query(q: &Query, db: &DatabaseState) -> Result<Relation, EvalError> {
-    match q {
-        Query::When(inner, eta) => {
-            let hypothetical = eval_state(eta, db)?;
-            eval_query(inner, &hypothetical)
-        }
-        Query::Base(_) | Query::Singleton(_) | Query::Empty { .. } => eval_pure(q, db),
-        Query::Select(inner, p) => {
-            let input = eval_query(inner, db)?;
-            if let Query::Base(name) = inner.as_ref() {
-                if let Some(out) = access::indexed_select(&input, p, &db.indexed_columns(name)) {
-                    return Ok(out);
-                }
-            }
-            Ok(input.select(|t| p.eval(t)))
-        }
-        Query::Project(inner, cols) => Ok(eval_query(inner, db)?.project(cols)?),
-        Query::Union(a, b) => Ok(eval_query(a, db)?.union(&eval_query(b, db)?)?),
-        Query::Intersect(a, b) => Ok(eval_query(a, db)?.intersect(&eval_query(b, db)?)?),
-        Query::Diff(a, b) => Ok(eval_query(a, db)?.difference(&eval_query(b, db)?)?),
-        Query::Product(a, b) => Ok(eval_query(a, db)?.product(&eval_query(b, db)?)),
-        Query::Join(a, b, p) => {
-            let (va, vb) = (eval_query(a, db)?, eval_query(b, db)?);
-            access::prepare_join_index(&va, &base_decls(a, db), &vb, &base_decls(b, db), p);
-            Ok(join::join(&va, &vb, p))
-        }
+    Ok(eval_cow(q, db, Some(db))?.into_owned())
+}
+
+/// The one evaluator walk behind [`eval_pure`] and [`eval_query`]: a
+/// `when` node moves to its hypothetical state of `db`, and is an
+/// unsupported shape when there is no `db` (pure evaluation).
+fn eval_cow<'a>(
+    q: &Query,
+    r: &'a impl Resolver,
+    db: Option<&DatabaseState>,
+) -> Result<Cow<'a, Relation>, EvalError> {
+    let ev = |q: &Query| eval_cow(q, r, db);
+    Ok(Cow::Owned(match q {
+        Query::Base(name) => return r.resolve(name),
+        Query::Singleton(t) => Relation::singleton(t.clone()),
+        Query::Empty { arity } => Relation::empty(*arity),
+        Query::Select(inner, p) => ev(inner)?.select(|t| p.eval(t)),
+        Query::Project(inner, cols) => ev(inner)?.project(cols)?,
+        Query::Union(a, b) => ev(a)?.union(&*ev(b)?)?,
+        Query::Intersect(a, b) => ev(a)?.intersect(&*ev(b)?)?,
+        Query::Diff(a, b) => ev(a)?.difference(&*ev(b)?)?,
+        Query::Product(a, b) => ev(a)?.product(&*ev(b)?),
+        Query::Join(a, b, p) => join::join(&*ev(a)?, &*ev(b)?, p),
+        Query::When(inner, eta) => match db {
+            Some(db) => eval_query(inner, &eval_state(eta, db)?)?,
+            None => return Err(EvalError::UnsupportedShape(q.to_string())),
+        },
         Query::Aggregate {
             input,
             group_by,
             aggs,
-        } => eval_aggregate(&eval_query(input, db)?, group_by, aggs),
-    }
+        } => eval_aggregate(&*ev(input)?, group_by, aggs)?,
+    }))
 }
 
 /// `[[U]](DB)` — the direct semantics of an update (§3.1), extended with

@@ -20,21 +20,10 @@ use hypoquery_storage::{DatabaseState, Relation};
 
 use hypoquery_algebra::{ExplicitSubst, Query, StateExpr};
 
-use crate::access;
 use crate::aggregate::eval_aggregate;
 use crate::error::EvalError;
 use crate::join;
 use crate::xsub::XsubValue;
-
-/// Declared indexed columns of `q` when it is a base scan the filter does
-/// *not* rebind — only then does its value share the stored base storage
-/// the index cache keys on.
-fn unfiltered_decls(q: &Query, e: &XsubValue, db: &DatabaseState) -> Vec<usize> {
-    match q {
-        Query::Base(name) if e.get(name).is_none() => db.indexed_columns(name),
-        _ => Vec::new(),
-    }
-}
 
 /// `filter1(Q, E)` in state `db` (Figure 3). `Q` must be in ENF.
 pub fn filter1(q: &Query, e: &XsubValue, db: &DatabaseState) -> Result<Relation, EvalError> {
@@ -51,17 +40,7 @@ pub fn filter1(q: &Query, e: &XsubValue, db: &DatabaseState) -> Result<Relation,
         Query::Intersect(a, b) => Ok(filter1(a, e, db)?.intersect(&filter1(b, e, db)?)?),
         Query::Diff(a, b) => Ok(filter1(a, e, db)?.difference(&filter1(b, e, db)?)?),
         Query::Product(a, b) => Ok(filter1(a, e, db)?.product(&filter1(b, e, db)?)),
-        Query::Join(a, b, p) => {
-            let (va, vb) = (filter1(a, e, db)?, filter1(b, e, db)?);
-            access::prepare_join_index(
-                &va,
-                &unfiltered_decls(a, e, db),
-                &vb,
-                &unfiltered_decls(b, e, db),
-                p,
-            );
-            Ok(join::join(&va, &vb, p))
-        }
+        Query::Join(a, b, p) => Ok(join::join(&filter1(a, e, db)?, &filter1(b, e, db)?, p)),
         Query::When(inner, eta) => {
             let StateExpr::Subst(eps) = &**eta else {
                 return Err(EvalError::UnsupportedShape(format!(

@@ -43,16 +43,6 @@ impl Resolver for FilteredResolver<'_> {
             None => self.db.resolve(name),
         }
     }
-
-    fn indexed_columns(&self, name: &RelName) -> Vec<usize> {
-        // Only names that fall through to the stored base relation keep
-        // their declared indexes; placeholders and xsub-bound names
-        // resolve to computed values with their own transient storage.
-        if name.as_str().starts_with(PLACEHOLDER_PREFIX) || self.e.get(name).is_some() {
-            return Vec::new();
-        }
-        self.db.indexed_columns(name)
-    }
 }
 
 /// `eval_filter_x(Q[S₁…Sₘ, R₁…Rₖ], E)`: clustered evaluation of a pure RA

@@ -12,55 +12,41 @@
 //! filter3(Q when {U}, Δ)  = filter3(Q, Δ ! filter3({U}, Δ))
 //! ```
 //!
-//! Pure-RA regions are evaluated in one clustered call to
-//! [`crate::delta::eval_filter_d`] — operationally the same as running
-//! `eval-filter-d` on the collapsed tree's region nodes (§5.4), including
-//! the `join-when` operator on joins of base relations.
+//! Base scans stream `(DB(R) − R∇) ∪ RΔ` and joins of two base relations
+//! use the `join-when` operator, so pure-RA regions evaluate exactly as
+//! `eval-filter-d` on the collapsed tree's region nodes (§5.4)
+//! ([`crate::delta::eval_filter_d`] is this walk on `when`-free queries).
 
 use hypoquery_storage::{DatabaseState, Relation};
 
 use hypoquery_algebra::{Query, StateExpr, Update};
 
-use crate::access;
 use crate::aggregate::eval_aggregate;
-use crate::delta::{eval_filter_d, DeltaValue, RelDelta};
+use crate::delta::{join_when, DeltaValue, RelDelta};
 use crate::error::EvalError;
 use crate::join;
 
-/// Declared indexed columns of `q` when it is a base scan the delta leaves
-/// untouched — only then does its value share the stored base storage the
-/// index cache keys on.
-fn undeltaed_decls(q: &Query, delta: &DeltaValue, db: &DatabaseState) -> Vec<usize> {
-    match q {
-        Query::Base(name) if delta.get(name).is_none() => db.indexed_columns(name),
-        _ => Vec::new(),
-    }
-}
-
 /// `filter3(Q, Δ)` in state `db` (Figure 4). `Q` must be in mod-ENF.
 pub fn filter3(q: &Query, delta: &DeltaValue, db: &DatabaseState) -> Result<Relation, EvalError> {
-    // Clustered fast path: a pure region is a single eval-filter-d call.
-    if q.is_pure() {
-        return eval_filter_d(q, delta, db);
-    }
-    match q {
-        Query::Select(inner, p) => Ok(filter3(inner, delta, db)?.select(|t| p.eval(t))),
-        Query::Project(inner, cols) => Ok(filter3(inner, delta, db)?.project(cols)?),
-        Query::Union(a, b) => Ok(filter3(a, delta, db)?.union(&filter3(b, delta, db)?)?),
-        Query::Intersect(a, b) => Ok(filter3(a, delta, db)?.intersect(&filter3(b, delta, db)?)?),
-        Query::Diff(a, b) => Ok(filter3(a, delta, db)?.difference(&filter3(b, delta, db)?)?),
-        Query::Product(a, b) => Ok(filter3(a, delta, db)?.product(&filter3(b, delta, db)?)),
-        Query::Join(a, b, p) => {
-            let (va, vb) = (filter3(a, delta, db)?, filter3(b, delta, db)?);
-            access::prepare_join_index(
-                &va,
-                &undeltaed_decls(a, delta, db),
-                &vb,
-                &undeltaed_decls(b, delta, db),
-                p,
-            );
-            Ok(join::join(&va, &vb, p))
-        }
+    let f = |q: &Query| filter3(q, delta, db);
+    Ok(match q {
+        Query::Base(name) => delta.relation_under(name, db)?,
+        Query::Singleton(t) => Relation::singleton(t.clone()),
+        Query::Empty { arity } => Relation::empty(*arity),
+        Query::Select(inner, p) => f(inner)?.select(|t| p.eval(t)),
+        Query::Project(inner, cols) => f(inner)?.project(cols)?,
+        Query::Union(a, b) => f(a)?.union(&f(b)?)?,
+        Query::Intersect(a, b) => f(a)?.intersect(&f(b)?)?,
+        Query::Diff(a, b) => f(a)?.difference(&f(b)?)?,
+        Query::Product(a, b) => f(a)?.product(&f(b)?),
+        Query::Join(a, b, p) => match (&**a, &**b) {
+            // The headline case: base ⋈ base under a delta never
+            // materializes the hypothetical operands.
+            (Query::Base(l), Query::Base(r)) => {
+                join_when(&db.get(l)?, delta.get(l), &db.get(r)?, delta.get(r), p)
+            }
+            _ => join::join(&f(a)?, &f(b)?, p),
+        },
         Query::When(inner, eta) => {
             let StateExpr::Update(u) = &**eta else {
                 return Err(EvalError::UnsupportedShape(format!(
@@ -68,16 +54,14 @@ pub fn filter3(q: &Query, delta: &DeltaValue, db: &DatabaseState) -> Result<Rela
                 )));
             };
             let f = filter3_update(u, delta, db)?;
-            filter3(inner, &delta.smash(&f)?, db)
+            filter3(inner, &delta.smash(&f)?, db)?
         }
         Query::Aggregate {
             input,
             group_by,
             aggs,
-        } => eval_aggregate(&filter3(input, delta, db)?, group_by, aggs),
-        // Pure leaves are handled by the fast path above.
-        _ => eval_filter_d(q, delta, db),
-    }
+        } => eval_aggregate(&f(input)?, group_by, aggs)?,
+    })
 }
 
 /// `filter3({U}, Δ)`: build the delta value of an atomic update sequence

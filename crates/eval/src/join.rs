@@ -7,17 +7,10 @@
 //! physical join every conventional evaluator in the paper's framework is
 //! assumed to have. The residual (non-equality) part of the predicate is
 //! applied to each candidate pair.
-//!
-//! When one operand carries a *cached* secondary index on the equi
-//! columns (`hypoquery_storage::index`, keyed on shared CoW storage), the
-//! hash build is skipped entirely: the cached index is the build side,
-//! and only the other operand is iterated. [`join`] never builds indexes
-//! itself — `crate::access::prepare_join_index` decides (cost-based)
-//! which declared index to build.
 
 use std::collections::HashMap;
 
-use hypoquery_storage::{lookup_index, ColumnIndex, Relation, Tuple, Value};
+use hypoquery_storage::{Relation, Tuple, Value};
 
 use hypoquery_algebra::{CmpOp, Predicate, ScalarExpr};
 
@@ -70,64 +63,8 @@ fn collect_conjuncts(
 }
 
 /// Join two relations under `pred` (predicate over the concatenated tuple).
-///
-/// Lookup-only index fast path: if either operand's physical storage has
-/// a cached index on its equi columns, that index replaces the hash
-/// build. The side whose index leaves the *smaller* relation to iterate
-/// is preferred.
 pub fn join(left: &Relation, right: &Relation, pred: &Predicate) -> Relation {
-    let (pairs, residual) = split_equi_pairs(pred, left.arity());
-    if !pairs.is_empty() {
-        let out_arity = left.arity() + right.arity();
-        let right_first = right.len() >= left.len();
-        for try_right in [right_first, !right_first] {
-            if try_right {
-                let cols: Vec<usize> = pairs.iter().map(|p| p.right).collect();
-                if let Some(idx) = lookup_index(right, &cols) {
-                    return probe_with_index(true, left, &idx, &pairs, &residual, out_arity);
-                }
-            } else {
-                let cols: Vec<usize> = pairs.iter().map(|p| p.left).collect();
-                if let Some(idx) = lookup_index(left, &cols) {
-                    return probe_with_index(false, right, &idx, &pairs, &residual, out_arity);
-                }
-            }
-        }
-    }
     join_iter(left.iter(), left.arity(), right.iter(), right.arity(), pred)
-}
-
-/// Probe `index` (built over the non-`outer` operand's equi columns) with
-/// every tuple of `outer`. `outer_is_left` says which side `outer` is, so
-/// the output keeps the left ++ right column order.
-fn probe_with_index(
-    outer_is_left: bool,
-    outer: &Relation,
-    index: &ColumnIndex,
-    pairs: &[EquiPair],
-    residual: &[Predicate],
-    out_arity: usize,
-) -> Relation {
-    let mut out = Relation::empty(out_arity);
-    let passes = |t: &Tuple| residual.iter().all(|p| p.eval(t));
-    for o in outer.iter() {
-        let key: Vec<Value> = if outer_is_left {
-            pairs.iter().map(|p| o[p.left].clone()).collect()
-        } else {
-            pairs.iter().map(|p| o[p.right].clone()).collect()
-        };
-        for m in index.probe(&key) {
-            let joined = if outer_is_left {
-                o.concat(m)
-            } else {
-                m.concat(o)
-            };
-            if passes(&joined) {
-                let _ = out.insert(joined);
-            }
-        }
-    }
-    out
 }
 
 /// Join over arbitrary tuple iterators (used by the delta-aware
@@ -244,20 +181,6 @@ mod tests {
         let out = join(&l, &r, &Predicate::True);
         assert_eq!(out.len(), 2);
         assert_eq!(out.arity(), 4);
-    }
-
-    #[test]
-    fn index_backed_join_matches_hash_join() {
-        let l = rel(&[[1, 10], [1, 11], [2, 20], [3, 30]]);
-        let r = rel(&[[1, 100], [3, 300], [4, 400]]);
-        let p = Predicate::col_col(0, CmpOp::Eq, 2).and(Predicate::col_cmp(1, CmpOp::Lt, 25));
-        let plain = join(&l, &r, &p);
-        // Cached index on the right: probe-with-left path.
-        let _ = hypoquery_storage::lookup_or_build_index(&r, &[0]);
-        assert_eq!(join(&l, &r, &p), plain);
-        // Cached index on the left too: build-side selection still exact.
-        let _ = hypoquery_storage::lookup_or_build_index(&l, &[0]);
-        assert_eq!(join(&l, &r, &p), plain);
     }
 
     #[test]

@@ -21,7 +21,6 @@
 
 #![warn(missing_docs)]
 
-pub mod access;
 pub mod aggregate;
 pub mod bag;
 mod chain;
@@ -36,7 +35,6 @@ pub mod join;
 pub mod physical;
 pub mod xsub;
 
-pub use access::{indexed_select, point_eq_conjuncts, prepare_join_index};
 pub use bag::{apply_bag_subst, eval_bag_query, eval_bag_state, eval_bag_update, BagState};
 pub use delta::{eval_filter_d, join_when, DeltaValue, RelDelta};
 pub use direct::{apply_subst, eval_pure, eval_query, eval_state, eval_update, Resolver};

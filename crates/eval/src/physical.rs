@@ -118,10 +118,10 @@ pub struct DeltaAtom {
 /// A physical operator. Children are embedded [`PhysNode`]s.
 #[derive(Clone, Debug)]
 pub enum PhysOp {
-    /// Stream a base relation. Resolution order at runtime: an xsub
-    /// binding in the environment (whole-relation replacement), else the
-    /// stored base merged with any delta binding via the streaming
-    /// three-way merge of [`effective_iter`].
+    /// Stream a base relation: its xsub binding in the environment
+    /// (whole-relation replacement), else the stored base, merged with
+    /// any delta binding via the streaming three-way merge of
+    /// [`effective_iter`].
     Scan {
         /// The relation scanned.
         name: RelName,
@@ -238,7 +238,9 @@ pub enum PhysOp {
         aggs: Vec<AggExpr>,
     },
     /// `filter1`'s `when ε`: materialize each binding under the current
-    /// environment, smash onto the xsub value, run the body.
+    /// environment, smash onto the xsub value, run the body (with the
+    /// deltas in scope dropped for the rebound names — the bindings
+    /// already saw them).
     XsubRebind {
         /// Bindings `Qᵢ/Rᵢ`, each a sub-plan.
         bindings: Vec<(RelName, PhysNode)>,
@@ -254,6 +256,35 @@ pub enum PhysOp {
         /// Body plan, whose scans see the accumulated delta.
         body: Box<PhysNode>,
     },
+}
+
+/// The operator-to-children match, written once and expanded for both
+/// shared (`iter`) and exclusive (`iter_mut`, `mut`) borrows.
+macro_rules! child_nodes {
+    ($op:expr, $iter:ident $(, $mut:tt)?) => {
+        match $op {
+            PhysOp::Scan { .. } | PhysOp::IndexProbe { .. } | PhysOp::Const { .. } => Vec::new(),
+            PhysOp::Filter { input, .. }
+            | PhysOp::Project { input, .. }
+            | PhysOp::Dedup { input }
+            | PhysOp::Aggregate { input, .. } => vec![input],
+            PhysOp::HashJoin { left, right, .. }
+            | PhysOp::Union { left, right }
+            | PhysOp::Diff { left, right }
+            | PhysOp::Intersect { left, right } => vec![left, right],
+            PhysOp::IndexJoin { probe, .. } => vec![probe],
+            PhysOp::XsubRebind { bindings, body } => bindings
+                .$iter()
+                .map(|(_, n)| n)
+                .chain(std::iter::once(&$($mut)? **body))
+                .collect(),
+            PhysOp::DeltaApply { atoms, body } => atoms
+                .$iter()
+                .map(|a| &$($mut)? a.input)
+                .chain(std::iter::once(&$($mut)? **body))
+                .collect(),
+        }
+    };
 }
 
 /// A node of a physical plan: an operator plus its plan-wide id (index
@@ -298,54 +329,12 @@ impl PhysNode {
         }
     }
 
-    fn children_mut(&mut self) -> Vec<&mut PhysNode> {
-        match &mut self.op {
-            PhysOp::Scan { .. } | PhysOp::IndexProbe { .. } | PhysOp::Const { .. } => Vec::new(),
-            PhysOp::Filter { input, .. }
-            | PhysOp::Project { input, .. }
-            | PhysOp::Dedup { input }
-            | PhysOp::Aggregate { input, .. } => vec![input],
-            PhysOp::HashJoin { left, right, .. }
-            | PhysOp::Union { left, right }
-            | PhysOp::Diff { left, right }
-            | PhysOp::Intersect { left, right } => vec![left, right],
-            PhysOp::IndexJoin { probe, .. } => vec![probe],
-            PhysOp::XsubRebind { bindings, body } => {
-                let mut v: Vec<&mut PhysNode> = bindings.iter_mut().map(|(_, n)| n).collect();
-                v.push(body);
-                v
-            }
-            PhysOp::DeltaApply { atoms, body } => {
-                let mut v: Vec<&mut PhysNode> = atoms.iter_mut().map(|a| &mut a.input).collect();
-                v.push(body);
-                v
-            }
-        }
+    fn children(&self) -> Vec<&PhysNode> {
+        child_nodes!(&self.op, iter)
     }
 
-    fn children(&self) -> Vec<&PhysNode> {
-        match &self.op {
-            PhysOp::Scan { .. } | PhysOp::IndexProbe { .. } | PhysOp::Const { .. } => Vec::new(),
-            PhysOp::Filter { input, .. }
-            | PhysOp::Project { input, .. }
-            | PhysOp::Dedup { input }
-            | PhysOp::Aggregate { input, .. } => vec![input],
-            PhysOp::HashJoin { left, right, .. }
-            | PhysOp::Union { left, right }
-            | PhysOp::Diff { left, right }
-            | PhysOp::Intersect { left, right } => vec![left, right],
-            PhysOp::IndexJoin { probe, .. } => vec![probe],
-            PhysOp::XsubRebind { bindings, body } => {
-                let mut v: Vec<&PhysNode> = bindings.iter().map(|(_, n)| n).collect();
-                v.push(body);
-                v
-            }
-            PhysOp::DeltaApply { atoms, body } => {
-                let mut v: Vec<&PhysNode> = atoms.iter().map(|a| &a.input).collect();
-                v.push(body);
-                v
-            }
-        }
+    fn children_mut(&mut self) -> Vec<&mut PhysNode> {
+        child_nodes!(&mut self.op, iter_mut, mut)
     }
 }
 
@@ -573,16 +562,22 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
     let id = node.id;
     match &node.op {
         PhysOp::Scan { name } => {
-            if let Some(rel) = env.xsub.get(name) {
-                scan_emit(id, ctx, rel.iter(), out)
-            } else {
-                let base = ctx.db.get(name)?;
-                match env.delta.get(name) {
-                    // The common un-rebound case skips the boxed merge
-                    // iterator entirely.
-                    None => scan_emit(id, ctx, base.iter(), out),
-                    delta => scan_emit(id, ctx, effective_iter(&base, delta), out),
+            // A delta in scope applies on top of an xsub binding: the
+            // binding was made outside it (`XsubRebind` drops the deltas
+            // its bindings already saw).
+            let stored;
+            let base = match env.xsub.get(name) {
+                Some(rel) => rel,
+                None => {
+                    stored = ctx.db.get(name)?;
+                    &stored
                 }
+            };
+            match env.delta.get(name) {
+                // The common un-rebound case skips the boxed merge
+                // iterator entirely.
+                None => scan_emit(id, ctx, base.iter(), out),
+                delta => scan_emit(id, ctx, effective_iter(base, delta), out),
             }
         }
         PhysOp::IndexProbe {
@@ -750,18 +745,14 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
             // *current* environment, then smash.
             let mut f = XsubValue::empty();
             for (name, plan) in bindings {
-                let mut rows: Vec<Tuple> = Vec::new();
-                run(plan, ctx, env, &mut |t| {
-                    ctx.row_in(id);
-                    rows.push(t.into_owned());
-                    Ok(())
-                })?;
-                let rel = Relation::from_tuple_set(plan.arity, rows.into_iter().collect())?;
-                f.bind(name.clone(), rel);
+                f.bind(name.clone(), materialize(plan, ctx, env, id)?);
             }
+            // The bindings already saw the deltas in scope; the body must
+            // not apply those deltas to the rebound names a second time.
+            let kept = env.delta.iter().filter(|(n, _)| f.get(n).is_none());
             let inner = Env {
                 xsub: env.xsub.smash(&f),
-                delta: env.delta.clone(),
+                delta: DeltaValue::new(kept.map(|(n, d)| (n.clone(), d.clone()))),
             };
             run(body, ctx, &inner, &mut |t| {
                 ctx.row_out(id);
@@ -778,13 +769,7 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
                     xsub: env.xsub.clone(),
                     delta: env.delta.smash(&acc)?,
                 };
-                let mut rows: Vec<Tuple> = Vec::new();
-                run(&atom.input, ctx, &inner, &mut |t| {
-                    ctx.row_in(id);
-                    rows.push(t.into_owned());
-                    Ok(())
-                })?;
-                let rel = Relation::from_tuple_set(atom.input.arity, rows.into_iter().collect())?;
+                let rel = materialize(&atom.input, ctx, &inner, id)?;
                 let d = if atom.insert {
                     RelDelta::insertion(rel)
                 } else {
@@ -803,6 +788,33 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
             })
         }
     }
+}
+
+/// Materialize a sub-plan into a relation, charging its rows to operator
+/// `id`. A constant sub-plan is handed back by `Arc` bump (with the same
+/// row counts a streamed copy would record), so a prepared xsub-value
+/// bound as constants is reused, not re-collected.
+fn materialize(
+    node: &PhysNode,
+    ctx: &Ctx<'_>,
+    env: &Env,
+    id: usize,
+) -> Result<Relation, EvalError> {
+    if let PhysOp::Const { rel } = &node.op {
+        let n = rel.len() as u64;
+        let (out, into) = (&ctx.ctrs[node.id].rows_out, &ctx.ctrs[id].rows_in);
+        out.set(out.get() + n);
+        into.set(into.get() + n);
+        return Ok(rel.clone());
+    }
+    let mut rows: Vec<Tuple> = Vec::new();
+    run(node, ctx, env, &mut |t| {
+        ctx.row_in(id);
+        rows.push(t.into_owned());
+        Ok(())
+    })?;
+    let rel = Relation::from_tuple_set(node.arity, rows.into_iter().collect())?;
+    Ok(rel)
 }
 
 /// Materialize a sub-plan into a hash set (the right operand of `Diff` /

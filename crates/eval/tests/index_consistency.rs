@@ -1,84 +1,23 @@
-//! Property tests for secondary indexes: declaring indexes is a pure
-//! access-path decision and must never change results. For random
-//! databases, queries, and hypothetical updates, every strategy's answer
-//! over an index-declared state equals direct evaluation over the same
-//! state with no declarations. Plus the snapshot-sharing invariant the
-//! cache is built on: physically shared storage resolves to the *same*
-//! built index, and a mutated (un-shared) snapshot gets a fresh one.
+//! The snapshot-sharing invariant the index cache is built on: the cache
+//! lives in a relation's shared storage, so physically shared storage
+//! resolves to the *same* built index, and a mutated (un-shared) snapshot
+//! gets a fresh one. (That declaring indexes never changes results is
+//! checked where indexes are used, by the pipelined-vs-oracle suite in
+//! `physical_consistency.rs`.)
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use hypoquery_algebra::StateExpr;
-use hypoquery_core::{fully_lazy, to_enf_query, to_mod_enf, RewriteTrace};
-use hypoquery_eval::{algorithm_hql1, algorithm_hql2, algorithm_hql3, eval_pure, eval_query};
-use hypoquery_storage::{lookup_or_build_index, tuple, DatabaseState, RelName};
-use hypoquery_testkit::{arb_db, arb_query, arb_update, Universe};
+use hypoquery_storage::{lookup_or_build_index, tuple, RelName};
+use hypoquery_testkit::{arb_db, Universe};
 
 fn universe() -> Universe {
     Universe::standard()
 }
 
-/// `db` with an index declared on every column of every relation — the
-/// adversarial extreme: any query that *can* take an index path does.
-fn declare_all(db: &DatabaseState) -> DatabaseState {
-    let mut out = db.clone();
-    let decls: Vec<(RelName, usize)> = out
-        .catalog()
-        .iter()
-        .flat_map(|(name, schema)| (0..schema.arity).map(move |c| (name.clone(), c)))
-        .collect();
-    for (name, col) in decls {
-        out.declare_index(name, col).unwrap();
-    }
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Indexed == scan for all five strategies, on a hypothetical query
-    /// (`body when {update}`) over a random database.
-    #[test]
-    fn indexed_equals_scan_all_strategies(
-        body in arb_query(&universe(), 2, 2),
-        u in arb_update(&universe(), 2),
-        db in arb_db(&universe(), 6),
-    ) {
-        let q = body.when(StateExpr::update(u));
-        // Ground truth: direct evaluation with no index declarations.
-        let expected = eval_query(&q, &db).unwrap();
-        let idb = declare_all(&db);
-
-        // Direct.
-        prop_assert_eq!(eval_query(&q, &idb).unwrap(), expected.clone());
-        // Lazy.
-        let reduced = fully_lazy(&q, &mut RewriteTrace::new());
-        prop_assert_eq!(eval_pure(&reduced, &idb).unwrap(), expected.clone());
-        // HQL-1 / HQL-2 over ENF.
-        let enf = to_enf_query(&q, &mut RewriteTrace::new());
-        prop_assert_eq!(algorithm_hql1(&enf, &idb).unwrap(), expected.clone());
-        prop_assert_eq!(algorithm_hql2(&enf, &idb).unwrap(), expected.clone());
-        // HQL-3 over modified ENF (not every state expression qualifies).
-        if let Ok(modq) = to_mod_enf(&q) {
-            prop_assert_eq!(algorithm_hql3(&modq, &idb).unwrap(), expected);
-        }
-    }
-
-    /// Pure queries too: no hypothetical context, indexes still inert.
-    #[test]
-    fn indexed_equals_scan_pure(
-        q in arb_query(&universe(), 2, 3),
-        db in arb_db(&universe(), 6),
-    ) {
-        let expected = eval_query(&q, &db).unwrap();
-        let idb = declare_all(&db);
-        prop_assert_eq!(eval_query(&q, &idb).unwrap(), expected.clone());
-        // `eval_pure` needs a when-free query; reduce first.
-        let reduced = fully_lazy(&q, &mut RewriteTrace::new());
-        prop_assert_eq!(eval_pure(&reduced, &idb).unwrap(), expected);
-    }
 
     /// The cache contract: snapshots that physically share a relation's
     /// storage share the built index (same `Arc`), and a mutation —

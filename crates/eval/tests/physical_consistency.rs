@@ -11,6 +11,7 @@
 
 use proptest::prelude::*;
 
+use hypoquery_algebra::scope::dom_update;
 use hypoquery_algebra::{Query, StateExpr, Update};
 use hypoquery_core::{fully_lazy, to_enf_query, to_mod_enf, RewriteTrace};
 use hypoquery_eval::{
@@ -20,7 +21,8 @@ use hypoquery_eval::{
 use hypoquery_opt::{lower_plan, lower_query, plan, Statistics};
 use hypoquery_storage::{DatabaseState, RelName, Relation};
 use hypoquery_testkit::{
-    arb_agg, arb_db, arb_predicate, arb_query, arb_tuple, arb_update, Universe,
+    arb_agg, arb_atomic_update_seq, arb_db, arb_predicate, arb_pure_query, arb_pure_subst,
+    arb_query, arb_tuple, arb_update, Universe,
 };
 
 fn universe() -> Universe {
@@ -253,6 +255,39 @@ proptest! {
         for q in [q, unary] {
             check_all_strategies(&q, &db)?;
             check_all_strategies(&q, &declare_all(&db))?;
+        }
+    }
+
+    /// Hypothetical operators nested both ways around the same names: an
+    /// ENF query (`when ε`) inside a mod-ENF `when {U}`, and a mod-ENF
+    /// query inside an explicit substitution. Lowered as given, both
+    /// must match the direct semantics.
+    #[test]
+    fn pipelined_nested_enf_and_mod_enf_match_direct(
+        body in arb_query(&universe(), 2, 2),
+        pure_body in arb_pure_query(&universe(), 2, 2),
+        u in arb_atomic_update_seq(&universe(), 2),
+        eps in arb_pure_subst(&universe(), 1),
+        db in arb_db(&universe(), 6),
+    ) {
+        // Rebind every updated name too (to itself unless `eps` binds
+        // it), so the update's deltas meet rebindings of the names they
+        // touch.
+        let mut eps = eps;
+        for name in dom_update(&u) {
+            if eps.get(&name).is_none() {
+                eps.bind(name.clone(), Query::Base(name));
+            }
+        }
+        let enf = to_enf_query(&body.when(StateExpr::subst(eps.clone())), &mut RewriteTrace::new());
+        let modq = to_mod_enf(&pure_body.when(StateExpr::update(u.clone()))).unwrap();
+        for q in [
+            enf.when(StateExpr::update(u)),
+            modq.when(StateExpr::subst(eps)),
+        ] {
+            let expected = eval_query(&q, &db).unwrap();
+            prop_assert_eq!(&pipelined(&q, &db)?, &expected);
+            prop_assert_eq!(&pipelined(&q, &declare_all(&db))?, &expected);
         }
     }
 

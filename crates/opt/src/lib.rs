@@ -21,7 +21,7 @@ pub mod rewrite;
 pub mod stats;
 
 pub use implication::{pred_implies, pred_unsat};
-pub use lower::{lower_plan, lower_query};
+pub use lower::{lower_plan, lower_query, lower_under_xsub};
 pub use planner::{plan, Plan, PlannedStrategy};
 pub use reduce::reduce_optimized;
 pub use rewrite::{optimize, RaTrace};

@@ -25,7 +25,7 @@
 //!   on all its equi columns becomes the probed side of an
 //!   [`PhysOp::IndexJoin`]; with both sides qualifying the *larger*
 //!   (estimated) side is indexed, leaving the smaller to stream — the
-//!   same policy as [`hypoquery_eval::access::prepare_join_index`];
+//!   same cost-based policy the planner assumes;
 //! * otherwise joins hash-build the smaller (estimated) side, mirroring
 //!   the cost model's probe/scan decisions in
 //!   [`crate::stats::estimate_cost`].
@@ -33,26 +33,27 @@
 //! **Shadow analysis.** A base name may only use a stored index if, at
 //! runtime, the scan resolves to the stored base relation. During
 //! lowering we track the set of names bound by each enclosing
-//! `XsubRebind`/`DeltaApply` wrapper; a name in neither set is
-//! *guaranteed* unrebound in every execution (wrappers only ever add
-//! their statically-known domains to the environment), so gating on
-//! these sets is sound — the static analogue of the `e.get(name)`
-//! checks inside `filter1`/`eval_filter_d`.
+//! `XsubRebind`/`DeltaApply` wrapper (and by a prepared xsub-value, see
+//! [`lower_under_xsub`]); a name in neither set is *guaranteed*
+//! unrebound in every execution (wrappers only ever add their
+//! statically-known domains to the environment), so gating on these
+//! sets is sound. This is the only place index access paths are
+//! chosen: the legacy evaluators (`filter1`/`filter2`/`filter3`) are
+//! index-free oracles.
 //!
 //! Duplicate semantics: streamed segments may carry duplicates (set
 //! semantics are restored at pipeline breakers); a join operand whose
 //! node is not [`distinct`](PhysNode::distinct) gets an explicit
 //! [`PhysOp::Dedup`], so duplicates never multiply join work.
 
-use hypoquery_storage::Catalog;
+use hypoquery_storage::{Catalog, RelName, Value};
 
 use hypoquery_algebra::scope::NameSet;
-use hypoquery_algebra::{Query, StateExpr, Update};
+use hypoquery_algebra::{CmpOp, Predicate, Query, ScalarExpr, StateExpr, Update};
 
-use hypoquery_eval::access::point_eq_conjuncts;
 use hypoquery_eval::join::split_equi_pairs;
 use hypoquery_eval::physical::{DeltaAtom, PhysNode, PhysOp, PhysPlan, Side};
-use hypoquery_eval::EvalError;
+use hypoquery_eval::{EvalError, XsubValue};
 
 use crate::planner::Plan;
 use crate::stats::{estimate_rows, Statistics};
@@ -77,6 +78,27 @@ pub fn lower_query(
     Ok(PhysPlan::new(root))
 }
 
+/// Lower an ENF query to run in the state `apply(DB, e)` of an already
+/// materialized xsub-value (a prepared hypothetical state, Example 2.2):
+/// the plan is an [`PhysOp::XsubRebind`] whose bindings are `e`'s
+/// relations as [`PhysOp::Const`]s, bound by reference at run time.
+pub fn lower_under_xsub(
+    q: &Query,
+    e: &XsubValue,
+    catalog: &Catalog,
+    stats: &Statistics,
+) -> Result<PhysPlan, EvalError> {
+    let bindings = e
+        .iter()
+        .map(|(name, rel)| {
+            let op = PhysOp::Const { rel: rel.clone() };
+            (name.clone(), PhysNode::new(rel.arity(), op))
+        })
+        .collect();
+    let root = Lowerer { catalog, stats }.lower_rebind(bindings, q, &Shadow::default())?;
+    Ok(PhysPlan::new(root))
+}
+
 /// Names that an enclosing hypothetical wrapper may rebind at runtime.
 #[derive(Clone, Default)]
 struct Shadow {
@@ -85,7 +107,7 @@ struct Shadow {
 }
 
 impl Shadow {
-    fn unshadowed(&self, name: &hypoquery_storage::RelName) -> bool {
+    fn unshadowed(&self, name: &RelName) -> bool {
         !self.xsub.contains(name) && !self.delta.contains(name)
     }
 }
@@ -116,8 +138,7 @@ impl Lowerer<'_> {
             )),
             Query::Select(inner, p) => {
                 // Index probe: point-equality over a declared index of an
-                // unrebound base scan (the static form of
-                // `eval::access::indexed_select`'s runtime gate).
+                // unrebound base scan.
                 if let Query::Base(name) = inner.as_ref() {
                     if sh.unshadowed(name) {
                         if let Some((col, value)) = point_eq_conjuncts(p)
@@ -218,7 +239,7 @@ impl Lowerer<'_> {
         &self,
         a: &Query,
         b: &Query,
-        pred: Option<&hypoquery_algebra::Predicate>,
+        pred: Option<&Predicate>,
         sh: &Shadow,
     ) -> Result<PhysNode, EvalError> {
         let l = self.lower(a, sh)?;
@@ -246,8 +267,8 @@ impl Lowerer<'_> {
             let right_cols: Vec<usize> = pairs.iter().map(|p| p.right).collect();
             let left_ok = qualifies(a, &left_cols);
             let right_ok = qualifies(b, &right_cols);
-            // With both sides indexed, probe the larger (same policy as
-            // `prepare_join_index`): only the smaller side streams.
+            // With both sides indexed, probe the larger: only the
+            // smaller side streams.
             let index_left = left_ok && (!right_ok || est_l >= est_r);
             if index_left || right_ok {
                 let (rel, index_cols, probe_cols, probe, probe_side) = if index_left {
@@ -290,6 +311,28 @@ impl Lowerer<'_> {
         ))
     }
 
+    /// An [`PhysOp::XsubRebind`] of `bindings` around `body`, which is
+    /// lowered with the bound names shadowed.
+    fn lower_rebind(
+        &self,
+        bindings: Vec<(RelName, PhysNode)>,
+        body: &Query,
+        sh: &Shadow,
+    ) -> Result<PhysNode, EvalError> {
+        let mut inner = sh.clone();
+        inner
+            .xsub
+            .extend(bindings.iter().map(|(name, _)| name.clone()));
+        let body = self.lower(body, &inner)?;
+        Ok(PhysNode::new(
+            body.arity,
+            PhysOp::XsubRebind {
+                bindings,
+                body: Box::new(body),
+            },
+        ))
+    }
+
     fn lower_when(
         &self,
         body: &Query,
@@ -305,16 +348,7 @@ impl Lowerer<'_> {
                 for (name, q) in eps.iter() {
                     bindings.push((name.clone(), self.lower(q, sh)?));
                 }
-                let mut inner = sh.clone();
-                inner.xsub.extend(eps.names().cloned());
-                let body = self.lower(body, &inner)?;
-                Ok(PhysNode::new(
-                    body.arity,
-                    PhysOp::XsubRebind {
-                        bindings,
-                        body: Box::new(body),
-                    },
-                ))
+                self.lower_rebind(bindings, body, sh)
             }
             StateExpr::Update(u) if u.is_atomic_sequence() => {
                 let mut atoms = Vec::new();
@@ -353,6 +387,28 @@ impl Lowerer<'_> {
     }
 }
 
+/// The top-level point-equality conjuncts `#i = const` of `p` (both
+/// operand orders), descending only through `And` — a disjunction or
+/// negation makes the conjunct non-guaranteed and is ignored.
+fn point_eq_conjuncts(p: &Predicate) -> Vec<(usize, Value)> {
+    fn collect(p: &Predicate, out: &mut Vec<(usize, Value)>) {
+        match p {
+            Predicate::And(a, b) => {
+                collect(a, out);
+                collect(b, out);
+            }
+            Predicate::Cmp(ScalarExpr::Col(i), CmpOp::Eq, ScalarExpr::Const(v))
+            | Predicate::Cmp(ScalarExpr::Const(v), CmpOp::Eq, ScalarExpr::Col(i)) => {
+                out.push((*i, v.clone()));
+            }
+            _ => {}
+        }
+    }
+    let mut out = Vec::new();
+    collect(p, &mut out);
+    out
+}
+
 /// Wrap `node` in a [`PhysOp::Dedup`] when its output stream may carry
 /// duplicates (it is not [`distinct`](PhysNode::distinct)) that would
 /// multiply downstream join work.
@@ -371,9 +427,8 @@ fn dedup_if_dup_stream(node: PhysNode) -> PhysNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypoquery_algebra::{CmpOp, Predicate};
     use hypoquery_eval::eval_query;
-    use hypoquery_storage::{tuple, DatabaseState};
+    use hypoquery_storage::{tuple, DatabaseState, Relation};
 
     fn db() -> DatabaseState {
         let mut cat = Catalog::new();
@@ -389,6 +444,22 @@ mod tests {
 
     fn lower_in(db: &DatabaseState, q: &Query) -> PhysPlan {
         lower_query(q, db.catalog(), &Statistics::of(db)).unwrap()
+    }
+
+    #[test]
+    fn point_conjuncts_both_orders_through_and() {
+        let p = Predicate::col_cmp(0, CmpOp::Eq, 3)
+            .and(Predicate::Cmp(
+                ScalarExpr::Const(Value::int(5)),
+                CmpOp::Eq,
+                ScalarExpr::Col(1),
+            ))
+            .and(Predicate::col_cmp(1, CmpOp::Gt, 0));
+        let pts = point_eq_conjuncts(&p);
+        assert_eq!(pts, vec![(0, Value::int(3)), (1, Value::int(5))]);
+        // Disjunctions are not conjuncts.
+        let p = Predicate::col_cmp(0, CmpOp::Eq, 3).or(Predicate::True);
+        assert!(point_eq_conjuncts(&p).is_empty());
     }
 
     #[test]
@@ -459,6 +530,46 @@ mod tests {
         assert!(matches!(plan.root.op, PhysOp::DeltaApply { .. }));
         let out = plan.execute(&db).unwrap();
         assert_eq!(out, eval_query(&q, &db).unwrap());
+    }
+
+    #[test]
+    fn delta_inside_xsub_rebinding_of_the_same_name() {
+        let db = db();
+        let ins = StateExpr::update(Update::insert("R", Query::singleton(tuple![9, 90])));
+        let s_for_r = StateExpr::subst(hypoquery_algebra::ExplicitSubst::single(
+            "R",
+            Query::base("S"),
+        ));
+        // The insert applies on top of R's rebinding to S ...
+        let q = Query::base("R").when(ins.clone()).when(s_for_r.clone());
+        let expected = Relation::from_rows(2, [tuple![2, 200], tuple![3, 300], tuple![9, 90]]);
+        assert_eq!(lower_in(&db, &q).execute(&db).unwrap(), expected.unwrap());
+        assert_eq!(lower_in(&db, &q).execute(&db), eval_query(&q, &db));
+        // ... while a rebinding made inside the insert replaces R outright.
+        let q = Query::base("R").when(s_for_r).when(ins);
+        assert_eq!(
+            lower_in(&db, &q).execute(&db).unwrap(),
+            db.get(&"S".into()).unwrap()
+        );
+        assert_eq!(lower_in(&db, &q).execute(&db), eval_query(&q, &db));
+    }
+
+    #[test]
+    fn prepared_xsub_binds_constants() {
+        let db = db();
+        let e = XsubValue::new([("R".into(), db.get(&"S".into()).unwrap())]);
+        let q = Query::base("R").select(Predicate::col_cmp(0, CmpOp::Eq, 2));
+        let plan = lower_under_xsub(&q, &e, db.catalog(), &Statistics::of(&db)).unwrap();
+        let PhysOp::XsubRebind { bindings, body } = &plan.root.op else {
+            panic!("expected XsubRebind root, got {:?}", plan.root.op);
+        };
+        assert!(matches!(bindings[0].1.op, PhysOp::Const { .. }));
+        assert!(matches!(body.op, PhysOp::Filter { .. }));
+        let applied = e.apply(&db).unwrap();
+        assert_eq!(
+            plan.execute(&db).unwrap(),
+            eval_query(&q, &applied).unwrap()
+        );
     }
 
     #[test]

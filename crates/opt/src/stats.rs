@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hypoquery_storage::{distinct_count, DatabaseState, RelName};
+use hypoquery_storage::{distinct_counts, DatabaseState, RelName};
 
 use hypoquery_algebra::scope::dom_state_expr;
 use hypoquery_algebra::{CmpOp, Predicate, Query, ScalarExpr, StateExpr, Update};
@@ -35,8 +35,9 @@ pub struct Statistics {
 
 impl Statistics {
     /// Snapshot statistics from a database state. Distinct counts are
-    /// memoized per storage pointer (`hypoquery_storage::distinct_count`),
-    /// so repeated snapshots of unchanged relations cost one pass total.
+    /// cached in each relation's shared storage
+    /// (`hypoquery_storage::distinct_counts`), so repeated snapshots of
+    /// unchanged relations cost one pass total.
     pub fn of(db: &DatabaseState) -> Self {
         let mut cards = BTreeMap::new();
         let mut arities = BTreeMap::new();
@@ -46,8 +47,8 @@ impl Statistics {
             if let Ok(rel) = db.get(name) {
                 cards.insert(name.clone(), rel.len() as f64);
                 if !rel.is_empty() {
-                    for col in 0..schema.arity {
-                        distincts.insert((name.clone(), col), distinct_count(&rel, col) as f64);
+                    for (col, &n) in distinct_counts(&rel).iter().enumerate() {
+                        distincts.insert((name.clone(), col), n as f64);
                     }
                 }
             }

@@ -163,8 +163,8 @@ impl DatabaseState {
     /// whether the declaration is new.
     ///
     /// Declarations are *intent*, not data structures: the index itself is
-    /// built lazily on first probe and cached on the relation's shared
-    /// storage pointer (see [`crate::index`]), so CoW snapshots made after
+    /// built lazily on first probe and cached in the relation's shared
+    /// storage (see [`crate::index`]), so CoW snapshots made after
     /// this call inherit the declaration by pointer bump and share the
     /// built index for free.
     pub fn declare_index(

@@ -30,7 +30,7 @@ pub use database::DatabaseState;
 pub use dump::{decode_tuple, dump_state, encode_tuple, load_state, DumpError};
 pub use error::StorageError;
 pub use index::{
-    distinct_count, index_counters, lookup_index, lookup_or_build_index, ColumnIndex, IndexCounters,
+    distinct_counts, index_counters, lookup_or_build_index, ColumnIndex, IndexCounters,
 };
 pub use relation::Relation;
 pub use schema::{Catalog, RelName, RelSchema};

@@ -9,12 +9,17 @@
 //! set (`Arc::make_mut`). This is what makes hypothetical snapshots cheap —
 //! the k states of a what-if tree or a prepared family all share the
 //! untouched base relations physically.
+//!
+//! The shared allocation ([`Store`]) also carries the caches derived from
+//! the tuples — built column indexes and per-column distinct counts — so
+//! snapshots that share storage share those caches by construction.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::error::StorageError;
+use crate::index::ColumnIndex;
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -22,26 +27,53 @@ use crate::value::Value;
 ///
 /// Cloning is O(1) (shared storage); mutating a clone copies the tuple set
 /// first (copy-on-write), so clones are fully isolated from each other.
-#[derive(Clone, Eq, Debug)]
+#[derive(Clone, Debug)]
 pub struct Relation {
     arity: usize,
-    tuples: Arc<BTreeSet<Tuple>>,
+    store: Arc<Store>,
+}
+
+/// A relation's shared storage: the tuple set plus the caches derived
+/// from it (see [`crate::index`]). The caches are only valid for these
+/// exact tuples, so every mutation goes through `Relation::tuples_mut`,
+/// which clears them, and a copy-on-write clone starts with none.
+#[derive(Default)]
+pub(crate) struct Store {
+    pub(crate) tuples: BTreeSet<Tuple>,
+    /// Built column indexes, keyed by column list.
+    pub(crate) indexes: Mutex<HashMap<Vec<usize>, Arc<ColumnIndex>>>,
+    /// Distinct-value count of every column, filled in one pass.
+    pub(crate) distinct: OnceLock<Box<[usize]>>,
+}
+
+impl Clone for Store {
+    fn clone(&self) -> Self {
+        Store {
+            tuples: self.tuples.clone(),
+            ..Store::default()
+        }
+    }
+}
+
+impl fmt::Debug for Store {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.tuples.fmt(f)
+    }
 }
 
 impl PartialEq for Relation {
     fn eq(&self, other: &Self) -> bool {
         self.arity == other.arity
-            && (Arc::ptr_eq(&self.tuples, &other.tuples) || self.tuples == other.tuples)
+            && (Arc::ptr_eq(&self.store, &other.store) || self.tuples() == other.tuples())
     }
 }
+
+impl Eq for Relation {}
 
 impl Relation {
     /// The empty relation of the given arity.
     pub fn empty(arity: usize) -> Self {
-        Relation {
-            arity,
-            tuples: Arc::new(BTreeSet::new()),
-        }
+        Relation::from_set(arity, BTreeSet::new())
     }
 
     /// Whether `self` and `other` physically share one tuple store.
@@ -50,20 +82,40 @@ impl Relation {
     /// observable half of the copy-on-write contract: snapshots that have
     /// not diverged share storage, and tests assert on it.
     pub fn ptr_eq(&self, other: &Relation) -> bool {
-        self.arity == other.arity && Arc::ptr_eq(&self.tuples, &other.tuples)
+        self.arity == other.arity && Arc::ptr_eq(&self.store, &other.store)
     }
 
-    /// The shared tuple storage itself. Crate-internal: the index cache
-    /// keys cached indexes on this `Arc`'s address and validates entries
-    /// against it with a `Weak`.
-    pub(crate) fn storage_arc(&self) -> &Arc<BTreeSet<Tuple>> {
-        &self.tuples
+    /// The shared storage, caches included.
+    pub(crate) fn store(&self) -> &Store {
+        &self.store
+    }
+
+    fn tuples(&self) -> &BTreeSet<Tuple> {
+        &self.store.tuples
+    }
+
+    /// The one gate for mutating tuples: un-shares the storage
+    /// (copy-on-write) and clears its caches. Clearing matters when this
+    /// relation is the unique owner, because `make_mut` then mutates in
+    /// place and the caches would otherwise describe the old tuples.
+    fn tuples_mut(&mut self) -> &mut BTreeSet<Tuple> {
+        let store = Arc::make_mut(&mut self.store);
+        store
+            .indexes
+            .get_mut()
+            .unwrap_or_else(|e| e.into_inner())
+            .clear();
+        store.distinct.take();
+        &mut store.tuples
     }
 
     fn from_set(arity: usize, tuples: BTreeSet<Tuple>) -> Self {
         Relation {
             arity,
-            tuples: Arc::new(tuples),
+            store: Arc::new(Store {
+                tuples,
+                ..Store::default()
+            }),
         }
     }
 
@@ -117,17 +169,17 @@ impl Relation {
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.tuples().len()
     }
 
     /// Whether the relation has no tuples.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.tuples().is_empty()
     }
 
     /// Whether `t` is a member.
     pub fn contains(&self, t: &Tuple) -> bool {
-        self.tuples.contains(t)
+        self.tuples().contains(t)
     }
 
     /// Insert a tuple; errors if its arity differs. Returns whether the
@@ -140,11 +192,11 @@ impl Relation {
                 found: t.arity(),
             });
         }
-        if self.tuples.contains(&t) {
+        if self.contains(&t) {
             // Duplicate insert: never un-share the storage for a no-op.
             return Ok(false);
         }
-        Ok(Arc::make_mut(&mut self.tuples).insert(t))
+        Ok(self.tuples_mut().insert(t))
     }
 
     /// Remove a tuple; returns whether it was present.
@@ -153,15 +205,15 @@ impl Relation {
     /// storage only when the tuple is present — we check membership first
     /// so no-op removes never force a copy of a shared set.
     pub fn remove(&mut self, t: &Tuple) -> bool {
-        if !self.tuples.contains(t) {
+        if !self.contains(t) {
             return false;
         }
-        Arc::make_mut(&mut self.tuples).remove(t)
+        self.tuples_mut().remove(t)
     }
 
     /// Iterate tuples in sorted order.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> + '_ {
-        self.tuples.iter()
+        self.tuples().iter()
     }
 
     /// Set union. Errors on arity mismatch.
@@ -170,19 +222,19 @@ impl Relation {
     /// returned as a shared-storage clone — no tuples are copied.
     pub fn union(&self, other: &Relation) -> Result<Relation, StorageError> {
         self.check_same_arity(other, "union")?;
-        if other.is_empty() || Arc::ptr_eq(&self.tuples, &other.tuples) {
+        if other.is_empty() || Arc::ptr_eq(&self.store, &other.store) {
             return Ok(self.clone());
         }
         if self.is_empty() {
             return Ok(other.clone());
         }
-        let out: BTreeSet<Tuple> = self.tuples.union(&other.tuples).cloned().collect();
+        let out: BTreeSet<Tuple> = self.tuples().union(other.tuples()).cloned().collect();
         // other ⊆ self (or vice versa): the union *is* one operand — hand
         // its storage back shared instead of keeping the fresh copy.
-        if out.len() == self.tuples.len() {
+        if out.len() == self.tuples().len() {
             return Ok(self.clone());
         }
-        if out.len() == other.tuples.len() {
+        if out.len() == other.tuples().len() {
             return Ok(other.clone());
         }
         Ok(Relation::from_set(self.arity, out))
@@ -191,14 +243,18 @@ impl Relation {
     /// Set intersection. Errors on arity mismatch.
     pub fn intersect(&self, other: &Relation) -> Result<Relation, StorageError> {
         self.check_same_arity(other, "intersection")?;
-        if Arc::ptr_eq(&self.tuples, &other.tuples) {
+        if Arc::ptr_eq(&self.store, &other.store) {
             return Ok(self.clone());
         }
-        let out: BTreeSet<Tuple> = self.tuples.intersection(&other.tuples).cloned().collect();
-        if out.len() == self.tuples.len() {
+        let out: BTreeSet<Tuple> = self
+            .tuples()
+            .intersection(other.tuples())
+            .cloned()
+            .collect();
+        if out.len() == self.tuples().len() {
             return Ok(self.clone());
         }
-        if out.len() == other.tuples.len() {
+        if out.len() == other.tuples().len() {
             return Ok(other.clone());
         }
         Ok(Relation::from_set(self.arity, out))
@@ -212,12 +268,12 @@ impl Relation {
         if other.is_empty() {
             return Ok(self.clone());
         }
-        if Arc::ptr_eq(&self.tuples, &other.tuples) {
+        if Arc::ptr_eq(&self.store, &other.store) {
             return Ok(Relation::empty(self.arity));
         }
-        let out: BTreeSet<Tuple> = self.tuples.difference(&other.tuples).cloned().collect();
+        let out: BTreeSet<Tuple> = self.tuples().difference(other.tuples()).cloned().collect();
         // Disjoint subtrahend: nothing was removed — keep shared storage.
-        if out.len() == self.tuples.len() {
+        if out.len() == self.tuples().len() {
             return Ok(self.clone());
         }
         Ok(Relation::from_set(self.arity, out))
@@ -226,8 +282,8 @@ impl Relation {
     /// Cartesian product: arity is the sum of operand arities.
     pub fn product(&self, other: &Relation) -> Relation {
         let mut tuples = BTreeSet::new();
-        for a in self.tuples.iter() {
-            for b in other.tuples.iter() {
+        for a in self.tuples().iter() {
+            for b in other.tuples().iter() {
                 tuples.insert(a.concat(b));
             }
         }
@@ -238,7 +294,8 @@ impl Relation {
     pub fn select(&self, mut pred: impl FnMut(&Tuple) -> bool) -> Relation {
         Relation::from_set(
             self.arity,
-            self.tuples
+            self.store
+                .tuples
                 .iter()
                 .filter(|t| pred(t))
                 .cloned()
@@ -257,7 +314,7 @@ impl Relation {
         }
         Ok(Relation::from_set(
             cols.len(),
-            self.tuples.iter().map(|t| t.project(cols)).collect(),
+            self.tuples().iter().map(|t| t.project(cols)).collect(),
         ))
     }
 
@@ -280,7 +337,7 @@ impl Relation {
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, t) in self.tuples.iter().enumerate() {
+        for (i, t) in self.tuples().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
