@@ -24,9 +24,10 @@ use hypoquery_storage::DatabaseState;
 
 const ROWS: usize = 10_000;
 
-/// Each strategy's prepared logical form — exactly what the engine hands
-/// to the executor (the `report` binary covers 100k rows; criterion
-/// stays at 10k to keep wall-clock sane).
+/// Each strategy's prepared logical form: the optimized lazy reduction,
+/// and the ENF and modified ENF forms as normalized, before the planner's
+/// simplification (the `report` binary covers 100k rows; criterion stays
+/// at 10k to keep wall-clock sane).
 fn prepared(q: &Query, db: &DatabaseState) -> Vec<(&'static str, Query)> {
     let reduced = optimize(&fully_lazy(q, &mut RewriteTrace::new()), db.catalog()).0;
     let enf = to_enf_query(q, &mut RewriteTrace::new());

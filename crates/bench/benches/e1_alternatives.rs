@@ -41,16 +41,7 @@ fn bench(c: &mut Criterion) {
         });
         // Planner-chosen strategy end-to-end (plan + execute).
         g.bench_with_input(BenchmarkId::new("auto", n), &n, |b, _| {
-            b.iter(|| {
-                let p = plan(&q, db.catalog(), &stats);
-                match p.strategy {
-                    hypoquery_opt::PlannedStrategy::Lazy => eval_pure(&p.query, &db).unwrap(),
-                    hypoquery_opt::PlannedStrategy::EagerDelta => {
-                        hypoquery_eval::algorithm_hql3(&p.query, &db).unwrap()
-                    }
-                    _ => algorithm_hql2(&p.query, &db).unwrap(),
-                }
-            })
+            b.iter(|| plan(&q, db.catalog(), &stats).execute_legacy(&db).unwrap())
         });
     }
     g.finish();

@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hypoquery_bench::workload::{e7_query, two_table_db};
 use hypoquery_core::{fully_lazy, to_enf_query, RewriteTrace};
 use hypoquery_eval::{algorithm_hql2, eval_pure};
-use hypoquery_opt::{plan, PlannedStrategy, Statistics};
+use hypoquery_opt::{plan, Statistics};
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e7_crossover");
@@ -39,13 +39,7 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("auto", m), &m, |b, _| {
             b.iter(|| {
                 let p = plan(&q, db.catalog(), &stats);
-                match p.strategy {
-                    PlannedStrategy::Lazy => eval_pure(&p.query, &db).unwrap().len(),
-                    PlannedStrategy::EagerDelta => {
-                        hypoquery_eval::algorithm_hql3(&p.query, &db).unwrap().len()
-                    }
-                    _ => algorithm_hql2(&p.query, &db).unwrap().len(),
-                }
+                p.execute_legacy(&db).unwrap().len()
             })
         });
     }

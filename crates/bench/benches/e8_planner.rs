@@ -14,7 +14,7 @@ use hypoquery_algebra::{Query, StateExpr};
 use hypoquery_bench::workload::{e1_query, e5_update, e7_query, rs_join, two_table_db};
 use hypoquery_core::{fully_lazy, to_enf_query, to_mod_enf, RewriteTrace};
 use hypoquery_eval::{algorithm_hql2, algorithm_hql3, eval_pure};
-use hypoquery_opt::{optimize, plan, PlannedStrategy, Statistics};
+use hypoquery_opt::{optimize, plan, Statistics};
 use hypoquery_storage::DatabaseState;
 
 fn scenarios(db: &DatabaseState) -> Vec<(&'static str, Query)> {
@@ -67,11 +67,7 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("auto", name), name, |b, _| {
             b.iter(|| {
                 let p = plan(&q, db.catalog(), &stats);
-                match p.strategy {
-                    PlannedStrategy::Lazy => eval_pure(&p.query, &db).unwrap().len(),
-                    PlannedStrategy::EagerDelta => algorithm_hql3(&p.query, &db).unwrap().len(),
-                    _ => algorithm_hql2(&p.query, &db).unwrap().len(),
-                }
+                p.execute_legacy(&db).unwrap().len()
             })
         });
     }

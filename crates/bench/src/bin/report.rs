@@ -26,7 +26,7 @@ use hypoquery_core::{
 use hypoquery_eval::{
     algorithm_hql1, algorithm_hql2, algorithm_hql3, eval_pure, filter1, materialize_subst,
 };
-use hypoquery_opt::{lower_query, optimize, plan, reduce_optimized, PlannedStrategy, Statistics};
+use hypoquery_opt::{lower_query, optimize, plan, reduce_optimized, Statistics};
 use hypoquery_storage::DatabaseState;
 
 /// `HYPOQUERY_BENCH_QUICK` selects the CI smoke configuration.
@@ -168,19 +168,11 @@ fn e1() {
         let picked = p.strategy;
         let (ta, _) = bench_ms(|| {
             let p = plan(&q, db.catalog(), &stats);
-            exec_plan(&p, &db)
+            p.execute_legacy(&db).unwrap().len()
         });
         println!("| {n} | {t1:.2} | {t2:.2} | {tl:.3} | {ta:.3} | {picked} |");
     }
     println!();
-}
-
-fn exec_plan(p: &hypoquery_opt::Plan, db: &DatabaseState) -> usize {
-    match p.strategy {
-        PlannedStrategy::Lazy => eval_pure(&p.query, db).unwrap().len(),
-        PlannedStrategy::EagerDelta => algorithm_hql3(&p.query, db).unwrap().len(),
-        _ => algorithm_hql2(&p.query, db).unwrap().len(),
-    }
 }
 
 fn e2() {
@@ -396,7 +388,7 @@ fn e7() {
         let picked = p.strategy;
         let (ta, _) = bench_ms(|| {
             let p = plan(&q, db.catalog(), &stats);
-            exec_plan(&p, &db)
+            p.execute_legacy(&db).unwrap().len()
         });
         println!("| {m} | {tl:.2} | {te:.2} | {ta:.2} | {picked} |");
     }
@@ -438,7 +430,7 @@ fn e8() {
         let picked = p.strategy;
         let (ta, _) = bench_ms(|| {
             let p = plan(&q, db.catalog(), &stats);
-            exec_plan(&p, &db)
+            p.execute_legacy(&db).unwrap().len()
         });
         println!("| {name} | {tl:.2} | {t2:.2} | {t3} | {ta:.2} | {picked} |");
     }

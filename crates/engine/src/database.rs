@@ -9,11 +9,8 @@ use hypoquery_storage::{Catalog, DatabaseState, RelName, RelSchema, Relation, Tu
 
 use hypoquery_algebra::typing::{arity_of, check_update};
 use hypoquery_algebra::{Query, Update};
-use hypoquery_core::{fully_lazy, to_enf_query, to_mod_enf, RewriteTrace};
-use hypoquery_eval::{
-    algorithm_hql1, algorithm_hql2, algorithm_hql3, eval_pure, eval_update, ExecMetrics, PhysPlan,
-};
-use hypoquery_opt::{lower_plan, lower_query, optimize, plan, Plan, PlannedStrategy, Statistics};
+use hypoquery_eval::{algorithm_hql1, eval_update, ExecMetrics, PhysPlan};
+use hypoquery_opt::{lower_plan, plan, plan_as, Plan, PlannedStrategy, Statistics};
 use hypoquery_parser::{parse_query_named, parse_update_named};
 
 use crate::error::EngineError;
@@ -241,43 +238,25 @@ impl Database {
     /// Run an already-built query AST.
     ///
     /// Every strategy executes through the pipelined physical layer: the
-    /// strategy only decides the logical *shape* the query is normalized
-    /// into (pure / ENF / mod-ENF), which [`hypoquery_opt::lower`] then
-    /// compiles onto the one operator set of
+    /// planner ([`hypoquery_opt::plan`], or [`hypoquery_opt::plan_as`] for
+    /// a fixed strategy) decides the logical *shape* the query is
+    /// normalized into (pure / ENF / mod-ENF), which
+    /// [`hypoquery_opt::lower`] then compiles onto the one operator set of
     /// [`hypoquery_eval::physical`]. The retired per-strategy tree
     /// walkers remain available as [`Database::execute_legacy`], the
     /// differential-testing oracle.
     pub fn execute(&self, q: &Query, strategy: Strategy) -> Result<Relation, EngineError> {
         arity_of(q, self.state.catalog())?;
-        if strategy == Strategy::Auto {
-            let (_, phys) = self.plan_physical(q)?;
-            return Ok(phys.execute(&self.state)?);
-        }
-        let prepared = self.prepare_strategy_query(q, strategy)?;
-        let stats = Statistics::of(&self.state);
-        let phys = lower_query(&prepared, self.state.catalog(), &stats)?;
+        let (_, phys) = self.plan_physical(q, strategy)?;
         Ok(phys.execute(&self.state)?)
-    }
-
-    /// Normalize `q` into the logical shape `strategy` executes:
-    /// optimized pure RA for lazy, ENF for HQL-1/HQL-2 (whose plans are
-    /// identical — the two algorithms differ only in interpreter
-    /// traversal order, which has no physical counterpart), mod-ENF for
-    /// the delta strategy.
-    fn prepare_strategy_query(&self, q: &Query, strategy: Strategy) -> Result<Query, EngineError> {
-        Ok(match strategy {
-            Strategy::Auto | Strategy::Lazy => {
-                let reduced = fully_lazy(q, &mut RewriteTrace::new());
-                optimize(&reduced, self.state.catalog()).0
-            }
-            Strategy::Hql1 | Strategy::Hql2 => to_enf_query(q, &mut RewriteTrace::new()),
-            Strategy::Delta => to_mod_enf(q)?,
-        })
     }
 
     /// Run an already-built query AST through the **legacy** recursive
     /// tree-walking evaluators (`eval_pure`, `filter1`/`filter2`/
-    /// `filter3`), which materialize a relation at every node.
+    /// `filter3`), which materialize a relation at every node. The query
+    /// is planned exactly as [`Database::execute`] plans it; HQL-1 runs
+    /// Algorithm HQL-1 on the ENF form, every other strategy the oracle of
+    /// its plan ([`Plan::execute_legacy`]).
     ///
     /// Kept as the differential oracle: the proptests in
     /// `crates/eval/tests/physical_consistency.rs` and
@@ -285,29 +264,11 @@ impl Database {
     /// with this one on every strategy.
     pub fn execute_legacy(&self, q: &Query, strategy: Strategy) -> Result<Relation, EngineError> {
         arity_of(q, self.state.catalog())?;
-        match strategy {
-            Strategy::Auto => {
-                let p = self.plan_query(q);
-                self.execute_plan_legacy(&p)
-            }
-            Strategy::Lazy => {
-                let reduced = fully_lazy(q, &mut RewriteTrace::new());
-                let (optimized, _) = optimize(&reduced, self.state.catalog());
-                Ok(eval_pure(&optimized, &self.state)?)
-            }
-            Strategy::Hql1 => {
-                let enf = to_enf_query(q, &mut RewriteTrace::new());
-                Ok(algorithm_hql1(&enf, &self.state)?)
-            }
-            Strategy::Hql2 => {
-                let enf = to_enf_query(q, &mut RewriteTrace::new());
-                Ok(algorithm_hql2(&enf, &self.state)?)
-            }
-            Strategy::Delta => {
-                let m = to_mod_enf(q)?;
-                Ok(algorithm_hql3(&m, &self.state)?)
-            }
-        }
+        let p = self.plan_with(q, strategy, &Statistics::of(&self.state))?;
+        Ok(match strategy {
+            Strategy::Hql1 => algorithm_hql1(&p.query, &self.state)?,
+            _ => p.execute_legacy(&self.state)?,
+        })
     }
 
     /// Run several independent queries in parallel, fanning out across
@@ -348,32 +309,36 @@ impl Database {
         plan(q, self.state.catalog(), &stats)
     }
 
-    /// Execute a previously produced plan: lower it to the pipelined
-    /// physical operator layer and run it. Every
-    /// [`PlannedStrategy`] goes through the same executor.
-    pub fn execute_plan(&self, p: &Plan) -> Result<Relation, EngineError> {
-        let phys = self.physical_plan(p)?;
-        Ok(phys.execute(&self.state)?)
+    /// Plan `q` under `strategy`: cost-based for Auto, the mapped
+    /// planner strategy's candidate otherwise.
+    fn plan_with(
+        &self,
+        q: &Query,
+        strategy: Strategy,
+        stats: &Statistics,
+    ) -> Result<Plan, EngineError> {
+        let catalog = self.state.catalog();
+        let fixed = match strategy {
+            Strategy::Auto => return Ok(plan(q, catalog, stats)),
+            Strategy::Lazy => PlannedStrategy::Lazy,
+            // HQL-1 and HQL-2 share the ENF shape: the two algorithms
+            // differ only in interpreter traversal order, which has no
+            // physical counterpart.
+            Strategy::Hql1 | Strategy::Hql2 => PlannedStrategy::EagerXsub,
+            Strategy::Delta => PlannedStrategy::EagerDelta,
+        };
+        Ok(plan_as(q, catalog, stats, fixed)?)
     }
 
-    /// Execute a previously produced plan through the legacy tree
-    /// walkers (the differential oracle; see
-    /// [`Database::execute_legacy`]).
-    pub fn execute_plan_legacy(&self, p: &Plan) -> Result<Relation, EngineError> {
-        match p.strategy {
-            PlannedStrategy::Lazy => Ok(eval_pure(&p.query, &self.state)?),
-            PlannedStrategy::EagerXsub | PlannedStrategy::Hybrid => {
-                Ok(algorithm_hql2(&p.query, &self.state)?)
-            }
-            PlannedStrategy::EagerDelta => Ok(algorithm_hql3(&p.query, &self.state)?),
-        }
-    }
-
-    /// Plan `q` and lower the plan, computing the statistics both steps
-    /// read once.
-    fn plan_physical(&self, q: &Query) -> Result<(Plan, PhysPlan), EngineError> {
+    /// Plan `q` under `strategy` and lower the plan, computing the
+    /// statistics both steps read once.
+    fn plan_physical(
+        &self,
+        q: &Query,
+        strategy: Strategy,
+    ) -> Result<(Plan, PhysPlan), EngineError> {
         let stats = Statistics::of(&self.state);
-        let p = plan(q, self.state.catalog(), &stats);
+        let p = self.plan_with(q, strategy, &stats)?;
         let phys = lower_plan(&p, self.state.catalog(), &stats)?;
         Ok((p, phys))
     }
@@ -390,14 +355,15 @@ impl Database {
     /// rendered for humans.
     pub fn explain(&self, src: &str) -> Result<String, EngineError> {
         let q = self.prepare(src)?;
-        self.explain_query(&q)
+        self.explain_query(&q, Strategy::Auto)
     }
 
-    /// AST form of [`Database::explain`], for callers that wrap queries
-    /// before planning (e.g. a what-if branch's state expression).
-    pub fn explain_query(&self, q: &Query) -> Result<String, EngineError> {
+    /// AST form of [`Database::explain`] under a given strategy, for
+    /// callers that wrap queries before planning (e.g. a what-if branch's
+    /// state expression) or run a session strategy.
+    pub fn explain_query(&self, q: &Query, strategy: Strategy) -> Result<String, EngineError> {
         arity_of(q, self.state.catalog())?;
-        let (p, phys) = self.plan_physical(q)?;
+        let (p, phys) = self.plan_physical(q, strategy)?;
         let mut out = String::new();
         use std::fmt::Write;
         let _ = writeln!(out, "query: {q}");
@@ -414,14 +380,19 @@ impl Database {
     /// per-operator rows-in/rows-out and exclusive elapsed time.
     pub fn explain_analyze(&self, src: &str) -> Result<String, EngineError> {
         let q = self.prepare(src)?;
-        self.explain_analyze_query(&q)
+        self.explain_analyze_query(&q, Strategy::Auto)
     }
 
-    /// AST form of [`Database::explain_analyze`], for callers that wrap
-    /// queries before planning (e.g. a what-if branch).
-    pub fn explain_analyze_query(&self, q: &Query) -> Result<String, EngineError> {
+    /// AST form of [`Database::explain_analyze`] under a given strategy,
+    /// for callers that wrap queries before planning (e.g. a what-if
+    /// branch) or run a session strategy.
+    pub fn explain_analyze_query(
+        &self,
+        q: &Query,
+        strategy: Strategy,
+    ) -> Result<String, EngineError> {
         arity_of(q, self.state.catalog())?;
-        let (p, phys) = self.plan_physical(q)?;
+        let (p, phys) = self.plan_physical(q, strategy)?;
         let (rel, metrics) = phys.execute_analyze(&self.state)?;
         Ok(Self::render_analyze(&p, &phys, &metrics, rel.len()))
     }
@@ -576,24 +547,6 @@ mod tests {
         assert_eq!(out.len(), 2);
         let out = db.query("emp join dept on #0 = #2").unwrap();
         assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn all_strategies_agree_on_hypothetical() {
-        let db = db();
-        let q = "(emp join dept on #0 = #2) \
-                 when {insert into dept (row(3, 30))} \
-                 when {delete from emp (select #1 > 250 (emp))}";
-        let expected = db.query_with(q, Strategy::Lazy).unwrap();
-        for s in [
-            Strategy::Auto,
-            Strategy::Hql1,
-            Strategy::Hql2,
-            Strategy::Delta,
-        ] {
-            assert_eq!(db.query_with(q, s).unwrap(), expected, "strategy {s}");
-        }
-        assert_eq!(expected.len(), 2);
     }
 
     #[test]
@@ -752,21 +705,36 @@ mod tests {
             "select #1 > 100 (emp)",
             "emp when {insert into emp (select #1 > 100 (emp))}",
             "emp when {delete from emp (select #0 = 1 (emp))}",
+            "(emp join dept on #0 = #2) when {insert into dept (row(3, 30))} \
+             when {delete from emp (select #1 > 250 (emp))}",
+            "(emp when {delete from emp (select #0 = 1 (emp))}) \
+             union (emp when {insert into emp (row(4, 400))})",
         ];
         for src in sources {
             let q = db.prepare(src).unwrap();
-            for strat in [
-                Strategy::Auto,
-                Strategy::Lazy,
-                Strategy::Hql1,
-                Strategy::Hql2,
-                Strategy::Delta,
+            // The reference is the direct evaluator on the unplanned query,
+            // independent of every form the planner builds.
+            let expected = hypoquery_eval::eval_query(&q, db.state()).unwrap();
+            // A fixed strategy runs the planner's candidate of the planned
+            // strategy it maps to; Auto may pick any candidate.
+            for (strat, planned) in [
+                (Strategy::Auto, ""),
+                (Strategy::Lazy, "lazy "),
+                (Strategy::Hql1, "eager-xsub "),
+                (Strategy::Hql2, "eager-xsub "),
+                (Strategy::Delta, "eager-delta "),
             ] {
-                let new = db.execute(&q, strat).unwrap();
-                let old = db.execute_legacy(&q, strat).unwrap();
-                assert_eq!(new, old, "{src} under {strat:?}");
+                let text = db.explain_query(&q, strat).unwrap();
+                let named = text.contains(&format!("strategy: {planned}"));
+                assert!(named, "{src} under {strat}:\n{text}");
+                let got = db.execute(&q, strat).unwrap();
+                assert_eq!(got, expected, "{src} under {strat}");
+                let legacy = db.execute_legacy(&q, strat).unwrap();
+                assert_eq!(legacy, expected, "{src} under {strat}");
             }
         }
+        // The two-`when` join keeps two rows.
+        assert_eq!(db.query(sources[4]).unwrap().len(), 2);
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod stats;
 
 pub use implication::{pred_implies, pred_unsat};
 pub use lower::{lower_plan, lower_query, lower_under_xsub};
-pub use planner::{plan, Plan, PlannedStrategy};
+pub use planner::{plan, plan_as, Plan, PlannedStrategy};
 pub use reduce::reduce_optimized;
 pub use rewrite::{optimize, RaTrace};
 pub use stats::{estimate_cost, estimate_rows, Statistics};

@@ -19,16 +19,18 @@
 //!
 //! * a `Select` directly over a base scan becomes an
 //!   [`PhysOp::IndexProbe`] when the predicate carries a point-equality
-//!   conjunct ([`point_eq_conjuncts`]) on a declared indexed column and
-//!   the scanned name is provably unrebound (see below);
+//!   conjunct (`stats::point_eq_conjuncts`) on a declared indexed column
+//!   and the scanned name is provably unrebound (see below);
 //! * a `Join` side that is an unrebound base scan with declared indexes
 //!   on all its equi columns becomes the probed side of an
 //!   [`PhysOp::IndexJoin`]; with both sides qualifying the *larger*
 //!   (estimated) side is indexed, leaving the smaller to stream — the
 //!   same cost-based policy the planner assumes;
-//! * otherwise joins hash-build the smaller (estimated) side, mirroring
-//!   the cost model's probe/scan decisions in
-//!   [`crate::stats::estimate_cost`].
+//! * otherwise joins hash-build the smaller (estimated) side.
+//!
+//! The cost model ([`crate::stats::estimate`]) prices the same two index
+//! tests, but without the shadow analysis below: it may price an index
+//! path inside a `when` body that the lowering will not take.
 //!
 //! **Shadow analysis.** A base name may only use a stored index if, at
 //! runtime, the scan resolves to the stored base relation. During
@@ -46,17 +48,17 @@
 //! node is not [`distinct`](PhysNode::distinct) gets an explicit
 //! [`PhysOp::Dedup`], so duplicates never multiply join work.
 
-use hypoquery_storage::{Catalog, RelName, Value};
+use hypoquery_storage::{Catalog, RelName};
 
 use hypoquery_algebra::scope::NameSet;
-use hypoquery_algebra::{CmpOp, Predicate, Query, ScalarExpr, StateExpr, Update};
+use hypoquery_algebra::{Predicate, Query, StateExpr, Update};
 
 use hypoquery_eval::join::split_equi_pairs;
 use hypoquery_eval::physical::{DeltaAtom, PhysNode, PhysOp, PhysPlan, Side};
 use hypoquery_eval::{EvalError, XsubValue};
 
 use crate::planner::Plan;
-use crate::stats::{estimate_rows, Statistics};
+use crate::stats::{estimate_rows, point_eq_conjuncts, Statistics};
 
 /// Lower a planned query to a physical plan. The plan's query is
 /// already in the shape its strategy prepared (pure / ENF / mod-ENF);
@@ -387,28 +389,6 @@ impl Lowerer<'_> {
     }
 }
 
-/// The top-level point-equality conjuncts `#i = const` of `p` (both
-/// operand orders), descending only through `And` — a disjunction or
-/// negation makes the conjunct non-guaranteed and is ignored.
-fn point_eq_conjuncts(p: &Predicate) -> Vec<(usize, Value)> {
-    fn collect(p: &Predicate, out: &mut Vec<(usize, Value)>) {
-        match p {
-            Predicate::And(a, b) => {
-                collect(a, out);
-                collect(b, out);
-            }
-            Predicate::Cmp(ScalarExpr::Col(i), CmpOp::Eq, ScalarExpr::Const(v))
-            | Predicate::Cmp(ScalarExpr::Const(v), CmpOp::Eq, ScalarExpr::Col(i)) => {
-                out.push((*i, v.clone()));
-            }
-            _ => {}
-        }
-    }
-    let mut out = Vec::new();
-    collect(p, &mut out);
-    out
-}
-
 /// Wrap `node` in a [`PhysOp::Dedup`] when its output stream may carry
 /// duplicates (it is not [`distinct`](PhysNode::distinct)) that would
 /// multiply downstream join work.
@@ -427,6 +407,7 @@ fn dedup_if_dup_stream(node: PhysNode) -> PhysNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hypoquery_algebra::CmpOp;
     use hypoquery_eval::eval_query;
     use hypoquery_storage::{tuple, DatabaseState, Relation};
 
@@ -444,22 +425,6 @@ mod tests {
 
     fn lower_in(db: &DatabaseState, q: &Query) -> PhysPlan {
         lower_query(q, db.catalog(), &Statistics::of(db)).unwrap()
-    }
-
-    #[test]
-    fn point_conjuncts_both_orders_through_and() {
-        let p = Predicate::col_cmp(0, CmpOp::Eq, 3)
-            .and(Predicate::Cmp(
-                ScalarExpr::Const(Value::int(5)),
-                CmpOp::Eq,
-                ScalarExpr::Col(1),
-            ))
-            .and(Predicate::col_cmp(1, CmpOp::Gt, 0));
-        let pts = point_eq_conjuncts(&p);
-        assert_eq!(pts, vec![(0, Value::int(3)), (1, Value::int(5))]);
-        // Disjunctions are not conjuncts.
-        let p = Predicate::col_cmp(0, CmpOp::Eq, 3).or(Predicate::True);
-        assert!(point_eq_conjuncts(&p).is_empty());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The strategy planner: choosing a point on the eager↔lazy spectrum.
 //!
 //! §5 frames the choice of an equivalent ENF query as "the choice of how
-//! eager or lazy the evaluation" is. The planner builds up to four
+//! eager or lazy the evaluation" is. This module is the one place that
+//! builds each strategy's shape of a query: [`plan`] builds up to four
 //! candidates and picks the cheapest under the cost model of
-//! [`crate::stats`]:
+//! [`crate::stats`]; [`plan_as`] builds only the candidate of a fixed
+//! strategy.
 //!
 //! * **Lazy** — `fully_lazy` reduction + RA optimization; evaluate the pure
 //!   result conventionally. Wins when hypothetical relations are referenced
@@ -16,16 +18,18 @@
 //!   when the updates touch a small fraction of the data — §5.5.
 //! * **Hybrid** — per-`when` greedy mix: reduce a `when` lazily where that
 //!   is estimated cheaper, keep it for materialization where not —
-//!   Ex. 2.1(c)'s mixed strategy.
+//!   Ex. 2.1(c)'s mixed strategy. Built only when the ENF form can mix:
+//!   never for a single `when` over a pure body with pure bindings.
 
 use std::fmt;
 
-use hypoquery_storage::Catalog;
+use hypoquery_storage::{Catalog, DatabaseState, Relation};
 
-use hypoquery_algebra::Query;
+use hypoquery_algebra::{Query, StateExpr};
 use hypoquery_core::{
-    fully_lazy, is_mod_enf, simplify_enf, to_enf_query, to_mod_enf, RewriteTrace,
+    fully_lazy, is_mod_enf, simplify_enf, to_enf_query, to_mod_enf, EnfError, RewriteTrace,
 };
+use hypoquery_eval::{algorithm_hql2, algorithm_hql3, eval_pure, EvalError};
 
 use crate::rewrite::{optimize, RaTrace};
 use crate::stats::{estimate_cost, Statistics};
@@ -86,134 +90,150 @@ impl fmt::Display for Plan {
         }
         // The Fig. 1 rewrite path: EQUIV_when steps aggregated per rule
         // (in first-use order), then RA rewrite counts.
-        if !self.when_trace.steps.is_empty() {
-            let mut by_rule: Vec<(&'static str, usize)> = Vec::new();
-            for step in &self.when_trace.steps {
-                let name = step.rule.name();
-                match by_rule.iter_mut().find(|(n, _)| *n == name) {
-                    Some((_, c)) => *c += 1,
-                    None => by_rule.push((name, 1)),
-                }
-            }
-            writeln!(
-                f,
-                "EQUIV_when rewrites: {} step(s)",
-                self.when_trace.steps.len()
-            )?;
-            for (name, c) in by_rule {
-                writeln!(f, "  {name} \u{d7} {c}")?;
-            }
+        let mut when_rules = RaTrace::default();
+        for step in &self.when_trace.steps {
+            when_rules.record(step.rule.name());
         }
-        if self.ra_trace.total() > 0 {
-            writeln!(f, "RA rewrites: {} step(s)", self.ra_trace.total())?;
-            for (name, c) in &self.ra_trace.counts {
-                writeln!(f, "  {name} \u{d7} {c}")?;
+        for (title, trace) in [
+            ("EQUIV_when rewrites", &when_rules),
+            ("RA rewrites", &self.ra_trace),
+        ] {
+            if trace.total() > 0 {
+                writeln!(f, "{title}: {} step(s)", trace.total())?;
+                for (name, c) in &trace.counts {
+                    writeln!(f, "  {name} \u{d7} {c}")?;
+                }
             }
         }
         write!(f, "plan: {}", self.query)
     }
 }
 
-/// Plan a query against the given statistics.
+impl Plan {
+    /// Run the plan through the legacy tree-walking oracle of its
+    /// strategy: `eval_pure` for lazy, Algorithm HQL-2 for eager-xsub and
+    /// hybrid, Algorithm HQL-3 for eager-delta.
+    pub fn execute_legacy(&self, db: &DatabaseState) -> Result<Relation, EvalError> {
+        match self.strategy {
+            PlannedStrategy::Lazy => eval_pure(&self.query, db),
+            PlannedStrategy::EagerXsub | PlannedStrategy::Hybrid => algorithm_hql2(&self.query, db),
+            PlannedStrategy::EagerDelta => algorithm_hql3(&self.query, db),
+        }
+    }
+}
+
+/// Build `strategy`'s candidate plan for `q`: optimized pure RA for
+/// lazy, optimized ENF for eager-xsub, optimized mod-ENF for eager-delta
+/// (the RA optimizer descends into `when` bodies; callers check that the
+/// mod-ENF shape survived). Errs only for eager-delta on a query with no
+/// mod-ENF. The hybrid is not built here: only [`plan`] builds it, from
+/// the eager-xsub candidate.
+fn candidate(
+    q: &Query,
+    strategy: PlannedStrategy,
+    catalog: &Catalog,
+    stats: &Statistics,
+    trace: &mut RewriteTrace,
+) -> Result<Plan, EnfError> {
+    let (query, ra_trace) = match strategy {
+        PlannedStrategy::Lazy => optimize(&fully_lazy(q, trace), catalog),
+        PlannedStrategy::EagerXsub => {
+            optimize(&simplify_enf(&to_enf_query(q, trace), trace), catalog)
+        }
+        PlannedStrategy::EagerDelta => optimize(&to_mod_enf(q)?, catalog),
+        PlannedStrategy::Hybrid => unreachable!("the hybrid cannot be forced"),
+    };
+    Ok(costed(strategy, query, ra_trace, stats))
+}
+
+/// A single-candidate plan of `query` (the caller fills in the
+/// EQUIV_when trace).
+fn costed(strategy: PlannedStrategy, query: Query, ra_trace: RaTrace, stats: &Statistics) -> Plan {
+    let est_cost = estimate_cost(&query, stats);
+    Plan {
+        strategy,
+        query,
+        est_cost,
+        candidates: vec![(strategy, est_cost)],
+        when_trace: RewriteTrace::new(),
+        ra_trace,
+    }
+}
+
+/// Plan a query against the given statistics: cost every candidate and
+/// pick the cheapest.
 pub fn plan(q: &Query, catalog: &Catalog, stats: &Statistics) -> Plan {
-    let mut when_trace = RewriteTrace::new();
-
-    // Candidate: lazy.
-    let lazy_raw = fully_lazy(q, &mut when_trace);
-    let (lazy_q, lazy_ra) = optimize(&lazy_raw, catalog);
-    let cost_lazy = estimate_cost(&lazy_q, stats);
-
-    if q.is_pure() {
-        return Plan {
-            strategy: PlannedStrategy::Lazy,
-            query: lazy_q,
-            est_cost: cost_lazy,
-            candidates: vec![(PlannedStrategy::Lazy, cost_lazy)],
-            when_trace,
-            ra_trace: lazy_ra,
-        };
+    let mut trace = RewriteTrace::new();
+    let build = |strategy, trace: &mut RewriteTrace| candidate(q, strategy, catalog, stats, trace);
+    let lazy = build(PlannedStrategy::Lazy, &mut trace).expect("every query has a lazy form");
+    let mut cands = vec![lazy];
+    if !q.is_pure() {
+        let xsub = build(PlannedStrategy::EagerXsub, &mut trace).expect("every query has an ENF");
+        let delta = build(PlannedStrategy::EagerDelta, &mut trace)
+            .ok()
+            .filter(|c| is_mod_enf(&c.query));
+        let hybrid = can_mix(&xsub.query)
+            .then(|| hybridize(&xsub.query, catalog, stats, &mut trace))
+            .filter(|h| *h != xsub.query && *h != cands[0].query)
+            .map(|h| costed(PlannedStrategy::Hybrid, h, RaTrace::default(), stats));
+        cands.push(xsub);
+        cands.extend(delta);
+        cands.extend(hybrid);
     }
-
-    let mut candidates = vec![(PlannedStrategy::Lazy, cost_lazy)];
-
-    // Candidate: eager with xsub-values (HQL-2).
-    let enf = simplify_enf(&to_enf_query(q, &mut when_trace), &mut when_trace);
-    let (enf_q, enf_ra) = optimize(&enf, catalog);
-    let cost_xsub = estimate_cost(&enf_q, stats);
-    candidates.push((PlannedStrategy::EagerXsub, cost_xsub));
-
-    // Candidate: eager with deltas (HQL-3), when mod-ENF exists. The RA
-    // optimizer descends into `when` bodies without disturbing the
-    // mod-ENF shape.
-    let delta_candidate = to_mod_enf(q)
-        .ok()
-        .map(|m| optimize(&m, catalog).0)
-        .filter(is_mod_enf)
-        .map(|m| {
-            let cost = estimate_cost(&m, stats);
-            (m, cost)
-        });
-    if let Some((_, c)) = &delta_candidate {
-        candidates.push((PlannedStrategy::EagerDelta, *c));
-    }
-
-    // Candidate: hybrid (greedy per-when), only when the query nests whens.
-    let hybrid = hybrid_candidate(&enf_q, catalog, stats, &mut when_trace);
-    let hybrid = hybrid.filter(|h| *h != enf_q && *h != lazy_q);
-    let hybrid_scored = hybrid.map(|h| {
-        let c = estimate_cost(&h, stats);
-        (h, c)
-    });
-    if let Some((_, c)) = &hybrid_scored {
-        candidates.push((PlannedStrategy::Hybrid, *c));
-    }
-
+    let candidates = cands.iter().map(|c| (c.strategy, c.est_cost)).collect();
     // Pick the cheapest; ties prefer the earlier candidate (lazy first —
     // it needs no materialization machinery).
-    let best = candidates
-        .iter()
-        .cloned()
-        .min_by(|a, b| a.1.total_cmp(&b.1))
+    let mut best = cands
+        .into_iter()
+        .min_by(|a, b| a.est_cost.total_cmp(&b.est_cost))
         .expect("at least the lazy candidate exists");
+    best.candidates = candidates;
+    best.when_trace = trace;
+    best
+}
 
-    let (query, ra_trace) = match best.0 {
-        PlannedStrategy::Lazy => (lazy_q, lazy_ra),
-        PlannedStrategy::EagerXsub => (enf_q, enf_ra),
-        PlannedStrategy::EagerDelta => {
-            let (m, _) = delta_candidate.expect("candidate recorded above");
-            (m, RaTrace::default())
-        }
-        PlannedStrategy::Hybrid => {
-            let (h, _) = hybrid_scored.expect("candidate recorded above");
-            (h, RaTrace::default())
-        }
-    };
+/// Plan a query under a fixed strategy, building only that strategy's
+/// candidate. Errs when `strategy` is eager-delta and the query has no
+/// mod-ENF; if optimizing breaks the mod-ENF shape, the unoptimized
+/// mod-ENF form is planned instead.
+///
+/// # Panics
+///
+/// If `strategy` is [`PlannedStrategy::Hybrid`], which only [`plan`]
+/// chooses.
+pub fn plan_as(
+    q: &Query,
+    catalog: &Catalog,
+    stats: &Statistics,
+    strategy: PlannedStrategy,
+) -> Result<Plan, EnfError> {
+    let mut trace = RewriteTrace::new();
+    let mut p = candidate(q, strategy, catalog, stats, &mut trace)?;
+    if strategy == PlannedStrategy::EagerDelta && !is_mod_enf(&p.query) {
+        p = costed(strategy, to_mod_enf(q)?, RaTrace::default(), stats);
+    }
+    p.when_trace = trace;
+    Ok(p)
+}
 
-    Plan {
-        strategy: best.0,
-        query,
-        est_cost: best.1,
-        candidates,
-        when_trace,
-        ra_trace,
+/// Whether hybridizing the ENF query `enf` can mix strategies. A single
+/// `when` over a pure body with pure bindings cannot: [`hybridize`] would
+/// return either `enf` itself or a lazy form of it.
+fn can_mix(enf: &Query) -> bool {
+    match enf {
+        Query::When(body, eta) => match &**eta {
+            StateExpr::Subst(eps) => {
+                !body.is_pure() || eps.iter().any(|(_, binding)| !binding.is_pure())
+            }
+            _ => true,
+        },
+        other => !other.is_pure(),
     }
 }
 
 /// Greedy hybrid: walk the ENF query; at each `when`, inline it lazily if
 /// the reduced form is estimated cheaper than keeping it for
-/// materialization. Returns `None` when the query has no `when` at all.
-fn hybrid_candidate(
-    enf_q: &Query,
-    catalog: &Catalog,
-    stats: &Statistics,
-    trace: &mut RewriteTrace,
-) -> Option<Query> {
-    if enf_q.is_pure() {
-        return None;
-    }
-    Some(hybridize(enf_q, catalog, stats, trace))
-}
-
+/// materialization.
 fn hybridize(q: &Query, catalog: &Catalog, stats: &Statistics, trace: &mut RewriteTrace) -> Query {
     let rebuilt = match q.clone() {
         Query::When(body, eta) => {
@@ -237,7 +257,8 @@ fn hybridize(q: &Query, catalog: &Catalog, stats: &Statistics, trace: &mut Rewri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypoquery_algebra::{CmpOp, Predicate, StateExpr, Update};
+    use crate::stats::estimate;
+    use hypoquery_algebra::{CmpOp, ExplicitSubst, Predicate, Update};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -297,17 +318,10 @@ mod tests {
     }
 
     #[test]
-    fn plan_display_lists_candidates() {
-        let p = plan(&hypo_query(3), &catalog(), &stats(100.0, 100.0));
-        let s = p.to_string();
-        assert!(s.contains("strategy:"));
-        assert!(s.contains("candidate"));
-    }
-
-    #[test]
     fn plan_display_renders_rewrite_traces() {
         let p = plan(&hypo_query(3), &catalog(), &stats(100.0, 100.0));
         let s = p.to_string();
+        assert!(s.contains("strategy:") && s.contains("candidate"), "{s}");
         // Normalizing a hypothetical query always takes EQUIV_when steps;
         // each recorded rule shows up with its step count.
         assert!(!p.when_trace.steps.is_empty());
@@ -332,5 +346,110 @@ mod tests {
             }
             PlannedStrategy::EagerDelta => assert!(is_mod_enf(&p.query)),
         }
+    }
+
+    /// perfbench's `scan` query, and the `branch` workload's key lookup
+    /// and range aggregate wrapped in the branch's state.
+    fn served_queries() -> Vec<Query> {
+        use hypoquery_algebra::AggExpr;
+        let sel = |rel: &str, col, op, v| Query::base(rel).select(Predicate::col_cmp(col, op, v));
+        let count_sum = vec![AggExpr::Count, AggExpr::Sum(1)];
+        let scan = Query::base("R")
+            .join(Query::base("S"), Predicate::col_col(0, CmpOp::Eq, 2))
+            .aggregate(vec![], count_sum.clone())
+            .when(StateExpr::update(
+                Update::delete("S", sel("S", 1, CmpOp::Lt, 300))
+                    .then(Update::insert("R", sel("S", 0, CmpOp::Lt, 150))),
+            ));
+        let branch = StateExpr::update(
+            Update::delete("R", sel("R", 1, CmpOp::Lt, 300))
+                .then(Update::insert("R", sel("S", 0, CmpOp::Ge, 2900))),
+        );
+        let lookup = sel("R", 0, CmpOp::Eq, 1234).when(branch.clone());
+        let range = sel("R", 0, CmpOp::Lt, 200)
+            .aggregate(vec![], count_sum)
+            .when(branch);
+        vec![scan, lookup, range]
+    }
+
+    /// Golden values of the cost model and the planner's choices over a
+    /// fixed corpus: each query's rows and cost; `plan`'s chosen strategy;
+    /// and the rows and cost of every listed non-hybrid candidate, both as
+    /// `plan` lists it and as [`plan_as`] builds it. Compared exactly.
+    #[test]
+    fn estimates_and_choices_match_golden_values() {
+        use PlannedStrategy::{EagerDelta, EagerXsub, Lazy};
+        type Candidates = &'static [(PlannedStrategy, f64, f64)];
+        #[rustfmt::skip]
+        const GOLDEN: &[(f64, f64, PlannedStrategy, Candidates)] = &[
+            (2.313030069390902, 2.313030069390902, Lazy, &[(Lazy, 2.313030069390902, 2.313030069390902)]), // 0
+            (6000.0, 24000.0, Lazy, &[(Lazy, 6000.0, 24000.0)]), // 1
+            (4018.4502698535075, 12000.0, Lazy, &[(Lazy, 1782.0000000000002, 12000.0)]), // 2
+            (77.45966692414834, 12000.0, Lazy, &[(Lazy, 77.45966692414834, 12000.0)]), // 3
+            (4020.0, 18000.0, Lazy, &[(Lazy, 1980.0, 12000.0), (EagerXsub, 1980.0, 15960.0), (EagerDelta, 4020.0, 18000.0)]), // 4
+            (0.0, 0.0, Lazy, &[(Lazy, 0.0, 0.0)]), // 5
+            (7980.0, 21960.0, EagerDelta, &[(Lazy, 7980.0, 25980.0), (EagerXsub, 7980.0, 41940.0), (EagerDelta, 7980.0, 21960.0)]), // 6
+            (7980.0, 53880.0, EagerDelta, &[(Lazy, 7980.0, 83880.0), (EagerXsub, 7980.0, 73860.0), (EagerDelta, 7980.0, 53880.0)]), // 7
+            (7980.0, 85800.0, EagerDelta, &[(Lazy, 7980.0, 141780.0), (EagerXsub, 7980.0, 105780.0), (EagerDelta, 7980.0, 85800.0)]), // 8
+            (7980.0, 117720.0, EagerDelta, &[(Lazy, 7980.0, 199680.0), (EagerXsub, 7980.0, 137700.0), (EagerDelta, 7980.0, 117720.0)]), // 9
+            (7980.0, 149640.0, EagerDelta, &[(Lazy, 7980.0, 257580.0), (EagerXsub, 7980.0, 169620.0), (EagerDelta, 7980.0, 149640.0)]), // 10
+            (7980.0, 181560.0, EagerDelta, &[(Lazy, 7980.0, 315480.0), (EagerXsub, 7980.0, 201540.0), (EagerDelta, 7980.0, 181560.0)]), // 11
+            (7980.0, 213480.0, EagerDelta, &[(Lazy, 7980.0, 373380.0), (EagerXsub, 7980.0, 233460.0), (EagerDelta, 7980.0, 213480.0)]), // 12
+            (7980.0, 245400.0, EagerDelta, &[(Lazy, 7980.0, 431280.0), (EagerXsub, 7980.0, 265380.0), (EagerDelta, 7980.0, 245400.0)]), // 13
+            (7980.0, 277320.0, EagerDelta, &[(Lazy, 7980.0, 489180.0), (EagerXsub, 7980.0, 297300.0), (EagerDelta, 7980.0, 277320.0)]), // 14
+            (7980.0, 309240.0, EagerDelta, &[(Lazy, 7980.0, 547080.0), (EagerXsub, 7980.0, 329220.0), (EagerDelta, 7980.0, 309240.0)]), // 15
+            (7980.0, 341160.0, EagerDelta, &[(Lazy, 7980.0, 604980.0), (EagerXsub, 7980.0, 361140.0), (EagerDelta, 7980.0, 341160.0)]), // 16
+            (7980.0, 373080.0, EagerDelta, &[(Lazy, 7980.0, 662880.0), (EagerXsub, 7980.0, 393060.0), (EagerDelta, 7980.0, 373080.0)]), // 17
+            (1.0, 53366.4, EagerDelta, &[(Lazy, 1.0, 58593.600000000006), (EagerXsub, 1.0, 75147.0), (EagerDelta, 1.0, 53366.4)]), // 18
+            (2.313030069390902, 27962.313030069392, Lazy, &[(Lazy, 0.7632999228989977, 1.0), (EagerXsub, 1.5265998457979952, 35881.5265998458), (EagerDelta, 2.313030069390902, 27962.313030069392)]), // 19
+            (1.0, 41940.0, Lazy, &[(Lazy, 1.0, 12653.4), (EagerXsub, 1.0, 45106.8), (EagerDelta, 1.0, 41940.0)]), // 20
+        ];
+        let st = Statistics::from_cards([("R".into(), 6000.0), ("S".into(), 6000.0)])
+            .with_arity("R", 2)
+            .with_arity("S", 2)
+            .with_distinct("R", 0, 2594.0)
+            .with_distinct("R", 1, 6000.0)
+            .with_distinct("S", 0, 2594.0)
+            .with_distinct("S", 1, 6000.0)
+            .with_index("R", 0)
+            .with_index("S", 0);
+        let mut corpus = crate::stats::tests::probe_queries();
+        corpus.extend((1..=12).map(hypo_query));
+        corpus.extend(served_queries());
+        assert_eq!(corpus.len(), GOLDEN.len());
+        for (q, &(rows, cost, chosen, cands)) in corpus.iter().zip(GOLDEN) {
+            let e = estimate(q, &st);
+            assert_eq!((e.rows, e.cost), (rows, cost), "{q}");
+            let p = plan(q, &catalog(), &st);
+            assert_eq!(p.strategy, chosen, "{q}");
+            let listed = p
+                .candidates
+                .iter()
+                .filter(|c| c.0 != PlannedStrategy::Hybrid);
+            let expected = cands.iter().map(|&(s, _, c)| (s, c));
+            assert!(listed.copied().eq(expected), "{q}: {:?}", p.candidates);
+            for &(s, rows, cost) in cands {
+                let forced = plan_as(q, &catalog(), &st, s).unwrap();
+                let e = estimate(&forced.query, &st);
+                assert_eq!((e.rows, e.cost), (rows, cost), "{s} form of {q}");
+            }
+        }
+    }
+
+    #[test]
+    fn hybrid_is_built_only_where_it_can_mix() {
+        let has_hybrid = |p: &Plan| p.candidates.iter().any(|c| c.0 == PlannedStrategy::Hybrid);
+        // One `when` over a pure body with pure bindings: no hybrid.
+        for k in [1, 3, 12] {
+            let p = plan(&hypo_query(k), &catalog(), &stats(1000.0, 1000.0));
+            assert!(!has_hybrid(&p), "{p}");
+        }
+        // A `when` whose binding is read eight times beside one read once:
+        // materializing the first and inlining the second mixes.
+        let rebind = StateExpr::subst(ExplicitSubst::single("R", Query::base("S")));
+        let q = hypo_query(8).union(Query::base("R").when(rebind));
+        let p = plan(&q, &catalog(), &stats(1000.0, 1000.0));
+        assert_eq!(p.strategy, PlannedStrategy::Hybrid, "{p}");
+        assert!(hypoquery_core::is_enf_query(&p.query));
     }
 }

@@ -5,13 +5,20 @@
 //! planner needs today is a coarse, monotone estimator good enough to
 //! choose between lazy, eager-xsub and eager-delta shapes. We use textbook
 //! selectivity constants over exact base cardinalities.
+//!
+//! [`estimate`] computes a query's rows, cost and output arity in one
+//! bottom-up walk; [`estimate_rows`] and [`estimate_cost`] read one field
+//! of it. Index paths are priced with the tests the lowering uses to take
+//! them (`point_eq_conjuncts` for probes, `split_equi_pairs` for index
+//! joins), but the estimator is not shadow-aware: inside a `when` body it
+//! prices an index path on a rebound name that the lowering will scan.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hypoquery_storage::{distinct_counts, DatabaseState, RelName};
+use hypoquery_storage::{distinct_counts, DatabaseState, RelName, Value};
 
-use hypoquery_algebra::scope::dom_state_expr;
 use hypoquery_algebra::{CmpOp, Predicate, Query, ScalarExpr, StateExpr, Update};
+use hypoquery_eval::join::{split_equi_pairs, EquiPair};
 
 /// Selectivity assumed for equality predicates.
 pub const SEL_EQ: f64 = 0.1;
@@ -126,40 +133,30 @@ impl Statistics {
 /// falling back to the flat [`SEL_EQ`] constant otherwise. With `base`
 /// `None` this is exactly [`selectivity`].
 pub fn selectivity_over(p: &Predicate, base: Option<&RelName>, stats: &Statistics) -> f64 {
+    let sel = |q: &Predicate| selectivity_over(q, base, stats);
     clamp01(match p {
-        Predicate::And(a, b) => selectivity_over(a, base, stats) * selectivity_over(b, base, stats),
-        Predicate::Or(a, b) => {
-            let (sa, sb) = (
-                selectivity_over(a, base, stats),
-                selectivity_over(b, base, stats),
-            );
-            (sa + sb - sa * sb).min(1.0)
-        }
-        Predicate::Not(a) => 1.0 - selectivity_over(a, base, stats),
+        Predicate::True => 1.0,
+        Predicate::False => 0.0,
         Predicate::Cmp(ScalarExpr::Col(c), CmpOp::Eq, ScalarExpr::Const(_))
         | Predicate::Cmp(ScalarExpr::Const(_), CmpOp::Eq, ScalarExpr::Col(c)) => base
             .and_then(|n| stats.distinct(n, *c))
             .map(|d| (1.0 / d.max(1.0)).min(1.0))
             .unwrap_or(SEL_EQ),
-        other => selectivity(other),
-    })
-}
-
-/// Estimated selectivity of a predicate.
-pub fn selectivity(p: &Predicate) -> f64 {
-    clamp01(match p {
-        Predicate::True => 1.0,
-        Predicate::False => 0.0,
         Predicate::Cmp(_, CmpOp::Eq, _) => SEL_EQ,
         Predicate::Cmp(_, CmpOp::Ne, _) => SEL_NE,
         Predicate::Cmp(_, _, _) => SEL_RANGE,
-        Predicate::And(a, b) => selectivity(a) * selectivity(b),
+        Predicate::And(a, b) => sel(a) * sel(b),
         Predicate::Or(a, b) => {
-            let (sa, sb) = (selectivity(a), selectivity(b));
+            let (sa, sb) = (sel(a), sel(b));
             (sa + sb - sa * sb).min(1.0)
         }
-        Predicate::Not(a) => 1.0 - selectivity(a),
+        Predicate::Not(a) => 1.0 - sel(a),
     })
+}
+
+/// Estimated selectivity of a predicate, with no base-relation knowledge.
+pub fn selectivity(p: &Predicate) -> f64 {
+    selectivity_over(p, None, &Statistics::default())
 }
 
 /// Clamp a selectivity into `[0, 1]`; non-finite values (conceivable
@@ -197,294 +194,244 @@ fn sanitize_cost(c: f64) -> f64 {
     }
 }
 
-/// Estimated output cardinality of a query.
+/// Row count, cost and output arity of one query node.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Estimate {
+    /// Estimated output cardinality.
+    pub rows: f64,
+    /// Estimated evaluation cost: total tuples flowing through all
+    /// operators (a unit-cost-per-tuple model).
+    pub cost: f64,
+    /// Output arity, when derivable from the statistics' declared arities
+    /// (needed to rebase join-predicate columns).
+    pub arity: Option<usize>,
+}
+
+/// Estimated output cardinality of a query (see [`estimate`]).
+pub fn estimate_rows(q: &Query, stats: &Statistics) -> f64 {
+    estimate(q, stats).rows
+}
+
+/// Estimated evaluation cost of a query (see [`estimate`]).
+pub fn estimate_cost(q: &Query, stats: &Statistics) -> f64 {
+    estimate(q, stats).cost
+}
+
+/// Estimate rows, cost and arity of a query in one bottom-up walk.
 ///
 /// `when` bodies are estimated as if the hypothetical update left
 /// cardinalities unchanged, except that names bound by the state
 /// expression are re-estimated from the binding/update shape — coarse, but
-/// monotone in the base sizes, which is all the planner relies on.
-pub fn estimate_rows(q: &Query, stats: &Statistics) -> f64 {
-    sanitize_rows(match q {
-        Query::Base(name) => stats.card(name),
-        Query::Singleton(_) => 1.0,
-        Query::Empty { .. } => 0.0,
+/// monotone in the base sizes, which is all the planner relies on. A
+/// `when` costs its body under the adjusted statistics plus the cost of
+/// materializing the state's bindings once.
+///
+/// Declared secondary indexes change the access path: a point-equality
+/// select over an indexed base costs its output (a probe), and an
+/// equi-join whose base operand is indexed on the full equi-core skips
+/// the hash build and iterates only the other side. Without index
+/// declarations the model is unchanged.
+pub fn estimate(q: &Query, stats: &Statistics) -> Estimate {
+    let (rows, cost, arity) = match q {
+        Query::Base(name) => {
+            let c = stats.card(name);
+            (c, c, stats.arity(name))
+        }
+        Query::Singleton(t) => (1.0, 1.0, Some(t.arity())),
+        Query::Empty { arity } => (0.0, 1.0, Some(*arity)),
         Query::Select(inner, p) => {
+            let i = estimate(inner, stats);
             let base = match &**inner {
                 Query::Base(name) => Some(name),
                 _ => None,
             };
-            estimate_rows(inner, stats) * selectivity_over(p, base, stats)
+            let rows = sanitize_rows(i.rows * selectivity_over(p, base, stats));
+            let probe = base.is_some_and(|name| {
+                point_eq_conjuncts(p)
+                    .iter()
+                    .any(|(c, _)| stats.has_index(name, *c))
+            });
+            // An index probe pays for the matching rows only.
+            let cost = if probe {
+                rows.max(1.0)
+            } else {
+                i.cost + i.rows
+            };
+            (rows, cost, i.arity)
         }
-        Query::Project(inner, _) => estimate_rows(inner, stats),
-        Query::Union(a, b) => estimate_rows(a, stats) + estimate_rows(b, stats),
-        Query::Intersect(a, b) => estimate_rows(a, stats).min(estimate_rows(b, stats)),
-        Query::Diff(a, _) => estimate_rows(a, stats),
-        Query::Product(a, b) => estimate_rows(a, stats) * estimate_rows(b, stats),
+        Query::Project(inner, cols) => {
+            let i = estimate(inner, stats);
+            (i.rows, i.cost + i.rows, Some(cols.len()))
+        }
+        Query::Union(a, b) | Query::Intersect(a, b) | Query::Diff(a, b) => {
+            let (ea, eb) = (estimate(a, stats), estimate(b, stats));
+            let rows = match q {
+                Query::Union(..) => ea.rows + eb.rows,
+                Query::Intersect(..) => ea.rows.min(eb.rows),
+                _ => ea.rows,
+            };
+            (rows, ea.cost + eb.cost + ea.rows + eb.rows, ea.arity)
+        }
+        Query::Product(a, b) => {
+            let (ea, eb) = (estimate(a, stats), estimate(b, stats));
+            let rows = ea.rows * eb.rows;
+            (
+                rows,
+                ea.cost + eb.cost + rows,
+                ea.arity.zip(eb.arity).map(|(x, y)| x + y),
+            )
+        }
         Query::Join(a, b, p) => {
-            let (l, r) = (estimate_rows(a, stats), estimate_rows(b, stats));
+            let (ea, eb) = (estimate(a, stats), estimate(b, stats));
+            let (l, r) = (ea.rows, eb.rows);
             // Equi-joins get the textbook foreign-key estimate
             // max(|L|, |R|); pure theta-joins fall back to a selectivity
             // fraction of the cross product.
             let has_equi = crate::implication::conjuncts(p).iter().any(|c| {
                 matches!(
                     c,
-                    Predicate::Cmp(
-                        hypoquery_algebra::ScalarExpr::Col(_),
-                        CmpOp::Eq,
-                        hypoquery_algebra::ScalarExpr::Col(_)
-                    )
+                    Predicate::Cmp(ScalarExpr::Col(_), CmpOp::Eq, ScalarExpr::Col(_))
                 )
             });
-            if has_equi {
+            let out = sanitize_rows(if has_equi {
                 l.max(r)
             } else {
                 l * r * selectivity(p).max(SEL_JOIN / 10.0)
-            }
+            });
+            // Indexed build side: no hash build, iterate only the probe
+            // side (the executor picks the cheaper one when both are
+            // available). Otherwise a hash join: build + probe + output.
+            let probe = ea.arity.and_then(|left_arity| {
+                let (pairs, _) = split_equi_pairs(p, left_arity);
+                let indexed = |q: &Query, col: fn(&EquiPair) -> usize| {
+                    !pairs.is_empty()
+                        && matches!(q, Query::Base(n)
+                            if pairs.iter().all(|pair| stats.has_index(n, col(pair))))
+                };
+                match (indexed(a, |e| e.left), indexed(b, |e| e.right)) {
+                    (true, true) => Some(l.min(r)),
+                    (true, false) => Some(r),
+                    (false, true) => Some(l),
+                    (false, false) => None,
+                }
+            });
+            let cost = match probe {
+                Some(probe) => ea.cost + eb.cost + probe + out,
+                None => ea.cost + eb.cost + l + r + out,
+            };
+            (out, cost, ea.arity.zip(eb.arity).map(|(x, y)| x + y))
         }
         Query::When(inner, eta) => {
-            let adjusted = adjust_stats_for_state(eta, stats);
-            estimate_rows(inner, &adjusted)
+            let (adjusted, materialize) = enter_state(eta, stats);
+            let i = estimate(inner, &adjusted);
+            (i.rows, i.cost + materialize, i.arity)
         }
         Query::Aggregate {
-            input, group_by, ..
+            input,
+            group_by,
+            aggs,
         } => {
-            let n = estimate_rows(input, stats);
-            if group_by.is_empty() {
+            let i = estimate(input, stats);
+            let n = i.rows;
+            let rows = if group_by.is_empty() {
                 n.min(1.0)
             } else {
                 // Assume grouping reduces to ~sqrt of the input.
                 n.sqrt().max(1.0).min(n)
-            }
+            };
+            (rows, i.cost + i.rows, Some(group_by.len() + aggs.len()))
         }
-    })
+    };
+    Estimate {
+        rows: sanitize_rows(rows),
+        cost: sanitize_cost(cost),
+        arity,
+    }
 }
 
-/// Re-estimate base cardinalities under a hypothetical state expression.
-pub fn adjust_stats_for_state(eta: &StateExpr, stats: &Statistics) -> Statistics {
-    let mut out = stats.clone();
+/// Re-estimate base cardinalities under a hypothetical state expression,
+/// and estimate the cost of materializing it (the eager strategy's
+/// up-front payment: evaluating every binding/update query), in one walk
+/// over `eta`.
+fn enter_state(eta: &StateExpr, stats: &Statistics) -> (Statistics, f64) {
     match eta {
-        StateExpr::Update(u) => adjust_for_update(u, &mut out),
+        StateExpr::Update(u) => {
+            let mut out = stats.clone();
+            let cost = apply_update(u, &mut out);
+            (out, cost)
+        }
         StateExpr::Subst(eps) => {
+            let mut out = stats.clone();
+            let mut cost = 0.0;
             for (name, bq) in eps.iter() {
-                let est = estimate_rows(bq, stats);
-                out.cards.insert(name.clone(), est);
+                let e = estimate(bq, stats);
+                cost += e.cost + e.rows;
+                out.cards.insert(name.clone(), e.rows);
             }
+            (out, cost)
         }
         StateExpr::Compose(a, b) => {
-            out = adjust_stats_for_state(a, &out);
-            out = adjust_stats_for_state(b, &out);
+            let (after_a, cost_a) = enter_state(a, stats);
+            let (after_b, cost_b) = enter_state(b, &after_a);
+            (after_b, cost_a + cost_b)
         }
     }
-    out
 }
 
-fn adjust_for_update(u: &Update, stats: &mut Statistics) {
+/// Resize `stats` for the update `u` and return the cost of evaluating
+/// its queries. A conditional is sized as its then-branch (good enough
+/// for sizing) and costed as its guard plus the dearer branch.
+fn apply_update(u: &Update, stats: &mut Statistics) -> f64 {
     match u {
-        Update::Insert(name, q) => {
-            let added = estimate_rows(q, stats);
+        Update::Insert(name, q) | Update::Delete(name, q) => {
+            let e = estimate(q, stats);
             let cur = stats.card(name);
-            stats.cards.insert(name.clone(), cur + added);
+            let next = match u {
+                Update::Insert(..) => cur + e.rows,
+                _ => (cur - e.rows).max(0.0),
+            };
+            stats.cards.insert(name.clone(), next);
+            e.cost + e.rows
         }
-        Update::Delete(name, q) => {
-            let removed = estimate_rows(q, stats);
-            let cur = stats.card(name);
-            stats.cards.insert(name.clone(), (cur - removed).max(0.0));
-        }
-        Update::Seq(a, b) => {
-            adjust_for_update(a, stats);
-            adjust_for_update(b, stats);
-        }
-        Update::Cond { then_u, .. } => {
-            // Assume the then-branch; good enough for sizing.
-            adjust_for_update(then_u, stats);
-        }
-    }
-}
-
-/// Columns constrained to a constant by the top-level conjunction of `p`.
-fn point_eq_cols(p: &Predicate) -> Vec<usize> {
-    match p {
-        Predicate::And(a, b) => {
-            let mut cols = point_eq_cols(a);
-            cols.extend(point_eq_cols(b));
-            cols
-        }
-        Predicate::Cmp(ScalarExpr::Col(c), CmpOp::Eq, ScalarExpr::Const(_))
-        | Predicate::Cmp(ScalarExpr::Const(_), CmpOp::Eq, ScalarExpr::Col(c)) => vec![*c],
-        _ => Vec::new(),
-    }
-}
-
-/// Cross-operand equality pairs `(left_col, right_col)` in a join
-/// predicate, with the right column rebased. Mirrors the executor's
-/// equi-core extraction (`hypoquery-eval::join::split_equi_pairs`).
-fn cross_equi_pairs(p: &Predicate, left_arity: usize) -> Vec<(usize, usize)> {
-    match p {
-        Predicate::And(a, b) => {
-            let mut pairs = cross_equi_pairs(a, left_arity);
-            pairs.extend(cross_equi_pairs(b, left_arity));
-            pairs
-        }
-        Predicate::Cmp(ScalarExpr::Col(x), CmpOp::Eq, ScalarExpr::Col(y)) => {
-            let (lo, hi) = if x < y { (*x, *y) } else { (*y, *x) };
-            if lo < left_arity && hi >= left_arity {
-                vec![(lo, hi - left_arity)]
-            } else {
-                Vec::new()
-            }
-        }
-        _ => Vec::new(),
-    }
-}
-
-/// Output arity of a query, when derivable from the statistics' declared
-/// arities (needed to rebase join-predicate columns).
-fn query_arity(q: &Query, stats: &Statistics) -> Option<usize> {
-    match q {
-        Query::Base(name) => stats.arity(name),
-        Query::Singleton(t) => Some(t.arity()),
-        Query::Empty { arity } => Some(*arity),
-        Query::Select(inner, _) | Query::When(inner, _) => query_arity(inner, stats),
-        Query::Project(_, cols) => Some(cols.len()),
-        Query::Union(a, _) | Query::Intersect(a, _) | Query::Diff(a, _) => query_arity(a, stats),
-        Query::Product(a, b) | Query::Join(a, b, _) => {
-            Some(query_arity(a, stats)? + query_arity(b, stats)?)
-        }
-        Query::Aggregate { group_by, aggs, .. } => Some(group_by.len() + aggs.len()),
-    }
-}
-
-/// Estimated evaluation *cost* of a pure query: total tuples flowing
-/// through all operators (a unit-cost-per-tuple model). Declared secondary
-/// indexes change the access path: a point-equality select over an indexed
-/// base costs its output (a probe), and an equi-join whose base operand is
-/// indexed on the full equi-core skips the hash build and iterates only
-/// the other side. Without index declarations the model is unchanged.
-pub fn estimate_cost(q: &Query, stats: &Statistics) -> f64 {
-    sanitize_cost(match q {
-        Query::Base(name) => stats.card(name),
-        Query::Singleton(_) | Query::Empty { .. } => 1.0,
-        Query::Select(inner, p) => {
-            if let Query::Base(name) = &**inner {
-                if point_eq_cols(p).iter().any(|c| stats.has_index(name, *c)) {
-                    // Index probe: pay for the matching rows only.
-                    return sanitize_cost(estimate_rows(q, stats).max(1.0));
-                }
-            }
-            estimate_cost(inner, stats) + estimate_rows(inner, stats)
-        }
-        Query::Project(inner, _) => estimate_cost(inner, stats) + estimate_rows(inner, stats),
-        Query::Union(a, b) | Query::Intersect(a, b) | Query::Diff(a, b) => {
-            estimate_cost(a, stats)
-                + estimate_cost(b, stats)
-                + estimate_rows(a, stats)
-                + estimate_rows(b, stats)
-        }
-        Query::Product(a, b) => {
-            estimate_cost(a, stats)
-                + estimate_cost(b, stats)
-                + estimate_rows(a, stats) * estimate_rows(b, stats)
-        }
-        Query::Join(a, b, p) => {
-            let (ca, cb) = (estimate_cost(a, stats), estimate_cost(b, stats));
-            let (ra, rb) = (estimate_rows(a, stats), estimate_rows(b, stats));
-            let out = estimate_rows(q, stats);
-            if let Some(left_arity) = query_arity(a, stats) {
-                let pairs = cross_equi_pairs(p, left_arity);
-                if !pairs.is_empty() {
-                    let left_ok = matches!(&**a, Query::Base(n)
-                        if pairs.iter().all(|&(lc, _)| stats.has_index(n, lc)));
-                    let right_ok = matches!(&**b, Query::Base(n)
-                        if pairs.iter().all(|&(_, rc)| stats.has_index(n, rc)));
-                    if left_ok || right_ok {
-                        // Indexed build side: no hash build, iterate only
-                        // the probe side (the executor picks the cheaper
-                        // one when both are available).
-                        let probe = match (left_ok, right_ok) {
-                            (true, true) => ra.min(rb),
-                            (true, false) => rb,
-                            _ => ra,
-                        };
-                        return sanitize_cost(ca + cb + probe + out);
-                    }
-                }
-            }
-            // Hash join: build + probe + output.
-            ca + cb + ra + rb + out
-        }
-        Query::When(inner, eta) => {
-            // Lazy view of a when: cost of the body under adjusted stats
-            // plus the cost of the state's bindings once.
-            let adjusted = adjust_stats_for_state(eta, stats);
-            estimate_cost(inner, &adjusted) + state_materialization_cost(eta, stats)
-        }
-        Query::Aggregate { input, .. } => estimate_cost(input, stats) + estimate_rows(input, stats),
-    })
-}
-
-/// Estimated cost of materializing a state expression (the eager
-/// strategy's up-front payment): evaluating every binding/update query.
-pub fn state_materialization_cost(eta: &StateExpr, stats: &Statistics) -> f64 {
-    match eta {
-        StateExpr::Update(u) => update_cost(u, stats),
-        StateExpr::Subst(eps) => eps
-            .iter()
-            .map(|(_, bq)| estimate_cost(bq, stats) + estimate_rows(bq, stats))
-            .sum(),
-        StateExpr::Compose(a, b) => {
-            state_materialization_cost(a, stats)
-                + state_materialization_cost(b, &adjust_stats_for_state(a, stats))
-        }
-    }
-}
-
-fn update_cost(u: &Update, stats: &Statistics) -> f64 {
-    match u {
-        Update::Insert(_, q) | Update::Delete(_, q) => {
-            estimate_cost(q, stats) + estimate_rows(q, stats)
-        }
-        Update::Seq(a, b) => {
-            let mut s = stats.clone();
-            adjust_for_update(a, &mut s);
-            update_cost(a, stats) + update_cost(b, &s)
-        }
+        Update::Seq(a, b) => apply_update(a, stats) + apply_update(b, stats),
         Update::Cond {
             guard,
             then_u,
             else_u,
         } => {
-            estimate_cost(guard, stats) + update_cost(then_u, stats).max(update_cost(else_u, stats))
+            let guard = estimate_cost(guard, stats);
+            let mut other = stats.clone();
+            let then_cost = apply_update(then_u, stats);
+            guard + then_cost.max(apply_update(else_u, &mut other))
         }
     }
 }
 
-/// Count occurrences of any of the given names as base references in a
-/// query — the Example 2.1(c) heuristic signal: many occurrences of
-/// affected relations favor eager materialization.
-pub fn count_occurrences(q: &Query, names: &std::collections::BTreeSet<RelName>) -> usize {
-    match q {
-        Query::Base(name) => usize::from(names.contains(name)),
-        Query::Singleton(_) | Query::Empty { .. } => 0,
-        Query::Select(inner, _) | Query::Project(inner, _) => count_occurrences(inner, names),
-        Query::Union(a, b)
-        | Query::Intersect(a, b)
-        | Query::Product(a, b)
-        | Query::Join(a, b, _)
-        | Query::Diff(a, b) => count_occurrences(a, names) + count_occurrences(b, names),
-        Query::When(inner, eta) => {
-            // Occurrences under an inner when that rebinds the name do not
-            // read the outer hypothetical state.
-            let inner_dom = dom_state_expr(eta);
-            let visible: std::collections::BTreeSet<RelName> =
-                names.difference(&inner_dom).cloned().collect();
-            count_occurrences(inner, &visible)
+/// The top-level point-equality conjuncts `#i = const` of `p` (both
+/// operand orders), descending only through `And` — a disjunction or
+/// negation makes the conjunct non-guaranteed and is ignored. These are
+/// the predicates an index probe can serve.
+pub(crate) fn point_eq_conjuncts(p: &Predicate) -> Vec<(usize, Value)> {
+    fn collect(p: &Predicate, out: &mut Vec<(usize, Value)>) {
+        match p {
+            Predicate::And(a, b) => {
+                collect(a, out);
+                collect(b, out);
+            }
+            Predicate::Cmp(ScalarExpr::Col(i), CmpOp::Eq, ScalarExpr::Const(v))
+            | Predicate::Cmp(ScalarExpr::Const(v), CmpOp::Eq, ScalarExpr::Col(i)) => {
+                out.push((*i, v.clone()));
+            }
+            _ => {}
         }
-        Query::Aggregate { input, .. } => count_occurrences(input, names),
     }
+    let mut out = Vec::new();
+    collect(p, &mut out);
+    out
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hypoquery_algebra::{ExplicitSubst, Predicate};
     use hypoquery_storage::{tuple, Catalog};
@@ -529,6 +476,22 @@ mod tests {
             .union(Query::base("R"))
             .select(Predicate::col_cmp(0, CmpOp::Eq, 7));
         assert!((estimate_rows(&q2, &st) - 2000.0 * SEL_EQ).abs() < 1e-9);
+    }
+
+    #[test]
+    fn point_conjuncts_both_orders_through_and() {
+        let p = Predicate::col_cmp(0, CmpOp::Eq, 3)
+            .and(Predicate::Cmp(
+                ScalarExpr::Const(Value::int(5)),
+                CmpOp::Eq,
+                ScalarExpr::Col(1),
+            ))
+            .and(Predicate::col_cmp(1, CmpOp::Gt, 0));
+        let pts = point_eq_conjuncts(&p);
+        assert_eq!(pts, vec![(0, Value::int(3)), (1, Value::int(5))]);
+        // Disjunctions are not conjuncts.
+        let p = Predicate::col_cmp(0, CmpOp::Eq, 3).or(Predicate::True);
+        assert!(point_eq_conjuncts(&p).is_empty());
     }
 
     #[test]
@@ -599,33 +562,18 @@ mod tests {
     }
 
     #[test]
-    fn occurrence_counting_respects_shadowing() {
-        let names: std::collections::BTreeSet<RelName> = [RelName::new("R")].into();
-        let q = Query::base("R")
-            .union(Query::base("R"))
-            .join(Query::base("S"), Predicate::True);
-        assert_eq!(count_occurrences(&q, &names), 2);
-        // An inner when that rebinds R shadows the outer hypothetical.
-        let inner = Query::base("R").when(StateExpr::subst(ExplicitSubst::single(
-            "R",
-            Query::base("S"),
-        )));
-        let q = Query::base("R").union(inner);
-        assert_eq!(count_occurrences(&q, &names), 1);
-    }
-
-    #[test]
     fn materialization_cost_of_composition_accumulates() {
         let st = stats();
         let e1 = StateExpr::update(Update::insert("R", Query::base("S")));
         let e2 = StateExpr::update(Update::delete("S", Query::base("S")));
-        let c = state_materialization_cost(&e1.clone().compose(e2.clone()), &st);
-        assert!(c >= state_materialization_cost(&e1, &st));
-        assert!(c >= state_materialization_cost(&e2, &st));
+        let cost = |eta: &StateExpr| enter_state(eta, &st).1;
+        let c = cost(&e1.clone().compose(e2.clone()));
+        assert!(c >= cost(&e1));
+        assert!(c >= cost(&e2));
     }
 
     /// A handful of query shapes that exercise every cost-model branch.
-    fn probe_queries() -> Vec<Query> {
+    pub(crate) fn probe_queries() -> Vec<Query> {
         let point = Query::base("R").select(Predicate::col_cmp(0, CmpOp::Eq, 1));
         let join = Query::base("R").join(Query::base("S"), Predicate::col_col(0, CmpOp::Eq, 2));
         let noteq = Query::base("R").select(
@@ -641,26 +589,23 @@ mod tests {
         vec![point, join, noteq, agg, when, Query::base("Missing")]
     }
 
-    #[test]
-    fn zero_row_statistics_yield_finite_nonnegative_estimates() {
-        let st = Statistics::from_cards([("R".into(), 0.0), ("S".into(), 0.0)]);
+    fn assert_finite_nonnegative_estimates(st: &Statistics) {
         for q in probe_queries() {
-            let rows = estimate_rows(&q, &st);
-            let cost = estimate_cost(&q, &st);
+            let Estimate { rows, cost, .. } = estimate(&q, st);
             assert!(rows.is_finite() && rows >= 0.0, "rows for {q}: {rows}");
             assert!(cost.is_finite() && cost >= 0.0, "cost for {q}: {cost}");
         }
     }
 
     #[test]
+    fn zero_row_statistics_yield_finite_nonnegative_estimates() {
+        let st = Statistics::from_cards([("R".into(), 0.0), ("S".into(), 0.0)]);
+        assert_finite_nonnegative_estimates(&st);
+    }
+
+    #[test]
     fn missing_relation_statistics_yield_finite_nonnegative_estimates() {
-        let st = Statistics::default();
-        for q in probe_queries() {
-            let rows = estimate_rows(&q, &st);
-            let cost = estimate_cost(&q, &st);
-            assert!(rows.is_finite() && rows >= 0.0, "rows for {q}: {rows}");
-            assert!(cost.is_finite() && cost >= 0.0, "cost for {q}: {cost}");
-        }
+        assert_finite_nonnegative_estimates(&Statistics::default());
     }
 
     #[test]
@@ -668,12 +613,7 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -42.0] {
             let st = Statistics::from_cards([("R".into(), bad), ("S".into(), 10.0)]);
             assert!(st.card(&"R".into()) >= 0.0 && st.card(&"R".into()).is_finite());
-            for q in probe_queries() {
-                let rows = estimate_rows(&q, &st);
-                let cost = estimate_cost(&q, &st);
-                assert!(rows.is_finite() && rows >= 0.0, "rows for {q}: {rows}");
-                assert!(cost.is_finite() && cost >= 0.0, "cost for {q}: {cost}");
-            }
+            assert_finite_nonnegative_estimates(&st);
         }
     }
 

@@ -5,9 +5,9 @@
 use proptest::prelude::*;
 
 use hypoquery_core::is_mod_enf;
-use hypoquery_eval::{algorithm_hql2, algorithm_hql3, eval_pure, eval_query};
+use hypoquery_eval::{eval_pure, eval_query};
 use hypoquery_opt::implication::{pred_implies, pred_unsat};
-use hypoquery_opt::{optimize, plan, PlannedStrategy, Statistics};
+use hypoquery_opt::{lower_plan, optimize, plan, plan_as, PlannedStrategy, Statistics};
 use hypoquery_testkit::{arb_db, arb_predicate, arb_pure_query, arb_query, arb_tuple, Universe};
 
 fn universe() -> Universe {
@@ -69,8 +69,9 @@ proptest! {
         }
     }
 
-    /// Every plan the planner chooses computes the right answer when
-    /// executed by its matching engine.
+    /// Every plan the planner chooses, and every plan it builds for a
+    /// fixed strategy, computes the right answer when executed by its
+    /// matching engine.
     #[test]
     fn plans_execute_correctly(
         q in arb_query(&universe(), 2, 3),
@@ -80,17 +81,18 @@ proptest! {
         let stats = Statistics::of(&db);
         let p = plan(&q, &u.catalog, &stats);
         let expected = eval_query(&q, &db).unwrap();
-        let got = match p.strategy {
-            PlannedStrategy::Lazy => eval_pure(&p.query, &db).unwrap(),
-            PlannedStrategy::EagerXsub | PlannedStrategy::Hybrid => {
-                algorithm_hql2(&p.query, &db).unwrap()
-            }
-            PlannedStrategy::EagerDelta => {
-                prop_assert!(is_mod_enf(&p.query));
-                algorithm_hql3(&p.query, &db).unwrap()
-            }
-        };
-        prop_assert_eq!(got, expected, "strategy {} on {}", p.strategy, q);
+        if p.strategy == PlannedStrategy::EagerDelta {
+            prop_assert!(is_mod_enf(&p.query));
+        }
+        let got = p.execute_legacy(&db).unwrap();
+        prop_assert_eq!(&got, &expected, "strategy {} on {}", p.strategy, q);
+        // Forced plans, through both the legacy oracle and the pipeline.
+        for s in [PlannedStrategy::Lazy, PlannedStrategy::EagerXsub, PlannedStrategy::EagerDelta] {
+            let Ok(p) = plan_as(&q, &u.catalog, &stats, s) else { continue };
+            prop_assert_eq!(&p.execute_legacy(&db).unwrap(), &expected, "forced {} on {}", s, q);
+            let phys = lower_plan(&p, &u.catalog, &stats).unwrap();
+            prop_assert_eq!(&phys.execute(&db).unwrap(), &expected, "lowered {} on {}", s, q);
+        }
     }
 
     /// The optimizer is idempotent: a second pass changes nothing.

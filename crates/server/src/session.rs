@@ -169,22 +169,23 @@ impl Session {
             }
             _ => (false, src),
         };
-        let text = match (&self.current, analyze) {
-            (None, false) => self.db.explain(&src),
-            (None, true) => self.db.explain_analyze(&src),
-            (Some(b), analyze) => self
-                .db
-                .prepare(&src)
-                .and_then(|q| self.tree.at(b, &q))
-                .and_then(|wrapped| {
-                    if analyze {
-                        self.db.explain_analyze_query(&wrapped)
-                    } else {
-                        self.db.explain_query(&wrapped)
-                    }
-                }),
-        }
-        .map_err(|e| WireError::from_engine(&e))?;
+        // EXPLAIN plans the way QUERY runs: in the current branch, under
+        // the session's strategy.
+        let text = self
+            .db
+            .prepare(&src)
+            .and_then(|q| match &self.current {
+                Some(b) => self.tree.at(b, &q),
+                None => Ok(q),
+            })
+            .and_then(|q| {
+                if analyze {
+                    self.db.explain_analyze_query(&q, self.strategy)
+                } else {
+                    self.db.explain_query(&q, self.strategy)
+                }
+            })
+            .map_err(|e| WireError::from_engine(&e))?;
         Ok(Reply::Text(text))
     }
 
@@ -633,6 +634,29 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert!(t.contains("when"), "{t}");
+    }
+
+    #[test]
+    fn explain_follows_the_session_strategy() {
+        let mut s = session();
+        let text = |s: &mut Session, line: &str| match ok(s, line, "") {
+            Reply::Text(t) => t,
+            other => panic!("{other:?}"),
+        };
+        let q = "inv when {delete from inv (select qty < 15 (inv))}";
+        ok(&mut s, "STRATEGY delta", "");
+        for verb in ["EXPLAIN", "EXPLAIN ANALYZE"] {
+            let t = text(&mut s, &format!("{verb} {q}"));
+            assert!(t.contains("strategy: eager-delta"), "{verb}: {t}");
+        }
+        // On a branch too.
+        ok(&mut s, "BRANCH b", "delete from inv (inv)");
+        ok(&mut s, "SWITCH b", "");
+        ok(&mut s, "STRATEGY hql2", "");
+        for verb in ["EXPLAIN", "EXPLAIN ANALYZE"] {
+            let t = text(&mut s, &format!("{verb} inv"));
+            assert!(t.contains("strategy: eager-xsub"), "{verb}: {t}");
+        }
     }
 
     #[test]
