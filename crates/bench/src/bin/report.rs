@@ -1,33 +1,94 @@
-//! Experiment report generator: runs every experiment (E1–E12) once with
-//! wall-clock timing and prints the paper-claim-vs-measured tables that
-//! EXPERIMENTS.md records. E9–E12 additionally write machine-readable
-//! medians (ns per config) to `BENCH_e9.json` … `BENCH_e12.json` in the
-//! current directory — override the paths with `BENCH_E9_JSON` …
-//! `BENCH_E12_JSON`.
+//! Experiment runner: the one definition of every experiment (E1–E12).
+//! Each experiment runs its cases with median wall-clock timing, prints the
+//! paper-claim-vs-measured table that EXPERIMENTS.md records, and writes
+//! what it measured to `BENCH_<id>.json` in the current directory:
 //!
-//! Run with: `cargo run --release -p hypoquery-bench --bin report`
-//! (a debug build measures the same shapes, ~20× slower.)
+//! ```text
+//! {"experiment": "e5", "quick": false, "cpus": 2,
+//!  "metrics": {"<key>": {"value": 123.4, "unit": "ns"}}}
+//! ```
+//!
+//! Every table cell is formatted from a recorded metric; timings are
+//! medians in `ns`, the rest are `count`s or `ratio`s.
+//!
+//! Run every experiment with `cargo run --release -p hypoquery-bench --bin
+//! report`, or name some: `… --bin report -- e5 e12` runs and writes only
+//! those. An unknown id exits with status 2 and lists the valid ones.
+//! (A debug build measures the same shapes, ~20× slower.)
 //!
 //! Set `HYPOQUERY_BENCH_QUICK=1` for a smoke run (CI): the same
 //! experiments over ~20× smaller relations with minimal repetitions —
 //! numbers are not meaningful, but every code path runs and every
-//! `BENCH_*.json` file is written.
+//! selected `BENCH_*.json` file is written.
 
 use std::time::Instant;
 
-use hypoquery_algebra::{Query, StateExpr};
+use hypoquery_algebra::{CmpOp, Predicate, Query, StateExpr, Update};
 use hypoquery_bench::workload::{
     e12_join_chain, e12_select_chain, e1_query, e2_family, e2_state, e3_db, e3_update, e4_db,
-    e4_query, e5_update, e7_query, e9_db, e9_scenarios, rs_join, two_table_db,
+    e4_query, e5_update, e7_query, e9_db, e9_scenarios, rs_join, sel, two_table_db,
 };
 use hypoquery_core::{
     fully_lazy, lazy_state, red_query, red_state, sub_query, to_enf_query, to_mod_enf, RewriteTrace,
 };
 use hypoquery_eval::{
     algorithm_hql1, algorithm_hql2, algorithm_hql3, eval_pure, filter1, materialize_subst,
+    XsubValue,
 };
 use hypoquery_opt::{lower_query, optimize, plan, reduce_optimized, Statistics};
-use hypoquery_storage::DatabaseState;
+use hypoquery_storage::{tuple, DatabaseState, RelName, Relation};
+
+/// An experiment: runs its cases, prints its table, records into the JSON.
+type Experiment = fn(&mut BenchJson);
+
+/// Every experiment, in report order.
+const EXPERIMENTS: [(&str, Experiment); 12] = [
+    ("e1", e1),
+    ("e2", e2),
+    ("e3", e3),
+    ("e4", e4),
+    ("e5", e5),
+    ("e6", e6),
+    ("e7", e7),
+    ("e8", e8),
+    ("e9", e9),
+    ("e10", e10),
+    ("e11", e11),
+    ("e12", e12),
+];
+
+/// The experiments named by `ids`, in report order; all of them when `ids`
+/// is empty. An unknown id is an error listing the valid ones.
+fn select(ids: &[String]) -> Result<Vec<(&'static str, Experiment)>, String> {
+    if let Some(bad) = ids
+        .iter()
+        .find(|id| !EXPERIMENTS.iter().any(|(e, _)| e == id))
+    {
+        let valid: Vec<&str> = EXPERIMENTS.iter().map(|(e, _)| *e).collect();
+        return Err(format!(
+            "unknown experiment `{bad}`; valid ids: {}",
+            valid.join(" ")
+        ));
+    }
+    Ok(EXPERIMENTS
+        .into_iter()
+        .filter(|(e, _)| ids.is_empty() || ids.iter().any(|id| id == e))
+        .collect())
+}
+
+fn main() {
+    let ids: Vec<String> = std::env::args().skip(1).collect();
+    let selected = select(&ids).unwrap_or_else(|e| {
+        eprintln!("report: {e}");
+        std::process::exit(2)
+    });
+    println!("# hypoquery experiment report\n");
+    for (id, run) in selected {
+        let mut json = BenchJson::new(id);
+        run(&mut json);
+        json.write();
+    }
+}
 
 /// `HYPOQUERY_BENCH_QUICK` selects the CI smoke configuration.
 fn quick() -> bool {
@@ -37,7 +98,7 @@ fn quick() -> bool {
 /// Relation sizes: full scale, or ~20× smaller in quick mode.
 fn scaled(n: usize) -> usize {
     if quick() {
-        (n / 20).max(500)
+        (n / 20).max(50)
     } else {
         n
     }
@@ -52,68 +113,94 @@ fn reps(n: usize) -> usize {
     }
 }
 
-/// Run `f` `reps` times (at least 3): the median wall time in
-/// nanoseconds, and `f`'s last result.
-fn median_ns(reps: usize, mut f: impl FnMut() -> usize) -> (f64, usize) {
-    let mut out = 0;
+/// Run `f` `reps` times (at least 3): the median wall time in nanoseconds.
+fn median_ns(reps: usize, mut f: impl FnMut() -> usize) -> f64 {
     let mut samples: Vec<f64> = (0..reps.max(3))
         .map(|_| {
             let t = Instant::now();
-            out = std::hint::black_box(f());
-            t.elapsed().as_secs_f64() * 1e9
+            std::hint::black_box(f());
+            t.elapsed().as_nanos() as f64
         })
         .collect();
     samples.sort_by(f64::total_cmp);
-    (samples[samples.len() / 2], out)
+    samples[samples.len() / 2]
 }
 
-/// Median-of-3 timing in milliseconds, to damp scheduler noise.
-fn bench_ms(f: impl FnMut() -> usize) -> (f64, usize) {
-    let (ns, out) = median_ns(3, f);
-    (ns / 1e6, out)
+/// The unit of a recorded metric.
+#[derive(Clone, Copy)]
+enum Unit {
+    /// A median wall time.
+    Ns,
+    /// A count (nodes, rebuilds).
+    Count,
+    /// A dimensionless ratio (speedups, overheads).
+    Ratio,
 }
 
-/// One experiment's machine-readable results: median-of-N nanosecond
-/// timings (plus derived figures) as a flat JSON map, written to
-/// `BENCH_<id>.json` in the current directory, or to the path in
-/// `BENCH_<ID>_JSON`.
+impl Unit {
+    fn name(self) -> &'static str {
+        match self {
+            Unit::Ns => "ns",
+            Unit::Count => "count",
+            Unit::Ratio => "ratio",
+        }
+    }
+}
+
+/// One experiment's recorded metrics, written as `BENCH_<id>.json`.
 struct BenchJson {
     id: &'static str,
-    entries: Vec<(String, f64)>,
+    metrics: Vec<(String, f64, Unit)>,
 }
 
 impl BenchJson {
     fn new(id: &'static str) -> Self {
         BenchJson {
             id,
-            entries: Vec::new(),
+            metrics: Vec::new(),
         }
     }
 
     /// Record and return the median of `reps` timings of `f`, in ns.
-    fn time(&mut self, config: &str, reps: usize, f: impl FnMut() -> usize) -> f64 {
-        let (median, _) = median_ns(reps, f);
-        self.record(config, median);
+    fn time(&mut self, key: &str, reps: usize, f: impl FnMut() -> usize) -> f64 {
+        let median = median_ns(reps, f);
+        self.record(key, median, Unit::Ns);
         median
     }
 
-    fn record(&mut self, config: &str, value: f64) {
-        self.entries.push((config.to_string(), value));
+    /// Record one metric; keys are unique within an experiment.
+    fn record(&mut self, key: &str, value: f64, unit: Unit) {
+        assert!(value.is_finite(), "{}: metric {key} is {value}", self.id);
+        assert!(
+            self.metrics.iter().all(|(k, _, _)| k != key),
+            "{}: duplicate metric {key}",
+            self.id
+        );
+        self.metrics.push((key.to_string(), value, unit));
+    }
+
+    fn render(&self, quick: bool, cpus: usize) -> String {
+        let metrics: Vec<String> = self
+            .metrics
+            .iter()
+            .map(|(key, value, unit)| {
+                let unit = unit.name();
+                format!("    \"{key}\": {{\"value\": {value}, \"unit\": \"{unit}\"}}")
+            })
+            .collect();
+        format!(
+            "{{\n  \"experiment\": \"{}\",\n  \"quick\": {quick},\n  \"cpus\": {cpus},\n  \"metrics\": {{\n{}\n  }}\n}}\n",
+            self.id,
+            metrics.join(",\n")
+        )
     }
 
     fn write(self) {
-        let var = format!("BENCH_{}_JSON", self.id.to_uppercase());
-        let path = std::env::var(var).unwrap_or_else(|_| format!("BENCH_{}.json", self.id));
-        let body: Vec<String> = self
-            .entries
-            .iter()
-            .map(|(config, value)| format!("  \"{config}\": {value:.1}"))
-            .collect();
-        let out = format!("{{\n{}\n}}\n", body.join(",\n"));
-        match std::fs::write(&path, out) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let path = format!("BENCH_{}.json", self.id);
+        std::fs::write(&path, self.render(quick(), cpus))
+            .unwrap_or_else(|e| panic!("could not write {path}: {e}"));
+        println!("wrote {path}\n");
     }
 }
 
@@ -126,23 +213,37 @@ fn kilo(n: usize) -> String {
     }
 }
 
-fn main() {
-    println!("# hypoquery experiment report\n");
-    e1();
-    e2();
-    e3();
-    e4();
-    e5();
-    e6();
-    e7();
-    e8();
-    e9();
-    e10();
-    e11();
-    e12();
+/// A median in ns as a millisecond table cell.
+fn ms(ns: f64) -> String {
+    if ns < 1e5 {
+        format!("{:.3}", ns / 1e6)
+    } else {
+        format!("{:.2}", ns / 1e6)
+    }
 }
 
-fn e1() {
+/// A median in ns as a table cell in its natural unit.
+fn fmt_ns(ns: f64) -> String {
+    if ns >= 1e9 {
+        format!("{:.3} s", ns / 1e9)
+    } else if ns >= 1e6 {
+        format!("{:.3} ms", ns / 1e6)
+    } else if ns >= 1e3 {
+        format!("{:.3} µs", ns / 1e3)
+    } else {
+        format!("{ns:.0} ns")
+    }
+}
+
+/// The planner's choice, planned and run end to end (on the oracle walkers).
+fn auto(q: &Query, db: &DatabaseState, stats: &Statistics) -> usize {
+    plan(q, db.catalog(), stats)
+        .execute_legacy(db)
+        .unwrap()
+        .len()
+}
+
+fn e1(json: &mut BenchJson) {
     println!("## E1 — Example 2.1: eager vs lazy on the alternatives query");
     println!("paper claim: lazy rewriting proves the query ≡ ∅ with no data access;");
     println!("eager cost grows with |R|,|S|.\n");
@@ -156,26 +257,33 @@ fn e1() {
         let q = e1_query(keys * 3 / 10, keys * 6 / 10);
         let enf = to_enf_query(&q, &mut RewriteTrace::new());
         let stats = Statistics::of(&db);
-        let (t1, _) = bench_ms(|| algorithm_hql1(&enf, &db).unwrap().len());
-        let (t2, _) = bench_ms(|| algorithm_hql2(&enf, &db).unwrap().len());
-        let (tl, r) = bench_ms(|| {
+        let t1 = json.time(&format!("eager_hql1_{n}"), 3, || {
+            algorithm_hql1(&enf, &db).unwrap().len()
+        });
+        let t2 = json.time(&format!("eager_hql2_{n}"), 3, || {
+            algorithm_hql2(&enf, &db).unwrap().len()
+        });
+        let tl = json.time(&format!("lazy_{n}"), 3, || {
             let reduced = fully_lazy(&q, &mut RewriteTrace::new());
             let (optimized, _) = optimize(&reduced, db.catalog());
-            eval_pure(&optimized, &db).unwrap().len()
+            let rows = eval_pure(&optimized, &db).unwrap().len();
+            assert_eq!(rows, 0);
+            rows
         });
-        assert_eq!(r, 0);
-        let p = plan(&q, db.catalog(), &stats);
-        let picked = p.strategy;
-        let (ta, _) = bench_ms(|| {
-            let p = plan(&q, db.catalog(), &stats);
-            p.execute_legacy(&db).unwrap().len()
-        });
-        println!("| {n} | {t1:.2} | {t2:.2} | {tl:.3} | {ta:.3} | {picked} |");
+        let picked = plan(&q, db.catalog(), &stats).strategy;
+        let ta = json.time(&format!("auto_{n}"), 3, || auto(&q, &db, &stats));
+        println!(
+            "| {n} | {} | {} | {} | {} | {picked} |",
+            ms(t1),
+            ms(t2),
+            ms(tl),
+            ms(ta)
+        );
     }
     println!();
 }
 
-fn e2() {
+fn e2(json: &mut BenchJson) {
     println!("## E2 — Example 2.2: composition amortizes over a query family");
     println!("paper claim: computing the composed substitution once 'might reduce");
     println!("work' when many queries hit the same hypothetical state.\n");
@@ -188,7 +296,8 @@ fn e2() {
     let eta = e2_state(30, 60);
     for k in [1usize, 4, 16, 64] {
         let family = e2_family(k);
-        let (tn, _) = bench_ms(|| {
+        // Naive: every member re-normalizes and re-materializes the state.
+        let tn = json.time(&format!("naive_per_query_{k}"), 3, || {
             family
                 .iter()
                 .map(|q| {
@@ -198,7 +307,8 @@ fn e2() {
                 })
                 .sum()
         });
-        let (te, _) = bench_ms(|| {
+        // Composed once, materialized once, reused k times.
+        let te = json.time(&format!("compose_once_eager_{k}"), 3, || {
             let rho = lazy_state(&eta, &mut RewriteTrace::new());
             let e = materialize_subst(&rho, &db).unwrap();
             family
@@ -206,19 +316,20 @@ fn e2() {
                 .map(|q| filter1(q, &e, &db).unwrap().len())
                 .sum()
         });
-        let (tl, _) = bench_ms(|| {
+        // Composed once, substituted into each query.
+        let tl = json.time(&format!("compose_once_lazy_{k}"), 3, || {
             let rho = lazy_state(&eta, &mut RewriteTrace::new());
             family
                 .iter()
                 .map(|q| eval_pure(&sub_query(q, &rho).unwrap(), &db).unwrap().len())
                 .sum()
         });
-        println!("| {k} | {tn:.2} | {te:.2} | {tl:.2} |");
+        println!("| {k} | {} | {} | {} |", ms(tn), ms(te), ms(tl));
     }
     println!();
 }
 
-fn e3() {
+fn e3(json: &mut BenchJson) {
     println!("## E3 — Example 2.3: binding removal");
     println!("paper claim: dropping the S binding (S not read by the queries)");
     println!("reduces eager data work and lazy optimizer work.\n");
@@ -227,13 +338,15 @@ fn e3() {
     for n in [scaled(5_000), scaled(50_000)] {
         let db = e3_db(n, 3);
         let eta = StateExpr::update(e3_update());
+        // The family's queries avoid S entirely.
         let q = Query::base("R").union(Query::base("T"));
-        let (tf, _) = bench_ms(|| {
+        let tf = json.time(&format!("eager_full_subst_{n}"), 3, || {
             let rho = red_state(&eta).unwrap();
             let e = materialize_subst(&rho, &db).unwrap();
             filter1(&q, &e, &db).unwrap().len()
         });
-        let (tr, _) = bench_ms(|| {
+        // Restrict to free(q) = {R, T} first: the S slice is never computed.
+        let tr = json.time(&format!("eager_binding_removed_{n}"), 3, || {
             let rho = red_state(&eta).unwrap();
             let free = hypoquery_algebra::scope::free_query(&q);
             let restricted: hypoquery_algebra::ExplicitSubst = rho
@@ -244,49 +357,75 @@ fn e3() {
             let e = materialize_subst(&restricted, &db).unwrap();
             filter1(&q, &e, &db).unwrap().len()
         });
-        let (tlr, _) = bench_ms(|| {
+        let tlr = json.time(&format!("lazy_red_{n}"), 3, || {
             let reduced = red_query(&q.clone().when(eta.clone())).unwrap();
             eval_pure(&reduced, &db).unwrap().len()
         });
-        let (tlb, _) = bench_ms(|| {
+        let tlb = json.time(&format!("lazy_binding_removed_{n}"), 3, || {
             let reduced = fully_lazy(&q.clone().when(eta.clone()), &mut RewriteTrace::new());
             eval_pure(&reduced, &db).unwrap().len()
         });
-        println!("| {n} | {tf:.2} | {tr:.2} | {tlr:.2} | {tlb:.2} |");
+        println!(
+            "| {n} | {} | {} | {} | {} |",
+            ms(tf),
+            ms(tr),
+            ms(tlr),
+            ms(tlb)
+        );
     }
     println!();
 }
 
-fn e4() {
+fn e4(json: &mut BenchJson) {
     println!("## E4 — Example 2.4: exponential blow-up and the rescue");
     println!("paper claims: (a) the lazy equivalent is exponential in n;");
     println!("(b) algebra rewriting finds ∅ cheaply; (c) eager wins on small values.\n");
-    println!("| n | input nodes | lazy nodes | lazy red (ms) | rescue (ms) | eager HQL-1 (ms) |");
-    println!("|---:|---:|---:|---:|---:|---:|");
+    println!("| n | input nodes | lazy nodes | lazy red (ms) | rescue (ms) | eager HQL-1 (ms) | lazy then eval (ms) |");
+    println!("|---:|---:|---:|---:|---:|---:|---:|");
     let depths: &[usize] = if quick() { &[6, 8] } else { &[6, 10, 14] };
     for &n in depths {
-        let (q, _) = e4_query(n, None);
+        let (q, catalog) = e4_query(n, None);
         let input_nodes = q.node_count();
-        let (tred, lazy_nodes) = bench_ms(|| red_query(&q).unwrap().node_count());
-        let (q_rescue, catalog) = e4_query(n, Some(1));
-        let (tres, rescue_nodes) =
-            bench_ms(|| reduce_optimized(&q_rescue, &catalog).0.node_count());
-        assert_eq!(rescue_nodes, 1); // ∅
-        let eager = if n <= 10 {
-            let (qq, cat) = e4_query(n, None);
-            let db = e4_db(&cat, 1);
-            let enf = to_enf_query(&qq, &mut RewriteTrace::new());
-            let (te, _) = bench_ms(|| algorithm_hql1(&enf, &db).unwrap().len());
-            format!("{te:.2}")
+        json.record(&format!("input_nodes_{n}"), input_nodes as f64, Unit::Count);
+        let mut lazy_nodes = 0;
+        let tred = json.time(&format!("lazy_red_products_{n}"), 3, || {
+            lazy_nodes = red_query(&q).unwrap().node_count();
+            lazy_nodes
+        });
+        json.record(&format!("lazy_nodes_{n}"), lazy_nodes as f64, Unit::Count);
+        // The empty innermost level short-circuits interleaved
+        // reduction and simplification.
+        let (q_rescue, rescue_catalog) = e4_query(n, Some(1));
+        let tres = json.time(&format!("rewriting_rescue_{n}"), 3, || {
+            let nodes = reduce_optimized(&q_rescue, &rescue_catalog).0.node_count();
+            assert_eq!(nodes, 1); // ∅
+            nodes
+        });
+        // Small Eᵢ values: HQL-1 materializes them level by level, while
+        // lazy evaluation still pays the 2ⁿ rewrite.
+        let (eager, lazy_eval) = if n <= 10 {
+            let db = e4_db(&catalog, 1);
+            let enf = to_enf_query(&q, &mut RewriteTrace::new());
+            let te = json.time(&format!("eager_small_values_{n}"), 3, || {
+                algorithm_hql1(&enf, &db).unwrap().len()
+            });
+            let tle = json.time(&format!("lazy_then_eval_{n}"), 3, || {
+                eval_pure(&red_query(&q).unwrap(), &db).unwrap().len()
+            });
+            (ms(te), ms(tle))
         } else {
-            "—".to_string()
+            ("—".to_string(), "—".to_string())
         };
-        println!("| {n} | {input_nodes} | {lazy_nodes} | {tred:.2} | {tres:.3} | {eager} |");
+        println!(
+            "| {n} | {input_nodes} | {lazy_nodes} | {} | {} | {eager} | {lazy_eval} |",
+            ms(tred),
+            ms(tres)
+        );
     }
     println!();
 }
 
-fn e5() {
+fn e5(json: &mut BenchJson) {
     println!("## E5 — §5.5: join-when overhead vs delta size");
     println!("paper claim (rule of thumb): a delta of x% of the base relations");
     println!("makes join-when only nominally more expensive than the plain join");
@@ -295,8 +434,10 @@ fn e5() {
     let n = scaled(50_000);
     let db = two_table_db(n, n, (n as i64) * 10, 4);
     let join = rs_join();
-    let (tbase, _) = bench_ms(|| eval_pure(&join, &db).unwrap().len());
-    println!("plain join baseline: {tbase:.2} ms\n");
+    let tbase = json.time("plain_join_baseline", 3, || {
+        eval_pure(&join, &db).unwrap().len()
+    });
+    println!("plain join baseline: {} ms\n", ms(tbase));
     println!("| delta % | join-when only (ms) | overhead vs join | HQL-3 end-to-end (ms) | HQL-2 xsub (ms) |");
     println!("|---:|---:|---:|---:|---:|");
     for pct in [0.5f64, 2.0, 10.0, 25.0, 50.0] {
@@ -313,20 +454,35 @@ fn e5() {
             &db,
         )
         .unwrap();
-        let (tjw, _) = bench_ms(|| {
+        let tjw = json.time(&format!("join_when_only_{pct}pct"), 3, || {
             hypoquery_eval::eval_filter_d(&join, &delta, &db)
                 .unwrap()
                 .len()
         });
-        let (t3, _) = bench_ms(|| algorithm_hql3(&modq, &db).unwrap().len());
-        let (t2, _) = bench_ms(|| algorithm_hql2(&enfq, &db).unwrap().len());
-        let overhead = (tjw / tbase - 1.0) * 100.0;
-        println!("| {pct} | {tjw:.2} | {overhead:+.0}% | {t3:.2} | {t2:.2} |");
+        let overhead = tjw / tbase;
+        json.record(
+            &format!("join_when_overhead_{pct}pct"),
+            overhead,
+            Unit::Ratio,
+        );
+        let t3 = json.time(&format!("hql3_join_when_{pct}pct"), 3, || {
+            algorithm_hql3(&modq, &db).unwrap().len()
+        });
+        let t2 = json.time(&format!("hql2_xsub_{pct}pct"), 3, || {
+            algorithm_hql2(&enfq, &db).unwrap().len()
+        });
+        println!(
+            "| {pct} | {} | {:+.0}% | {} | {} |",
+            ms(tjw),
+            (overhead - 1.0) * 100.0,
+            ms(t3),
+            ms(t2)
+        );
     }
     println!();
 }
 
-fn e6() {
+fn e6(json: &mut BenchJson) {
     println!("## E6 — §5.4: HQL-1 (node-at-a-time) vs HQL-2 (clustered)");
     println!("paper claim: HQL-1 'does not permit grouping of relational algebra");
     println!("operators into single physical operations'.\n");
@@ -334,40 +490,46 @@ fn e6() {
     println!("|:--|---:|---:|");
     let n = scaled(30_000);
     let db = two_table_db(n, n, 5_000, 5);
-    use hypoquery_algebra::{CmpOp, Predicate, Update};
-    let eta = StateExpr::update(Update::insert(
-        "R",
-        Query::base("S").select(Predicate::col_cmp(0, CmpOp::Gt, 30)),
-    ));
-    let cases = vec![
+    let eta = StateExpr::update(Update::insert("R", sel(Query::base("S"), CmpOp::Gt, 30)));
+    let rs = || Query::base("R").join(Query::base("S"), Predicate::col_col(0, CmpOp::Eq, 2));
+    let cases = [
         (
+            "join_select",
             "R ⋈ σ(S)",
-            Query::base("R")
-                .join(
-                    Query::base("S").select(Predicate::col_cmp(0, CmpOp::Lt, 70)),
-                    Predicate::col_col(0, CmpOp::Eq, 2),
-                )
-                .when(eta.clone()),
+            Query::base("R").join(
+                sel(Query::base("S"), CmpOp::Lt, 70),
+                Predicate::col_col(0, CmpOp::Eq, 2),
+            ),
         ),
         (
+            "select_join_project",
             "π(σ(R ⋈ S))",
-            Query::base("R")
-                .join(Query::base("S"), Predicate::col_col(0, CmpOp::Eq, 2))
-                .select(Predicate::col_cmp(1, CmpOp::Gt, 100))
-                .project([0, 3])
-                .when(eta.clone()),
+            rs().select(Predicate::col_cmp(1, CmpOp::Gt, 100))
+                .project([0, 3]),
+        ),
+        (
+            "union_of_joins",
+            "R ⋈ S ∪ σ(R) ⋈ S",
+            rs().union(
+                sel(Query::base("R"), CmpOp::Le, 50)
+                    .join(Query::base("S"), Predicate::col_col(1, CmpOp::Eq, 3)),
+            ),
         ),
     ];
-    for (name, q) in cases {
-        let enf = to_enf_query(&q, &mut RewriteTrace::new());
-        let (t1, _) = bench_ms(|| algorithm_hql1(&enf, &db).unwrap().len());
-        let (t2, _) = bench_ms(|| algorithm_hql2(&enf, &db).unwrap().len());
-        println!("| {name} | {t1:.2} | {t2:.2} |");
+    for (key, name, body) in cases {
+        let enf = to_enf_query(&body.when(eta.clone()), &mut RewriteTrace::new());
+        let t1 = json.time(&format!("hql1_{key}"), 3, || {
+            algorithm_hql1(&enf, &db).unwrap().len()
+        });
+        let t2 = json.time(&format!("hql2_{key}"), 3, || {
+            algorithm_hql2(&enf, &db).unwrap().len()
+        });
+        println!("| {name} | {} | {} |", ms(t1), ms(t2));
     }
     println!();
 }
 
-fn e7() {
+fn e7(json: &mut BenchJson) {
     println!("## E7 — Example 2.1(c): lazy↔eager crossover by occurrence count");
     println!("paper claim: lazy wins when affected names 'occur only once or");
     println!("twice'; eager wins as occurrences grow.\n");
@@ -379,23 +541,21 @@ fn e7() {
     for m in [1usize, 2, 4, 8, 16] {
         let q = e7_query(m);
         let enf = to_enf_query(&q, &mut RewriteTrace::new());
-        let (tl, _) = bench_ms(|| {
+        let tl = json.time(&format!("lazy_{m}"), 3, || {
             let reduced = fully_lazy(&q, &mut RewriteTrace::new());
             eval_pure(&reduced, &db).unwrap().len()
         });
-        let (te, _) = bench_ms(|| algorithm_hql2(&enf, &db).unwrap().len());
-        let p = plan(&q, db.catalog(), &stats);
-        let picked = p.strategy;
-        let (ta, _) = bench_ms(|| {
-            let p = plan(&q, db.catalog(), &stats);
-            p.execute_legacy(&db).unwrap().len()
+        let te = json.time(&format!("eager_hql2_{m}"), 3, || {
+            algorithm_hql2(&enf, &db).unwrap().len()
         });
-        println!("| {m} | {tl:.2} | {te:.2} | {ta:.2} | {picked} |");
+        let picked = plan(&q, db.catalog(), &stats).strategy;
+        let ta = json.time(&format!("auto_{m}"), 3, || auto(&q, &db, &stats));
+        println!("| {m} | {} | {} | {} | {picked} |", ms(tl), ms(te), ms(ta));
     }
     println!();
 }
 
-fn e8() {
+fn e8(json: &mut BenchJson) {
     println!("## E8 — planner vs fixed strategies across scenarios");
     println!("claim: no fixed strategy wins everywhere; Auto tracks the best.\n");
     println!("| scenario | lazy (ms) | HQL-2 (ms) | HQL-3 (ms) | auto (ms) | auto picked |");
@@ -403,47 +563,61 @@ fn e8() {
     let n = scaled(20_000);
     let db = two_table_db(n, n, n as i64, 8);
     let stats = Statistics::of(&db);
-    let scenarios: Vec<(&str, Query)> = vec![
-        ("empty_provable (E1)", e1_query(6_000, 12_000)),
+    let scenarios = [
+        ("empty_provable", "E1", e1_query(6_000, 12_000)),
         (
-            "small_delta_join (E5)",
+            "small_delta_join",
+            "E5",
             rs_join().when(StateExpr::update(e5_update(&db, 0.02))),
         ),
-        ("many_occurrences (E7)", e7_query(8)),
+        ("many_occurrences", "E7", e7_query(8)),
     ];
-    for (name, q) in scenarios {
-        let (tl, _) = bench_ms(|| {
+    for (name, from, q) in scenarios {
+        let tl = json.time(&format!("fixed_lazy_{name}"), 3, || {
             let reduced = fully_lazy(&q, &mut RewriteTrace::new());
             let (optimized, _) = optimize(&reduced, db.catalog());
             eval_pure(&optimized, &db).unwrap().len()
         });
         let enf = to_enf_query(&q, &mut RewriteTrace::new());
-        let (t2, _) = bench_ms(|| algorithm_hql2(&enf, &db).unwrap().len());
+        let t2 = json.time(&format!("fixed_hql2_{name}"), 3, || {
+            algorithm_hql2(&enf, &db).unwrap().len()
+        });
+        // HQL-3 needs a mod-ENF form; without one the cell stays empty.
         let t3 = match to_mod_enf(&q) {
-            Ok(m) => {
-                let (t, _) = bench_ms(|| algorithm_hql3(&m, &db).unwrap().len());
-                format!("{t:.2}")
-            }
+            Ok(m) => ms(json.time(&format!("fixed_hql3_{name}"), 3, || {
+                algorithm_hql3(&m, &db).unwrap().len()
+            })),
             Err(_) => "—".to_string(),
         };
-        let p = plan(&q, db.catalog(), &stats);
-        let picked = p.strategy;
-        let (ta, _) = bench_ms(|| {
-            let p = plan(&q, db.catalog(), &stats);
-            p.execute_legacy(&db).unwrap().len()
-        });
-        println!("| {name} | {tl:.2} | {t2:.2} | {t3} | {ta:.2} | {picked} |");
+        let picked = plan(&q, db.catalog(), &stats).strategy;
+        let ta = json.time(&format!("auto_{name}"), 3, || auto(&q, &db, &stats));
+        println!(
+            "| {name} ({from}) | {} | {} | {t3} | {} | {picked} |",
+            ms(tl),
+            ms(t2),
+            ms(ta)
+        );
     }
     println!();
 }
 
-fn e9() {
+/// What cloning a state cost before shared storage: every tuple set rebuilt.
+fn deep_copy(state: &DatabaseState) -> DatabaseState {
+    let mut out = DatabaseState::new(state.catalog().clone());
+    for (name, rel) in state.iter() {
+        let copy = Relation::from_rows(rel.arity(), rel.iter().cloned()).unwrap();
+        out.set(name.clone(), copy).unwrap();
+    }
+    out
+}
+
+fn e9(json: &mut BenchJson) {
+    use hypoquery_engine::Strategy;
+
     println!("## E9 — copy-on-write snapshots + parallel multi-scenario executor");
     println!("claims: state snapshots are O(#relations) pointer bumps, not O(data);");
     println!("k independent what-if branches over one base share it physically and");
     println!("fan out across cores (speedup ~min(k, cores)× when work dominates).\n");
-
-    let mut json = BenchJson::new("e9");
 
     let rows = scaled(100_000);
     let size = kilo(rows);
@@ -458,83 +632,79 @@ fn e9() {
         fmt_ns(t)
     );
     let t = json.time(&format!("clone_deep_{size}"), reps(5), || {
-        let mut out = DatabaseState::new(state.catalog().clone());
-        for (name, rel) in state.iter() {
-            let copy =
-                hypoquery_storage::Relation::from_rows(rel.arity(), rel.iter().cloned()).unwrap();
-            out.set(name.clone(), copy).unwrap();
-        }
-        out.total_tuples()
+        deep_copy(&state).total_tuples()
     });
     println!("| deep copy (pre-CoW cost model) | {} |", fmt_ns(t));
 
+    // A one-binding xsub-value: applying it must not copy R or S.
+    let small = Relation::from_rows(2, (0..64i64).map(|i| tuple![i, -i])).unwrap();
+    let xsub = XsubValue::new([("S".into(), small.clone())]);
+    let (r, s) = (RelName::new("R"), RelName::new("S"));
+    let applied = xsub.apply(&state).unwrap();
+    assert!(applied.get(&r).unwrap().ptr_eq(&state.get(&r).unwrap()));
+    assert!(applied.get(&s).unwrap().ptr_eq(&small));
+    let t = json.time(&format!("xsub_apply_{size}"), reps(101), || {
+        xsub.apply(&state).unwrap().total_tuples()
+    });
+    println!(
+        "| `XsubValue::apply`, one 64-row binding over {rows} rows | {} |",
+        fmt_ns(t)
+    );
+
     let db = e9_db(rows, 9);
-    let k = 8usize;
-    let scenarios = e9_scenarios(k);
-    let t_deep = json.time(
-        &format!("scenarios_deepcopy_seq_{k}x{size}"),
-        reps(5),
-        || {
+    let mut speedups = Vec::new();
+    for k in [2usize, 8] {
+        let scenarios = e9_scenarios(k);
+        // The seed's cost model: every scenario snapshot deep-copies the
+        // base state before evaluating.
+        let t_deep = json.time(
+            &format!("scenarios_deepcopy_seq_{k}x{size}"),
+            reps(5),
+            || {
+                scenarios
+                    .iter()
+                    .map(|q| {
+                        std::hint::black_box(deep_copy(db.state()));
+                        db.execute(q, Strategy::Lazy).unwrap().len()
+                    })
+                    .sum()
+            },
+        );
+        println!(
+            "| {k} scenarios, deep snapshot each (seed cost model) | {} |",
+            fmt_ns(t_deep)
+        );
+        let t_seq = json.time(&format!("scenarios_cow_seq_{k}x{size}"), reps(5), || {
             scenarios
                 .iter()
-                .map(|q| {
-                    let mut snapshot = DatabaseState::new(db.state().catalog().clone());
-                    for (name, rel) in db.state().iter() {
-                        let copy = hypoquery_storage::Relation::from_rows(
-                            rel.arity(),
-                            rel.iter().cloned(),
-                        )
-                        .unwrap();
-                        snapshot.set(name.clone(), copy).unwrap();
-                    }
-                    std::hint::black_box(&snapshot);
-                    db.execute(q, hypoquery_engine::Strategy::Lazy)
-                        .unwrap()
-                        .len()
-                })
+                .map(|q| db.execute(q, Strategy::Lazy).unwrap().len())
                 .sum()
-        },
-    );
-    println!(
-        "| {k} scenarios, deep snapshot each (seed cost model) | {} |",
-        fmt_ns(t_deep)
-    );
-    let t_seq = json.time(&format!("scenarios_cow_seq_{k}x{size}"), reps(5), || {
-        scenarios
-            .iter()
-            .map(|q| {
-                db.execute(q, hypoquery_engine::Strategy::Lazy)
-                    .unwrap()
-                    .len()
-            })
-            .sum()
-    });
-    println!(
-        "| {k} scenarios, CoW snapshots, sequential | {} |",
-        fmt_ns(t_seq)
-    );
-    let t_par = json.time(&format!("scenarios_cow_par_{k}x{size}"), reps(5), || {
-        db.execute_many(&scenarios, hypoquery_engine::Strategy::Lazy)
-            .unwrap()
-            .iter()
-            .map(|r| r.len())
-            .sum()
-    });
-    println!(
-        "| {k} scenarios, CoW snapshots, parallel ({} workers) | {} |",
-        hypoquery_eval::num_workers(),
-        fmt_ns(t_par)
-    );
-    println!(
-        "\nspeedup vs seed cost model: sequential {:.1}×, parallel {:.1}×\n",
-        t_deep / t_seq,
-        t_deep / t_par
-    );
-
-    json.write();
+        });
+        println!(
+            "| {k} scenarios, CoW snapshots, sequential | {} |",
+            fmt_ns(t_seq)
+        );
+        let t_par = json.time(&format!("scenarios_cow_par_{k}x{size}"), reps(5), || {
+            db.execute_many(&scenarios, Strategy::Lazy)
+                .unwrap()
+                .iter()
+                .map(|r| r.len())
+                .sum()
+        });
+        println!(
+            "| {k} scenarios, CoW snapshots, parallel ({} workers) | {} |",
+            hypoquery_eval::num_workers(),
+            fmt_ns(t_par)
+        );
+        let (seq, par) = (t_deep / t_seq, t_deep / t_par);
+        json.record(&format!("speedup_seq_{k}x{size}"), seq, Unit::Ratio);
+        json.record(&format!("speedup_par_{k}x{size}"), par, Unit::Ratio);
+        speedups.push(format!("k={k}: sequential {seq:.1}×, parallel {par:.1}×"));
+    }
+    println!("\nspeedup vs seed cost model: {}\n", speedups.join("; "));
 }
 
-fn e10() {
+fn e10(json: &mut BenchJson) {
     println!("## E10 — network service layer: wire overhead and served throughput");
     println!("claims: the wire protocol adds a fixed per-request cost (framing +");
     println!("loopback + dispatch) on top of in-process evaluation, and the worker");
@@ -542,18 +712,13 @@ fn e10() {
     println!("state — served results are bit-identical to in-process ones.\n");
 
     use hypoquery_client::Client;
-    use hypoquery_server::{serve, ServerConfig};
+    use hypoquery_server::{serve, Reply, Request, ServerConfig, Session, Verb};
 
     let rows = scaled(10_000);
     let query = "select #0 > 990 (R) union select #0 <= 5 (S)";
     let branch_update = "delete from R (select #0 < 500 (R))";
 
-    let state = two_table_db(rows, rows, 1000, 10);
-    let mut db = hypoquery_engine::Database::with_catalog(state.catalog().clone());
-    for (name, rel) in state.iter() {
-        db.load(name.as_str(), rel.iter().cloned()).unwrap();
-    }
-
+    let db = e9_db(rows, 10);
     const CLIENTS: usize = 8;
     let handle = serve(
         ServerConfig {
@@ -566,15 +731,21 @@ fn e10() {
     .unwrap();
     let addr = handle.addr();
 
-    let mut json = BenchJson::new("e10");
-
     println!("| config | median |");
     println!("|:--|---:|");
+    // The dispatch the server runs per request, minus sockets and framing,
+    // so the overhead ratio below measures only the wire.
+    let mut session = Session::new(db.clone());
+    let req = Request::new(Verb::Query, query, "");
     let t_inproc = json.time(&format!("inproc_query_{rows}"), reps(101), || {
-        db.query(query).unwrap().len()
+        let (reply, _) = session.handle(&req);
+        match reply {
+            Reply::Rows(rel) => rel.len(),
+            other => panic!("in-process QUERY failed: {other:?}"),
+        }
     });
     println!(
-        "| in-process query ({rows} rows/table) | {} |",
+        "| in-process `QUERY` dispatch ({rows} rows/table) | {} |",
         fmt_ns(t_inproc)
     );
 
@@ -632,30 +803,24 @@ fn e10() {
         "| {CLIENTS} clients × {per_client} queries (throughput) | {} ({rps:.0} req/s) |",
         fmt_ns(t_total)
     );
+    let overhead = t_wire / t_inproc;
+    json.record("wire_overhead_query", overhead, Unit::Ratio);
     println!(
-        "\nwire overhead vs in-process: query {:.2}×, floor (ping) {}\n",
-        t_wire / t_inproc,
+        "\nwire overhead vs in-process: query {overhead:.2}×, floor (ping) {}\n",
         fmt_ns(t_ping)
     );
 
     client.shutdown().unwrap();
     handle.join();
-
-    json.write();
 }
 
-fn e11() {
+fn e11(json: &mut BenchJson) {
     println!("## E11 — secondary indexes: point queries and snapshot reuse");
     println!("claims: a declared hash index answers point-equality selects ≥10×");
     println!("faster than a full scan at 100k rows, and CoW branches that leave");
     println!("the indexed base untouched share the one physical index — zero");
     println!("rebuilds across an 8-branch what-if tree. Measured on the pipeline:");
     println!("each query is lowered and executed; statistics are computed once.\n");
-
-    use hypoquery_algebra::CmpOp;
-    use hypoquery_storage::{tuple, RelName};
-
-    let mut json = BenchJson::new("e11");
 
     let rows = scaled(100_000);
     let db = two_table_db(rows, rows, rows as i64, 11);
@@ -665,7 +830,7 @@ fn e11() {
     let keys: Vec<i64> = (0..64i64).map(|i| (i * 7919) % rows as i64).collect();
     // Lower and run `σ_{#0=k}(R)` in a state under its statistics.
     let point = |k: i64, db: &DatabaseState, stats: &Statistics| {
-        let q = hypoquery_bench::workload::sel(Query::base("R"), CmpOp::Eq, k);
+        let q = sel(Query::base("R"), CmpOp::Eq, k);
         let plan = lower_query(&q, db.catalog(), stats).unwrap();
         plan.execute(db).unwrap().len()
     };
@@ -722,20 +887,16 @@ fn e11() {
         "\npoint-select speedup: {speedup:.1}×; index rebuilds across 8 branches: {rebuilds}\n"
     );
 
-    json.record("point_select_speedup", speedup);
-    json.record("branch_index_rebuilds_8x", rebuilds as f64);
-    json.write();
+    json.record("point_select_speedup", speedup, Unit::Ratio);
+    json.record("branch_index_rebuilds_8x", rebuilds as f64, Unit::Count);
 }
 
-fn e12() {
+fn e12(json: &mut BenchJson) {
     println!("## E12 — pipelined physical operators vs materializing walkers");
     println!("claim: streaming deep select/project/join chains through the");
     println!("physical operator layer beats (or at worst matches) the legacy");
     println!("tree-walkers, which materialize a BTreeSet per operator — on the");
     println!("same prepared query form under lazy, HQL-2, and HQL-3.\n");
-
-    let mut json = BenchJson::new("e12");
-    let mut speedups: Vec<(String, f64)> = Vec::new();
 
     println!("| shape | rows | strategy | legacy | pipelined | speedup |");
     println!("|:--|---:|:--|---:|---:|---:|");
@@ -772,7 +933,11 @@ fn e12() {
                     || phys.execute(&db).unwrap().len(),
                 );
                 let speedup = t_legacy / t_pipe;
-                speedups.push((format!("{shape}_{strat}_speedup_{rows}"), speedup));
+                json.record(
+                    &format!("{shape}_{strat}_speedup_{rows}"),
+                    speedup,
+                    Unit::Ratio,
+                );
                 println!(
                     "| {shape} | {rows} | {strat} | {} | {} | {speedup:.2}× |",
                     fmt_ns(t_legacy),
@@ -782,21 +947,59 @@ fn e12() {
         }
     }
     println!();
-
-    for (config, speedup) in speedups {
-        json.record(&config, speedup);
-    }
-    json.write();
 }
 
-fn fmt_ns(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.3} s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.3} ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.3} µs", ns / 1e3)
-    } else {
-        format!("{ns:.0} ns")
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_carries_the_schema_and_a_unit_on_every_metric() {
+        let mut json = BenchJson::new("e5");
+        let t = json.time("plain_join_baseline", 3, || 0);
+        json.record("lazy_nodes_6", 127.0, Unit::Count);
+        json.record("point_select_speedup", 12.5, Unit::Ratio);
+        assert_eq!(
+            json.render(true, 2),
+            format!(
+                r#"{{
+  "experiment": "e5",
+  "quick": true,
+  "cpus": 2,
+  "metrics": {{
+    "plain_join_baseline": {{"value": {t}, "unit": "ns"}},
+    "lazy_nodes_6": {{"value": 127, "unit": "count"}},
+    "point_select_speedup": {{"value": 12.5, "unit": "ratio"}}
+  }}
+}}
+"#
+            )
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate metric")]
+    fn duplicate_keys_are_rejected() {
+        let mut json = BenchJson::new("e1");
+        json.record("lazy_500", 1.0, Unit::Ns);
+        json.record("lazy_500", 2.0, Unit::Ns);
+    }
+
+    #[test]
+    fn ids_select_experiments_and_unknown_ids_are_rejected() {
+        let ids = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            select(&args).map(|sel| sel.into_iter().map(|(id, _)| id).collect::<Vec<_>>())
+        };
+        let all: Vec<String> = (1..=12).map(|i| format!("e{i}")).collect();
+        assert_eq!(ids(&[]).unwrap(), all);
+        assert_eq!(ids(&["e11"]).unwrap(), ["e11"]);
+        assert_eq!(ids(&["e12", "e5"]).unwrap(), ["e5", "e12"]);
+        let err = ids(&["e5", "e13"]).unwrap_err();
+        assert!(err.contains("`e13`"), "{err}");
+        assert!(
+            err.ends_with("valid ids: e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12"),
+            "{err}"
+        );
     }
 }

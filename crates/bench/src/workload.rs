@@ -1,5 +1,4 @@
-//! Workload generators shared by the Criterion benches and the `report`
-//! binary.
+//! Workload generators for the experiments of the `report` binary.
 //!
 //! The paper has no published datasets; every claim it makes is a *shape*
 //! claim (who wins, how cost scales with a parameter), so synthetic
@@ -227,8 +226,8 @@ pub fn e7_query(m: usize) -> Query {
     body.when(StateExpr::update(Update::insert("R", expensive)))
 }
 
-/// E9: an engine-level database for the multi-scenario executor —
-/// `R` and `S` with `rows` rows each, keys over `0..1000`.
+/// E9/E10: an engine-level database for the multi-scenario executor and
+/// the server — `R` and `S` with `rows` rows each, keys over `0..1000`.
 pub fn e9_db(rows: usize, seed: u64) -> hypoquery_engine::Database {
     let state = two_table_db(rows, rows, 1000, seed);
     let mut db = hypoquery_engine::Database::with_catalog(state.catalog().clone());

@@ -46,14 +46,6 @@ impl WhatIfTree {
         parent: Option<&str>,
         update: &str,
     ) -> Result<(), EngineError> {
-        if self.branches.contains_key(name) {
-            return Err(EngineError::DuplicateName(name.to_string()));
-        }
-        if let Some(p) = parent {
-            if !self.branches.contains_key(p) {
-                return Err(EngineError::UnknownName(p.to_string()));
-            }
-        }
         let u = parse_update_named(update, db.catalog())?;
         self.branch_update(db, name, parent, u)
     }
@@ -141,7 +133,14 @@ impl WhatIfTree {
     /// The composed state expression for the path from the root to
     /// `branch`: `{U_root} # … # {U_branch}` (root applied first).
     pub fn state_of(&self, branch: &str) -> Result<StateExpr, EngineError> {
-        let mut path: Vec<&Update> = Vec::new();
+        let mut path = self.path(branch)?.into_iter().cloned();
+        let first = StateExpr::update(path.next().expect("at least the branch itself"));
+        Ok(path.fold(first, |eta, u| eta.compose(StateExpr::update(u))))
+    }
+
+    /// The updates on the path from the root to `branch`, root first.
+    fn path(&self, branch: &str) -> Result<Vec<&Update>, EngineError> {
+        let mut path = Vec::new();
         let mut cur = Some(branch);
         while let Some(name) = cur {
             let b = self
@@ -151,14 +150,8 @@ impl WhatIfTree {
             path.push(&b.update);
             cur = b.parent.as_deref();
         }
-        // path is leaf→root; compose root-first.
-        let mut iter = path.into_iter().rev();
-        let first = iter.next().expect("at least the branch itself");
-        let mut eta = StateExpr::update(first.clone());
-        for u in iter {
-            eta = eta.compose(StateExpr::update(u.clone()));
-        }
-        Ok(eta)
+        path.reverse();
+        Ok(path)
     }
 
     /// Wrap a query so it evaluates in the named branch's hypothetical
@@ -227,23 +220,11 @@ impl WhatIfTree {
     }
 
     /// Commit a branch: apply its path's updates to the real database
-    /// state (through constraint checking) and drop the whole tree, whose
-    /// hypothetical states are now stale.
+    /// state as one constraint-checked sequence (all or nothing) and drop
+    /// the whole tree, whose hypothetical states are now stale.
     pub fn commit(self, db: &mut Database, branch: &str) -> Result<(), EngineError> {
-        let mut path: Vec<Update> = Vec::new();
-        let mut cur = Some(branch.to_string());
-        while let Some(name) = cur {
-            let b = self
-                .branches
-                .get(&name)
-                .ok_or_else(|| EngineError::UnknownName(name.clone()))?;
-            path.push(b.update.clone());
-            cur = b.parent.clone();
-        }
-        for u in path.into_iter().rev() {
-            db.apply_update(&u)?;
-        }
-        Ok(())
+        let path = self.path(branch)?.into_iter().cloned();
+        db.apply_update(&Update::seq(path))
     }
 }
 
@@ -338,6 +319,12 @@ mod tests {
     fn state_of_composes_root_first() {
         let (db, tree) = setup();
         let eta = tree.state_of("restock").unwrap();
+        let upd = |src| StateExpr::update(parse_update_named(src, db.catalog()).unwrap());
+        assert_eq!(
+            eta,
+            upd("delete from inv (select #1 < 15 (inv))")
+                .compose(upd("insert into inv (row(4, 40))"))
+        );
         // Evaluate directly: should equal querying at the branch.
         let q = Query::base("inv").when(eta);
         let via_state = db.execute(&q, Strategy::Lazy).unwrap();
@@ -400,6 +387,25 @@ mod tests {
                 .len(),
             1
         );
+    }
+
+    #[test]
+    fn commit_is_all_or_nothing() {
+        let mut db = Database::new();
+        db.define("inv", 2).unwrap();
+        db.load("inv", [tuple![1, 10], tuple![2, 20]]).unwrap();
+        db.add_constraint("no_neg", "select #1 < 0 (inv)").unwrap();
+        let mut tree = WhatIfTree::new();
+        tree.branch(&db, "a", None, "insert into inv (row(3, 30))")
+            .unwrap();
+        tree.branch(&db, "b", Some("a"), "insert into inv (row(4, -1))")
+            .unwrap();
+        assert!(matches!(
+            tree.commit(&mut db, "b"),
+            Err(EngineError::ConstraintViolation { .. })
+        ));
+        // Not even branch `a`'s update, which alone is valid, was applied.
+        assert_eq!(db.query("inv").unwrap().len(), 2);
     }
 
     #[test]
