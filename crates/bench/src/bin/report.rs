@@ -23,7 +23,7 @@
 
 use std::time::Instant;
 
-use hypoquery_algebra::{CmpOp, Predicate, Query, StateExpr, Update};
+use hypoquery_algebra::{AggExpr, CmpOp, Predicate, Query, StateExpr, Update};
 use hypoquery_bench::workload::{
     e12_join_chain, e12_select_chain, e1_query, e2_family, e2_state, e3_db, e3_update, e4_db,
     e4_query, e5_update, e7_query, e9_db, e9_scenarios, rs_join, sel, two_table_db,
@@ -31,6 +31,7 @@ use hypoquery_bench::workload::{
 use hypoquery_core::{
     fully_lazy, lazy_state, red_query, red_state, sub_query, to_enf_query, to_mod_enf, RewriteTrace,
 };
+use hypoquery_eval::physical::{PhysNode, PhysOp, PhysPlan};
 use hypoquery_eval::{
     algorithm_hql1, algorithm_hql2, algorithm_hql3, eval_pure, filter1, materialize_subst,
     XsubValue,
@@ -113,15 +114,15 @@ fn reps(n: usize) -> usize {
     }
 }
 
-/// Run `f` `reps` times (at least 3): the median wall time in nanoseconds.
-fn median_ns(reps: usize, mut f: impl FnMut() -> usize) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(3))
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            t.elapsed().as_nanos() as f64
-        })
-        .collect();
+/// One run of `f`: its wall time in nanoseconds.
+fn sample_ns(f: &mut impl FnMut() -> usize) -> f64 {
+    let t = Instant::now();
+    std::hint::black_box(f());
+    t.elapsed().as_nanos() as f64
+}
+
+/// The median of `samples`.
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
 }
@@ -161,11 +162,34 @@ impl BenchJson {
         }
     }
 
-    /// Record and return the median of `reps` timings of `f`, in ns.
-    fn time(&mut self, key: &str, reps: usize, f: impl FnMut() -> usize) -> f64 {
-        let median = median_ns(reps, f);
+    /// Record and return the median of `reps` (at least 3) timings of
+    /// `f`, in ns.
+    fn time(&mut self, key: &str, reps: usize, mut f: impl FnMut() -> usize) -> f64 {
+        let median = median((0..reps.max(3)).map(|_| sample_ns(&mut f)).collect());
         self.record(key, median, Unit::Ns);
         median
+    }
+
+    /// Record under `keys` and return the medians of `reps` (at least 3)
+    /// timings each of `a` and `b`, taken alternately (`a`, `b`, `a`, …)
+    /// so that host drift hits both sides alike. Every ratio of two
+    /// timings is taken from one such pair.
+    fn time_pair(
+        &mut self,
+        keys: [&str; 2],
+        reps: usize,
+        mut a: impl FnMut() -> usize,
+        mut b: impl FnMut() -> usize,
+    ) -> (f64, f64) {
+        let (mut sa, mut sb) = (Vec::new(), Vec::new());
+        for _ in 0..reps.max(3) {
+            sa.push(sample_ns(&mut a));
+            sb.push(sample_ns(&mut b));
+        }
+        let (ma, mb) = (median(sa), median(sb));
+        self.record(keys[0], ma, Unit::Ns);
+        self.record(keys[1], mb, Unit::Ns);
+        (ma, mb)
     }
 
     /// Record one metric; keys are unique within an experiment.
@@ -438,8 +462,8 @@ fn e5(json: &mut BenchJson) {
         eval_pure(&join, &db).unwrap().len()
     });
     println!("plain join baseline: {} ms\n", ms(tbase));
-    println!("| delta % | join-when only (ms) | overhead vs join | HQL-3 end-to-end (ms) | HQL-2 xsub (ms) |");
-    println!("|---:|---:|---:|---:|---:|");
+    println!("| delta % | plain join, paired (ms) | join-when only (ms) | overhead vs join | HQL-3 end-to-end (ms) | HQL-2 xsub (ms) |");
+    println!("|---:|---:|---:|---:|---:|---:|");
     for pct in [0.5f64, 2.0, 10.0, 25.0, 50.0] {
         let u = e5_update(&db, pct / 100.0);
         let q = join.clone().when(StateExpr::update(u.clone()));
@@ -454,12 +478,21 @@ fn e5(json: &mut BenchJson) {
             &db,
         )
         .unwrap();
-        let tjw = json.time(&format!("join_when_only_{pct}pct"), 3, || {
-            hypoquery_eval::eval_filter_d(&join, &delta, &db)
-                .unwrap()
-                .len()
-        });
-        let overhead = tjw / tbase;
+        // The overhead's two sides are timed as one alternating pair.
+        let (tb, tjw) = json.time_pair(
+            [
+                &format!("plain_join_{pct}pct"),
+                &format!("join_when_only_{pct}pct"),
+            ],
+            reps(7),
+            || eval_pure(&join, &db).unwrap().len(),
+            || {
+                hypoquery_eval::eval_filter_d(&join, &delta, &db)
+                    .unwrap()
+                    .len()
+            },
+        );
+        let overhead = tjw / tb;
         json.record(
             &format!("join_when_overhead_{pct}pct"),
             overhead,
@@ -472,7 +505,8 @@ fn e5(json: &mut BenchJson) {
             algorithm_hql2(&enfq, &db).unwrap().len()
         });
         println!(
-            "| {pct} | {} | {:+.0}% | {} | {} |",
+            "| {pct} | {} | {} | {:+.0}% | {} | {} |",
+            ms(tb),
             ms(tjw),
             (overhead - 1.0) * 100.0,
             ms(t3),
@@ -815,22 +849,26 @@ fn e10(json: &mut BenchJson) {
 }
 
 fn e11(json: &mut BenchJson) {
-    println!("## E11 — secondary indexes: point queries and snapshot reuse");
+    println!("## E11 — access paths: hash indexes, snapshot reuse, column-0 ranges");
     println!("claims: a declared hash index answers point-equality selects ≥10×");
-    println!("faster than a full scan at 100k rows, and CoW branches that leave");
-    println!("the indexed base untouched share the one physical index — zero");
-    println!("rebuilds across an 8-branch what-if tree. Measured on the pipeline:");
+    println!("faster than a full scan at 100k rows; CoW branches that leave the");
+    println!("indexed base untouched share the one physical index — zero rebuilds");
+    println!("across an 8-branch what-if tree; and a column-0 range select walks");
+    println!("only its range of the sorted relation. Measured on the pipeline:");
     println!("each query is lowered and executed; statistics are computed once.\n");
 
     let rows = scaled(100_000);
     let db = two_table_db(rows, rows, rows as i64, 11);
+    // The point predicate and its index sit on column 1 (the payloads
+    // `0..rows`, one per row): column 0 is the sort key, where a point
+    // select is a range walk rather than a full scan even without an index.
     let mut idb = db.clone();
-    idb.declare_index(RelName::new("R"), 0).unwrap();
-    // 64 probe keys spread over the key range.
+    idb.declare_index(RelName::new("R"), 1).unwrap();
+    // 64 probe values spread over the payloads.
     let keys: Vec<i64> = (0..64i64).map(|i| (i * 7919) % rows as i64).collect();
-    // Lower and run `σ_{#0=k}(R)` in a state under its statistics.
+    // Lower and run `σ_{#1=k}(R)` in a state under its statistics.
     let point = |k: i64, db: &DatabaseState, stats: &Statistics| {
-        let q = sel(Query::base("R"), CmpOp::Eq, k);
+        let q = Query::base("R").select(Predicate::col_cmp(1, CmpOp::Eq, k));
         let plan = lower_query(&q, db.catalog(), stats).unwrap();
         plan.execute(db).unwrap().len()
     };
@@ -838,27 +876,31 @@ fn e11(json: &mut BenchJson) {
 
     println!("| config | median |");
     println!("|:--|---:|");
-    let t_scan = json.time(&format!("point_select_scan_{rows}"), reps(11), || {
-        keys.iter().map(|&k| point(k, &db, &stats)).sum()
-    });
+    // Warm the build so the timed series measures steady-state probes.
+    point(keys[0], &idb, &istats);
+    let (t_scan, t_idx) = json.time_pair(
+        [
+            &format!("point_select_scan_{rows}"),
+            &format!("point_select_indexed_{rows}"),
+        ],
+        reps(11),
+        || keys.iter().map(|&k| point(k, &db, &stats)).sum(),
+        || keys.iter().map(|&k| point(k, &idb, &istats)).sum(),
+    );
     println!(
-        "| {} point selects, full scan | {} |",
+        "| {} point selects on #1, full scan | {} |",
         keys.len(),
         fmt_ns(t_scan)
     );
-    // Warm the build so the timed series measures steady-state probes.
-    point(keys[0], &idb, &istats);
-    let t_idx = json.time(&format!("point_select_indexed_{rows}"), reps(11), || {
-        keys.iter().map(|&k| point(k, &idb, &istats)).sum()
-    });
     println!(
-        "| {} point selects, indexed | {} |",
+        "| {} point selects on #1, indexed | {} |",
         keys.len(),
         fmt_ns(t_idx)
     );
 
     // 8 CoW branches, each mutating S; R's storage — and with it the
-    // cached index — stays shared across every branch.
+    // cached index — stays shared across every branch. The branches are
+    // snapshots of `idb`, so they count into its index counters.
     let branches: Vec<(DatabaseState, Statistics)> = (0..8i64)
         .map(|i| {
             let mut b = idb.clone();
@@ -867,14 +909,16 @@ fn e11(json: &mut BenchJson) {
             (b, stats)
         })
         .collect();
-    let before = hypoquery_storage::index_counters();
+    let before = idb.index_stats().counters();
     let t_branches = json.time(&format!("branch_probe_8x{rows}"), reps(11), || {
         branches
             .iter()
             .map(|(b, stats)| keys.iter().map(|&k| point(k, b, stats)).sum::<usize>())
             .sum()
     });
-    let rebuilds = hypoquery_storage::index_counters().builds - before.builds;
+    let after = idb.index_stats().counters();
+    let rebuilds = after.builds - before.builds;
+    assert!(after.hits > before.hits, "the branch probes must count");
     assert_eq!(rebuilds, 0, "CoW branches must reuse the shared index");
     println!(
         "| 8 branches × {} point selects, shared index | {} |",
@@ -882,13 +926,75 @@ fn e11(json: &mut BenchJson) {
         fmt_ns(t_branches)
     );
 
-    let speedup = t_scan / t_idx;
-    println!(
-        "\npoint-select speedup: {speedup:.1}×; index rebuilds across 8 branches: {rebuilds}\n"
-    );
+    // A column-0 range aggregate, lowered (a ranged scan) against the same
+    // plan with the range removed (a full scan), on the one executor.
+    let mut range_speedups = Vec::new();
+    for pct in [1usize, 10] {
+        let bound = (rows * pct / 100) as i64;
+        let pred = Predicate::col_cmp(0, CmpOp::Lt, bound);
+        let q = Query::base("R")
+            .select(pred.clone())
+            .aggregate(vec![], vec![AggExpr::Count, AggExpr::Sum(1)]);
+        let ranged = lower_query(&q, db.catalog(), &stats).unwrap();
+        assert!(
+            ranged.render(None).contains("Scan R [#0 <"),
+            "{}",
+            ranged.render(None)
+        );
+        let full = PhysPlan::new(PhysNode::new(
+            2,
+            PhysOp::Aggregate {
+                input: Box::new(PhysNode::new(
+                    2,
+                    PhysOp::Filter {
+                        input: Box::new(PhysNode::new(
+                            2,
+                            PhysOp::Scan {
+                                name: RelName::new("R"),
+                                range: None,
+                            },
+                        )),
+                        pred,
+                    },
+                )),
+                group_by: vec![],
+                aggs: vec![AggExpr::Count, AggExpr::Sum(1)],
+            },
+        ));
+        assert_eq!(full.execute(&db).unwrap(), ranged.execute(&db).unwrap());
+        let (t_full, t_ranged) = json.time_pair(
+            [
+                &format!("range_select_{pct}pct_full"),
+                &format!("range_select_{pct}pct_ranged"),
+            ],
+            reps(11),
+            || full.execute(&db).unwrap().len(),
+            || ranged.execute(&db).unwrap().len(),
+        );
+        println!(
+            "| range aggregate, {pct}% of rows, full scan | {} |",
+            fmt_ns(t_full)
+        );
+        println!(
+            "| range aggregate, {pct}% of rows, ranged scan | {} |",
+            fmt_ns(t_ranged)
+        );
+        range_speedups.push((pct, t_full / t_ranged));
+    }
 
+    let speedup = t_scan / t_idx;
+    println!("\npoint-select speedup: {speedup:.1}×; index rebuilds across 8 branches: {rebuilds}");
     json.record("point_select_speedup", speedup, Unit::Ratio);
     json.record("branch_index_rebuilds_8x", rebuilds as f64, Unit::Count);
+    for (pct, speedup) in range_speedups {
+        println!("range-select speedup at {pct}%: {speedup:.1}×");
+        json.record(
+            &format!("range_select_{pct}pct_speedup"),
+            speedup,
+            Unit::Ratio,
+        );
+    }
+    println!();
 }
 
 fn e12(json: &mut BenchJson) {
@@ -923,13 +1029,13 @@ fn e12(json: &mut BenchJson) {
                 let phys = lower_query(pq, db.catalog(), &stats).unwrap();
                 // Differential check before timing anything.
                 assert_eq!(phys.execute(&db).unwrap().len(), legacy(pq));
-                let t_legacy =
-                    json.time(&format!("{shape}_{strat}_legacy_{rows}"), reps(7), || {
-                        legacy(pq)
-                    });
-                let t_pipe = json.time(
-                    &format!("{shape}_{strat}_pipelined_{rows}"),
+                let (t_legacy, t_pipe) = json.time_pair(
+                    [
+                        &format!("{shape}_{strat}_legacy_{rows}"),
+                        &format!("{shape}_{strat}_pipelined_{rows}"),
+                    ],
                     reps(7),
+                    || legacy(pq),
                     || phys.execute(&db).unwrap().len(),
                 );
                 let speedup = t_legacy / t_pipe;

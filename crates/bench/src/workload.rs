@@ -240,8 +240,8 @@ pub fn e9_db(rows: usize, seed: u64) -> hypoquery_engine::Database {
 /// `k` independent what-if scenarios over the E9 base: scenario `i`
 /// hypothetically deletes its own key slice of `R` and inserts a slice of
 /// `S`, then reads both through selections. Each scenario builds its own
-/// snapshot of the shared base; the reads are linear scans, so snapshot
-/// cost is visible next to evaluation cost.
+/// snapshot of the shared base; the reads bound column 0, so they are
+/// range walks and snapshot cost is visible next to evaluation cost.
 pub fn e9_scenarios(k: usize) -> Vec<Query> {
     (0..k)
         .map(|i| {

@@ -5,7 +5,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use hypoquery_storage::{Catalog, DatabaseState, RelName, RelSchema, Relation, Tuple};
+use hypoquery_storage::{
+    Catalog, DatabaseState, IndexCounters, RelName, RelSchema, Relation, Tuple,
+};
 
 use hypoquery_algebra::typing::{arity_of, check_update};
 use hypoquery_algebra::{Query, Update};
@@ -126,6 +128,7 @@ impl Database {
         for (n, col) in self.state.index_decls() {
             next.declare_index(n.clone(), col)?;
         }
+        next.share_index_stats(&self.state);
         self.state = next;
         Ok(())
     }
@@ -171,6 +174,19 @@ impl Database {
     /// The current state (read-only).
     pub fn state(&self) -> &DatabaseState {
         &self.state
+    }
+
+    /// This database's index hit/miss/build counters. Clones (server
+    /// sessions, what-if branches) count into the same handle; another
+    /// `Database` counts on its own.
+    pub fn index_counters(&self) -> IndexCounters {
+        self.state.index_stats().counters()
+    }
+
+    /// Count index probes into `from`'s counters from now on (a database
+    /// restored in place of `from` keeps its counts).
+    pub fn share_index_stats(&mut self, from: &Database) {
+        self.state.share_index_stats(&from.state);
     }
 
     /// Bulk-load rows into a relation.
@@ -547,6 +563,36 @@ mod tests {
         assert_eq!(out.len(), 2);
         let out = db.query("emp join dept on #0 = #2").unwrap();
         assert_eq!(out.len(), 2);
+    }
+
+    #[test]
+    fn databases_count_index_traffic_independently() {
+        let (mut a, mut b) = (db(), db());
+        a.create_index("emp", 0).unwrap();
+        b.create_index("emp", 0).unwrap();
+        assert_eq!(a.query("select #0 = 2 (emp)").unwrap().len(), 1);
+        assert_eq!(a.query("select #0 = 3 (emp)").unwrap().len(), 1);
+        let want = IndexCounters {
+            hits: 1,
+            misses: 1,
+            builds: 1,
+        };
+        assert_eq!(a.index_counters(), want);
+        assert_eq!(b.index_counters(), IndexCounters::default());
+        // A clone (a server session, a branch) counts into the same handle,
+        // and so does a redefined catalog.
+        let mut session = a.clone();
+        session.define("extra", 1).unwrap();
+        session.query("select #0 = 1 (emp)").unwrap();
+        assert_eq!(a.index_counters().hits, 2);
+    }
+
+    #[test]
+    fn explain_shows_the_scanned_range() {
+        let db = db();
+        let s = db.explain("select #0 >= 2 and #1 < 300 (emp)").unwrap();
+        assert!(s.contains("Scan emp [#0 >= 2]"), "{s}");
+        assert!(s.contains("Filter [(#0 >= 2 and #1 < 300)]"), "{s}");
     }
 
     #[test]

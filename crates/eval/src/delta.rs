@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use hypoquery_storage::{DatabaseState, RelName, Relation, Tuple};
+use hypoquery_storage::{DatabaseState, KeyRange, RelName, Relation, Tuple};
 
 use hypoquery_algebra::{Predicate, Query};
 
@@ -206,27 +206,47 @@ impl fmt::Display for DeltaValue {
 /// Iterate the *effective* relation `(base − deleted) ∪ inserted` in sorted
 /// order without materializing it: a three-way sorted merge over the
 /// `BTreeSet`-backed operands. This is the streaming core of the §5.5
-/// delta-filtered operators.
+/// delta-filtered operators. With a `range`, each operand walks only its
+/// column-0 slice ([`Relation::range`]) and the merge is the same: the
+/// slices of sorted sets are sorted.
 pub fn effective_iter<'a>(
     base: &'a Relation,
     delta: Option<&'a RelDelta>,
+    range: Option<&'a KeyRange>,
 ) -> Box<dyn Iterator<Item = &'a Tuple> + 'a> {
-    match delta {
-        None => Box::new(base.iter()),
-        Some(d) => {
-            // (base − deleted) by sorted anti-merge — O(1) amortized per
-            // tuple, never a per-tuple tree lookup — then ∪ inserted by
-            // sorted merge. This is the streaming discipline behind the
-            // §5.5 "only nominally more expensive" claim.
-            let survivors = SortedDiff {
-                a: base.iter().peekable(),
-                b: d.deleted.iter().peekable(),
-            };
-            Box::new(SortedUnion {
-                a: survivors.peekable(),
-                b: d.inserted.iter().peekable(),
-            })
-        }
+    match (delta, range) {
+        (None, None) => Box::new(base.iter()),
+        (None, Some(r)) => Box::new(base.range(r)),
+        (Some(d), None) => Box::new(merge_delta(
+            base.iter(),
+            d.deleted.iter(),
+            d.inserted.iter(),
+        )),
+        (Some(d), Some(r)) => Box::new(merge_delta(
+            base.range(r),
+            d.deleted.range(r),
+            d.inserted.range(r),
+        )),
+    }
+}
+
+/// `(base − deleted) ∪ inserted` over three ascending tuple streams.
+fn merge_delta<'a>(
+    base: impl Iterator<Item = &'a Tuple>,
+    deleted: impl Iterator<Item = &'a Tuple>,
+    inserted: impl Iterator<Item = &'a Tuple>,
+) -> impl Iterator<Item = &'a Tuple> {
+    // (base − deleted) by sorted anti-merge — O(1) amortized per tuple,
+    // never a per-tuple tree lookup — then ∪ inserted by sorted merge.
+    // This is the streaming discipline behind the §5.5 "only nominally
+    // more expensive" claim.
+    let survivors = SortedDiff {
+        a: base.peekable(),
+        b: deleted.peekable(),
+    };
+    SortedUnion {
+        a: survivors.peekable(),
+        b: inserted.peekable(),
     }
 }
 
@@ -310,8 +330,8 @@ pub fn join_when(
     right_delta: Option<&RelDelta>,
     pred: &Predicate,
 ) -> Relation {
-    let left = effective_iter(left_base, left_delta);
-    let right: Vec<&Tuple> = effective_iter(right_base, right_delta).collect();
+    let left = effective_iter(left_base, left_delta, None);
+    let right: Vec<&Tuple> = effective_iter(right_base, right_delta, None).collect();
     join_iter(
         left,
         left_base.arity(),
@@ -340,7 +360,8 @@ pub fn eval_filter_d(
 mod tests {
     use super::*;
     use hypoquery_algebra::CmpOp;
-    use hypoquery_storage::{tuple, Catalog};
+    use hypoquery_storage::{tuple, Catalog, Value};
+    use std::ops::Bound;
 
     fn rel(vals: &[i64]) -> Relation {
         Relation::from_rows(1, vals.iter().map(|&v| tuple![v])).unwrap()
@@ -421,15 +442,20 @@ mod tests {
             deleted: rel(&[2]),
             inserted: rel(&[3, 4, 6]),
         };
-        let vals: Vec<i64> = effective_iter(&base, Some(&d))
-            .map(|t| t[0].as_int().unwrap())
-            .collect();
-        assert_eq!(vals, [1, 3, 4, 5, 6]);
+        let vals = |delta, range| -> Vec<i64> {
+            effective_iter(&base, delta, range)
+                .map(|t| t[0].as_int().unwrap())
+                .collect()
+        };
+        assert_eq!(vals(Some(&d), None), [1, 3, 4, 5, 6]);
         // No delta: base order.
-        let vals: Vec<i64> = effective_iter(&base, None)
-            .map(|t| t[0].as_int().unwrap())
-            .collect();
-        assert_eq!(vals, [1, 2, 3, 5]);
+        assert_eq!(vals(None, None), [1, 2, 3, 5]);
+        // A range slices all three operands before the merge.
+        let r = KeyRange::full()
+            .with_lo(Bound::Excluded(Value::int(1)))
+            .with_hi(Bound::Included(Value::int(4)));
+        assert_eq!(vals(Some(&d), Some(&r)), [3, 4]);
+        assert_eq!(vals(None, Some(&r)), [2, 3]);
     }
 
     #[test]

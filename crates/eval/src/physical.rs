@@ -83,7 +83,9 @@ use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use hypoquery_storage::{lookup_or_build_index, DatabaseState, RelName, Relation, Tuple, Value};
+use hypoquery_storage::{
+    lookup_or_build_index, DatabaseState, KeyRange, RelName, Relation, Tuple, Value,
+};
 
 use hypoquery_algebra::{AggExpr, Predicate};
 
@@ -121,10 +123,15 @@ pub enum PhysOp {
     /// Stream a base relation: its xsub binding in the environment
     /// (whole-relation replacement), else the stored base, merged with
     /// any delta binding via the streaming three-way merge of
-    /// [`effective_iter`].
+    /// [`effective_iter`]. With a `range`, every one of those sorted sets
+    /// is walked only over its column-0 slice ([`Relation::range`]); any
+    /// relation the name resolves to is sorted, so no shadow gate applies.
     Scan {
         /// The relation scanned.
         name: RelName,
+        /// Column-0 range to walk; `None` walks everything. A superset
+        /// of the rows the plan needs: a `Filter` above re-checks them.
+        range: Option<KeyRange>,
     },
     /// Probe a declared single-column index of an (unrebound) base
     /// relation with a point value, re-applying the full predicate to
@@ -561,7 +568,7 @@ fn scan_emit<'a>(
 fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<(), EvalError> {
     let id = node.id;
     match &node.op {
-        PhysOp::Scan { name } => {
+        PhysOp::Scan { name, range } => {
             // A delta in scope applies on top of an xsub binding: the
             // binding was made outside it (`XsubRebind` drops the deltas
             // its bindings already saw).
@@ -573,11 +580,13 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
                     &stored
                 }
             };
-            match env.delta.get(name) {
-                // The common un-rebound case skips the boxed merge
-                // iterator entirely.
-                None => scan_emit(id, ctx, base.iter(), out),
-                delta => scan_emit(id, ctx, effective_iter(base, delta), out),
+            // The delta-free cases skip the boxed merge iterator.
+            match (env.delta.get(name), range) {
+                (None, None) => scan_emit(id, ctx, base.iter(), out),
+                (None, Some(r)) => scan_emit(id, ctx, base.range(r), out),
+                (delta, range) => {
+                    scan_emit(id, ctx, effective_iter(base, delta, range.as_ref()), out)
+                }
             }
         }
         PhysOp::IndexProbe {
@@ -587,7 +596,9 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
             pred,
         } => {
             let base = ctx.db.get(name)?;
-            let idx = ctx.timed(id, || lookup_or_build_index(&base, &[*col]));
+            let idx = ctx.timed(id, || {
+                lookup_or_build_index(&base, &[*col], ctx.db.index_stats())
+            });
             let candidates = idx.probe(std::slice::from_ref(value));
             for t in candidates {
                 if ctx.timed(id, || pred.eval(t)) {
@@ -635,7 +646,9 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
             residual,
         } => {
             let base = ctx.db.get(rel)?;
-            let idx = ctx.timed(id, || lookup_or_build_index(&base, index_cols));
+            let idx = ctx.timed(id, || {
+                lookup_or_build_index(&base, index_cols, ctx.db.index_stats())
+            });
             // One key column probes with the row's own field; wider keys
             // reuse one buffer.
             let mut buf: Vec<Value> = Vec::with_capacity(probe_cols.len());
@@ -934,7 +947,11 @@ fn run_hash_join(
 
 fn op_label(node: &PhysNode) -> String {
     match &node.op {
-        PhysOp::Scan { name } => format!("Scan {name}"),
+        PhysOp::Scan { name, range: None } => format!("Scan {name}"),
+        PhysOp::Scan {
+            name,
+            range: Some(r),
+        } => format!("Scan {name} [{r}]"),
         PhysOp::IndexProbe {
             name, col, value, ..
         } => format!("IndexProbe {name} (#{col} = {value})"),
@@ -1059,7 +1076,13 @@ mod tests {
     }
 
     fn scan(name: &str) -> PhysNode {
-        PhysNode::new(2, PhysOp::Scan { name: name.into() })
+        PhysNode::new(
+            2,
+            PhysOp::Scan {
+                name: name.into(),
+                range: None,
+            },
+        )
     }
 
     #[test]

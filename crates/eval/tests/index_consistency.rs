@@ -37,8 +37,9 @@ proptest! {
         let snapshot = db.clone();
         let in_snapshot = snapshot.get(&r).unwrap();
         prop_assert!(base.ptr_eq(&in_snapshot));
-        let i1 = lookup_or_build_index(&base, &[col]);
-        let i2 = lookup_or_build_index(&in_snapshot, &[col]);
+        let stats = db.index_stats();
+        let i1 = lookup_or_build_index(&base, &[col], stats);
+        let i2 = lookup_or_build_index(&in_snapshot, &[col], stats);
         prop_assert!(Arc::ptr_eq(&i1, &i2), "shared storage must share the index");
 
         // Mutate the snapshot: storage un-shares, the index follows.
@@ -46,15 +47,19 @@ proptest! {
         mutated.insert_row("R", tuple![99, 99]).unwrap();
         let in_mutated = mutated.get(&r).unwrap();
         prop_assert!(!base.ptr_eq(&in_mutated));
-        let i3 = lookup_or_build_index(&in_mutated, &[col]);
+        let i3 = lookup_or_build_index(&in_mutated, &[col], stats);
         prop_assert!(!Arc::ptr_eq(&i1, &i3), "mutated snapshot must get a fresh index");
         // And the fresh index sees the mutation.
         let probed = i3.probe(&[hypoquery_storage::Value::int(99)]);
         prop_assert_eq!(probed, &[tuple![99, 99]]);
 
         // The base's index is untouched by the branch's mutation.
-        let i4 = lookup_or_build_index(&base, &[col]);
+        let i4 = lookup_or_build_index(&base, &[col], stats);
         prop_assert!(Arc::ptr_eq(&i1, &i4));
         prop_assert!(i1.probe(&[hypoquery_storage::Value::int(99)]).is_empty());
+
+        // Every snapshot counted into the one handle: two builds, two hits.
+        let c = stats.counters();
+        prop_assert_eq!((c.hits, c.misses, c.builds), (2, 2, 2));
     }
 }

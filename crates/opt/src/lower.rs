@@ -14,23 +14,35 @@
 //!
 //! # Access-path selection
 //!
-//! The lowering reuses the same gates the legacy evaluators applied at
-//! runtime, but applies them *statically*:
+//! Every relation is a `BTreeSet` of tuples, so it is sorted on column 0.
+//! The lowering picks an access path for a `Select` directly over a base
+//! name (one of the first three below) and for each side of a join:
 //!
-//! * a `Select` directly over a base scan becomes an
-//!   [`PhysOp::IndexProbe`] when the predicate carries a point-equality
-//!   conjunct (`stats::point_eq_conjuncts`) on a declared indexed column
-//!   and the scanned name is provably unrebound (see below);
-//! * a `Join` side that is an unrebound base scan with declared indexes
-//!   on all its equi columns becomes the probed side of an
+//! * **Index probe.** The predicate carries a point-equality conjunct
+//!   (`stats::point_eq_conjuncts`) on a declared indexed column, and the
+//!   name is provably unrebound (see *Shadow analysis*): an
+//!   [`PhysOp::IndexProbe`], which re-checks the full predicate.
+//! * **Ranged scan.** Otherwise, the predicate's `#0 op const` conjuncts
+//!   (`=`, `<`, `<=`, `>`, `>=`, either operand order; `stats::key_range`)
+//!   bound a column-0 [`KeyRange`]: a [`PhysOp::Scan`] that walks only
+//!   that range, under a [`PhysOp::Filter`] with the **full** predicate.
+//!   The range only needs to contain every answer, so correctness never
+//!   rests on how tight it is. It needs no shadow gate: whatever the
+//!   name resolves to at run time — the stored base, an xsub binding, or
+//!   either merged with a delta — is a sorted set the scan can range.
+//! * **Full scan.** A predicate with no column-0 bound (`<>`, `or`,
+//!   `not`, column-to-column) filters a plain `Scan`.
+//! * **Joins.** A side that is an unrebound base scan with declared
+//!   indexes on all its equi columns becomes the probed side of an
 //!   [`PhysOp::IndexJoin`]; with both sides qualifying the *larger*
 //!   (estimated) side is indexed, leaving the smaller to stream — the
-//!   same cost-based policy the planner assumes;
-//! * otherwise joins hash-build the smaller (estimated) side.
+//!   same cost-based policy the planner assumes. Otherwise joins
+//!   hash-build the smaller (estimated) side.
 //!
-//! The cost model ([`crate::stats::estimate`]) prices the same two index
-//! tests, but without the shadow analysis below: it may price an index
-//! path inside a `when` body that the lowering will not take.
+//! The cost model ([`crate::stats::estimate`]) prices the two index
+//! paths, but without the shadow analysis below: it may price an index
+//! path inside a `when` body that the lowering will not take. It does
+//! not price ranges.
 //!
 //! **Shadow analysis.** A base name may only use a stored index if, at
 //! runtime, the scan resolves to the stored base relation. During
@@ -48,7 +60,7 @@
 //! node is not [`distinct`](PhysNode::distinct) gets an explicit
 //! [`PhysOp::Dedup`], so duplicates never multiply join work.
 
-use hypoquery_storage::{Catalog, RelName};
+use hypoquery_storage::{Catalog, KeyRange, RelName};
 
 use hypoquery_algebra::scope::NameSet;
 use hypoquery_algebra::{Predicate, Query, StateExpr, Update};
@@ -58,7 +70,7 @@ use hypoquery_eval::physical::{DeltaAtom, PhysNode, PhysOp, PhysPlan, Side};
 use hypoquery_eval::{EvalError, XsubValue};
 
 use crate::planner::Plan;
-use crate::stats::{estimate_rows, point_eq_conjuncts, Statistics};
+use crate::stats::{estimate_rows, key_range, point_eq_conjuncts, Statistics};
 
 /// Lower a planned query to a physical plan. The plan's query is
 /// already in the shape its strategy prepared (pure / ENF / mod-ENF);
@@ -122,10 +134,7 @@ struct Lowerer<'a> {
 impl Lowerer<'_> {
     fn lower(&self, q: &Query, sh: &Shadow) -> Result<PhysNode, EvalError> {
         match q {
-            Query::Base(name) => {
-                let arity = self.catalog.arity(name)?;
-                Ok(PhysNode::new(arity, PhysOp::Scan { name: name.clone() }))
-            }
+            Query::Base(name) => self.scan(name, None),
             Query::Singleton(t) => Ok(PhysNode::new(
                 t.arity(),
                 PhysOp::Const {
@@ -139,14 +148,14 @@ impl Lowerer<'_> {
                 },
             )),
             Query::Select(inner, p) => {
-                // Index probe: point-equality over a declared index of an
-                // unrebound base scan.
-                if let Query::Base(name) = inner.as_ref() {
-                    if sh.unshadowed(name) {
-                        if let Some((col, value)) = point_eq_conjuncts(p)
+                let input = match inner.as_ref() {
+                    Query::Base(name) => {
+                        // Index probe: point-equality over a declared
+                        // index of an unrebound base scan.
+                        let probe = point_eq_conjuncts(p)
                             .into_iter()
-                            .find(|(c, _)| self.stats.has_index(name, *c))
-                        {
+                            .find(|(c, _)| sh.unshadowed(name) && self.stats.has_index(name, *c));
+                        if let Some((col, value)) = probe {
                             let arity = self.catalog.arity(name)?;
                             return Ok(PhysNode::new(
                                 arity,
@@ -158,9 +167,12 @@ impl Lowerer<'_> {
                                 },
                             ));
                         }
+                        // Otherwise walk only the column-0 range the
+                        // predicate bounds; the filter keeps all of `p`.
+                        self.scan(name, key_range(p))?
                     }
-                }
-                let input = self.lower(inner, sh)?;
+                    _ => self.lower(inner, sh)?,
+                };
                 Ok(PhysNode::new(
                     input.arity,
                     PhysOp::Filter {
@@ -213,6 +225,12 @@ impl Lowerer<'_> {
                 ))
             }
         }
+    }
+
+    fn scan(&self, name: &RelName, range: Option<KeyRange>) -> Result<PhysNode, EvalError> {
+        let arity = self.catalog.arity(name)?;
+        let name = name.clone();
+        Ok(PhysNode::new(arity, PhysOp::Scan { name, range }))
     }
 
     fn lower_setop(
@@ -462,6 +480,88 @@ mod tests {
         // The unshadowed S *binding* under the same plan may still probe.
         let out = plan.execute(&db).unwrap();
         assert_eq!(out, eval_query(&q, &db).unwrap());
+    }
+
+    /// The range of the scan under `node`'s filter, and the filter's
+    /// predicate.
+    fn ranged(node: &PhysNode) -> (Option<String>, &Predicate) {
+        let PhysOp::Filter { input, pred } = &node.op else {
+            panic!("expected Filter, got {:?}", node.op);
+        };
+        let PhysOp::Scan { range, .. } = &input.op else {
+            panic!("expected Scan, got {:?}", input.op);
+        };
+        (range.as_ref().map(|r| r.to_string()), pred)
+    }
+
+    #[test]
+    fn range_aggregate_lowers_to_ranged_scan() {
+        let db = db();
+        // The `branch` workload's range aggregate after rewriting: a bound
+        // on the sort key next to a bound on another column.
+        let p = Predicate::col_cmp(1, CmpOp::Ge, 20).and(Predicate::col_cmp(0, CmpOp::Lt, 3));
+        let q = Query::base("R")
+            .select(p.clone())
+            .aggregate(vec![], vec![hypoquery_algebra::AggExpr::Count]);
+        let plan = lower_in(&db, &q);
+        let PhysOp::Aggregate { input, .. } = &plan.root.op else {
+            panic!("expected Aggregate, got {:?}", plan.root.op);
+        };
+        // The filter keeps the full predicate above the range.
+        assert_eq!(ranged(input), (Some("#0 < 3".into()), &p));
+        assert!(plan.render(None).contains("Scan R [#0 < 3]"));
+        let (out, m) = plan.execute_analyze(&db).unwrap();
+        assert_eq!(out, eval_query(&q, &db).unwrap());
+        // Node 2 is the scan: it walked rows 1 and 2, not row 3.
+        assert_eq!(m.node(2).rows_out, 2);
+    }
+
+    #[test]
+    fn shadowed_scan_is_still_ranged() {
+        let mut db = db();
+        db.declare_index("R", 0).unwrap();
+        let p = Predicate::col_cmp(0, CmpOp::Eq, 3);
+        let s_for_r = StateExpr::subst(hypoquery_algebra::ExplicitSubst::single(
+            "R",
+            Query::base("S"),
+        ));
+        let ins = StateExpr::update(Update::insert("R", Query::singleton(tuple![3, 33])));
+        for q in [
+            Query::base("R").select(p.clone()).when(s_for_r.clone()),
+            Query::base("R").select(p.clone()).when(ins.clone()),
+            Query::base("R").select(p.clone()).when(ins).when(s_for_r),
+        ] {
+            let plan = lower_in(&db, &q);
+            let mut body = &plan.root;
+            while let PhysOp::XsubRebind { body: b, .. } | PhysOp::DeltaApply { body: b, .. } =
+                &body.op
+            {
+                body = b;
+            }
+            // R is rebound, so no index probe — but the range stays.
+            assert_eq!(ranged(body), (Some("#0 = 3".into()), &p), "{q}");
+            assert_eq!(
+                plan.execute(&db).unwrap(),
+                eval_query(&q, &db).unwrap(),
+                "{q}"
+            );
+        }
+    }
+
+    #[test]
+    fn ne_and_or_predicates_stay_unranged() {
+        let db = db();
+        for p in [
+            Predicate::col_cmp(0, CmpOp::Ne, 2),
+            Predicate::col_cmp(0, CmpOp::Lt, 2).or(Predicate::col_cmp(0, CmpOp::Gt, 2)),
+            Predicate::col_cmp(0, CmpOp::Lt, 2).not(),
+            Predicate::col_col(0, CmpOp::Lt, 1),
+        ] {
+            let q = Query::base("R").select(p.clone());
+            let plan = lower_in(&db, &q);
+            assert_eq!(ranged(&plan.root), (None, &p));
+            assert_eq!(plan.execute(&db).unwrap(), eval_query(&q, &db).unwrap());
+        }
     }
 
     #[test]

@@ -12,13 +12,19 @@
 //! them (`point_eq_conjuncts` for probes, `split_equi_pairs` for index
 //! joins), but the estimator is not shadow-aware: inside a `when` body it
 //! prices an index path on a rebound name that the lowering will scan.
+//! The lowering's other access path, a column-0 range scan
+//! (`key_range`), is not priced: a range predicate costs `SEL_RANGE`
+//! rows over a full scan either way.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
-use hypoquery_storage::{distinct_counts, DatabaseState, RelName, Value};
+use hypoquery_storage::{distinct_counts, DatabaseState, KeyRange, RelName, Value};
 
 use hypoquery_algebra::{CmpOp, Predicate, Query, ScalarExpr, StateExpr, Update};
 use hypoquery_eval::join::{split_equi_pairs, EquiPair};
+
+use crate::implication::conjuncts;
 
 /// Selectivity assumed for equality predicates.
 pub const SEL_EQ: f64 = 0.1;
@@ -407,27 +413,47 @@ fn apply_update(u: &Update, stats: &mut Statistics) -> f64 {
     }
 }
 
-/// The top-level point-equality conjuncts `#i = const` of `p` (both
-/// operand orders), descending only through `And` — a disjunction or
-/// negation makes the conjunct non-guaranteed and is ignored. These are
-/// the predicates an index probe can serve.
+/// The top-level `#i op const` conjuncts of `p` as `(i, op, const)`, a
+/// `const op #i` flipped to that form. Only `And` is descended: under a
+/// disjunction or negation a comparison is not guaranteed, so it is
+/// ignored. These are the predicates index probes and key ranges serve.
+fn col_const_conjuncts(p: &Predicate) -> impl Iterator<Item = (usize, CmpOp, Value)> {
+    conjuncts(p).into_iter().filter_map(|c| match c {
+        Predicate::Cmp(ScalarExpr::Col(i), op, ScalarExpr::Const(v)) => Some((i, op, v)),
+        Predicate::Cmp(ScalarExpr::Const(v), op, ScalarExpr::Col(i)) => Some((i, op.flip(), v)),
+        _ => None,
+    })
+}
+
+/// The point-equality conjuncts `#i = const` of `p`: what an index probe
+/// can serve.
 pub(crate) fn point_eq_conjuncts(p: &Predicate) -> Vec<(usize, Value)> {
-    fn collect(p: &Predicate, out: &mut Vec<(usize, Value)>) {
-        match p {
-            Predicate::And(a, b) => {
-                collect(a, out);
-                collect(b, out);
-            }
-            Predicate::Cmp(ScalarExpr::Col(i), CmpOp::Eq, ScalarExpr::Const(v))
-            | Predicate::Cmp(ScalarExpr::Const(v), CmpOp::Eq, ScalarExpr::Col(i)) => {
-                out.push((*i, v.clone()));
-            }
-            _ => {}
-        }
-    }
-    let mut out = Vec::new();
-    collect(p, &mut out);
-    out
+    col_const_conjuncts(p)
+        .filter(|(_, op, _)| *op == CmpOp::Eq)
+        .map(|(i, _, v)| (i, v))
+        .collect()
+}
+
+/// The column-0 range that every row satisfying `p` lies in, from its
+/// `#0 op const` conjuncts (`=`, `<`, `<=`, `>`, `>=`; `<>` bounds
+/// nothing). `None` when no conjunct bounds column 0. `CmpOp::apply`
+/// compares with `Value`'s total order, the order relations are sorted
+/// in, so the bounds hold whatever the constants' types.
+pub(crate) fn key_range(p: &Predicate) -> Option<KeyRange> {
+    let range = col_const_conjuncts(p).filter(|(col, _, _)| *col == 0).fold(
+        KeyRange::full(),
+        |r, (_, op, v)| match op {
+            CmpOp::Eq => r
+                .with_lo(Bound::Included(v.clone()))
+                .with_hi(Bound::Included(v)),
+            CmpOp::Lt => r.with_hi(Bound::Excluded(v)),
+            CmpOp::Le => r.with_hi(Bound::Included(v)),
+            CmpOp::Gt => r.with_lo(Bound::Excluded(v)),
+            CmpOp::Ge => r.with_lo(Bound::Included(v)),
+            CmpOp::Ne => r,
+        },
+    );
+    (!range.is_full()).then_some(range)
 }
 
 #[cfg(test)]
@@ -492,6 +518,36 @@ pub(crate) mod tests {
         // Disjunctions are not conjuncts.
         let p = Predicate::col_cmp(0, CmpOp::Eq, 3).or(Predicate::True);
         assert!(point_eq_conjuncts(&p).is_empty());
+    }
+
+    #[test]
+    fn key_range_intersects_column0_bounds() {
+        let c0 = |op, v: i64| Predicate::col_cmp(0, op, v);
+        let flipped =
+            |v: i64, op| Predicate::Cmp(ScalarExpr::Const(Value::int(v)), op, ScalarExpr::Col(0));
+        // `3 < #0` is `#0 > 3`; other columns and `<>` bound nothing.
+        let p = flipped(3, CmpOp::Lt)
+            .and(c0(CmpOp::Le, 9))
+            .and(c0(CmpOp::Lt, 12))
+            .and(c0(CmpOp::Ne, 5))
+            .and(Predicate::col_cmp(1, CmpOp::Lt, 0));
+        let r = key_range(&p).unwrap();
+        assert_eq!(r.to_string(), "#0 > 3 and #0 <= 9");
+        assert_eq!(key_range(&c0(CmpOp::Eq, 4)).unwrap().to_string(), "#0 = 4");
+        assert_eq!(
+            key_range(&flipped(4, CmpOp::Ge)).unwrap().to_string(),
+            "#0 <= 4"
+        );
+        // No bound: `<>`, disjunctions, negations, column comparisons.
+        for p in [
+            c0(CmpOp::Ne, 5),
+            c0(CmpOp::Lt, 5).or(c0(CmpOp::Gt, 9)),
+            c0(CmpOp::Lt, 5).not(),
+            Predicate::col_col(0, CmpOp::Lt, 1),
+            Predicate::col_cmp(1, CmpOp::Eq, 2),
+        ] {
+            assert_eq!(key_range(&p), None, "{p}");
+        }
     }
 
     #[test]

@@ -5,6 +5,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use hypoquery_storage::IndexCounters;
+
 use crate::proto::Verb;
 
 const BUCKETS: usize = 22;
@@ -125,12 +127,12 @@ impl Metrics {
     }
 
     /// Render the whole registry as `key value` lines — the `STATS`
-    /// reply body. Verbs with zero traffic are omitted. Secondary-index
-    /// cache counters (process-wide, from `hypoquery_storage`) ride along
-    /// as `index.*` lines: `hits` are probes answered from cache, `misses`
-    /// are probes that found no cached build, `builds` are physical index
+    /// reply body. Verbs with zero traffic are omitted. The served
+    /// database's secondary-index counters `idx` ride along as `index.*`
+    /// lines: `hits` are probes answered from cache, `misses` are probes
+    /// that found no cached build, `builds` are physical index
     /// constructions — `misses == builds` means no rebuild was wasted.
-    pub fn render(&self) -> String {
+    pub fn render(&self, idx: IndexCounters) -> String {
         let mut out = String::new();
         for (key, val) in [
             ("server.connections", &self.connections),
@@ -145,7 +147,6 @@ impl Metrics {
             out.push_str(&val.load(Ordering::Relaxed).to_string());
             out.push('\n');
         }
-        let idx = hypoquery_storage::index_counters();
         for (key, val) in [
             ("index.hits", idx.hits),
             ("index.misses", idx.misses),
@@ -222,7 +223,12 @@ mod tests {
         m.record_request(Some(Verb::Query), 80, true);
         m.record_request(Some(Verb::Ping), 5, false);
         m.record_request(None, 1, true); // malformed frame: no verb
-        let text = m.render();
+        let idx = IndexCounters {
+            hits: 3,
+            misses: 2,
+            builds: 1,
+        };
+        let text = m.render(idx);
         assert!(text.contains("server.requests 4"), "{text}");
         assert!(text.contains("server.errors 2"), "{text}");
         assert!(text.contains("verb.QUERY.count 2"), "{text}");
@@ -231,9 +237,9 @@ mod tests {
         // Untouched verbs are omitted.
         assert!(!text.contains("verb.DUMP"), "{text}");
         // Index cache counters are always present.
-        assert!(text.contains("index.hits "), "{text}");
-        assert!(text.contains("index.misses "), "{text}");
-        assert!(text.contains("index.builds "), "{text}");
+        assert!(text.contains("index.hits 3\n"), "{text}");
+        assert!(text.contains("index.misses 2\n"), "{text}");
+        assert!(text.contains("index.builds 1\n"), "{text}");
         // Every line is `key value`.
         for line in text.lines() {
             let mut parts = line.split(' ');

@@ -311,7 +311,7 @@ fn serve_connection_inner(mut stream: &TcpStream, shared: &Shared) -> io::Result
             Err(e) => (None, Reply::Err(e), Control::Continue),
             Ok(req) if req.verb == Verb::Stats => (
                 Some(Verb::Stats),
-                Reply::Text(shared.metrics.render()),
+                Reply::Text(shared.metrics.render(shared.base.index_counters())),
                 Control::Continue,
             ),
             Ok(req) => {

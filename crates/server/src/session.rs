@@ -397,7 +397,10 @@ impl Session {
         if req.body.trim().is_empty() {
             return Err(WireError::proto("usage: RESTORE + dump body"));
         }
-        let db = Database::restore(&req.body).map_err(|e| WireError::from_engine(&e))?;
+        let mut db = Database::restore(&req.body).map_err(|e| WireError::from_engine(&e))?;
+        // The restored database stands in for the old one, so `STATS`
+        // keeps counting its index traffic.
+        db.share_index_stats(&self.db);
         // Branches and prepared states reference the old catalog.
         self.db = db;
         self.tree = WhatIfTree::new();

@@ -184,7 +184,7 @@ fn index_verbs_roundtrip_and_stats_counters_reconcile() {
     let addr = handle.addr();
     let mut c = Client::connect(addr).unwrap();
 
-    // The index cache counters are process-global, so reconcile deltas
+    // The index counters belong to the served database; reconcile deltas
     // around this test's own traffic rather than absolute values.
     let before = c.stats_map().unwrap();
     for key in ["index.hits", "index.misses", "index.builds"] {

@@ -17,6 +17,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::error::StorageError;
+use crate::index::IndexStats;
 use crate::relation::Relation;
 use crate::schema::{Catalog, RelName};
 use crate::tuple::Tuple;
@@ -34,6 +35,9 @@ pub struct DatabaseState {
     /// metadata only — excluded from `PartialEq`, which compares the
     /// logical state function the paper quantifies over.
     indexes: Arc<BTreeMap<RelName, BTreeSet<usize>>>,
+    /// Index hit/miss/build counters, shared by every snapshot of this
+    /// state (also physical metadata).
+    index_stats: Arc<IndexStats>,
 }
 
 impl PartialEq for DatabaseState {
@@ -51,6 +55,7 @@ impl DatabaseState {
             catalog: Arc::new(catalog),
             rels: Arc::new(BTreeMap::new()),
             indexes: Arc::new(BTreeMap::new()),
+            index_stats: Arc::default(),
         }
     }
 
@@ -227,6 +232,18 @@ impl DatabaseState {
         self.indexes
             .iter()
             .flat_map(|(name, cols)| cols.iter().map(move |&c| (name, c)))
+    }
+
+    /// The index counters this state and its snapshots count into.
+    pub fn index_stats(&self) -> &IndexStats {
+        &self.index_stats
+    }
+
+    /// Count index probes into `from`'s counters from now on: a state
+    /// rebuilt or reloaded on behalf of the same database keeps its
+    /// counts.
+    pub fn share_index_stats(&mut self, from: &DatabaseState) {
+        self.index_stats = Arc::clone(&from.index_stats);
     }
 
     /// Total number of stored tuples across all relations.

@@ -9,8 +9,10 @@
 //! seen. The per-column distinct counts the planner reads are cached the
 //! same way.
 //!
-//! Hit/miss/build counters are process-global atomics, surfaced by the
-//! server's `STATS` verb and the E11 bench.
+//! Hit/miss/build counters live in an [`IndexStats`] handle that each
+//! [`DatabaseState`](crate::DatabaseState) carries and its snapshots share,
+//! so two databases in one process count independently. The server's
+//! `STATS` verb and the E11 bench read them.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,8 +52,8 @@ impl ColumnIndex {
     }
 }
 
-/// Snapshot of the process-wide index counters (monotone since start).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Snapshot of one [`IndexStats`] handle (monotone since it was made).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IndexCounters {
     /// Probes answered by a cached index.
     pub hits: u64,
@@ -61,36 +63,47 @@ pub struct IndexCounters {
     pub builds: u64,
 }
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static BUILDS: AtomicU64 = AtomicU64::new(0);
+/// The live index counters of one database: every probe through
+/// [`lookup_or_build_index`] bumps the handle it is given.
+#[derive(Debug, Default)]
+pub struct IndexStats {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    builds: AtomicU64,
+}
 
-/// Read the process-wide index counters.
-pub fn index_counters() -> IndexCounters {
-    IndexCounters {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        builds: BUILDS.load(Ordering::Relaxed),
+impl IndexStats {
+    /// Read the counters.
+    pub fn counters(&self) -> IndexCounters {
+        IndexCounters {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            builds: self.builds.load(Ordering::Relaxed),
+        }
     }
 }
 
 /// The index over `rel` keyed on `cols`, building and caching it in the
-/// relation's storage on first use. A cached answer counts as a hit;
-/// building counts as one miss and one build.
-pub fn lookup_or_build_index(rel: &Relation, cols: &[usize]) -> Arc<ColumnIndex> {
+/// relation's storage on first use. A cached answer counts as a hit in
+/// `stats`; building counts as one miss and one build.
+pub fn lookup_or_build_index(
+    rel: &Relation,
+    cols: &[usize],
+    stats: &IndexStats,
+) -> Arc<ColumnIndex> {
     let mut cache = rel
         .store()
         .indexes
         .lock()
         .unwrap_or_else(|e| e.into_inner());
     if let Some(idx) = cache.get(cols) {
-        HITS.fetch_add(1, Ordering::Relaxed);
+        stats.hits.fetch_add(1, Ordering::Relaxed);
         return Arc::clone(idx);
     }
     // Built under the lock: concurrent first probes of one store wait
     // for a single build instead of each building their own.
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    BUILDS.fetch_add(1, Ordering::Relaxed);
+    stats.misses.fetch_add(1, Ordering::Relaxed);
+    stats.builds.fetch_add(1, Ordering::Relaxed);
     let idx = Arc::new(ColumnIndex::build(rel, cols));
     cache.insert(cols.to_vec(), Arc::clone(&idx));
     idx
@@ -137,25 +150,24 @@ mod tests {
         assert_eq!(idx.probe(&[Value::int(2), Value::int(20)]).len(), 1);
     }
 
+    fn lookup(rel: &Relation, cols: &[usize]) -> Arc<ColumnIndex> {
+        lookup_or_build_index(rel, cols, &IndexStats::default())
+    }
+
     #[test]
     fn snapshots_share_caches_until_a_write() {
         let base = r3();
         let mut snap = base.clone();
-        let idx = lookup_or_build_index(&base, &[0]);
-        assert!(Arc::ptr_eq(&idx, &lookup_or_build_index(&snap, &[0])));
+        let idx = lookup(&base, &[0]);
+        assert!(Arc::ptr_eq(&idx, &lookup(&snap, &[0])));
         assert!(std::ptr::eq(distinct_counts(&base), distinct_counts(&snap)));
         // The write copies the storage; the copy starts with no caches.
         snap.insert(tuple![7, 70]).unwrap();
         assert!(snap.store().indexes.lock().unwrap().is_empty());
         assert!(snap.store().distinct.get().is_none());
-        assert_eq!(
-            lookup_or_build_index(&snap, &[0])
-                .probe(&[Value::int(7)])
-                .len(),
-            1
-        );
+        assert_eq!(lookup(&snap, &[0]).probe(&[Value::int(7)]).len(), 1);
         // The base keeps its cache.
-        assert!(Arc::ptr_eq(&idx, &lookup_or_build_index(&base, &[0])));
+        assert!(Arc::ptr_eq(&idx, &lookup(&base, &[0])));
     }
 
     #[test]
@@ -163,31 +175,34 @@ mod tests {
         // No other snapshot shares `rel`, so `make_mut` mutates in place:
         // the built index and distinct counts must not survive the write.
         let mut rel = r3();
-        assert!(lookup_or_build_index(&rel, &[0])
-            .probe(&[Value::int(7)])
-            .is_empty());
+        assert!(lookup(&rel, &[0]).probe(&[Value::int(7)]).is_empty());
         assert_eq!(distinct_counts(&rel), &[2, 3]);
         rel.insert(tuple![7, 70]).unwrap();
-        let idx = lookup_or_build_index(&rel, &[0]);
+        let idx = lookup(&rel, &[0]);
         assert_eq!(idx.probe(&[Value::int(7)]), &[tuple![7, 70]]);
         assert_eq!(distinct_counts(&rel), &[3, 4]);
         assert!(rel.remove(&tuple![1, 10]));
-        assert!(lookup_or_build_index(&rel, &[0])
-            .probe(&[Value::int(1)])
-            .is_empty());
+        assert!(lookup(&rel, &[0]).probe(&[Value::int(1)]).is_empty());
         assert_eq!(distinct_counts(&rel), &[2, 3]);
     }
 
     #[test]
-    fn counters_are_monotone_and_builds_are_misses() {
+    fn counters_count_into_the_given_handle_only() {
         let rel = r3();
-        let before = index_counters();
-        let _ = lookup_or_build_index(&rel, &[1]);
-        let _ = lookup_or_build_index(&rel, &[1]);
-        let after = index_counters();
-        assert!(after.builds > before.builds);
-        assert!(after.misses > before.misses);
-        assert!(after.hits > before.hits);
+        let (mine, other) = (IndexStats::default(), IndexStats::default());
+        let _ = lookup_or_build_index(&rel, &[1], &mine);
+        let _ = lookup_or_build_index(&rel, &[1], &mine);
+        let want = IndexCounters {
+            hits: 1,
+            misses: 1,
+            builds: 1,
+        };
+        assert_eq!(mine.counters(), want);
+        assert_eq!(other.counters(), IndexCounters::default());
+        // A shared cache is a hit for whoever probes it.
+        let _ = lookup_or_build_index(&rel, &[1], &other);
+        assert_eq!(other.counters().hits, 1);
+        assert_eq!(other.counters().builds, 0);
     }
 
     #[test]

@@ -29,10 +29,8 @@ pub use bag::BagRelation;
 pub use database::DatabaseState;
 pub use dump::{decode_tuple, dump_state, encode_tuple, load_state, DumpError};
 pub use error::StorageError;
-pub use index::{
-    distinct_counts, index_counters, lookup_or_build_index, ColumnIndex, IndexCounters,
-};
-pub use relation::Relation;
+pub use index::{distinct_counts, lookup_or_build_index, ColumnIndex, IndexCounters, IndexStats};
+pub use relation::{KeyRange, Relation};
 pub use schema::{Catalog, RelName, RelSchema};
 pub use tuple::Tuple;
 pub use value::{Value, ValueType};

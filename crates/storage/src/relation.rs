@@ -2,7 +2,8 @@
 //!
 //! Set semantics, as in the paper. Backed by a `BTreeSet` so iteration is
 //! deterministic and already sorted — the sort-merge `join_when` operator in
-//! `hypoquery-eval` exploits this.
+//! `hypoquery-eval` exploits this, and so does [`Relation::range`], which
+//! walks only the tuples whose column 0 lies in a [`KeyRange`].
 //!
 //! Tuple storage is `Arc`-shared and copy-on-write: `clone()` is a pointer
 //! bump, and the first mutation of a shared relation clones the underlying
@@ -16,6 +17,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::ops::Bound;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::error::StorageError;
@@ -216,6 +218,23 @@ impl Relation {
         self.tuples().iter()
     }
 
+    /// Iterate, in sorted order, the tuples whose column 0 lies in `r`.
+    ///
+    /// Tuples sort on column 0 first, so this seeks to the lower bound's
+    /// one-field prefix and stops at the first tuple past the upper bound:
+    /// it touches only the rows it yields (plus, for an exclusive lower
+    /// bound, the rows equal to it).
+    pub fn range<'a>(&'a self, r: &'a KeyRange) -> impl Iterator<Item = &'a Tuple> + 'a {
+        let start = match &r.lo {
+            Bound::Included(v) | Bound::Excluded(v) => Bound::Included(Tuple::new([v.clone()])),
+            Bound::Unbounded => Bound::Unbounded,
+        };
+        self.tuples()
+            .range((start, Bound::Unbounded))
+            .skip_while(move |t| !r.above_lo(t))
+            .take_while(move |t| r.below_hi(t))
+    }
+
     /// Set union. Errors on arity mismatch.
     ///
     /// When one operand is empty (or both share storage) the other is
@@ -331,6 +350,109 @@ impl Relation {
             });
         }
         Ok(())
+    }
+}
+
+/// A range of column-0 values: what [`Relation::range`] walks. Bounds
+/// compare with [`Value`]'s total order, the order the tuple set is
+/// sorted in, so a range over values of another type than the column's is
+/// still exact (it is simply empty or everything).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct KeyRange {
+    /// Lower bound on column 0.
+    pub lo: Bound<Value>,
+    /// Upper bound on column 0.
+    pub hi: Bound<Value>,
+}
+
+impl KeyRange {
+    /// The unbounded range: every tuple.
+    pub fn full() -> KeyRange {
+        KeyRange {
+            lo: Bound::Unbounded,
+            hi: Bound::Unbounded,
+        }
+    }
+
+    /// Whether neither side is bounded.
+    pub fn is_full(&self) -> bool {
+        self.lo == Bound::Unbounded && self.hi == Bound::Unbounded
+    }
+
+    /// Intersect with the lower bound `b`: keep the tighter one.
+    pub fn with_lo(mut self, b: Bound<Value>) -> KeyRange {
+        if tighter(&b, &self.lo, std::cmp::Ordering::Greater) {
+            self.lo = b;
+        }
+        self
+    }
+
+    /// Intersect with the upper bound `b`: keep the tighter one.
+    pub fn with_hi(mut self, b: Bound<Value>) -> KeyRange {
+        if tighter(&b, &self.hi, std::cmp::Ordering::Less) {
+            self.hi = b;
+        }
+        self
+    }
+
+    /// Whether `t`'s column 0 is not below the lower bound (a tuple with
+    /// no column 0 sorts first, so it is below any bound).
+    fn above_lo(&self, t: &Tuple) -> bool {
+        match (&self.lo, t.get(0)) {
+            (Bound::Unbounded, _) => true,
+            (_, None) => false,
+            (Bound::Included(b), Some(k)) => k >= b,
+            (Bound::Excluded(b), Some(k)) => k > b,
+        }
+    }
+
+    /// Whether `t`'s column 0 is not past the upper bound.
+    fn below_hi(&self, t: &Tuple) -> bool {
+        match (&self.hi, t.get(0)) {
+            (Bound::Unbounded, _) | (_, None) => true,
+            (Bound::Included(b), Some(k)) => k <= b,
+            (Bound::Excluded(b), Some(k)) => k < b,
+        }
+    }
+}
+
+/// Whether bound `a` is strictly tighter than `b` on the side where
+/// tighter means `toward` (`Greater` for lower bounds, `Less` for upper):
+/// a bounded side beats an unbounded one, a value further `toward` wins,
+/// and on equal values an exclusive bound wins.
+fn tighter(a: &Bound<Value>, b: &Bound<Value>, toward: std::cmp::Ordering) -> bool {
+    let (av, a_excl) = match a {
+        Bound::Included(v) => (v, false),
+        Bound::Excluded(v) => (v, true),
+        Bound::Unbounded => return false,
+    };
+    match b {
+        Bound::Unbounded => true,
+        Bound::Included(bv) => av.cmp(bv) == toward || (av == bv && a_excl),
+        Bound::Excluded(bv) => av.cmp(bv) == toward,
+    }
+}
+
+/// `#0 >= 5`, `#0 >= 5 and #0 < 9`, `#0 = 4`; `true` for the full range.
+impl fmt::Display for KeyRange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match (&self.lo, &self.hi) {
+            (Bound::Included(a), Bound::Included(b)) if a == b => return write!(f, "#0 = {a}"),
+            (Bound::Unbounded, Bound::Unbounded) => return write!(f, "true"),
+            _ => {}
+        }
+        let lo = match &self.lo {
+            Bound::Included(v) => Some(format!("#0 >= {v}")),
+            Bound::Excluded(v) => Some(format!("#0 > {v}")),
+            Bound::Unbounded => None,
+        };
+        let hi = match &self.hi {
+            Bound::Included(v) => Some(format!("#0 <= {v}")),
+            Bound::Excluded(v) => Some(format!("#0 < {v}")),
+            Bound::Unbounded => None,
+        };
+        let parts: Vec<String> = lo.into_iter().chain(hi).collect();
+        write!(f, "{}", parts.join(" and "))
     }
 }
 
@@ -502,6 +624,53 @@ mod tests {
         assert!(!b.insert(tuple![1, 1]).unwrap(), "duplicate insert");
         assert!(!b.remove(&tuple![9, 9]), "missing remove");
         assert!(a.ptr_eq(&b), "no-op mutations must not copy the set");
+    }
+
+    #[test]
+    fn range_walks_only_the_column0_interval() {
+        let a = r(&[[1, 9], [2, 1], [2, 5], [3, 0], [4, 4], [5, 5]]);
+        let keys = |kr: KeyRange| -> Vec<[i64; 2]> {
+            a.range(&kr)
+                .map(|t| [t[0].as_int().unwrap(), t[1].as_int().unwrap()])
+                .collect()
+        };
+        let v = |i: i64| Value::int(i);
+        let kr = KeyRange::full();
+        assert_eq!(keys(kr.clone()).len(), 6);
+        // An exclusive lower bound skips every row carrying that key; an
+        // inclusive upper bound keeps every row carrying it.
+        let kr2 = kr.clone().with_lo(Bound::Excluded(v(2)));
+        assert_eq!(keys(kr2.with_hi(Bound::Included(v(4)))), [[3, 0], [4, 4]]);
+        let kr3 = kr.clone().with_lo(Bound::Included(v(2)));
+        assert_eq!(keys(kr3.with_hi(Bound::Excluded(v(3)))), [[2, 1], [2, 5]]);
+        // Contradictory and cross-type ranges are empty, never a panic.
+        let empty = kr
+            .clone()
+            .with_lo(Bound::Excluded(v(5)))
+            .with_hi(Bound::Excluded(v(3)));
+        assert!(keys(empty).is_empty());
+        assert!(keys(kr.clone().with_lo(Bound::Included(Value::Bool(false)))).is_empty());
+        assert_eq!(keys(kr.with_hi(Bound::Excluded(Value::str("a")))).len(), 6);
+    }
+
+    #[test]
+    fn key_range_keeps_the_tighter_bound() {
+        let v = |i: i64| Value::int(i);
+        let kr = KeyRange::full()
+            .with_lo(Bound::Included(v(2)))
+            .with_lo(Bound::Excluded(v(2)))
+            .with_lo(Bound::Included(v(1)))
+            .with_hi(Bound::Included(v(9)))
+            .with_hi(Bound::Excluded(v(9)))
+            .with_hi(Bound::Included(v(10)));
+        assert_eq!(kr.lo, Bound::Excluded(v(2)));
+        assert_eq!(kr.hi, Bound::Excluded(v(9)));
+        assert_eq!(kr.to_string(), "#0 > 2 and #0 < 9");
+        let point = KeyRange::full()
+            .with_lo(Bound::Included(v(4)))
+            .with_hi(Bound::Included(v(4)));
+        assert_eq!(point.to_string(), "#0 = 4");
+        assert!(KeyRange::full().is_full() && !point.is_full());
     }
 
     #[test]
