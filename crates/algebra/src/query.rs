@@ -192,21 +192,31 @@ impl Query {
     /// does **not** descend into state expressions (rewrites that cross the
     /// `when` scope boundary must go through the EQUIV_when rules).
     pub fn map_subqueries(self, mut f: impl FnMut(Query) -> Query) -> Query {
+        // Children are rewritten in their boxes, so a walk that rebuilds
+        // every node allocates nothing for the nodes it keeps.
+        let mut g = |mut q: Box<Query>| {
+            *q = f(std::mem::replace(&mut *q, Query::Empty { arity: 0 }));
+            q
+        };
         match self {
             q @ (Query::Base(_) | Query::Singleton(_) | Query::Empty { .. }) => q,
-            Query::Select(q, p) => f(*q).select(p),
-            Query::Project(q, cols) => f(*q).project(cols),
-            Query::Union(a, b) => f(*a).union(f(*b)),
-            Query::Intersect(a, b) => f(*a).intersect(f(*b)),
-            Query::Product(a, b) => f(*a).product(f(*b)),
-            Query::Join(a, b, p) => f(*a).join(f(*b), p),
-            Query::Diff(a, b) => f(*a).diff(f(*b)),
-            Query::When(q, eta) => f(*q).when(*eta),
+            Query::Select(q, p) => Query::Select(g(q), p),
+            Query::Project(q, cols) => Query::Project(g(q), cols),
+            Query::Union(a, b) => Query::Union(g(a), g(b)),
+            Query::Intersect(a, b) => Query::Intersect(g(a), g(b)),
+            Query::Product(a, b) => Query::Product(g(a), g(b)),
+            Query::Join(a, b, p) => Query::Join(g(a), g(b), p),
+            Query::Diff(a, b) => Query::Diff(g(a), g(b)),
+            Query::When(q, eta) => Query::When(g(q), eta),
             Query::Aggregate {
                 input,
                 group_by,
                 aggs,
-            } => f(*input).aggregate(group_by, aggs),
+            } => Query::Aggregate {
+                input: g(input),
+                group_by,
+                aggs,
+            },
         }
     }
 }

@@ -107,6 +107,21 @@ impl ExplicitSubst {
         self.bindings
     }
 
+    /// Remove and return the binding for `name`, if any.
+    pub fn remove(&mut self, name: &RelName) -> Option<Query> {
+        let i = self.bindings.binary_search_by(|(n, _)| n.cmp(name)).ok()?;
+        Some(self.bindings.remove(i).1)
+    }
+
+    /// This substitution with every bound query transformed by `f`, in
+    /// name order.
+    pub fn map_queries(mut self, mut f: impl FnMut(Query) -> Query) -> ExplicitSubst {
+        for (_, q) in &mut self.bindings {
+            *q = f(std::mem::replace(q, Query::Empty { arity: 0 }));
+        }
+        self
+    }
+
     /// Whether any bound query contains a `when`.
     pub fn contains_when(&self) -> bool {
         self.bindings.iter().any(|(_, q)| q.contains_when())

@@ -606,31 +606,57 @@ fn e8(json: &mut BenchJson) {
         ),
         ("many_occurrences", "E7", e7_query(8)),
     ];
-    for (name, from, q) in scenarios {
+    for (name, from, q) in &scenarios {
         let tl = json.time(&format!("fixed_lazy_{name}"), 3, || {
-            let reduced = fully_lazy(&q, &mut RewriteTrace::new());
+            let reduced = fully_lazy(q, &mut RewriteTrace::new());
             let (optimized, _) = optimize(&reduced, db.catalog());
             eval_pure(&optimized, &db).unwrap().len()
         });
-        let enf = to_enf_query(&q, &mut RewriteTrace::new());
+        let enf = to_enf_query(q, &mut RewriteTrace::new());
         let t2 = json.time(&format!("fixed_hql2_{name}"), 3, || {
             algorithm_hql2(&enf, &db).unwrap().len()
         });
         // HQL-3 needs a mod-ENF form; without one the cell stays empty.
-        let t3 = match to_mod_enf(&q) {
+        let t3 = match to_mod_enf(q) {
             Ok(m) => ms(json.time(&format!("fixed_hql3_{name}"), 3, || {
                 algorithm_hql3(&m, &db).unwrap().len()
             })),
             Err(_) => "—".to_string(),
         };
-        let picked = plan(&q, db.catalog(), &stats).strategy;
-        let ta = json.time(&format!("auto_{name}"), 3, || auto(&q, &db, &stats));
+        let picked = plan(q, db.catalog(), &stats).strategy;
+        let ta = json.time(&format!("auto_{name}"), 3, || auto(q, &db, &stats));
         println!(
             "| {name} ({from}) | {} | {} | {t3} | {} | {picked} |",
             ms(tl),
             ms(t2),
             ms(ta)
         );
+    }
+    println!();
+
+    // Planning alone (uncached `plan`, statistics computed once): the
+    // scenarios above, plus perfbench `branch`'s key lookup and range
+    // aggregate in its what-if state.
+    let sel_col = |rel: &str, col, op, v| Query::base(rel).select(Predicate::col_cmp(col, op, v));
+    let branch = StateExpr::update(
+        Update::delete("R", sel_col("R", 1, CmpOp::Lt, 300))
+            .then(Update::insert("R", sel_col("S", 0, CmpOp::Ge, 2900))),
+    );
+    let branch_lookup = sel_col("R", 0, CmpOp::Eq, 1234).when(branch.clone());
+    let branch_range = sel_col("R", 0, CmpOp::Lt, 200)
+        .aggregate(vec![], vec![AggExpr::Count, AggExpr::Sum(1)])
+        .when(branch);
+    println!("| query | plan |");
+    println!("|:--|---:|");
+    let planned = scenarios.into_iter().map(|(name, _, q)| (name, q)).chain([
+        ("branch_lookup", branch_lookup),
+        ("branch_range", branch_range),
+    ]);
+    for (name, q) in planned {
+        let t = json.time(&format!("plan_{name}"), reps(201), || {
+            plan(&q, db.catalog(), &stats).candidates.len()
+        });
+        println!("| {name} | {} |", fmt_ns(t));
     }
     println!();
 }
@@ -708,32 +734,42 @@ fn e9(json: &mut BenchJson) {
             "| {k} scenarios, deep snapshot each (seed cost model) | {} |",
             fmt_ns(t_deep)
         );
-        let t_seq = json.time(&format!("scenarios_cow_seq_{k}x{size}"), reps(5), || {
-            scenarios
-                .iter()
-                .map(|q| db.execute(q, Strategy::Lazy).unwrap().len())
-                .sum()
-        });
+        let (t_seq, t_par) = json.time_pair(
+            [
+                &format!("scenarios_cow_seq_{k}x{size}"),
+                &format!("scenarios_cow_par_{k}x{size}"),
+            ],
+            reps(5),
+            || {
+                scenarios
+                    .iter()
+                    .map(|q| db.execute(q, Strategy::Lazy).unwrap().len())
+                    .sum()
+            },
+            || {
+                db.execute_many(&scenarios, Strategy::Lazy)
+                    .unwrap()
+                    .iter()
+                    .map(|r| r.len())
+                    .sum()
+            },
+        );
         println!(
             "| {k} scenarios, CoW snapshots, sequential | {} |",
             fmt_ns(t_seq)
         );
-        let t_par = json.time(&format!("scenarios_cow_par_{k}x{size}"), reps(5), || {
-            db.execute_many(&scenarios, Strategy::Lazy)
-                .unwrap()
-                .iter()
-                .map(|r| r.len())
-                .sum()
-        });
         println!(
             "| {k} scenarios, CoW snapshots, parallel ({} workers) | {} |",
             hypoquery_eval::num_workers(),
             fmt_ns(t_par)
         );
-        let (seq, par) = (t_deep / t_seq, t_deep / t_par);
+        let (seq, par, fanout) = (t_deep / t_seq, t_deep / t_par, t_seq / t_par);
         json.record(&format!("speedup_seq_{k}x{size}"), seq, Unit::Ratio);
         json.record(&format!("speedup_par_{k}x{size}"), par, Unit::Ratio);
-        speedups.push(format!("k={k}: sequential {seq:.1}×, parallel {par:.1}×"));
+        json.record(&format!("fanout_{k}x{size}"), fanout, Unit::Ratio);
+        speedups.push(format!(
+            "k={k}: sequential {seq:.1}×, parallel {par:.1}× (fan-out {fanout:.2}×)"
+        ));
     }
     println!("\nspeedup vs seed cost model: {}\n", speedups.join("; "));
 }

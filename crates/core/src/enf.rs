@@ -232,36 +232,35 @@ fn state_is_mod_enf(eta: &StateExpr) -> bool {
 /// updates have no atomic form and yield [`EnfError::NotModEnf`] — the
 /// planner falls back to Algorithm HQL-2 for those queries.
 pub fn to_mod_enf(q: &Query) -> Result<Query, EnfError> {
-    match q.clone() {
-        Query::When(body, eta) => {
-            let body = to_mod_enf(&body)?;
-            let u = state_to_atomic_update(&eta)?;
-            Ok(body.when(StateExpr::update(u)))
-        }
-        other => {
-            // Recurse; propagate errors out of map_subqueries via a cell.
-            let mut err = None;
-            let out = other.map_subqueries(|sub| match to_mod_enf(&sub) {
-                Ok(t) => t,
-                Err(e) => {
-                    err = Some(e);
-                    sub
-                }
-            });
-            match err {
-                Some(e) => Err(e),
-                None => Ok(out),
-            }
-        }
-    }
+    mod_enf(q.clone())
 }
 
-fn state_to_atomic_update(eta: &StateExpr) -> Result<Update, EnfError> {
+fn mod_enf(q: Query) -> Result<Query, EnfError> {
+    // Recurse; propagate errors out of map_subqueries via a cell (the
+    // last child's error wins).
+    let mut err = None;
+    let mut out = q.map_subqueries(|sub| {
+        mod_enf(sub).unwrap_or_else(|e| {
+            err = Some(e);
+            Query::empty(0)
+        })
+    });
+    if let Some(e) = err {
+        return Err(e);
+    }
+    if let Query::When(_, eta) = &mut out {
+        let eta_in = std::mem::replace(&mut **eta, StateExpr::subst(Default::default()));
+        **eta = StateExpr::update(state_to_atomic_update(eta_in)?);
+    }
+    Ok(out)
+}
+
+fn state_to_atomic_update(eta: StateExpr) -> Result<Update, EnfError> {
     match eta {
         StateExpr::Update(u) => update_to_atomic(u),
         StateExpr::Compose(a, b) => {
             // {U₁} # {U₂} ≡ {U₁; U₂}
-            Ok(state_to_atomic_update(a)?.then(state_to_atomic_update(b)?))
+            Ok(state_to_atomic_update(*a)?.then(state_to_atomic_update(*b)?))
         }
         StateExpr::Subst(eps) => Err(EnfError::NotModEnf(format!(
             "explicit substitution {eps} has no atomic update form"
@@ -269,12 +268,12 @@ fn state_to_atomic_update(eta: &StateExpr) -> Result<Update, EnfError> {
     }
 }
 
-fn update_to_atomic(u: &Update) -> Result<Update, EnfError> {
+fn update_to_atomic(u: Update) -> Result<Update, EnfError> {
     match u {
-        Update::Insert(r, q) => Ok(Update::Insert(r.clone(), to_mod_enf(q)?)),
-        Update::Delete(r, q) => Ok(Update::Delete(r.clone(), to_mod_enf(q)?)),
-        Update::Seq(a, b) => Ok(update_to_atomic(a)?.then(update_to_atomic(b)?)),
-        Update::Cond { .. } => Err(EnfError::NotModEnf(format!(
+        Update::Insert(r, q) => Ok(Update::Insert(r, mod_enf(q)?)),
+        Update::Delete(r, q) => Ok(Update::Delete(r, mod_enf(q)?)),
+        Update::Seq(a, b) => Ok(update_to_atomic(*a)?.then(update_to_atomic(*b)?)),
+        u @ Update::Cond { .. } => Err(EnfError::NotModEnf(format!(
             "conditional update {u} has no atomic update form"
         ))),
     }

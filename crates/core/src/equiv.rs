@@ -16,6 +16,7 @@ use std::fmt;
 
 use hypoquery_algebra::scope::{dom_state_expr, free_query, free_state_expr};
 use hypoquery_algebra::{ExplicitSubst, Query, StateExpr, Update};
+use hypoquery_storage::RelName;
 
 use crate::subst::{compose_suspended, slice_hql};
 
@@ -287,25 +288,33 @@ pub fn rule_simplify_subst(q: &Query) -> Option<(Query, Rule)> {
     let StateExpr::Subst(eps) = &**eta else {
         return None;
     };
+    match droppable_binding(body, eps)? {
+        (None, rule) => Some(((**body).clone(), rule)),
+        (Some(name), rule) => Some((
+            body.clone().when(StateExpr::subst(eps.without(&name))),
+            rule,
+        )),
+    }
+}
+
+/// What *substitution-simplification* drops first from `body when eps`:
+/// a binding (`Some(name)`) or, if `eps` is empty, the whole substitution
+/// (`None`), with the rule that fires.
+fn droppable_binding(body: &Query, eps: &ExplicitSubst) -> Option<(Option<RelName>, Rule)> {
     if eps.is_empty() {
-        return Some(((**body).clone(), Rule::DropEmptySubst));
+        return Some((None, Rule::DropEmptySubst));
     }
     let free = free_query(body);
-    for (name, bound) in eps.iter() {
-        if !free.contains(name) {
-            return Some((
-                body.clone().when(StateExpr::subst(eps.without(name))),
-                Rule::DropUnusedBinding,
-            ));
-        }
-        if *bound == Query::Base(name.clone()) {
-            return Some((
-                body.clone().when(StateExpr::subst(eps.without(name))),
-                Rule::DropIdentityBinding,
-            ));
-        }
-    }
-    None
+    eps.iter().find_map(|(name, bound)| {
+        let rule = if !free.contains(name) {
+            Rule::DropUnusedBinding
+        } else if matches!(bound, Query::Base(n) if n == name) {
+            Rule::DropIdentityBinding
+        } else {
+            return None;
+        };
+        Some((Some(name.clone()), rule))
+    })
 }
 
 /// *commute-hypotheticals* (Fig. 1): `(Q when η₁) when η₂ ≡
@@ -366,37 +375,40 @@ pub fn is_enf_query(q: &Query) -> bool {
 /// applying *convert-to-explicit-substitutions*, *associativity* and
 /// *compute-composition*, recording each firing in `trace`.
 pub fn to_enf_state(eta: &StateExpr, trace: &mut RewriteTrace) -> ExplicitSubst {
+    enf_state(eta.clone(), trace)
+}
+
+fn enf_state(eta: StateExpr, trace: &mut RewriteTrace) -> ExplicitSubst {
     match eta {
         StateExpr::Update(_) => {
-            let (next, rule) = rule_convert_update(eta).expect("convert rules are total on {U}");
-            trace.record(rule, eta);
-            to_enf_state(&next, trace)
+            let (next, rule) = rule_convert_update(&eta).expect("convert rules are total on {U}");
+            trace.record(rule, &eta);
+            enf_state(next, trace)
         }
-        StateExpr::Subst(eps) => {
-            let mut out = ExplicitSubst::empty();
-            for (name, q) in eps.iter() {
-                out.bind(name.clone(), to_enf_query_inner(q, trace));
-            }
-            out
-        }
+        StateExpr::Subst(eps) => eps.map_queries(|q| enf_query(q, trace)),
         StateExpr::Compose(a, b) => {
-            let ea = to_enf_state(a, trace);
-            let eb = to_enf_state(b, trace);
-            trace.record(Rule::ComputeComposition, eta);
+            // The composition is recorded after its operands normalize;
+            // a verbose trace renders it before they move.
+            let redex = if trace.verbose {
+                StateExpr::Compose(a.clone(), b.clone()).to_string()
+            } else {
+                String::new()
+            };
+            let ea = enf_state(*a, trace);
+            let eb = enf_state(*b, trace);
+            trace.record(Rule::ComputeComposition, &redex);
             compose_suspended(&ea, &eb)
         }
     }
 }
 
-fn to_enf_query_inner(q: &Query, trace: &mut RewriteTrace) -> Query {
-    match q.clone() {
-        Query::When(body, eta) => {
-            let body = to_enf_query_inner(&body, trace);
-            let eps = to_enf_state(&eta, trace);
-            body.when(StateExpr::subst(eps))
-        }
-        other => other.map_subqueries(|sub| to_enf_query_inner(&sub, trace)),
+fn enf_query(q: Query, trace: &mut RewriteTrace) -> Query {
+    let mut q = q.map_subqueries(|sub| enf_query(sub, trace));
+    if let Query::When(_, eta) = &mut q {
+        let eta_in = std::mem::replace(&mut **eta, StateExpr::subst(ExplicitSubst::empty()));
+        **eta = StateExpr::subst(enf_state(eta_in, trace));
     }
+    q
 }
 
 /// Normalize a query to ENF (§5.2): every hypothetical-state expression in
@@ -405,31 +417,46 @@ fn to_enf_query_inner(q: &Query, trace: &mut RewriteTrace) -> Query {
 /// normal form; pushing `when`s further (towards lazy) is a separate,
 /// planner-driven choice.
 pub fn to_enf_query(q: &Query, trace: &mut RewriteTrace) -> Query {
-    let out = to_enf_query_inner(q, trace);
+    let out = enf_query(q.clone(), trace);
     debug_assert!(is_enf_query(&out));
     out
 }
 
 /// Simplify every `when` node in an ENF query with
 /// *substitution-simplification* until no more bindings can be dropped.
-/// This is the binding-removal optimization of Example 2.3.
-pub fn simplify_enf(q: &Query, trace: &mut RewriteTrace) -> Query {
-    let mut current = q.clone().map_subqueries(|sub| simplify_enf(&sub, trace));
+/// This is the binding-removal optimization of Example 2.3. Takes the
+/// query by value and rewrites it in place.
+pub fn simplify_enf(q: Query, trace: &mut RewriteTrace) -> Query {
+    let mut current = q.map_subqueries(|sub| simplify_enf(sub, trace));
     // At a When node, also simplify inside bindings, then drop bindings.
-    if let Query::When(body, eta) = &current {
-        if let StateExpr::Subst(eps) = &**eta {
-            let mut neweps = ExplicitSubst::empty();
-            for (name, bq) in eps.iter() {
-                neweps.bind(name.clone(), simplify_enf(bq, trace));
-            }
-            current = body.clone().when(StateExpr::subst(neweps));
+    if let Query::When(_, eta) = &mut current {
+        if let StateExpr::Subst(eps) = &mut **eta {
+            *eps = std::mem::take(eps).map_queries(|bq| simplify_enf(bq, trace));
         }
     }
-    while let Some((next, rule)) = rule_simplify_subst(&current) {
+    loop {
+        let step = match &current {
+            Query::When(body, eta) => match &**eta {
+                StateExpr::Subst(eps) => droppable_binding(body, eps),
+                _ => None,
+            },
+            _ => None,
+        };
+        let Some((dropped, rule)) = step else {
+            return current;
+        };
         trace.record(rule, &current);
-        current = next;
+        let Query::When(body, mut eta) = current else {
+            unreachable!("a step fires only at a `when`")
+        };
+        current = match (dropped, &mut *eta) {
+            (Some(name), StateExpr::Subst(eps)) => {
+                eps.remove(&name);
+                Query::When(body, eta)
+            }
+            _ => *body,
+        };
     }
-    current
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! * [`compose_suspended`] — the *compute-composition* rule of Figure 1:
 //!   composition at the syntactic level, valid for arbitrary HQL bindings,
 //!   where `sub(P, ε₁)` is represented as the suspended `P when ε₁`.
-//! * [`slice`] — `slice(U)`: the substitution with the same effect as
+//! * [`slice`](fn@slice) — `slice(U)`: the substitution with the same effect as
 //!   update `U` (§3.4), including the §6 conditional-update extension.
 
 use std::fmt;
@@ -188,7 +188,7 @@ pub fn slice(u: &Update) -> Result<ExplicitSubst, SubstError> {
     }
 }
 
-/// Total variant of [`slice`] for updates whose queries may contain `when`:
+/// Total variant of [`slice`](fn@slice) for updates whose queries may contain `when`:
 /// sequences compose with [`compose_suspended`] instead of [`compose_pure`],
 /// so no purity requirement arises. The resulting bindings may contain
 /// `when` (with explicit substitutions), which ENF permits.

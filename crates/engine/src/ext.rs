@@ -160,7 +160,7 @@ impl TempTables {
     }
 }
 
-/// The `η₁ when η₂` construct the paper defers to [GH97]: *the update η₁,
+/// The `η₁ when η₂` construct the paper defers to \[GH97\]: *the update η₁,
 /// as it would behave in the hypothetical state η₂*, applied to the
 /// current state.
 ///

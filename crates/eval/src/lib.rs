@@ -5,11 +5,11 @@
 //! * [`direct`] — the reference semantics `[[Q]]`, `[[U]]`, `[[η]]`
 //!   (§3.1, §4.2) and `apply(DB, ρ)` (§3.3);
 //! * [`xsub`] — xsub-values with `apply` and smash `!` (§5.3);
-//! * [`filter1`] — Figure 3 / Algorithm HQL-1 (node-at-a-time eager);
-//! * [`filter2`] — Algorithm HQL-2 over collapsed trees (clustered eager);
+//! * [`filter1`](mod@filter1) — Figure 3 / Algorithm HQL-1 (node-at-a-time eager);
+//! * [`filter2`](mod@filter2) — Algorithm HQL-2 over collapsed trees (clustered eager);
 //! * [`delta`] — Heraclitus-style delta values, delta smash, the
 //!   six-operand `join-when`, and delta-filtered evaluation (§5.5);
-//! * [`filter3`] — Figure 4 / Algorithm HQL-3 (delta-based eager);
+//! * [`filter3`](mod@filter3) — Figure 4 / Algorithm HQL-3 (delta-based eager);
 //! * [`exec`] — scoped-thread fan-out for independent scenarios
 //!   (copy-on-write snapshots make branches share-nothing writers);
 //! * [`physical`] — the pipelined executor every strategy lowers to;

@@ -4,8 +4,8 @@
 //! ENF filtering (HQL-1/HQL-2), and mod-ENF delta filtering (HQL-3) —
 //! bottoms out in the same relational work: scans, selections,
 //! projections, joins, set operations. The legacy evaluators
-//! ([`crate::direct`], [`crate::filter1`], [`crate::filter2`],
-//! [`crate::filter3`]) each implement that work as a recursive tree walk
+//! ([`crate::direct`], [`crate::filter1`](mod@crate::filter1), [`crate::filter2`](mod@crate::filter2),
+//! [`crate::filter3`](mod@crate::filter3)) each implement that work as a recursive tree walk
 //! that materializes a full [`Relation`] at *every* node. This module
 //! replaces all of them on the default path with one executable IR,
 //! [`PhysPlan`], whose operators stream tuples through a pipeline:

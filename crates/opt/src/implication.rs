@@ -171,6 +171,16 @@ pub fn conjuncts(p: &Predicate) -> Vec<Predicate> {
     }
 }
 
+/// Whether some conjunct of `p` (as [`conjuncts`] lists them) satisfies
+/// `f`, decided without collecting them.
+pub fn any_conjunct(p: &Predicate, f: &mut impl FnMut(&Predicate) -> bool) -> bool {
+    match p {
+        Predicate::And(a, b) => any_conjunct(a, f) || any_conjunct(b, f),
+        Predicate::True => false,
+        other => f(other),
+    }
+}
+
 /// Rebuild a conjunction from conjuncts.
 pub fn conjoin(mut parts: Vec<Predicate>) -> Predicate {
     match parts.len() {
@@ -216,7 +226,10 @@ pub fn pred_unsat(p: &Predicate) -> bool {
     match p {
         Predicate::False => true,
         Predicate::Or(a, b) => pred_unsat(a) && pred_unsat(b),
-        _ => {
+        // A single atom always has a solution; `True` and negations are
+        // not judged.
+        Predicate::True | Predicate::Cmp(..) | Predicate::Not(_) => false,
+        Predicate::And(..) => {
             let parts = conjuncts(p);
             if parts.contains(&Predicate::False) {
                 return true;
@@ -272,12 +285,63 @@ pub fn prune_conjuncts(p: &Predicate) -> Predicate {
     conjoin(kept)
 }
 
+/// Whether [`prune_conjuncts`] would return `p` unchanged, decided
+/// without building anything: `p` has at most one conjunct, or it is the
+/// left-deep chain `prune_conjuncts` rebuilds and no conjunct implies
+/// another.
+pub fn is_pruned(p: &Predicate) -> bool {
+    let mut seen = 0;
+    let several = any_conjunct(p, &mut |_| {
+        seen += 1;
+        seen > 1
+    });
+    if !several {
+        return true;
+    }
+    // The conjuncts hanging off the left spine of `And`s, last first.
+    let chain = std::iter::successors(Some(p), |q| match q {
+        Predicate::And(l, _) => Some(&**l),
+        _ => None,
+    })
+    .map(|q| match q {
+        Predicate::And(_, r) => &**r,
+        leaf => leaf,
+    });
+    if chain
+        .clone()
+        .any(|c| matches!(c, Predicate::And(..) | Predicate::True))
+    {
+        return false;
+    }
+    chain.clone().enumerate().all(|(i, a)| {
+        chain
+            .clone()
+            .skip(i + 1)
+            .all(|b| !conj_implies(a, b) && !conj_implies(b, a))
+    })
+}
+
 fn conj_implies(a: &Predicate, b: &Predicate) -> bool {
     a == b
         || match (Atom::from_pred(a), Atom::from_pred(b)) {
             (Some(a), Some(b)) => atom_implies(&a, &b),
             _ => false,
         }
+}
+
+/// Whether [`fold_pred`] would return `p` unchanged, decided without
+/// building anything: no const-vs-const comparison, no negation, and no
+/// `True`/`False` under a connective.
+pub fn is_folded(p: &Predicate) -> bool {
+    match p {
+        Predicate::Cmp(ScalarExpr::Const(_), _, ScalarExpr::Const(_)) | Predicate::Not(_) => false,
+        Predicate::And(a, b) | Predicate::Or(a, b) => {
+            let settled =
+                |x: &Predicate| !matches!(x, Predicate::True | Predicate::False) && is_folded(x);
+            settled(a) && settled(b)
+        }
+        _ => true,
+    }
 }
 
 /// Constant-fold a predicate: evaluate const-vs-const comparisons,

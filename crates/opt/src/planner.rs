@@ -18,20 +18,26 @@
 //!   when the updates touch a small fraction of the data — §5.5.
 //! * **Hybrid** — per-`when` greedy mix: reduce a `when` lazily where that
 //!   is estimated cheaper, keep it for materialization where not —
-//!   Ex. 2.1(c)'s mixed strategy. Built only when the ENF form can mix:
-//!   never for a single `when` over a pure body with pure bindings.
+//!   Ex. 2.1(c)'s mixed strategy. Built only when the ENF body itself
+//!   holds a `when`: a `when` over a pure body, whatever its bindings,
+//!   could only become the ENF query or its lazy form, which are already
+//!   candidates.
+//!
+//! Each candidate's rewrites run once, on trees the planner owns: the
+//! normal form one step produces is handed by value to the next, so no
+//! step copies its input.
 
 use std::fmt;
 
 use hypoquery_storage::{Catalog, DatabaseState, Relation};
 
-use hypoquery_algebra::{Query, StateExpr};
+use hypoquery_algebra::Query;
 use hypoquery_core::{
     fully_lazy, is_mod_enf, simplify_enf, to_enf_query, to_mod_enf, EnfError, RewriteTrace,
 };
 use hypoquery_eval::{algorithm_hql2, algorithm_hql3, eval_pure, EvalError};
 
-use crate::rewrite::{optimize, RaTrace};
+use crate::rewrite::{optimize_owned, RaTrace};
 use crate::stats::{estimate_cost, Statistics};
 
 /// Which evaluation strategy a plan uses.
@@ -136,11 +142,11 @@ fn candidate(
     trace: &mut RewriteTrace,
 ) -> Result<Plan, EnfError> {
     let (query, ra_trace) = match strategy {
-        PlannedStrategy::Lazy => optimize(&fully_lazy(q, trace), catalog),
+        PlannedStrategy::Lazy => optimize_owned(fully_lazy(q, trace), catalog),
         PlannedStrategy::EagerXsub => {
-            optimize(&simplify_enf(&to_enf_query(q, trace), trace), catalog)
+            optimize_owned(simplify_enf(to_enf_query(q, trace), trace), catalog)
         }
-        PlannedStrategy::EagerDelta => optimize(&to_mod_enf(q)?, catalog),
+        PlannedStrategy::EagerDelta => optimize_owned(to_mod_enf(q)?, catalog),
         PlannedStrategy::Hybrid => unreachable!("the hybrid cannot be forced"),
     };
     Ok(costed(strategy, query, ra_trace, stats))
@@ -172,10 +178,20 @@ pub fn plan(q: &Query, catalog: &Catalog, stats: &Statistics) -> Plan {
         let delta = build(PlannedStrategy::EagerDelta, &mut trace)
             .ok()
             .filter(|c| is_mod_enf(&c.query));
+        // The hybrid's derivation is traced only if the hybrid is listed.
         let hybrid = can_mix(&xsub.query)
-            .then(|| hybridize(&xsub.query, catalog, stats, &mut trace))
-            .filter(|h| *h != xsub.query && *h != cands[0].query)
-            .map(|h| costed(PlannedStrategy::Hybrid, h, RaTrace::default(), stats));
+            .then(|| {
+                let mut steps = RewriteTrace::new();
+                (
+                    hybridize(xsub.query.clone(), catalog, stats, &mut steps),
+                    steps,
+                )
+            })
+            .filter(|(h, _)| *h != xsub.query && *h != cands[0].query)
+            .map(|(h, steps)| {
+                trace.steps.extend(steps.steps);
+                costed(PlannedStrategy::Hybrid, h, RaTrace::default(), stats)
+            });
         cands.push(xsub);
         cands.extend(delta);
         cands.extend(hybrid);
@@ -216,17 +232,14 @@ pub fn plan_as(
     Ok(p)
 }
 
-/// Whether hybridizing the ENF query `enf` can mix strategies. A single
-/// `when` over a pure body with pure bindings cannot: [`hybridize`] would
-/// return either `enf` itself or a lazy form of it.
+/// Whether hybridizing the ENF query `enf` can mix strategies. A `when`
+/// over a pure body cannot, whatever its bindings are: [`hybridize`] does
+/// not descend into bindings, so it would return either `enf` itself or
+/// its fully lazy form. A hybrid is built only when the ENF body itself
+/// holds a `when`.
 fn can_mix(enf: &Query) -> bool {
     match enf {
-        Query::When(body, eta) => match &**eta {
-            StateExpr::Subst(eps) => {
-                !body.is_pure() || eps.iter().any(|(_, binding)| !binding.is_pure())
-            }
-            _ => true,
-        },
+        Query::When(body, _) => !body.is_pure(),
         other => !other.is_pure(),
     }
 }
@@ -234,18 +247,11 @@ fn can_mix(enf: &Query) -> bool {
 /// Greedy hybrid: walk the ENF query; at each `when`, inline it lazily if
 /// the reduced form is estimated cheaper than keeping it for
 /// materialization.
-fn hybridize(q: &Query, catalog: &Catalog, stats: &Statistics, trace: &mut RewriteTrace) -> Query {
-    let rebuilt = match q.clone() {
-        Query::When(body, eta) => {
-            let body = hybridize(&body, catalog, stats, trace);
-            body.when(*eta)
-        }
-        other => other.map_subqueries(|sub| hybridize(&sub, catalog, stats, trace)),
-    };
+fn hybridize(q: Query, catalog: &Catalog, stats: &Statistics, trace: &mut RewriteTrace) -> Query {
+    let rebuilt = q.map_subqueries(|sub| hybridize(sub, catalog, stats, trace));
     if let Query::When(_, _) = &rebuilt {
         let eager_cost = estimate_cost(&rebuilt, stats);
-        let lazy_form = fully_lazy(&rebuilt, trace);
-        let (lazy_form, _) = optimize(&lazy_form, catalog);
+        let (lazy_form, _) = optimize_owned(fully_lazy(&rebuilt, trace), catalog);
         let lazy_cost = estimate_cost(&lazy_form, stats);
         if lazy_cost <= eager_cost {
             return lazy_form;
@@ -258,7 +264,7 @@ fn hybridize(q: &Query, catalog: &Catalog, stats: &Statistics, trace: &mut Rewri
 mod tests {
     use super::*;
     use crate::stats::estimate;
-    use hypoquery_algebra::{CmpOp, ExplicitSubst, Predicate, Update};
+    use hypoquery_algebra::{CmpOp, ExplicitSubst, Predicate, StateExpr, Update};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -433,6 +439,69 @@ mod tests {
                 let e = estimate(&forced.query, &st);
                 assert_eq!((e.rows, e.cost), (rows, cost), "{s} form of {q}");
             }
+        }
+    }
+
+    /// `plan`'s EQUIV_when trace holds exactly the derivations of the
+    /// candidates it lists: the sum of their `plan_as` traces, in order.
+    #[test]
+    fn when_trace_holds_only_listed_candidates() {
+        let st = stats(6000.0, 6000.0);
+        for q in served_queries() {
+            let p = plan(&q, &catalog(), &st);
+            let rules = |t: &RewriteTrace| t.steps.iter().map(|s| s.rule).collect::<Vec<_>>();
+            let mut expected = Vec::new();
+            for &(s, _) in &p.candidates {
+                let forced = plan_as(&q, &catalog(), &st, s).unwrap();
+                expected.extend(rules(&forced.when_trace));
+            }
+            assert_eq!(rules(&p.when_trace), expected, "{q}");
+        }
+    }
+
+    /// Queries `body when η` with a pure body: their ENF candidate is
+    /// mostly a `when` over a pure body, where [`can_mix`] builds no
+    /// hybrid.
+    fn when_over_pure_body() -> impl proptest::strategy::Strategy<Value = Query> {
+        use hypoquery_testkit::{arb_pure_query, arb_state_expr, Universe};
+        use proptest::strategy::Strategy;
+        let u = Universe::standard();
+        (arb_pure_query(&u, 2, 3), arb_state_expr(&u, 2)).prop_map(|(body, eta)| body.when(eta))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+
+        /// Where the ENF candidate is a `when` over a pure body, the
+        /// hybrid `plan` no longer builds could not have changed its
+        /// choice: it is the ENF query, the lazy candidate, or a query
+        /// that costs more than the chosen plan.
+        #[test]
+        fn unbuilt_hybrid_never_wins(
+            q in when_over_pure_body(),
+            cards in proptest::collection::vec(0usize..5, 5),
+        ) {
+            let u = hypoquery_testkit::Universe::standard();
+            let sizes = [0.0, 1.0, 10.0, 1000.0, 50_000.0];
+            let mut st = Statistics::from_cards(
+                u.names.iter().zip(&cards).map(|((n, _), &c)| (n.clone(), sizes[c])),
+            );
+            for (n, a) in &u.names {
+                st = st.with_arity(n.clone(), *a).with_index(n.clone(), 0);
+            }
+            let enf = plan_as(&q, &u.catalog, &st, PlannedStrategy::EagerXsub).unwrap().query;
+            let Query::When(body, eta) = &enf else { return Ok(()) };
+            if !body.is_pure() || eta.as_subst().is_none() {
+                return Ok(());
+            }
+            proptest::prop_assert!(!can_mix(&enf));
+            let lazy = plan_as(&q, &u.catalog, &st, PlannedStrategy::Lazy).unwrap().query;
+            let chosen = plan(&q, &u.catalog, &st);
+            let h = hybridize(enf.clone(), &u.catalog, &st, &mut RewriteTrace::new());
+            proptest::prop_assert!(
+                h == enf || h == lazy || estimate_cost(&h, &st) > chosen.est_cost,
+                "hybrid {} of {} would win over {}", h, q, chosen
+            );
         }
     }
 

@@ -26,11 +26,20 @@
 //! `when` nodes are treated as opaque: the rewriter descends into their
 //! bodies and bindings, but never moves anything across the scope boundary
 //! (that is EQUIV_when's job, in `hypoquery-core`).
+//!
+//! [`optimize`] runs bottom-up passes over a tree it owns, rebuilding each
+//! node in place. Only a firing rule changes the tree, so the fixpoint is
+//! the first pass whose [`RaTrace`] count does not grow (at most 32
+//! passes). A rule check that does not fire builds nothing: predicates
+//! are tested for foldable or prunable parts before anything is folded or
+//! pruned.
 
 use hypoquery_algebra::{Predicate, Query, StateExpr};
 use hypoquery_storage::Catalog;
 
-use crate::implication::{conjoin, conjuncts, fold_pred, pred_unsat, prune_conjuncts};
+use crate::implication::{
+    any_conjunct, conjoin, conjuncts, fold_pred, is_folded, is_pruned, pred_unsat, prune_conjuncts,
+};
 
 /// How many times each named rule fired during a rewrite.
 #[derive(Clone, Debug, Default)]
@@ -70,295 +79,339 @@ impl RaTrace {
 /// The catalog is needed to give the correct arity to `∅` nodes produced
 /// by emptiness rules.
 pub fn optimize(q: &Query, catalog: &Catalog) -> (Query, RaTrace) {
+    optimize_owned(q.clone(), catalog)
+}
+
+/// [`optimize`] on a query the caller owns: rewrites it in place of a
+/// copy.
+pub fn optimize_owned(mut q: Query, catalog: &Catalog) -> (Query, RaTrace) {
     let mut trace = RaTrace::default();
-    let mut current = q.clone();
     // Global fixpoint with a safety cap; each pass is a bottom-up rewrite.
+    // Only a firing rule changes the tree, so a pass that fires none is
+    // the fixpoint.
     for _ in 0..32 {
-        let next = rewrite_node(&current, catalog, &mut trace);
-        if next == current {
+        let fired = trace.total();
+        q = rewrite_node(q, catalog, &mut trace);
+        if trace.total() == fired {
             break;
         }
-        current = next;
     }
-    (current, trace)
+    (q, trace)
 }
 
 /// Arity of a query assuming it is well-typed (used to type `∅` nodes).
+/// Walks only the operators that decide the arity, checking nothing.
 fn arity_of(q: &Query, catalog: &Catalog) -> usize {
-    hypoquery_algebra::typing::arity_of(q, catalog).expect("optimizer inputs are type-checked")
-}
-
-fn rewrite_node(q: &Query, catalog: &Catalog, trace: &mut RaTrace) -> Query {
-    // Bottom-up: rewrite children first...
-    let node = match q.clone() {
-        Query::When(body, eta) => {
-            let body = rewrite_node(&body, catalog, trace);
-            let eta = match *eta {
-                StateExpr::Subst(eps) => StateExpr::Subst(
-                    eps.into_bindings()
-                        .into_iter()
-                        .map(|(n, bq)| (n, rewrite_node(&bq, catalog, trace)))
-                        .collect(),
-                ),
-                other => other,
-            };
-            body.when(eta)
-        }
-        other => other.map_subqueries(|sub| rewrite_node(&sub, catalog, trace)),
-    };
-    // ...then apply local rules at this node to a fixpoint.
-    let mut current = node;
-    loop {
-        match apply_local(&current, catalog, trace) {
-            Some(next) => current = next,
-            None => return current,
-        }
-    }
-}
-
-/// Try one local rule at the root; `Some(rewritten)` if any fired.
-fn apply_local(q: &Query, catalog: &Catalog, trace: &mut RaTrace) -> Option<Query> {
     match q {
-        // ---- selections -------------------------------------------------
-        Query::Select(inner, p) => {
-            let folded = fold_pred(p);
-            if folded != *p {
-                trace.record("fold-predicate");
-                return Some((**inner).clone().select(folded));
-            }
-            if *p == Predicate::True {
-                trace.record("drop-select-true");
-                return Some((**inner).clone());
-            }
-            if pred_unsat(p) {
-                trace.record("select-unsat");
-                return Some(Query::empty(arity_of(q, catalog)));
-            }
-            let pruned = prune_conjuncts(p);
-            if pruned != *p {
-                trace.record("prune-conjuncts");
-                return Some((**inner).clone().select(pruned));
-            }
-            match &**inner {
-                Query::Select(inner2, p2) => {
-                    trace.record("merge-selects");
-                    let mut parts = conjuncts(p2);
-                    parts.extend(conjuncts(p));
-                    Some((**inner2).clone().select(conjoin(parts)))
-                }
-                Query::Empty { .. } => {
-                    trace.record("select-empty");
-                    Some((**inner).clone())
-                }
-                Query::Singleton(t) => {
-                    trace.record("select-singleton");
-                    if p.eval(t) {
-                        Some((**inner).clone())
-                    } else {
-                        Some(Query::empty(t.arity()))
-                    }
-                }
-                Query::Union(a, b) => {
-                    trace.record("push-select-union");
-                    Some(
-                        (**a)
-                            .clone()
-                            .select(p.clone())
-                            .union((**b).clone().select(p.clone())),
-                    )
-                }
-                Query::Product(a, b) => {
-                    trace.record("product-to-join");
-                    Some((**a).clone().join((**b).clone(), p.clone()))
-                }
-                Query::Join(a, b, jp) => {
-                    trace.record("merge-select-into-join");
-                    let mut parts = conjuncts(jp);
-                    parts.extend(conjuncts(p));
-                    Some((**a).clone().join((**b).clone(), conjoin(parts)))
-                }
-                _ => None,
-            }
-        }
-
-        // ---- projections -----------------------------------------------
-        Query::Project(inner, cols) => match &**inner {
-            Query::Empty { .. } => {
-                trace.record("project-empty");
-                Some(Query::empty(cols.len()))
-            }
-            Query::Singleton(t) => {
-                trace.record("project-singleton");
-                Some(Query::singleton(t.project(cols)))
-            }
-            Query::Project(inner2, cols2) => {
-                trace.record("merge-projects");
-                let merged: Vec<usize> = cols.iter().map(|&c| cols2[c]).collect();
-                Some((**inner2).clone().project(merged))
-            }
-            _ => {
-                // Identity projection: π over all columns in order.
-                let a = arity_of(inner, catalog);
-                if cols.len() == a && cols.iter().enumerate().all(|(i, &c)| i == c) {
-                    trace.record("drop-identity-project");
-                    Some((**inner).clone())
-                } else {
-                    None
-                }
-            }
-        },
-
-        // ---- union / intersection / difference --------------------------
-        Query::Union(a, b) => {
-            if let Query::Empty { .. } = **a {
-                trace.record("union-empty");
-                return Some((**b).clone());
-            }
-            if let Query::Empty { .. } = **b {
-                trace.record("union-empty");
-                return Some((**a).clone());
-            }
-            if a == b {
-                trace.record("union-idempotent");
-                return Some((**a).clone());
-            }
-            // X ∪ σp(X) ≡ X
-            if let Query::Select(x, _) = &**b {
-                if x == a {
-                    trace.record("union-absorb-select");
-                    return Some((**a).clone());
-                }
-            }
-            if let Query::Select(x, _) = &**a {
-                if x == b {
-                    trace.record("union-absorb-select");
-                    return Some((**b).clone());
-                }
-            }
-            // Canonical operand order (∪ is commutative).
-            if a > b {
-                trace.record("order-union");
-                return Some((**b).clone().union((**a).clone()));
-            }
-            None
-        }
-        Query::Intersect(a, b) => {
-            if matches!(**a, Query::Empty { .. }) || matches!(**b, Query::Empty { .. }) {
-                trace.record("intersect-empty");
-                return Some(Query::empty(arity_of(q, catalog)));
-            }
-            if a == b {
-                trace.record("intersect-idempotent");
-                return Some((**a).clone());
-            }
-            // X ∩ σp(X) ≡ σp(X)
-            if let Query::Select(x, _) = &**b {
-                if x == a {
-                    trace.record("intersect-absorb-select");
-                    return Some((**b).clone());
-                }
-            }
-            if let Query::Select(x, _) = &**a {
-                if x == b {
-                    trace.record("intersect-absorb-select");
-                    return Some((**a).clone());
-                }
-            }
-            if a > b {
-                trace.record("order-intersect");
-                return Some((**b).clone().intersect((**a).clone()));
-            }
-            None
-        }
-        Query::Diff(a, b) => {
-            if let Query::Empty { .. } = **b {
-                trace.record("diff-empty-rhs");
-                return Some((**a).clone());
-            }
-            if let Query::Empty { .. } = **a {
-                trace.record("diff-empty-lhs");
-                return Some((**a).clone());
-            }
-            if a == b {
-                trace.record("diff-self");
-                return Some(Query::empty(arity_of(q, catalog)));
-            }
-            // X − σp(X) ≡ σ¬p(X)
-            if let Query::Select(x, p) = &**b {
-                if x == a {
-                    trace.record("diff-select-negate");
-                    return Some((**a).clone().select(p.negated()));
-                }
-            }
-            // σp(X) − X ≡ ∅
-            if let Query::Select(x, _) = &**a {
-                if x == b {
-                    trace.record("diff-select-subset");
-                    return Some(Query::empty(arity_of(q, catalog)));
-                }
-            }
-            None
-        }
-
-        // ---- product / join ----------------------------------------------
-        Query::Product(a, b) => {
-            if matches!(**a, Query::Empty { .. }) || matches!(**b, Query::Empty { .. }) {
-                trace.record("product-empty");
-                return Some(Query::empty(arity_of(q, catalog)));
-            }
-            None
-        }
-        Query::Join(a, b, p) => {
-            if matches!(**a, Query::Empty { .. }) || matches!(**b, Query::Empty { .. }) {
-                trace.record("join-empty");
-                return Some(Query::empty(arity_of(q, catalog)));
-            }
-            if pred_unsat(p) {
-                trace.record("join-unsat");
-                return Some(Query::empty(arity_of(q, catalog)));
-            }
-            let folded = fold_pred(p);
-            if folded != *p {
-                trace.record("fold-predicate");
-                return Some((**a).clone().join((**b).clone(), folded));
-            }
-            let pruned = prune_conjuncts(p);
-            if pruned != *p {
-                trace.record("prune-conjuncts");
-                return Some((**a).clone().join((**b).clone(), pruned));
-            }
-            // Push side-local conjuncts below the join: they filter one
-            // operand before the build/probe instead of every joined pair
-            // after it.
-            let left_arity = arity_of(a, catalog);
-            let mut left_only = Vec::new();
-            let mut right_only = Vec::new();
-            let mut cross = Vec::new();
-            for c in conjuncts(p) {
-                match (c.min_col(), c.max_col()) {
-                    (_, Some(max)) if max < left_arity => left_only.push(c),
-                    (Some(min), _) if min >= left_arity => right_only.push(c.unshift(left_arity)),
-                    (None, None) => cross.push(c), // no columns: keep put
-                    _ => cross.push(c),
-                }
-            }
-            if !left_only.is_empty() || !right_only.is_empty() {
-                trace.record("push-select-into-join-operand");
-                let mut left = (**a).clone();
-                if !left_only.is_empty() {
-                    left = left.select(conjoin(left_only));
-                }
-                let mut right = (**b).clone();
-                if !right_only.is_empty() {
-                    right = right.select(conjoin(right_only));
-                }
-                return Some(left.join(right, conjoin(cross)));
-            }
-            None
-        }
-
-        _ => None,
+        Query::Base(name) => catalog
+            .arity(name)
+            .expect("optimizer inputs are type-checked"),
+        Query::Singleton(t) => t.arity(),
+        Query::Empty { arity } => *arity,
+        Query::Project(_, cols) => cols.len(),
+        Query::Aggregate { group_by, aggs, .. } => group_by.len() + aggs.len(),
+        Query::Product(a, b) | Query::Join(a, b, _) => arity_of(a, catalog) + arity_of(b, catalog),
+        Query::Select(a, _)
+        | Query::Union(a, _)
+        | Query::Intersect(a, _)
+        | Query::Diff(a, _)
+        | Query::When(a, _) => arity_of(a, catalog),
     }
+}
+
+fn rewrite_node(q: Query, catalog: &Catalog, trace: &mut RaTrace) -> Query {
+    // Bottom-up: rewrite children first (a `when`'s body, then its
+    // bindings)...
+    let mut node = q.map_subqueries(|sub| rewrite_node(sub, catalog, trace));
+    if let Query::When(_, eta) = &mut node {
+        if let StateExpr::Subst(eps) = &mut **eta {
+            *eps = std::mem::take(eps).map_queries(|bq| rewrite_node(bq, catalog, trace));
+        }
+    }
+    // ...then apply local rules at this node to a fixpoint.
+    loop {
+        match apply_local(node, catalog, trace) {
+            Ok(next) => node = next,
+            Err(done) => return done,
+        }
+    }
+}
+
+/// Try one local rule at the root: `Ok(rewritten)` if one fired, the
+/// query back unchanged if none did. A rule that does not fire builds
+/// nothing.
+fn apply_local(q: Query, catalog: &Catalog, trace: &mut RaTrace) -> Result<Query, Query> {
+    match q {
+        Query::Select(inner, p) => select_rules(inner, p, catalog, trace),
+        Query::Project(inner, cols) => project_rules(inner, cols, catalog, trace),
+        Query::Union(a, b) => union_rules(a, b, trace),
+        Query::Intersect(a, b) => intersect_rules(a, b, catalog, trace),
+        Query::Diff(a, b) => diff_rules(a, b, catalog, trace),
+        Query::Product(a, b) => {
+            if is_empty(&a) || is_empty(&b) {
+                trace.record("product-empty");
+                return Ok(Query::empty(arity_of(&a, catalog) + arity_of(&b, catalog)));
+            }
+            Err(Query::Product(a, b))
+        }
+        Query::Join(a, b, p) => join_rules(a, b, p, catalog, trace),
+        other => Err(other),
+    }
+}
+
+fn is_empty(q: &Query) -> bool {
+    matches!(q, Query::Empty { .. })
+}
+
+fn select_rules(
+    inner: Box<Query>,
+    p: Predicate,
+    catalog: &Catalog,
+    trace: &mut RaTrace,
+) -> Result<Query, Query> {
+    if !is_folded(&p) {
+        trace.record("fold-predicate");
+        return Ok(Query::Select(inner, fold_pred(&p)));
+    }
+    if p == Predicate::True {
+        trace.record("drop-select-true");
+        return Ok(*inner);
+    }
+    if pred_unsat(&p) {
+        trace.record("select-unsat");
+        return Ok(Query::empty(arity_of(&inner, catalog)));
+    }
+    if !is_pruned(&p) {
+        trace.record("prune-conjuncts");
+        return Ok(Query::Select(inner, prune_conjuncts(&p)));
+    }
+    if !matches!(
+        *inner,
+        Query::Select(..)
+            | Query::Empty { .. }
+            | Query::Singleton(_)
+            | Query::Union(..)
+            | Query::Product(..)
+            | Query::Join(..)
+    ) {
+        return Err(Query::Select(inner, p));
+    }
+    Ok(match *inner {
+        Query::Select(inner2, p2) => {
+            trace.record("merge-selects");
+            let mut parts = conjuncts(&p2);
+            parts.extend(conjuncts(&p));
+            Query::Select(inner2, conjoin(parts))
+        }
+        empty @ Query::Empty { .. } => {
+            trace.record("select-empty");
+            empty
+        }
+        Query::Singleton(t) => {
+            trace.record("select-singleton");
+            if p.eval(&t) {
+                Query::Singleton(t)
+            } else {
+                Query::empty(t.arity())
+            }
+        }
+        Query::Union(a, b) => {
+            trace.record("push-select-union");
+            Query::Union(
+                Box::new(Query::Select(a, p.clone())),
+                Box::new(Query::Select(b, p)),
+            )
+        }
+        Query::Product(a, b) => {
+            trace.record("product-to-join");
+            Query::Join(a, b, p)
+        }
+        Query::Join(a, b, jp) => {
+            trace.record("merge-select-into-join");
+            let mut parts = conjuncts(&jp);
+            parts.extend(conjuncts(&p));
+            Query::Join(a, b, conjoin(parts))
+        }
+        _ => unreachable!("checked above"),
+    })
+}
+
+fn project_rules(
+    mut inner: Box<Query>,
+    cols: Vec<usize>,
+    catalog: &Catalog,
+    trace: &mut RaTrace,
+) -> Result<Query, Query> {
+    match *inner {
+        Query::Empty { .. } => {
+            trace.record("project-empty");
+            Ok(Query::empty(cols.len()))
+        }
+        Query::Singleton(ref t) => {
+            trace.record("project-singleton");
+            Ok(Query::singleton(t.project(&cols)))
+        }
+        Query::Project(_, ref mut cols2) => {
+            trace.record("merge-projects");
+            *cols2 = cols.iter().map(|&c| cols2[c]).collect();
+            Ok(*inner)
+        }
+        _ => {
+            // Identity projection: π over all columns in order.
+            let a = arity_of(&inner, catalog);
+            if cols.len() == a && cols.iter().enumerate().all(|(i, &c)| i == c) {
+                trace.record("drop-identity-project");
+                Ok(*inner)
+            } else {
+                Err(Query::Project(inner, cols))
+            }
+        }
+    }
+}
+
+fn union_rules(a: Box<Query>, b: Box<Query>, trace: &mut RaTrace) -> Result<Query, Query> {
+    if is_empty(&a) {
+        trace.record("union-empty");
+        return Ok(*b);
+    }
+    if is_empty(&b) {
+        trace.record("union-empty");
+        return Ok(*a);
+    }
+    if a == b {
+        trace.record("union-idempotent");
+        return Ok(*a);
+    }
+    // X ∪ σp(X) ≡ X
+    if matches!(&*b, Query::Select(x, _) if *x == a) {
+        trace.record("union-absorb-select");
+        return Ok(*a);
+    }
+    if matches!(&*a, Query::Select(x, _) if *x == b) {
+        trace.record("union-absorb-select");
+        return Ok(*b);
+    }
+    // Canonical operand order (∪ is commutative).
+    if a > b {
+        trace.record("order-union");
+        return Ok(Query::Union(b, a));
+    }
+    Err(Query::Union(a, b))
+}
+
+fn intersect_rules(
+    a: Box<Query>,
+    b: Box<Query>,
+    catalog: &Catalog,
+    trace: &mut RaTrace,
+) -> Result<Query, Query> {
+    if is_empty(&a) || is_empty(&b) {
+        trace.record("intersect-empty");
+        return Ok(Query::empty(arity_of(&a, catalog)));
+    }
+    if a == b {
+        trace.record("intersect-idempotent");
+        return Ok(*a);
+    }
+    // X ∩ σp(X) ≡ σp(X)
+    if matches!(&*b, Query::Select(x, _) if *x == a) {
+        trace.record("intersect-absorb-select");
+        return Ok(*b);
+    }
+    if matches!(&*a, Query::Select(x, _) if *x == b) {
+        trace.record("intersect-absorb-select");
+        return Ok(*a);
+    }
+    if a > b {
+        trace.record("order-intersect");
+        return Ok(Query::Intersect(b, a));
+    }
+    Err(Query::Intersect(a, b))
+}
+
+fn diff_rules(
+    a: Box<Query>,
+    b: Box<Query>,
+    catalog: &Catalog,
+    trace: &mut RaTrace,
+) -> Result<Query, Query> {
+    if is_empty(&b) {
+        trace.record("diff-empty-rhs");
+        return Ok(*a);
+    }
+    if is_empty(&a) {
+        trace.record("diff-empty-lhs");
+        return Ok(*a);
+    }
+    if a == b {
+        trace.record("diff-self");
+        return Ok(Query::empty(arity_of(&a, catalog)));
+    }
+    // X − σp(X) ≡ σ¬p(X)
+    if let Query::Select(x, p) = &*b {
+        if *x == a {
+            trace.record("diff-select-negate");
+            return Ok(Query::Select(a, p.negated()));
+        }
+    }
+    // σp(X) − X ≡ ∅
+    if matches!(&*a, Query::Select(x, _) if *x == b) {
+        trace.record("diff-select-subset");
+        return Ok(Query::empty(arity_of(&b, catalog)));
+    }
+    Err(Query::Diff(a, b))
+}
+
+fn join_rules(
+    a: Box<Query>,
+    b: Box<Query>,
+    p: Predicate,
+    catalog: &Catalog,
+    trace: &mut RaTrace,
+) -> Result<Query, Query> {
+    if is_empty(&a) || is_empty(&b) {
+        trace.record("join-empty");
+        return Ok(Query::empty(arity_of(&a, catalog) + arity_of(&b, catalog)));
+    }
+    if pred_unsat(&p) {
+        trace.record("join-unsat");
+        return Ok(Query::empty(arity_of(&a, catalog) + arity_of(&b, catalog)));
+    }
+    if !is_folded(&p) {
+        trace.record("fold-predicate");
+        return Ok(Query::Join(a, b, fold_pred(&p)));
+    }
+    if !is_pruned(&p) {
+        trace.record("prune-conjuncts");
+        return Ok(Query::Join(a, b, prune_conjuncts(&p)));
+    }
+    // Push side-local conjuncts below the join: they filter one operand
+    // before the build/probe instead of every joined pair after it.
+    let left_arity = arity_of(&a, catalog);
+    let left_only = |c: &Predicate| matches!(c.max_col(), Some(max) if max < left_arity);
+    let right_only = |c: &Predicate| matches!(c.min_col(), Some(min) if min >= left_arity);
+    if !any_conjunct(&p, &mut |c| left_only(c) || right_only(c)) {
+        return Err(Query::Join(a, b, p));
+    }
+    trace.record("push-select-into-join-operand");
+    let (mut lefts, mut rights, mut cross) = (Vec::new(), Vec::new(), Vec::new());
+    for c in conjuncts(&p) {
+        if left_only(&c) {
+            lefts.push(c);
+        } else if right_only(&c) {
+            rights.push(c.unshift(left_arity));
+        } else {
+            cross.push(c);
+        }
+    }
+    let side = |q: Box<Query>, parts: Vec<Predicate>| {
+        if parts.is_empty() {
+            q
+        } else {
+            Box::new(Query::Select(q, conjoin(parts)))
+        }
+    };
+    Ok(Query::Join(side(a, lefts), side(b, rights), conjoin(cross)))
 }
 
 #[cfg(test)]

@@ -6,7 +6,9 @@ use proptest::prelude::*;
 
 use hypoquery_core::is_mod_enf;
 use hypoquery_eval::{eval_pure, eval_query};
-use hypoquery_opt::implication::{pred_implies, pred_unsat};
+use hypoquery_opt::implication::{
+    fold_pred, is_folded, is_pruned, pred_implies, pred_unsat, prune_conjuncts,
+};
 use hypoquery_opt::{lower_plan, optimize, plan, plan_as, PlannedStrategy, Statistics};
 use hypoquery_testkit::{arb_db, arb_predicate, arb_pure_query, arb_query, arb_tuple, Universe};
 
@@ -58,6 +60,14 @@ proptest! {
         }
     }
 
+    /// The rewriter's cheap "would this rule change the predicate?" checks
+    /// agree with building the changed predicate and comparing.
+    #[test]
+    fn fold_and_prune_checks_are_exact(p in arb_predicate(4, 3)) {
+        prop_assert_eq!(is_folded(&p), fold_pred(&p) == p, "fold of {}", p);
+        prop_assert_eq!(is_pruned(&p), prune_conjuncts(&p) == p, "prune of {}", p);
+    }
+
     /// Claimed unsatisfiability holds pointwise.
     #[test]
     fn pred_unsat_is_sound(
@@ -93,6 +103,20 @@ proptest! {
             let phys = lower_plan(&p, &u.catalog, &stats).unwrap();
             prop_assert_eq!(&phys.execute(&db).unwrap(), &expected, "lowered {} on {}", s, q);
         }
+    }
+
+    /// `optimize` stops at a fixpoint on full HQL queries: run again on
+    /// its own output, it returns the same tree and fires no rule (so the
+    /// firing-count fixpoint test and the pass cap stop no pass early).
+    #[test]
+    fn optimize_output_is_a_fixpoint(
+        q in arb_query(&universe(), 2, 4),
+    ) {
+        let u = universe();
+        let (once, _) = optimize(&q, &u.catalog);
+        let (twice, trace) = optimize(&once, &u.catalog);
+        prop_assert_eq!(&once, &twice);
+        prop_assert_eq!(trace.total(), 0, "second run fired {:?} on {}", trace.counts, once);
     }
 
     /// The optimizer is idempotent: a second pass changes nothing.

@@ -11,7 +11,7 @@
 //! the k states of a what-if tree or a prepared family all share the
 //! untouched base relations physically.
 //!
-//! The shared allocation ([`Store`]) also carries the caches derived from
+//! The shared allocation (`Store`) also carries the caches derived from
 //! the tuples — built column indexes and per-column distinct counts — so
 //! snapshots that share storage share those caches by construction.
 
