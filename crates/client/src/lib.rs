@@ -4,8 +4,8 @@
 //! connect, speak verbs, get typed results back — relations arrive as
 //! real [`Relation`] values, errors as the server's structured
 //! [`WireError`] replies. The [`repl`] module holds the interactive
-//! command loop shared by the `hypoquery-cli` binary and the
-//! `examples/repl.rs` example.
+//! command loop of the `hypoquery-cli` binary (`hypoquery-cli --local`
+//! runs it in-process, with no server).
 //!
 //! ```no_run
 //! use hypoquery_client::Client;

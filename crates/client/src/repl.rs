@@ -1,5 +1,4 @@
-//! The interactive HQL shell shared by `hypoquery-cli` and
-//! `examples/repl.rs`.
+//! The interactive HQL shell of `hypoquery-cli`.
 //!
 //! One command language, two backends: [`Backend::Remote`] speaks the
 //! wire protocol to a running `hypoquery-serve`, while

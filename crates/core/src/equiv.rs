@@ -96,66 +96,53 @@ impl fmt::Display for Rule {
     }
 }
 
-/// One recorded rewrite step.
-#[derive(Clone, Debug)]
-pub struct RewriteStep {
-    /// Which rule fired.
-    pub rule: Rule,
-    /// Rendering of the redex (only recorded when the trace is verbose).
-    pub detail: Option<String>,
-}
-
-/// A record of applied rewrite rules, for `EXPLAIN` and for the paper's
-/// step-by-step derivations.
-#[derive(Clone, Debug, Default)]
+/// How many times each rewrite rule fired, in first-use order: the one
+/// bookkeeping type of every rewriter (EQUIV_when rules record under
+/// [`Rule::name`], the RA rewriter under its own rule names). `EXPLAIN`
+/// prints it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RewriteTrace {
-    /// Steps in application order.
-    pub steps: Vec<RewriteStep>,
-    /// When true, each step's redex is rendered into `detail` (costly for
-    /// large queries; off by default).
-    pub verbose: bool,
+    /// `(rule name, firings)` pairs in first-use order.
+    pub counts: Vec<(&'static str, usize)>,
 }
 
 impl RewriteTrace {
-    /// An empty, non-verbose trace.
+    /// An empty trace.
     pub fn new() -> Self {
         RewriteTrace::default()
     }
 
-    /// An empty trace that records each step's redex rendering.
-    pub fn verbose() -> Self {
-        RewriteTrace {
-            steps: Vec::new(),
-            verbose: true,
-        }
+    /// Record one firing of `rule`.
+    pub fn record(&mut self, rule: &'static str) {
+        self.add(rule, 1);
     }
 
-    /// Record a rule firing on `redex`.
-    pub fn record(&mut self, rule: Rule, redex: &dyn fmt::Display) {
-        let detail = if self.verbose {
-            Some(redex.to_string())
-        } else {
-            None
-        };
-        self.steps.push(RewriteStep { rule, detail });
+    fn add(&mut self, rule: &'static str, n: usize) {
+        match self.counts.iter_mut().find(|(r, _)| *r == rule) {
+            Some((_, c)) => *c += n,
+            None => self.counts.push((rule, n)),
+        }
     }
 
     /// How many times `rule` fired.
-    pub fn count(&self, rule: Rule) -> usize {
-        self.steps.iter().filter(|s| s.rule == rule).count()
+    pub fn count(&self, rule: &str) -> usize {
+        self.counts
+            .iter()
+            .find(|(r, _)| *r == rule)
+            .map_or(0, |(_, n)| *n)
     }
-}
 
-impl fmt::Display for RewriteTrace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, step) in self.steps.iter().enumerate() {
-            write!(f, "{:>3}. {}", i + 1, step.rule)?;
-            if let Some(d) = &step.detail {
-                write!(f, "  ⟨{d}⟩")?;
-            }
-            writeln!(f)?;
+    /// Total number of rule firings.
+    pub fn total(&self) -> usize {
+        self.counts.iter().map(|(_, n)| n).sum()
+    }
+
+    /// Add `other`'s firings, as if they were recorded here after this
+    /// trace's own.
+    pub fn merge(&mut self, other: RewriteTrace) {
+        for (rule, n) in other.counts {
+            self.add(rule, n);
         }
-        Ok(())
     }
 }
 
@@ -382,21 +369,14 @@ fn enf_state(eta: StateExpr, trace: &mut RewriteTrace) -> ExplicitSubst {
     match eta {
         StateExpr::Update(_) => {
             let (next, rule) = rule_convert_update(&eta).expect("convert rules are total on {U}");
-            trace.record(rule, &eta);
+            trace.record(rule.name());
             enf_state(next, trace)
         }
         StateExpr::Subst(eps) => eps.map_queries(|q| enf_query(q, trace)),
         StateExpr::Compose(a, b) => {
-            // The composition is recorded after its operands normalize;
-            // a verbose trace renders it before they move.
-            let redex = if trace.verbose {
-                StateExpr::Compose(a.clone(), b.clone()).to_string()
-            } else {
-                String::new()
-            };
             let ea = enf_state(*a, trace);
             let eb = enf_state(*b, trace);
-            trace.record(Rule::ComputeComposition, &redex);
+            trace.record(Rule::ComputeComposition.name());
             compose_suspended(&ea, &eb)
         }
     }
@@ -445,7 +425,7 @@ pub fn simplify_enf(q: Query, trace: &mut RewriteTrace) -> Query {
         let Some((dropped, rule)) = step else {
             return current;
         };
-        trace.record(rule, &current);
+        trace.record(rule.name());
         let Query::When(body, mut eta) = current else {
             unreachable!("a step fires only at a `when`")
         };
@@ -632,8 +612,8 @@ mod tests {
         let mut trace = RewriteTrace::new();
         let enf = to_enf_query(&q, &mut trace);
         assert!(is_enf_query(&enf));
-        assert!(trace.count(Rule::ConvertInsert) >= 1);
-        assert!(trace.count(Rule::ConvertDelete) >= 1);
+        assert!(trace.count(Rule::ConvertInsert.name()) >= 1);
+        assert!(trace.count(Rule::ConvertDelete.name()) >= 1);
         // The original query is untouched.
         assert!(!is_enf_query(&q));
     }
@@ -645,7 +625,7 @@ mod tests {
         let mut trace = RewriteTrace::new();
         let enf = to_enf_query(&q, &mut trace);
         assert!(is_enf_query(&enf));
-        assert_eq!(trace.count(Rule::ComputeComposition), 1);
+        assert_eq!(trace.count(Rule::ComputeComposition.name()), 1);
         // The resulting single substitution binds both R and S.
         match &enf {
             Query::When(_, eta) => {
@@ -658,13 +638,24 @@ mod tests {
     }
 
     #[test]
-    fn trace_display_and_verbose() {
-        let mut t = RewriteTrace::verbose();
-        t.record(Rule::ConvertInsert, &Query::base("R"));
-        assert_eq!(t.steps.len(), 1);
-        assert!(t.steps[0].detail.as_deref() == Some("R"));
-        let s = t.to_string();
-        assert!(s.contains("convert-insert"));
-        assert!(s.contains("⟨R⟩"));
+    fn trace_counts_per_rule_in_first_use_order() {
+        let mut t = RewriteTrace::new();
+        t.record(Rule::ConvertInsert.name());
+        t.record(Rule::ComputeComposition.name());
+        t.record(Rule::ConvertInsert.name());
+        let mut more = RewriteTrace::new();
+        more.record(Rule::DropEmptySubst.name());
+        more.record(Rule::ComputeComposition.name());
+        t.merge(more);
+        assert_eq!(
+            t.counts,
+            [
+                ("convert-insert", 2),
+                ("compute-composition", 2),
+                ("drop-empty-subst", 1)
+            ]
+        );
+        assert_eq!(t.total(), 5);
+        assert_eq!(t.count("convert-seq"), 0);
     }
 }

@@ -43,14 +43,14 @@ pub fn fully_lazy(q: &Query, trace: &mut RewriteTrace) -> Query {
                 if free.contains(name) {
                     restricted.bind(name.clone(), bq.clone());
                 } else {
-                    trace.record(Rule::DropUnusedBinding, name);
+                    trace.record(Rule::DropUnusedBinding.name());
                 }
             }
             if restricted.is_empty() {
-                trace.record(Rule::DropEmptySubst, &body);
+                trace.record(Rule::DropEmptySubst.name());
                 return body;
             }
-            trace.record(Rule::ApplySubstitution, &restricted);
+            trace.record(Rule::ApplySubstitution.name());
             sub_query(&body, &restricted).expect("invariant: lazily reduced queries are pure")
         }
         Query::Aggregate {
@@ -79,7 +79,7 @@ pub fn lazy_state(eta: &StateExpr, trace: &mut RewriteTrace) -> ExplicitSubst {
         StateExpr::Compose(a, b) => {
             let ra = lazy_state(a, trace);
             let rb = lazy_state(b, trace);
-            trace.record(Rule::ComputeComposition, eta);
+            trace.record(Rule::ComputeComposition.name());
             compose_pure(&ra, &rb).expect("invariant: reduced substitutions are pure")
         }
     }
@@ -88,15 +88,15 @@ pub fn lazy_state(eta: &StateExpr, trace: &mut RewriteTrace) -> ExplicitSubst {
 fn lazy_update(u: &Update, trace: &mut RewriteTrace) -> Update {
     match u {
         Update::Insert(r, q) => {
-            trace.record(Rule::ConvertInsert, u);
+            trace.record(Rule::ConvertInsert.name());
             Update::Insert(r.clone(), fully_lazy(q, trace))
         }
         Update::Delete(r, q) => {
-            trace.record(Rule::ConvertDelete, u);
+            trace.record(Rule::ConvertDelete.name());
             Update::Delete(r.clone(), fully_lazy(q, trace))
         }
         Update::Seq(a, b) => {
-            trace.record(Rule::ConvertSeq, u);
+            trace.record(Rule::ConvertSeq.name());
             lazy_update(a, trace).then(lazy_update(b, trace))
         }
         Update::Cond {
@@ -104,7 +104,7 @@ fn lazy_update(u: &Update, trace: &mut RewriteTrace) -> Update {
             then_u,
             else_u,
         } => {
-            trace.record(Rule::ConvertCond, u);
+            trace.record(Rule::ConvertCond.name());
             Update::cond(
                 fully_lazy(guard, trace),
                 lazy_update(then_u, trace),
@@ -132,7 +132,7 @@ mod tests {
             .when(eta);
         let mut trace = RewriteTrace::new();
         assert_eq!(fully_lazy(&q, &mut trace), red_query(&q).unwrap());
-        assert!(trace.count(Rule::ApplySubstitution) == 1);
+        assert!(trace.count(Rule::ApplySubstitution.name()) == 1);
     }
 
     /// Example 2.3: queries not mentioning S skip the S slice entirely.
@@ -154,7 +154,7 @@ mod tests {
         // The S binding was dropped before application (recorded for the
         // planner: an eager strategy would then skip materializing it —
         // that saving is measured by bench E3).
-        assert_eq!(trace.count(Rule::DropUnusedBinding), 1);
+        assert_eq!(trace.count(Rule::DropUnusedBinding.name()), 1);
         // The result does not contain the deletion's σ_{<5} predicate.
         assert!(!out.to_string().contains("< 5"));
         // But the *composed substitution itself* (what an eager strategy
@@ -179,7 +179,7 @@ mod tests {
         let mut trace = RewriteTrace::new();
         let out = fully_lazy(&q, &mut trace);
         assert_eq!(out, Query::base("R"));
-        assert_eq!(trace.count(Rule::DropEmptySubst), 1);
+        assert_eq!(trace.count(Rule::DropEmptySubst.name()), 1);
     }
 
     #[test]
@@ -193,7 +193,7 @@ mod tests {
         let mut trace = RewriteTrace::new();
         let out = fully_lazy(&q, &mut trace);
         assert!(out.is_pure());
-        assert_eq!(trace.count(Rule::ConvertCond), 1);
+        assert_eq!(trace.count(Rule::ConvertCond.name()), 1);
         assert_eq!(out, red_query(&q).unwrap());
     }
 }

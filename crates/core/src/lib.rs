@@ -10,8 +10,9 @@
 //! * [`red`] — the reduction function `red` of §4.3 (Theorems 3.10 / 4.1);
 //! * [`lazy`] — `red` as a traced rewrite derivation, with the
 //!   binding-removal optimization of Example 2.3;
-//! * [`equiv`] — the EQUIV_when rule family of Figure 1 and ENF
-//!   normalization (§5.2);
+//! * [`equiv`] — the EQUIV_when rule family of Figure 1, ENF
+//!   normalization (§5.2), and [`RewriteTrace`], the per-rule firing
+//!   counts every rewriter in the workspace records into;
 //! * [`enf`] — collapsed syntax trees (§5.4) and modified ENF (§5.5).
 
 #![warn(missing_docs)]

@@ -11,8 +11,10 @@ use hypoquery_storage::{
 
 use hypoquery_algebra::typing::{arity_of, check_update};
 use hypoquery_algebra::{Query, Update};
-use hypoquery_eval::{algorithm_hql1, eval_update, ExecMetrics, PhysPlan};
-use hypoquery_opt::{lower_plan, plan, plan_as, Plan, PlannedStrategy, Statistics};
+use hypoquery_eval::{algorithm_hql1, eval_update, ExecMetrics, PhysPlan, XsubValue};
+use hypoquery_opt::{
+    lower_query, lower_under_xsub, plan, plan_as, Plan, PlannedStrategy, Statistics,
+};
 use hypoquery_parser::{parse_query_named, parse_update_named};
 
 use crate::error::EngineError;
@@ -219,13 +221,6 @@ impl Database {
         Ok(q)
     }
 
-    /// Parse and type-check an update without running it.
-    pub fn prepare_update(&self, src: &str) -> Result<Update, EngineError> {
-        let u = parse_update_named(src, self.state.catalog())?;
-        check_update(&u, self.state.catalog())?;
-        Ok(u)
-    }
-
     /// The inferred output column names of a query (None = anonymous).
     pub fn output_attrs(&self, q: &Query) -> Result<Vec<Option<String>>, EngineError> {
         Ok(hypoquery_algebra::attrs_of(q, self.state.catalog())?)
@@ -304,21 +299,6 @@ impl Database {
         hypoquery_eval::try_parallel_map(queries, |_, q| self.execute(q, strategy))
     }
 
-    /// Parse, type-check, and run several query sources in parallel.
-    /// Parsing is sequential (cheap); evaluation fans out — see
-    /// [`Database::execute_many`].
-    pub fn query_many(
-        &self,
-        sources: &[impl AsRef<str>],
-        strategy: Strategy,
-    ) -> Result<Vec<Relation>, EngineError> {
-        let queries = sources
-            .iter()
-            .map(|s| self.prepare(s.as_ref()))
-            .collect::<Result<Vec<_>, _>>()?;
-        self.execute_many(&queries, strategy)
-    }
-
     /// Produce the planner's plan for a query.
     pub fn plan_query(&self, q: &Query) -> Plan {
         let stats = Statistics::of(&self.state);
@@ -355,7 +335,7 @@ impl Database {
     ) -> Result<(Plan, PhysPlan), EngineError> {
         let stats = Statistics::of(&self.state);
         let p = self.plan_with(q, strategy, &stats)?;
-        let phys = lower_plan(&p, self.state.catalog(), &stats)?;
+        let phys = lower_query(&p.query, self.state.catalog(), &stats)?;
         Ok((p, phys))
     }
 
@@ -364,7 +344,24 @@ impl Database {
     /// cardinalities).
     pub fn physical_plan(&self, p: &Plan) -> Result<PhysPlan, EngineError> {
         let stats = Statistics::of(&self.state);
-        Ok(lower_plan(p, self.state.catalog(), &stats)?)
+        Ok(lower_query(&p.query, self.state.catalog(), &stats)?)
+    }
+
+    /// Type-check `q`, plan it as [`Database::execute`] does under Auto,
+    /// and run it in the state `apply(DB, e)` of the materialized
+    /// xsub-value `e` (a prepared hypothetical state, Example 2.2): `e`'s
+    /// relations are bound as constants, never re-collected.
+    pub(crate) fn execute_under_xsub(
+        &self,
+        q: &Query,
+        e: &XsubValue,
+    ) -> Result<Relation, EngineError> {
+        let catalog = self.state.catalog();
+        arity_of(q, catalog)?;
+        let stats = Statistics::of(&self.state);
+        let p = plan(q, catalog, &stats);
+        let phys = lower_under_xsub(&p.query, e, catalog, &stats)?;
+        Ok(phys.execute(&self.state)?)
     }
 
     /// `EXPLAIN`: the chosen plan, its candidates and rewrite traces,
@@ -482,13 +479,6 @@ impl Database {
             state,
             constraints: BTreeMap::new(),
         })
-    }
-
-    /// Apply an update without constraint checking (loading, tests).
-    pub fn apply_update_unchecked(&mut self, u: &Update) -> Result<(), EngineError> {
-        check_update(u, self.state.catalog())?;
-        self.state = eval_update(u, &self.state)?;
-        Ok(())
     }
 }
 

@@ -8,6 +8,9 @@
 //!   `EXPLAIN`;
 //! * [`WhatIfTree`] — named trees of hypothetical updates (the
 //!   decision-support scenario of Example 2.1);
+//! * [`PreparedState`] — Example 2.2's families of queries over one
+//!   prepared hypothetical state (`PREPARE`/`EXEC`), planned by the same
+//!   planner as every other query;
 //! * [`ext`] — §6 extensions: temporary tables as substitutions and
 //!   `η₁ when η₂`.
 

@@ -16,9 +16,8 @@ use hypoquery_storage::Relation;
 
 use hypoquery_algebra::typing::check_state_expr;
 use hypoquery_algebra::{ExplicitSubst, Query, StateExpr};
-use hypoquery_core::{lazy_state, sub_query, to_enf_query, RewriteTrace};
+use hypoquery_core::{lazy_state, RewriteTrace};
 use hypoquery_eval::XsubValue;
-use hypoquery_opt::{lower_query, lower_under_xsub, Statistics};
 use hypoquery_parser::{parse_query_named, parse_state_expr_named};
 
 use crate::database::{Database, Strategy};
@@ -69,11 +68,9 @@ impl PreparedState {
     /// evaluation"). Re-run after the database changes — the cache is
     /// a snapshot.
     pub fn materialize(&mut self, db: &Database) -> Result<(), EngineError> {
-        let stats = Statistics::of(db.state());
         let mut e = XsubValue::empty();
         for (name, q) in self.rho.iter() {
-            let phys = lower_query(q, db.catalog(), &stats)?;
-            e.bind(name.clone(), phys.execute(db.state())?);
+            e.bind(name.clone(), db.execute(q, Strategy::Auto)?);
         }
         self.xsub = Some(e);
         Ok(())
@@ -89,34 +86,20 @@ impl PreparedState {
         self.xsub = None;
     }
 
-    /// Run one family member against this hypothetical state.
+    /// Run one family member against this hypothetical state. The
+    /// planner shapes it either way, as it shapes any query:
     ///
-    /// If materialized, the member is normalized to ENF and run on the
-    /// pipelined executor with the cached xsub-value bound as constants
-    /// (eager reuse: the snapshot is shared, never re-collected);
-    /// otherwise the substitution is applied lazily (`sub` +
-    /// conventional evaluation).
+    /// * materialized: the member is planned on its own and run with the
+    ///   cached xsub-value bound as constants (eager reuse: the snapshot
+    ///   is shared, never re-collected);
+    /// * otherwise: the member runs as `q when ρ`.
     pub fn query(&self, db: &Database, q: &Query) -> Result<Relation, EngineError> {
         match &self.xsub {
-            Some(e) => {
-                let enf = to_enf_query(q, &mut RewriteTrace::new());
-                let stats = Statistics::of(db.state());
-                let phys = lower_under_xsub(&enf, e, db.catalog(), &stats)?;
-                Ok(phys.execute(db.state())?)
-            }
-            None => {
-                let substituted = if q.is_pure() {
-                    sub_query(q, &self.rho).expect("pure query under pure substitution")
-                } else {
-                    // Hypothetical family members: wrap and let the
-                    // planner handle the nesting.
-                    return db.execute(
-                        &q.clone().when(StateExpr::subst(self.rho.clone())),
-                        Strategy::Auto,
-                    );
-                };
-                db.execute(&substituted, Strategy::Auto)
-            }
+            Some(e) => db.execute_under_xsub(q, e),
+            None => db.execute(
+                &q.clone().when(StateExpr::subst(self.rho.clone())),
+                Strategy::Auto,
+            ),
         }
     }
 
@@ -181,7 +164,12 @@ mod tests {
     fn lazy_and_materialized_agree() {
         let db = db();
         let mut p = prepared(&db);
-        let family = ["emp", "bonus", "emp join bonus on #0 = #2"];
+        let family = [
+            "emp",
+            "bonus",
+            "emp join bonus on #0 = #2",
+            "emp when {insert into emp (row(7, 70))}",
+        ];
         let lazy: Vec<Relation> = family
             .iter()
             .map(|q| p.query_src(&db, q).unwrap())
@@ -191,8 +179,11 @@ mod tests {
         for (q, expect) in family.iter().zip(&lazy) {
             assert_eq!(&p.query_src(&db, q).unwrap(), expect, "query {q}");
         }
-        // The bonus view sees the post-delete emp (2 rows).
+        // The bonus view sees the post-delete emp (2 rows). The inner
+        // `when` applies on top of the prepared state: 70 is inserted
+        // after the salary < 150 delete, so it survives.
         assert_eq!(lazy[1].len(), 2);
+        assert_eq!(lazy[3].len(), 3);
     }
 
     #[test]
@@ -243,18 +234,6 @@ mod tests {
         p.invalidate();
         assert!(!p.is_materialized());
         assert_eq!(p.query_src(&db, "emp").unwrap().len(), 3);
-    }
-
-    #[test]
-    fn hypothetical_family_members_work() {
-        let db = db();
-        let p = prepared(&db);
-        let out = p
-            .query_src(&db, "emp when {insert into emp (row(7, 70))}")
-            .unwrap();
-        // Inner when applies on top of the prepared state: 70 is inserted
-        // after the salary<150 delete, so it survives.
-        assert_eq!(out.len(), 3);
     }
 
     #[test]

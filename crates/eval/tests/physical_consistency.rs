@@ -18,7 +18,7 @@ use hypoquery_eval::{
     algorithm_hql1, algorithm_hql2, algorithm_hql3, eval_bag_query, eval_pure, eval_query,
     BagState, PhysPlan,
 };
-use hypoquery_opt::{lower_plan, lower_query, plan, Statistics};
+use hypoquery_opt::{lower_query, plan, Statistics};
 use hypoquery_storage::{DatabaseState, RelName, Relation};
 use hypoquery_testkit::{
     arb_agg, arb_atomic_update_seq, arb_db, arb_predicate, arb_pure_query, arb_pure_subst,
@@ -170,7 +170,7 @@ fn check_all_strategies(q: &Query, db: &DatabaseState) -> Result<(), TestCaseErr
     // Auto: whatever the planner picks, lowered as a whole plan.
     let stats = Statistics::of(db);
     let p = plan(q, db.catalog(), &stats);
-    let phys = lower_plan(&p, db.catalog(), &stats)
+    let phys = lower_query(&p.query, db.catalog(), &stats)
         .map_err(|e| TestCaseError::fail(format!("plan lowering failed: {e}")))?;
     let auto = phys
         .execute(db)

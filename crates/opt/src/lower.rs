@@ -69,19 +69,12 @@ use hypoquery_eval::join::split_equi_pairs;
 use hypoquery_eval::physical::{DeltaAtom, PhysNode, PhysOp, PhysPlan, Side};
 use hypoquery_eval::{EvalError, XsubValue};
 
-use crate::planner::Plan;
 use crate::stats::{estimate_rows, key_range, point_eq_conjuncts, Statistics};
-
-/// Lower a planned query to a physical plan. The plan's query is
-/// already in the shape its strategy prepared (pure / ENF / mod-ENF);
-/// the lowering handles all of them uniformly.
-pub fn lower_plan(p: &Plan, catalog: &Catalog, stats: &Statistics) -> Result<PhysPlan, EvalError> {
-    lower_query(&p.query, catalog, stats)
-}
 
 /// Lower any normalized query (pure, ENF, or mod-ENF — `when` bodies
 /// must be explicit substitutions or atomic-update sequences) to a
-/// physical plan.
+/// physical plan. A [`Plan`](crate::Plan)'s query is already in the shape
+/// its strategy prepared, so lowering a plan is lowering `&plan.query`.
 pub fn lower_query(
     q: &Query,
     catalog: &Catalog,
@@ -92,8 +85,9 @@ pub fn lower_query(
     Ok(PhysPlan::new(root))
 }
 
-/// Lower an ENF query to run in the state `apply(DB, e)` of an already
-/// materialized xsub-value (a prepared hypothetical state, Example 2.2):
+/// Lower any planned shape (as [`lower_query`] takes) to run in the state
+/// `apply(DB, e)` of an already materialized xsub-value (a prepared
+/// hypothetical state, Example 2.2):
 /// the plan is an [`PhysOp::XsubRebind`] whose bindings are `e`'s
 /// relations as [`PhysOp::Const`]s, bound by reference at run time.
 pub fn lower_under_xsub(

@@ -37,7 +37,7 @@ use hypoquery_core::{
 };
 use hypoquery_eval::{algorithm_hql2, algorithm_hql3, eval_pure, EvalError};
 
-use crate::rewrite::{optimize_owned, RaTrace};
+use crate::rewrite::optimize_owned;
 use crate::stats::{estimate_cost, Statistics};
 
 /// Which evaluation strategy a plan uses.
@@ -78,10 +78,10 @@ pub struct Plan {
     pub est_cost: f64,
     /// Every candidate considered, with its estimated cost (for EXPLAIN).
     pub candidates: Vec<(PlannedStrategy, f64)>,
-    /// EQUIV_when rewrite trace accumulated while preparing the plan.
+    /// EQUIV_when rule counts of every listed candidate's derivation.
     pub when_trace: RewriteTrace,
-    /// RA rewrite trace of the chosen plan's optimization.
-    pub ra_trace: RaTrace,
+    /// RA rule counts of the chosen plan's optimization.
+    pub ra_trace: RewriteTrace,
 }
 
 impl fmt::Display for Plan {
@@ -94,14 +94,10 @@ impl fmt::Display for Plan {
         for (s, c) in &self.candidates {
             writeln!(f, "  candidate {s}: est. cost {c:.1}")?;
         }
-        // The Fig. 1 rewrite path: EQUIV_when steps aggregated per rule
-        // (in first-use order), then RA rewrite counts.
-        let mut when_rules = RaTrace::default();
-        for step in &self.when_trace.steps {
-            when_rules.record(step.rule.name());
-        }
+        // The Fig. 1 rewrite path: EQUIV_when rule counts (in first-use
+        // order), then RA rule counts.
         for (title, trace) in [
-            ("EQUIV_when rewrites", &when_rules),
+            ("EQUIV_when rewrites", &self.when_trace),
             ("RA rewrites", &self.ra_trace),
         ] {
             if trace.total() > 0 {
@@ -129,11 +125,12 @@ impl Plan {
 }
 
 /// Build `strategy`'s candidate plan for `q`: optimized pure RA for
-/// lazy, optimized ENF for eager-xsub, optimized mod-ENF for eager-delta
-/// (the RA optimizer descends into `when` bodies; callers check that the
-/// mod-ENF shape survived). Errs only for eager-delta on a query with no
-/// mod-ENF. The hybrid is not built here: only [`plan`] builds it, from
-/// the eager-xsub candidate.
+/// lazy, optimized ENF for eager-xsub, optimized mod-ENF for eager-delta.
+/// The RA optimizer keeps a mod-ENF query mod-ENF: it never rewrites an
+/// update's queries and never creates or changes a `when`'s state
+/// expression. Errs only for eager-delta on a query with no mod-ENF. The
+/// hybrid is not built here: only [`plan`] builds it, from the eager-xsub
+/// candidate.
 fn candidate(
     q: &Query,
     strategy: PlannedStrategy,
@@ -149,12 +146,18 @@ fn candidate(
         PlannedStrategy::EagerDelta => optimize_owned(to_mod_enf(q)?, catalog),
         PlannedStrategy::Hybrid => unreachable!("the hybrid cannot be forced"),
     };
+    debug_assert!(strategy != PlannedStrategy::EagerDelta || is_mod_enf(&query));
     Ok(costed(strategy, query, ra_trace, stats))
 }
 
 /// A single-candidate plan of `query` (the caller fills in the
 /// EQUIV_when trace).
-fn costed(strategy: PlannedStrategy, query: Query, ra_trace: RaTrace, stats: &Statistics) -> Plan {
+fn costed(
+    strategy: PlannedStrategy,
+    query: Query,
+    ra_trace: RewriteTrace,
+    stats: &Statistics,
+) -> Plan {
     let est_cost = estimate_cost(&query, stats);
     Plan {
         strategy,
@@ -175,9 +178,7 @@ pub fn plan(q: &Query, catalog: &Catalog, stats: &Statistics) -> Plan {
     let mut cands = vec![lazy];
     if !q.is_pure() {
         let xsub = build(PlannedStrategy::EagerXsub, &mut trace).expect("every query has an ENF");
-        let delta = build(PlannedStrategy::EagerDelta, &mut trace)
-            .ok()
-            .filter(|c| is_mod_enf(&c.query));
+        let delta = build(PlannedStrategy::EagerDelta, &mut trace).ok();
         // The hybrid's derivation is traced only if the hybrid is listed.
         let hybrid = can_mix(&xsub.query)
             .then(|| {
@@ -189,8 +190,8 @@ pub fn plan(q: &Query, catalog: &Catalog, stats: &Statistics) -> Plan {
             })
             .filter(|(h, _)| *h != xsub.query && *h != cands[0].query)
             .map(|(h, steps)| {
-                trace.steps.extend(steps.steps);
-                costed(PlannedStrategy::Hybrid, h, RaTrace::default(), stats)
+                trace.merge(steps);
+                costed(PlannedStrategy::Hybrid, h, RewriteTrace::new(), stats)
             });
         cands.push(xsub);
         cands.extend(delta);
@@ -209,9 +210,8 @@ pub fn plan(q: &Query, catalog: &Catalog, stats: &Statistics) -> Plan {
 }
 
 /// Plan a query under a fixed strategy, building only that strategy's
-/// candidate. Errs when `strategy` is eager-delta and the query has no
-/// mod-ENF; if optimizing breaks the mod-ENF shape, the unoptimized
-/// mod-ENF form is planned instead.
+/// candidate, the one [`plan`] would list for it. Errs when `strategy` is
+/// eager-delta and the query has no mod-ENF.
 ///
 /// # Panics
 ///
@@ -225,9 +225,6 @@ pub fn plan_as(
 ) -> Result<Plan, EnfError> {
     let mut trace = RewriteTrace::new();
     let mut p = candidate(q, strategy, catalog, stats, &mut trace)?;
-    if strategy == PlannedStrategy::EagerDelta && !is_mod_enf(&p.query) {
-        p = costed(strategy, to_mod_enf(q)?, RaTrace::default(), stats);
-    }
     p.when_trace = trace;
     Ok(p)
 }
@@ -330,12 +327,12 @@ mod tests {
         assert!(s.contains("strategy:") && s.contains("candidate"), "{s}");
         // Normalizing a hypothetical query always takes EQUIV_when steps;
         // each recorded rule shows up with its step count.
-        assert!(!p.when_trace.steps.is_empty());
+        assert!(p.when_trace.total() > 0);
         assert!(
             s.contains("EQUIV_when rewrites:"),
             "missing when trace:\n{s}"
         );
-        let first_rule = p.when_trace.steps[0].rule.name();
+        let (first_rule, _) = p.when_trace.counts[0];
         assert!(s.contains(first_rule), "missing rule `{first_rule}`:\n{s}");
         if p.ra_trace.total() > 0 {
             assert!(s.contains("RA rewrites:"), "missing RA trace:\n{s}");
@@ -443,19 +440,17 @@ mod tests {
     }
 
     /// `plan`'s EQUIV_when trace holds exactly the derivations of the
-    /// candidates it lists: the sum of their `plan_as` traces, in order.
+    /// candidates it lists: their `plan_as` traces merged in order.
     #[test]
     fn when_trace_holds_only_listed_candidates() {
         let st = stats(6000.0, 6000.0);
         for q in served_queries() {
             let p = plan(&q, &catalog(), &st);
-            let rules = |t: &RewriteTrace| t.steps.iter().map(|s| s.rule).collect::<Vec<_>>();
-            let mut expected = Vec::new();
+            let mut expected = RewriteTrace::new();
             for &(s, _) in &p.candidates {
-                let forced = plan_as(&q, &catalog(), &st, s).unwrap();
-                expected.extend(rules(&forced.when_trace));
+                expected.merge(plan_as(&q, &catalog(), &st, s).unwrap().when_trace);
             }
-            assert_eq!(rules(&p.when_trace), expected, "{q}");
+            assert_eq!(p.when_trace, expected, "{q}");
         }
     }
 

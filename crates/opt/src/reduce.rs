@@ -20,19 +20,19 @@ use hypoquery_algebra::scope::free_query;
 use hypoquery_algebra::{ExplicitSubst, Query};
 use hypoquery_core::{lazy_state, sub_query, RewriteTrace};
 
-use crate::rewrite::{optimize, RaTrace};
+use crate::rewrite::optimize;
 
 /// Reduce an HQL query to pure RA with algebraic simplification applied at
 /// every reduction step. Returns the simplified pure query and the
 /// combined RA trace.
-pub fn reduce_optimized(q: &Query, catalog: &Catalog) -> (Query, RaTrace) {
-    let mut ra_trace = RaTrace::default();
+pub fn reduce_optimized(q: &Query, catalog: &Catalog) -> (Query, RewriteTrace) {
+    let mut ra_trace = RewriteTrace::new();
     let mut when_trace = RewriteTrace::new();
     let out = go(q, catalog, &mut ra_trace, &mut when_trace);
     (out, ra_trace)
 }
 
-fn go(q: &Query, catalog: &Catalog, ra: &mut RaTrace, wt: &mut RewriteTrace) -> Query {
+fn go(q: &Query, catalog: &Catalog, ra: &mut RewriteTrace, wt: &mut RewriteTrace) -> Query {
     match q {
         Query::When(inner, eta) => {
             let body = go(inner, catalog, ra, wt);
@@ -45,7 +45,7 @@ fn go(q: &Query, catalog: &Catalog, ra: &mut RaTrace, wt: &mut RewriteTrace) -> 
                 for (name, bq) in rho.iter() {
                     if free.contains(name) {
                         let (opt_bq, t) = optimize(bq, catalog);
-                        merge_trace(ra, t);
+                        ra.merge(t);
                         restricted.bind(name.clone(), opt_bq);
                     }
                 }
@@ -55,7 +55,7 @@ fn go(q: &Query, catalog: &Catalog, ra: &mut RaTrace, wt: &mut RewriteTrace) -> 
                     sub_query(&body, &restricted).expect("reduced bodies and bindings are pure")
                 };
                 let (out, t) = optimize(&substituted, catalog);
-                merge_trace(ra, t);
+                ra.merge(t);
                 out
             } else {
                 // Should not happen (go returns pure), but stay total.
@@ -67,16 +67,8 @@ fn go(q: &Query, catalog: &Catalog, ra: &mut RaTrace, wt: &mut RewriteTrace) -> 
                 .clone()
                 .map_subqueries(|sub| go(&sub, catalog, ra, wt));
             let (out, t) = optimize(&rebuilt, catalog);
-            merge_trace(ra, t);
+            ra.merge(t);
             out
-        }
-    }
-}
-
-fn merge_trace(into: &mut RaTrace, from: RaTrace) {
-    for (rule, n) in from.counts {
-        for _ in 0..n {
-            into.record(rule);
         }
     }
 }

@@ -29,48 +29,18 @@
 //!
 //! [`optimize`] runs bottom-up passes over a tree it owns, rebuilding each
 //! node in place. Only a firing rule changes the tree, so the fixpoint is
-//! the first pass whose [`RaTrace`] count does not grow (at most 32
+//! the first pass whose [`RewriteTrace`] total does not grow (at most 32
 //! passes). A rule check that does not fire builds nothing: predicates
 //! are tested for foldable or prunable parts before anything is folded or
 //! pruned.
 
 use hypoquery_algebra::{Predicate, Query, StateExpr};
+use hypoquery_core::RewriteTrace;
 use hypoquery_storage::Catalog;
 
 use crate::implication::{
     any_conjunct, conjoin, conjuncts, fold_pred, is_folded, is_pruned, pred_unsat, prune_conjuncts,
 };
-
-/// How many times each named rule fired during a rewrite.
-#[derive(Clone, Debug, Default)]
-pub struct RaTrace {
-    /// `(rule name, redex count)` pairs in first-fired order.
-    pub counts: Vec<(&'static str, usize)>,
-}
-
-impl RaTrace {
-    /// Record one firing of `rule`.
-    pub fn record(&mut self, rule: &'static str) {
-        match self.counts.iter_mut().find(|(r, _)| *r == rule) {
-            Some((_, n)) => *n += 1,
-            None => self.counts.push((rule, 1)),
-        }
-    }
-
-    /// Total number of rule firings.
-    pub fn total(&self) -> usize {
-        self.counts.iter().map(|(_, n)| n).sum()
-    }
-
-    /// Firings of a specific rule.
-    pub fn count(&self, rule: &str) -> usize {
-        self.counts
-            .iter()
-            .find(|(r, _)| *r == rule)
-            .map(|(_, n)| *n)
-            .unwrap_or(0)
-    }
-}
 
 /// Normalize a query with the RA equational theory. Works on full HQL
 /// queries (descending into `when` bodies and substitution bindings) but
@@ -78,14 +48,14 @@ impl RaTrace {
 ///
 /// The catalog is needed to give the correct arity to `∅` nodes produced
 /// by emptiness rules.
-pub fn optimize(q: &Query, catalog: &Catalog) -> (Query, RaTrace) {
+pub fn optimize(q: &Query, catalog: &Catalog) -> (Query, RewriteTrace) {
     optimize_owned(q.clone(), catalog)
 }
 
 /// [`optimize`] on a query the caller owns: rewrites it in place of a
 /// copy.
-pub fn optimize_owned(mut q: Query, catalog: &Catalog) -> (Query, RaTrace) {
-    let mut trace = RaTrace::default();
+pub fn optimize_owned(mut q: Query, catalog: &Catalog) -> (Query, RewriteTrace) {
+    let mut trace = RewriteTrace::new();
     // Global fixpoint with a safety cap; each pass is a bottom-up rewrite.
     // Only a firing rule changes the tree, so a pass that fires none is
     // the fixpoint.
@@ -119,7 +89,7 @@ fn arity_of(q: &Query, catalog: &Catalog) -> usize {
     }
 }
 
-fn rewrite_node(q: Query, catalog: &Catalog, trace: &mut RaTrace) -> Query {
+fn rewrite_node(q: Query, catalog: &Catalog, trace: &mut RewriteTrace) -> Query {
     // Bottom-up: rewrite children first (a `when`'s body, then its
     // bindings)...
     let mut node = q.map_subqueries(|sub| rewrite_node(sub, catalog, trace));
@@ -140,7 +110,7 @@ fn rewrite_node(q: Query, catalog: &Catalog, trace: &mut RaTrace) -> Query {
 /// Try one local rule at the root: `Ok(rewritten)` if one fired, the
 /// query back unchanged if none did. A rule that does not fire builds
 /// nothing.
-fn apply_local(q: Query, catalog: &Catalog, trace: &mut RaTrace) -> Result<Query, Query> {
+fn apply_local(q: Query, catalog: &Catalog, trace: &mut RewriteTrace) -> Result<Query, Query> {
     match q {
         Query::Select(inner, p) => select_rules(inner, p, catalog, trace),
         Query::Project(inner, cols) => project_rules(inner, cols, catalog, trace),
@@ -167,7 +137,7 @@ fn select_rules(
     inner: Box<Query>,
     p: Predicate,
     catalog: &Catalog,
-    trace: &mut RaTrace,
+    trace: &mut RewriteTrace,
 ) -> Result<Query, Query> {
     if !is_folded(&p) {
         trace.record("fold-predicate");
@@ -240,7 +210,7 @@ fn project_rules(
     mut inner: Box<Query>,
     cols: Vec<usize>,
     catalog: &Catalog,
-    trace: &mut RaTrace,
+    trace: &mut RewriteTrace,
 ) -> Result<Query, Query> {
     match *inner {
         Query::Empty { .. } => {
@@ -269,7 +239,7 @@ fn project_rules(
     }
 }
 
-fn union_rules(a: Box<Query>, b: Box<Query>, trace: &mut RaTrace) -> Result<Query, Query> {
+fn union_rules(a: Box<Query>, b: Box<Query>, trace: &mut RewriteTrace) -> Result<Query, Query> {
     if is_empty(&a) {
         trace.record("union-empty");
         return Ok(*b);
@@ -303,7 +273,7 @@ fn intersect_rules(
     a: Box<Query>,
     b: Box<Query>,
     catalog: &Catalog,
-    trace: &mut RaTrace,
+    trace: &mut RewriteTrace,
 ) -> Result<Query, Query> {
     if is_empty(&a) || is_empty(&b) {
         trace.record("intersect-empty");
@@ -333,7 +303,7 @@ fn diff_rules(
     a: Box<Query>,
     b: Box<Query>,
     catalog: &Catalog,
-    trace: &mut RaTrace,
+    trace: &mut RewriteTrace,
 ) -> Result<Query, Query> {
     if is_empty(&b) {
         trace.record("diff-empty-rhs");
@@ -367,7 +337,7 @@ fn join_rules(
     b: Box<Query>,
     p: Predicate,
     catalog: &Catalog,
-    trace: &mut RaTrace,
+    trace: &mut RewriteTrace,
 ) -> Result<Query, Query> {
     if is_empty(&a) || is_empty(&b) {
         trace.record("join-empty");

@@ -4,12 +4,12 @@
 
 use proptest::prelude::*;
 
-use hypoquery_core::is_mod_enf;
+use hypoquery_core::{is_mod_enf, to_mod_enf};
 use hypoquery_eval::{eval_pure, eval_query};
 use hypoquery_opt::implication::{
     fold_pred, is_folded, is_pruned, pred_implies, pred_unsat, prune_conjuncts,
 };
-use hypoquery_opt::{lower_plan, optimize, plan, plan_as, PlannedStrategy, Statistics};
+use hypoquery_opt::{lower_query, optimize, plan, plan_as, PlannedStrategy, Statistics};
 use hypoquery_testkit::{arb_db, arb_predicate, arb_pure_query, arb_query, arb_tuple, Universe};
 
 fn universe() -> Universe {
@@ -100,9 +100,19 @@ proptest! {
         for s in [PlannedStrategy::Lazy, PlannedStrategy::EagerXsub, PlannedStrategy::EagerDelta] {
             let Ok(p) = plan_as(&q, &u.catalog, &stats, s) else { continue };
             prop_assert_eq!(&p.execute_legacy(&db).unwrap(), &expected, "forced {} on {}", s, q);
-            let phys = lower_plan(&p, &u.catalog, &stats).unwrap();
+            let phys = lower_query(&p.query, &u.catalog, &stats).unwrap();
             prop_assert_eq!(&phys.execute(&db).unwrap(), &expected, "lowered {} on {}", s, q);
         }
+    }
+
+    /// The RA optimizer keeps a mod-ENF query mod-ENF, so the planner's
+    /// eager-delta candidate needs no fallback.
+    #[test]
+    fn optimize_preserves_mod_enf(q in arb_query(&universe(), 2, 3)) {
+        let u = universe();
+        let Ok(m) = to_mod_enf(&q) else { return Ok(()) };
+        let (opt, _) = optimize(&m, &u.catalog);
+        prop_assert!(is_mod_enf(&opt), "{} optimized to {}", m, opt);
     }
 
     /// `optimize` stops at a fixpoint on full HQL queries: run again on

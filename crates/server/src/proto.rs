@@ -93,20 +93,6 @@ impl From<io::Error> for FrameError {
     }
 }
 
-impl FrameError {
-    /// Whether this is a read/write timeout (the platform reports either
-    /// `WouldBlock` or `TimedOut` for a socket timeout expiring).
-    pub fn is_timeout(&self) -> bool {
-        matches!(
-            self,
-            FrameError::Io(e) if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            )
-        )
-    }
-}
-
 /// Write one frame: 4-byte big-endian length, then the payload.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())

@@ -94,11 +94,6 @@ impl BagRelation {
         self.tuples.values().sum()
     }
 
-    /// Number of distinct tuples.
-    pub fn distinct_len(&self) -> usize {
-        self.tuples.len()
-    }
-
     /// Whether the bag has no tuples.
     pub fn is_empty(&self) -> bool {
         self.tuples.is_empty()

@@ -469,39 +469,6 @@ impl fmt::Display for Relation {
     }
 }
 
-impl FromIterator<Tuple> for Relation {
-    /// Collect tuples into a relation, inferring arity from the first tuple.
-    ///
-    /// Contract: **every tuple must have the same arity as the first**. An
-    /// empty iterator yields the 0-ary empty relation. A mismatched tuple
-    /// panics in debug builds (it would otherwise corrupt set cardinality
-    /// silently); in release builds mismatches are skipped for
-    /// backward-compatible behavior. Use [`Relation::from_rows`] when
-    /// mismatches should surface as recoverable errors.
-    fn from_iter<T: IntoIterator<Item = Tuple>>(iter: T) -> Self {
-        let mut it = iter.into_iter();
-        match it.next() {
-            None => Relation::empty(0),
-            Some(first) => {
-                let arity = first.arity();
-                let mut rel = Relation::singleton(first);
-                for t in it {
-                    debug_assert_eq!(
-                        t.arity(),
-                        arity,
-                        "FromIterator<Tuple> for Relation: tuple arity {} \
-                         disagrees with inferred arity {}",
-                        t.arity(),
-                        arity,
-                    );
-                    let _ = rel.insert(t);
-                }
-                rel
-            }
-        }
-    }
-}
-
 /// Build an integer unary/short relation quickly in tests and examples:
 /// rows given as arrays of `Into<Value>`.
 pub fn rel_of<const N: usize>(rows: impl IntoIterator<Item = [Value; N]>) -> Relation {
@@ -597,13 +564,6 @@ mod tests {
         let a = rel_of([[Value::int(1), Value::int(2)]]);
         assert_eq!(a.arity(), 2);
         assert_eq!(a.len(), 1);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "disagrees with inferred arity")]
-    fn from_iter_panics_on_arity_mismatch_in_debug() {
-        let _: Relation = [tuple![1, 2], tuple![3]].into_iter().collect();
     }
 
     #[test]

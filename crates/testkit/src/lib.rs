@@ -69,16 +69,6 @@ impl Universe {
     }
 }
 
-/// Strategy for scalar values: small integers (collision-friendly), with
-/// occasional strings and booleans to exercise the total order.
-pub fn arb_value() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        8 => (0i64..10).prop_map(Value::int),
-        1 => prop_oneof![Just("a"), Just("b"), Just("c")].prop_map(Value::str),
-        1 => any::<bool>().prop_map(Value::bool),
-    ]
-}
-
 /// Strategy for integer-only values (used where predicates must be able to
 /// compare meaningfully).
 pub fn arb_int_value() -> impl Strategy<Value = Value> {

@@ -128,7 +128,7 @@ fn example_2_3_binding_removal() {
         .unwrap();
     let mut trace = RewriteTrace::new();
     let reduced = fully_lazy(&q, &mut trace);
-    assert_eq!(trace.count(Rule::DropUnusedBinding), 1);
+    assert_eq!(trace.count(Rule::DropUnusedBinding.name()), 1);
     assert!(!reduced.to_string().contains("< 5"), "S slice must be gone");
     // All strategies agree on the value.
     let expected = db
