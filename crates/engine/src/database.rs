@@ -213,10 +213,16 @@ impl Database {
         Ok(())
     }
 
-    /// Parse and type-check a query without running it. Named column
-    /// references are resolved against the catalog's attribute names.
+    /// Parse a query without type-checking it (every entry point that
+    /// runs or explains a query checks it). Named column references are
+    /// resolved against the catalog's attribute names.
+    pub fn parse(&self, src: &str) -> Result<Query, EngineError> {
+        Ok(parse_query_named(src, self.state.catalog())?)
+    }
+
+    /// Parse and type-check a query without running it.
     pub fn prepare(&self, src: &str) -> Result<Query, EngineError> {
-        let q = parse_query_named(src, self.state.catalog())?;
+        let q = self.parse(src)?;
         arity_of(&q, self.state.catalog())?;
         Ok(q)
     }

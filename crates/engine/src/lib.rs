@@ -26,6 +26,8 @@ pub mod whatif;
 pub use database::{render_table, Constraint, Database, Strategy};
 pub use error::EngineError;
 pub use ext::{state_when, TempTables};
+/// The query AST that [`Database::parse`] and [`Database::prepare`] return.
+pub use hypoquery_algebra::Query;
 pub use prepared::PreparedState;
 pub use savepoint::Transaction;
 pub use whatif::WhatIfTree;

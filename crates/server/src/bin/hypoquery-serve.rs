@@ -13,6 +13,7 @@
 
 use std::io::BufRead;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 use hypoquery_engine::Database;
@@ -112,32 +113,17 @@ fn main() -> ExitCode {
     println!("send the SHUTDOWN verb (or type `shutdown`) to stop");
 
     // Stdin watcher: `shutdown`/`quit` stops the server; EOF (e.g. when
-    // daemonized with stdin closed) just stops watching.
-    let stdin_trigger = {
-        let shared = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let flag = std::sync::Arc::clone(&shared);
+    // daemonized with stdin closed) just stops watching. `join` returns
+    // after this or a client's SHUTDOWN verb.
+    let handle = Arc::new(handle);
+    {
+        let handle = Arc::clone(&handle);
         std::thread::spawn(move || {
-            for line in std::io::stdin().lock().lines() {
-                match line {
-                    Ok(l) if matches!(l.trim(), "shutdown" | "quit" | "exit") => {
-                        flag.store(true, std::sync::atomic::Ordering::SeqCst);
-                        return;
-                    }
-                    Ok(_) => {}
-                    Err(_) => return,
-                }
+            let mut lines = std::io::stdin().lock().lines().map_while(Result::ok);
+            if lines.any(|l| matches!(l.trim(), "shutdown" | "quit" | "exit")) {
+                handle.shutdown();
             }
         });
-        shared
-    };
-
-    // Wait for either trigger.
-    while !handle.is_shutting_down() {
-        if stdin_trigger.load(std::sync::atomic::Ordering::SeqCst) {
-            handle.shutdown();
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(100));
     }
     handle.join();
     println!("bye");

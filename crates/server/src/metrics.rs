@@ -80,11 +80,12 @@ pub struct VerbMetrics {
     pub latency: Histogram,
 }
 
-/// The server-wide registry. Shared (`Arc`) between the accept loop, all
-/// workers, and the `STATS` verb.
+/// The server-wide registry. Shared (`Arc`) between all workers and the
+/// `STATS` verb.
 #[derive(Default)]
 pub struct Metrics {
-    /// Connections accepted since start.
+    /// Client connections served since start (shutdown wake-ups and
+    /// connections accepted into shutdown are not counted).
     pub connections: AtomicU64,
     /// Connections currently being served.
     pub active: AtomicU64,

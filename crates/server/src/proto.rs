@@ -305,13 +305,29 @@ impl Request {
     /// line, with the body appended on a fresh line when present (lets
     /// long queries span lines).
     pub fn source(&self) -> String {
-        if self.body.trim().is_empty() {
-            self.args.clone()
-        } else if self.args.is_empty() {
-            self.body.clone()
-        } else {
-            format!("{}\n{}", self.args, self.body)
-        }
+        join_source(&self.args, &self.body)
+    }
+
+    /// For verbs that name something before their HQL (`CONSTRAINT`,
+    /// `EXEC`): the first word of the args, and the rest of the args
+    /// joined with the body as [`Request::source`] joins them. Either
+    /// part may be empty.
+    pub fn named_source(&self) -> (&str, String) {
+        let (name, rest) = self
+            .args
+            .split_once(char::is_whitespace)
+            .unwrap_or((&self.args, ""));
+        (name, join_source(rest.trim(), &self.body))
+    }
+}
+
+fn join_source(head: &str, body: &str) -> String {
+    if body.trim().is_empty() {
+        head.to_string()
+    } else if head.is_empty() {
+        body.to_string()
+    } else {
+        format!("{head}\n{body}")
     }
 }
 

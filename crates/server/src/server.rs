@@ -1,10 +1,12 @@
-//! The threaded TCP server: one accept loop feeding a fixed worker pool.
+//! The threaded TCP server: a fixed pool of workers, each blocking in
+//! `accept` on its own clone of one listener.
 //!
-//! Connections queue behind a `Mutex<VecDeque>` + `Condvar`; workers pull
-//! the next connection until shutdown — the same pull-until-empty shape
-//! as `hypoquery_eval::exec`'s atomic work cursor, applied to sockets
-//! instead of scenario indices (and the pool defaults to
-//! [`hypoquery_eval::num_workers`], so `HYPOQUERY_THREADS` governs both).
+//! A worker accepts a connection, serves it to the end, then accepts
+//! again, so the pool size (default [`hypoquery_eval::num_workers`], so
+//! `HYPOQUERY_THREADS` governs both) caps concurrent sessions.
+//! Connections beyond the pool wait in the kernel's listen backlog, which
+//! is bounded (128 in std): a flood beyond it is left to the kernel to
+//! refuse, instead of piling up as accepted sockets.
 //!
 //! Robustness rules, all tested over loopback:
 //!
@@ -16,13 +18,17 @@
 //! * malformed requests (bad UTF-8, unknown verb) ⇒ `ERR proto`, the
 //!   connection stays usable;
 //! * `SHUTDOWN` (or [`ServerHandle::shutdown`]) ⇒ stop accepting, let
-//!   in-flight requests finish, wake idle workers, exit.
+//!   in-flight requests finish, close waiting connections unserved, exit.
+//!   Idle sessions notice at their next read-timeout tick. Workers
+//!   blocked in `accept` are woken by a connection to the server's own
+//!   port (loopback when it listens on an unspecified address); each
+//!   worker that wakes into shutdown connects once more before it exits,
+//!   so one wake-up reaches the whole pool however small the backlog.
 
-use std::collections::VecDeque;
 use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -72,18 +78,26 @@ struct Shared {
     config: ServerConfig,
     metrics: Metrics,
     shutdown: AtomicBool,
-    queue: Mutex<VecDeque<TcpStream>>,
-    wake: Condvar,
+    /// Where a shutdown wake-up connects.
+    wake_addr: SocketAddr,
 }
 
 impl Shared {
     fn trigger_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.wake.notify_all();
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            self.wake_a_worker();
+        }
     }
 
     fn is_shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Connect to the listener so one worker blocked in `accept` returns.
+    /// Best effort: if the backlog is full, the connections filling it
+    /// wake workers just as well.
+    fn wake_a_worker(&self) {
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
     }
 }
 
@@ -91,7 +105,7 @@ impl Shared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    threads: Vec<thread::JoinHandle<()>>,
+    workers: Mutex<Vec<thread::JoinHandle<()>>>,
 }
 
 /// Bind and start serving `base`. Every session works on a copy-on-write
@@ -99,38 +113,35 @@ pub struct ServerHandle {
 pub fn serve(config: ServerConfig, base: Database) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(resolve(&config.addr)?)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
+    let mut wake_addr = addr;
+    if addr.ip().is_unspecified() {
+        wake_addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
     let workers = config.workers.max(1);
     let shared = Arc::new(Shared {
         base,
         config,
         metrics: Metrics::new(),
         shutdown: AtomicBool::new(false),
-        queue: Mutex::new(VecDeque::new()),
-        wake: Condvar::new(),
+        wake_addr,
     });
 
-    let mut threads = Vec::with_capacity(workers + 1);
-    {
-        let shared = Arc::clone(&shared);
-        threads.push(
-            thread::Builder::new()
-                .name("hq-accept".into())
-                .spawn(move || accept_loop(listener, &shared))?,
-        );
-    }
-    for i in 0..workers {
-        let shared = Arc::clone(&shared);
-        threads.push(
+    let threads = (0..workers)
+        .map(|i| {
+            let listener = listener.try_clone()?;
+            let shared = Arc::clone(&shared);
             thread::Builder::new()
                 .name(format!("hq-worker-{i}"))
-                .spawn(move || worker_loop(&shared))?,
-        );
-    }
+                .spawn(move || worker_loop(&listener, &shared))
+        })
+        .collect::<io::Result<_>>()?;
     Ok(ServerHandle {
         addr,
         shared,
-        threads,
+        workers: Mutex::new(threads),
     })
 }
 
@@ -158,67 +169,39 @@ impl ServerHandle {
     }
 
     /// Trigger a graceful shutdown: stop accepting, finish in-flight
-    /// requests, stop workers. Returns immediately; pair with
-    /// [`ServerHandle::join`].
+    /// requests, stop workers. Idempotent, and returns immediately; pair
+    /// with [`ServerHandle::join`].
     pub fn shutdown(&self) {
         self.shared.trigger_shutdown();
     }
 
-    /// Block until every server thread has exited (after a shutdown was
-    /// triggered — by this handle or a client's `SHUTDOWN` verb).
-    pub fn join(self) {
-        for t in self.threads {
+    /// Block until every worker has exited (after a shutdown was
+    /// triggered — by this handle, from any thread, or by a client's
+    /// `SHUTDOWN` verb).
+    pub fn join(&self) {
+        for t in self.workers.lock().unwrap().drain(..) {
             let _ = t.join();
         }
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: &Shared) {
-    loop {
-        if shared.is_shutting_down() {
-            return;
-        }
+fn worker_loop(listener: &TcpListener, shared: &Shared) {
+    while !shared.is_shutting_down() {
         match listener.accept() {
-            Ok((stream, _peer)) => {
+            Ok((stream, _peer)) if !shared.is_shutting_down() => {
                 shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
-                let mut q = shared.queue.lock().unwrap();
-                q.push_back(stream);
-                drop(q);
-                shared.wake.notify_one();
+                serve_connection(stream, shared);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                // Nonblocking accept so shutdown is observed promptly.
-                thread::sleep(Duration::from_millis(5));
+            // Accepted into shutdown: a wake-up, or a client that came
+            // too late. Close it unserved and pass the wake-up on.
+            Ok((stream, _peer)) => {
+                drop(stream);
+                shared.wake_a_worker();
+                return;
             }
+            Err(_) if shared.is_shutting_down() => return,
+            // Out of file descriptors and the like: back off, don't spin.
             Err(_) => thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let next = {
-            let mut q = shared.queue.lock().unwrap();
-            loop {
-                if let Some(stream) = q.pop_front() {
-                    break Some(stream);
-                }
-                if shared.is_shutting_down() {
-                    break None;
-                }
-                let (guard, _) = shared
-                    .wake
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .unwrap();
-                q = guard;
-            }
-        };
-        match next {
-            // Connections still queued after shutdown are dropped, not
-            // served: their sockets close, which is the polite signal.
-            Some(stream) if !shared.is_shutting_down() => serve_connection(stream, shared),
-            Some(_) => {}
-            None => return,
         }
     }
 }

@@ -9,17 +9,22 @@
 //!
 //! The session's view of the world:
 //!
-//! * `SWITCH <branch>` selects a branch; `QUERY`/`EXPLAIN` then evaluate
-//!   in that branch's hypothetical state (`Q when η_path`).
+//! * `SWITCH <branch>` selects a branch; `QUERY`/`TABLE`/`EXPLAIN` then
+//!   evaluate in that branch's hypothetical state (`Q when η_path`),
+//!   under the session's `STRATEGY`.
 //! * `UPDATE` at the root applies a real, constraint-checked update to
 //!   the session snapshot. `UPDATE` *on a branch* stays hypothetical: it
 //!   stacks an auto-named child branch and switches to it, so an analyst
 //!   can keep typing updates and watch a scenario evolve without ever
 //!   touching the base data.
+//! * A root `UPDATE` or any `LOAD` changes the session's real data, so
+//!   both drop every `PREPARE`d materialization.
 
 use std::collections::BTreeMap;
 
-use hypoquery_engine::{Database, EngineError, PreparedState, Strategy, WhatIfTree};
+use hypoquery_engine::{
+    render_table, Database, EngineError, PreparedState, Query, Strategy, WhatIfTree,
+};
 
 use crate::proto::{parse_paren_rows, Reply, Request, Verb, WireError};
 
@@ -101,29 +106,38 @@ impl Session {
         }
     }
 
-    fn query(&self, req: &Request) -> Result<Reply, WireError> {
-        let src = req.source();
-        let rel = match &self.current {
-            None => self.db.query_with(&src, self.strategy),
-            Some(b) => self.tree.query_at(&self.db, b, &src, self.strategy),
+    /// Parse `src` once and scope it to the current branch: `Q when η_path`
+    /// on a branch, `Q` itself at the root. QUERY, TABLE and EXPLAIN all
+    /// run what this returns under the session's strategy; the engine
+    /// type-checks it there.
+    fn scoped(&self, src: &str) -> Result<Query, EngineError> {
+        let q = self.db.parse(src)?;
+        match &self.current {
+            Some(b) => Ok(q.when(self.tree.state_of(b)?)),
+            None => Ok(q),
         }
-        .map_err(|e| WireError::from_engine(&e))?;
-        Ok(Reply::Rows(rel))
+    }
+
+    /// The real data changed (a root `UPDATE`, a `LOAD`): prepared
+    /// materializations are stale, and `EXEC` answers lazily from the
+    /// current data from now on.
+    fn data_changed(&mut self) {
+        for p in self.prepared.values_mut() {
+            p.invalidate();
+        }
+    }
+
+    fn query(&self, req: &Request) -> Result<Reply, WireError> {
+        let q = self.scoped(&req.source())?;
+        Ok(Reply::Rows(self.db.execute(&q, self.strategy)?))
     }
 
     fn table(&self, req: &Request) -> Result<Reply, WireError> {
-        let src = req.source();
-        let text = match &self.current {
-            None => self.db.query_table(&src),
-            Some(b) => self.db.prepare(&src).and_then(|q| {
-                // Headers come from the surface query; rows from the
-                // branch's hypothetical state.
-                let attrs = self.db.output_attrs(&q)?;
-                let rel = self.tree.query_at(&self.db, b, &src, self.strategy)?;
-                Ok(hypoquery_engine::render_table(&attrs, &rel))
-            }),
-        }
-        .map_err(|e| WireError::from_engine(&e))?;
+        let q = self.scoped(&req.source())?;
+        let rel = self.db.execute(&q, self.strategy)?;
+        // Headers look through `when`: they are the surface query's.
+        let attrs = self.db.output_attrs(&q)?;
+        let text = render_table(&attrs, &rel);
         Ok(Reply::Text(text.trim_end().to_string()))
     }
 
@@ -131,13 +145,8 @@ impl Session {
         let src = req.source();
         match self.current.clone() {
             None => {
-                self.db
-                    .execute_update(&src)
-                    .map_err(|e| WireError::from_engine(&e))?;
-                // Real state moved: prepared materializations are stale.
-                for p in self.prepared.values_mut() {
-                    p.invalidate();
-                }
+                self.db.execute_update(&src)?;
+                self.data_changed();
                 Ok(Reply::ok())
             }
             Some(cur) => {
@@ -149,9 +158,7 @@ impl Session {
                         break cand;
                     }
                 };
-                self.tree
-                    .branch(&self.db, &name, Some(&cur), &src)
-                    .map_err(|e| WireError::from_engine(&e))?;
+                self.tree.branch(&self.db, &name, Some(&cur), &src)?;
                 self.current = Some(name.clone());
                 Ok(Reply::Ok(format!("branch {name}")))
             }
@@ -169,24 +176,13 @@ impl Session {
             }
             _ => (false, src),
         };
-        // EXPLAIN plans the way QUERY runs: in the current branch, under
-        // the session's strategy.
-        let text = self
-            .db
-            .prepare(&src)
-            .and_then(|q| match &self.current {
-                Some(b) => self.tree.at(b, &q),
-                None => Ok(q),
-            })
-            .and_then(|q| {
-                if analyze {
-                    self.db.explain_analyze_query(&q, self.strategy)
-                } else {
-                    self.db.explain_query(&q, self.strategy)
-                }
-            })
-            .map_err(|e| WireError::from_engine(&e))?;
-        Ok(Reply::Text(text))
+        // EXPLAIN plans the way QUERY runs.
+        let q = self.scoped(&src)?;
+        Ok(Reply::Text(if analyze {
+            self.db.explain_analyze_query(&q, self.strategy)?
+        } else {
+            self.db.explain_query(&q, self.strategy)?
+        }))
     }
 
     fn define(&mut self, req: &Request) -> Result<Reply, WireError> {
@@ -199,8 +195,7 @@ impl Session {
             self.db.define(name, arity)
         } else {
             self.db.define_named(name, spec.split(',').map(str::trim))
-        }
-        .map_err(|e| WireError::from_engine(&e))?;
+        }?;
         Ok(Reply::ok())
     }
 
@@ -225,34 +220,21 @@ impl Session {
             );
         }
         let n = rows.len();
-        self.db
-            .load(name, rows)
-            .map_err(|e| WireError::from_engine(&e))?;
+        self.db.load(name, rows)?;
+        self.data_changed();
         Ok(Reply::Ok(format!("loaded {n}")))
     }
 
     fn constraint(&mut self, req: &Request) -> Result<Reply, WireError> {
         // `CONSTRAINT <name>` with the violation query in the args tail
         // or the body.
-        let (name, rest) = match req.args.split_once(char::is_whitespace) {
-            Some((n, r)) => (n.trim(), r.trim().to_string()),
-            None => (req.args.trim(), String::new()),
-        };
-        let src = if req.body.trim().is_empty() {
-            rest
-        } else if rest.is_empty() {
-            req.body.trim().to_string()
-        } else {
-            format!("{rest}\n{}", req.body.trim())
-        };
+        let (name, src) = req.named_source();
         if name.is_empty() || src.is_empty() {
             return Err(WireError::proto(
                 "usage: CONSTRAINT <name> <violation query>",
             ));
         }
-        self.db
-            .add_constraint(name, &src)
-            .map_err(|e| WireError::from_engine(&e))?;
+        self.db.add_constraint(name, &src)?;
         Ok(Reply::ok())
     }
 
@@ -280,8 +262,7 @@ impl Session {
             return Err(WireError::proto("BRANCH needs an update in the body"));
         }
         self.tree
-            .branch(&self.db, name, parent.as_deref(), req.body.trim())
-            .map_err(|e| WireError::from_engine(&e))?;
+            .branch(&self.db, name, parent.as_deref(), req.body.trim())?;
         Ok(Reply::ok())
     }
 
@@ -295,9 +276,7 @@ impl Session {
             return Ok(Reply::Ok("at root".into()));
         }
         if !self.tree.contains(target) {
-            return Err(WireError::from_engine(&EngineError::UnknownName(
-                target.to_string(),
-            )));
+            return Err(EngineError::UnknownName(target.to_string()).into());
         }
         self.current = Some(target.to_string());
         Ok(Reply::Ok(format!("at {target}")))
@@ -308,10 +287,7 @@ impl Session {
         if name.is_empty() {
             return Err(WireError::proto("usage: DROP <branch>"));
         }
-        let removed = self
-            .tree
-            .drop_branch(name)
-            .map_err(|e| WireError::from_engine(&e))?;
+        let removed = self.tree.drop_branch(name)?;
         if let Some(cur) = &self.current {
             if removed.contains(cur) {
                 self.current = None;
@@ -342,53 +318,30 @@ impl Session {
             ));
         }
         if self.prepared.contains_key(name) {
-            return Err(WireError::from_engine(&EngineError::DuplicateName(
-                name.to_string(),
-            )));
+            return Err(EngineError::DuplicateName(name.to_string()).into());
         }
-        let mut p = PreparedState::parse(&self.db, req.body.trim())
-            .map_err(|e| WireError::from_engine(&e))?;
+        let mut p = PreparedState::parse(&self.db, req.body.trim())?;
         // Eager by default: Example 2.2's repeated-family use is the
         // whole point of PREPARE.
-        p.materialize(&self.db)
-            .map_err(|e| WireError::from_engine(&e))?;
+        p.materialize(&self.db)?;
         self.prepared.insert(name.to_string(), p);
         Ok(Reply::ok())
     }
 
     fn exec(&mut self, req: &Request) -> Result<Reply, WireError> {
-        let (name, rest) = match req.args.split_once(char::is_whitespace) {
-            Some((n, r)) => (n.trim(), r.trim().to_string()),
-            None => (req.args.trim(), String::new()),
-        };
-        if name.is_empty() {
-            return Err(WireError::proto("usage: EXEC <name> <query>"));
-        }
-        let src = if req.body.trim().is_empty() {
-            rest
-        } else if rest.is_empty() {
-            req.body.trim().to_string()
-        } else {
-            format!("{rest}\n{}", req.body.trim())
-        };
-        if src.is_empty() {
+        let (name, src) = req.named_source();
+        if name.is_empty() || src.is_empty() {
             return Err(WireError::proto("usage: EXEC <name> <query>"));
         }
         let p = self
             .prepared
             .get(name)
-            .ok_or_else(|| WireError::from_engine(&EngineError::UnknownName(name.to_string())))?;
-        let rel = p
-            .query_src(&self.db, &src)
-            .map_err(|e| WireError::from_engine(&e))?;
-        Ok(Reply::Rows(rel))
+            .ok_or_else(|| EngineError::UnknownName(name.to_string()))?;
+        Ok(Reply::Rows(p.query_src(&self.db, &src)?))
     }
 
     fn set_strategy(&mut self, req: &Request) -> Result<Reply, WireError> {
-        let s: Strategy = req
-            .args
-            .parse()
-            .map_err(|e: EngineError| WireError::from_engine(&e))?;
+        let s: Strategy = req.args.parse()?;
         self.strategy = s;
         Ok(Reply::Ok(format!("strategy {s}")))
     }
@@ -397,7 +350,7 @@ impl Session {
         if req.body.trim().is_empty() {
             return Err(WireError::proto("usage: RESTORE + dump body"));
         }
-        let mut db = Database::restore(&req.body).map_err(|e| WireError::from_engine(&e))?;
+        let mut db = Database::restore(&req.body)?;
         // The restored database stands in for the old one, so `STATS`
         // keeps counting its index traffic.
         db.share_index_stats(&self.db);
@@ -431,10 +384,7 @@ impl Session {
 
     fn create_index(&mut self, req: &Request) -> Result<Reply, WireError> {
         let (name, col) = self.index_args(&req.args, "usage: INDEX <relation> <column>")?;
-        let fresh = self
-            .db
-            .create_index(&name, col)
-            .map_err(|e| WireError::from_engine(&e))?;
+        let fresh = self.db.create_index(&name, col)?;
         Ok(Reply::Ok(if fresh {
             format!("index {name}.{col}")
         } else {
@@ -444,10 +394,7 @@ impl Session {
 
     fn drop_index(&mut self, req: &Request) -> Result<Reply, WireError> {
         let (name, col) = self.index_args(&req.args, "usage: UNINDEX <relation> <column>")?;
-        let existed = self
-            .db
-            .drop_index(&name, col)
-            .map_err(|e| WireError::from_engine(&e))?;
+        let existed = self.db.drop_index(&name, col)?;
         Ok(Reply::Ok(if existed {
             format!("dropped index {name}.{col}")
         } else {
@@ -616,6 +563,23 @@ mod tests {
         // answers (lazily) against fresh data.
         ok(&mut s, "UPDATE insert into inv (row(4, 5))", "");
         assert_eq!(rows(ok(&mut s, "EXEC plan inv", "")), 2); // 5 < 15 deleted
+
+        // So does a LOAD: `again`, materialized before it, sees the new row.
+        ok(
+            &mut s,
+            "PREPARE again",
+            "{delete from inv (select qty < 15 (inv))}",
+        );
+        ok(&mut s, "LOAD inv (5, 50)", "");
+        assert_eq!(rows(ok(&mut s, "EXEC again inv", "")), 3);
+        assert_eq!(
+            rows(ok(
+                &mut s,
+                "QUERY inv when {delete from inv (select qty < 15 (inv))}",
+                ""
+            )),
+            3
+        );
     }
 
     #[test]
@@ -651,6 +615,13 @@ mod tests {
         for verb in ["EXPLAIN", "EXPLAIN ANALYZE"] {
             let t = text(&mut s, &format!("{verb} {q}"));
             assert!(t.contains("strategy: eager-delta"), "{verb}: {t}");
+        }
+        // Eager-delta needs ENF, which an explicit substitution is not:
+        // QUERY and TABLE refuse it alike.
+        let xsub = "inv when {select qty > 15 (inv) / inv}";
+        for verb in ["QUERY", "TABLE"] {
+            let e = err(&mut s, &format!("{verb} {xsub}"), "");
+            assert_eq!(e.code, ErrCode::Enf, "{verb}: {e}");
         }
         // On a branch too.
         ok(&mut s, "BRANCH b", "delete from inv (inv)");

@@ -176,6 +176,9 @@ fn stats_reconcile_with_request_count() {
     let c = clients.pop().unwrap();
     c.shutdown().unwrap();
     handle.join();
+    // The connections that woke idle workers for shutdown were not
+    // clients.
+    assert_eq!(m.connections.load(std::sync::atomic::Ordering::Relaxed), 3);
 }
 
 #[test]
@@ -385,5 +388,68 @@ fn shutdown_verb_stops_the_server_gracefully() {
             let mut buf = Vec::new();
             assert_eq!(s.read_to_end(&mut buf).unwrap_or(0), 0, "{buf:?}");
         }
+    }
+}
+
+#[test]
+fn connections_beyond_the_pool_wait_for_a_worker() {
+    let handle = start(ServerConfig {
+        workers: 1,
+        ..quick_config()
+    });
+    let addr = handle.addr();
+
+    let mut a = Client::connect(addr).unwrap();
+    a.ping().unwrap();
+    // B's connection completes in the kernel's backlog, but the one
+    // worker is busy with A: no greeting.
+    let mut b = TcpStream::connect(addr).unwrap();
+    b.set_read_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    match read_frame(&mut b, u32::MAX) {
+        Err(FrameError::Io(e))
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) => {}
+        other => panic!("expected no greeting while A holds the worker, got {other:?}"),
+    }
+    // A leaves; the worker takes B.
+    a.bye().unwrap();
+    b.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    eat_hello(&mut b);
+    write_frame(&mut b, b"PING").unwrap();
+    assert!(matches!(reply_of(&mut b), Reply::Ok(n) if n == "pong"));
+
+    drop(b);
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn shutdown_wakes_idle_workers() {
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let config = ServerConfig {
+            addr: addr.into(),
+            workers: 4,
+            ..quick_config()
+        };
+        let handle = serve(config, base_db()).unwrap();
+        // Give every worker time to block in `accept`.
+        std::thread::sleep(Duration::from_millis(100));
+        let started = Instant::now();
+        let (done, joined) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            handle.shutdown();
+            handle.join();
+            done.send(handle).unwrap();
+        });
+        let handle = joined
+            .recv_timeout(Duration::from_secs(1))
+            .unwrap_or_else(|_| panic!("{addr}: join did not return within 1 s"));
+        assert!(started.elapsed() < Duration::from_secs(1), "{addr}");
+        // Wake-ups are not clients.
+        let m = handle.metrics();
+        assert_eq!(m.connections.load(std::sync::atomic::Ordering::Relaxed), 0);
     }
 }
