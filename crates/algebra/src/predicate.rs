@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use hypoquery_storage::{Tuple, Value};
+use hypoquery_storage::{Row, Value};
 
 /// A scalar term inside a predicate: a column of the input tuple or a
 /// constant.
@@ -23,9 +23,9 @@ pub enum ScalarExpr {
 }
 
 impl ScalarExpr {
-    /// Evaluate against a tuple. Out-of-range columns return `None`
+    /// Evaluate against a row. Out-of-range columns return `None`
     /// (arity checking in `typing` prevents this for well-typed queries).
-    pub fn eval<'a>(&'a self, t: &'a Tuple) -> Option<&'a Value> {
+    pub fn eval<'a, R: Row + ?Sized>(&'a self, t: &'a R) -> Option<&'a Value> {
         match self {
             ScalarExpr::Col(i) => t.get(*i),
             ScalarExpr::Const(v) => Some(v),
@@ -150,9 +150,9 @@ impl Predicate {
         Predicate::Not(Box::new(self))
     }
 
-    /// Evaluate against a tuple. Comparisons involving out-of-range columns
+    /// Evaluate against a row. Comparisons involving out-of-range columns
     /// evaluate to `false`.
-    pub fn eval(&self, t: &Tuple) -> bool {
+    pub fn eval<R: Row + ?Sized>(&self, t: &R) -> bool {
         match self {
             Predicate::True => true,
             Predicate::False => false,

@@ -3,21 +3,24 @@
 //!
 //! `AggState` takes rows one at a time and keeps, per group, a running
 //! `count`/`sum`/`min`/`max`; no input row is collected, sorted or grouped
-//! into a vector. Groups are found through a keyed hash table
-//! (`chain::ChainTable`) over the group-by columns of each
-//! group's first row, so a row that joins an existing group allocates
-//! nothing.
+//! into a vector, and no input row is built into a tuple. Rows are read
+//! through [`Row`], so the pipeline folds a join's row views straight in.
+//! Groups are found through a keyed hash table (`chain::ChainTable`) over
+//! the group-by columns; each group keeps only its key values, so a row
+//! that joins an existing group allocates nothing. A `sum` that leaves the
+//! 64-bit range fails with [`EvalError::AggregateOverflow`] instead of
+//! wrapping.
 //!
 //! Aggregation is over a *set*: every row pushed must be distinct. The
 //! legacy evaluators push the rows of a [`Relation`]; the pipeline pushes
 //! its input stream directly when the plan proves it duplicate-free and
 //! through a dedup set otherwise.
 
-use hypoquery_storage::{Relation, Tuple, Value};
+use hypoquery_storage::{Relation, Row, Tuple, Value};
 
 use hypoquery_algebra::AggExpr;
 
-use crate::chain::{cols_eq, ChainTable};
+use crate::chain::ChainTable;
 use crate::error::EvalError;
 
 /// Running state of one aggregate within one group.
@@ -30,27 +33,28 @@ enum Acc {
 
 impl Acc {
     /// The state after the group's first row.
-    fn first(agg: &AggExpr, t: &Tuple) -> Result<Acc, EvalError> {
+    fn first<R: Row + ?Sized>(agg: &AggExpr, t: &R) -> Result<Acc, EvalError> {
         Ok(match *agg {
             AggExpr::Count => Acc::Count(1),
-            AggExpr::Sum(c) => Acc::Sum(c, int_for_sum(&t[c])?),
-            AggExpr::Min(c) => Acc::Min(c, t[c].clone()),
-            AggExpr::Max(c) => Acc::Max(c, t[c].clone()),
+            AggExpr::Sum(c) => Acc::Sum(c, int_for_sum(t.col(c))?),
+            AggExpr::Min(c) => Acc::Min(c, t.col(c).clone()),
+            AggExpr::Max(c) => Acc::Max(c, t.col(c).clone()),
         })
     }
 
-    fn update(&mut self, t: &Tuple) -> Result<(), EvalError> {
+    #[inline]
+    fn update<R: Row + ?Sized>(&mut self, t: &R) -> Result<(), EvalError> {
         match self {
             Acc::Count(n) => *n += 1,
-            Acc::Sum(c, total) => *total += int_for_sum(&t[*c])?,
+            Acc::Sum(c, total) => *total = checked_sum(*total, int_for_sum(t.col(*c))?)?,
             Acc::Min(c, m) => {
-                if t[*c] < *m {
-                    *m = t[*c].clone();
+                if t.col(*c) < m {
+                    *m = t.col(*c).clone();
                 }
             }
             Acc::Max(c, m) => {
-                if t[*c] > *m {
-                    *m = t[*c].clone();
+                if t.col(*c) > m {
+                    *m = t.col(*c).clone();
                 }
             }
         }
@@ -72,6 +76,14 @@ fn int_for_sum(v: &Value) -> Result<i64, EvalError> {
     })
 }
 
+/// `total + v`, or [`EvalError::AggregateOverflow`] outside the `i64`
+/// range.
+pub(crate) fn checked_sum(total: i64, v: i64) -> Result<i64, EvalError> {
+    total
+        .checked_add(v)
+        .ok_or(EvalError::AggregateOverflow { agg: "sum" })
+}
+
 /// Streaming accumulator for `aggregate [group_by; aggs]` over a set of
 /// rows.
 ///
@@ -83,8 +95,10 @@ pub(crate) struct AggState<'a> {
     /// Groups by hash of their group-by columns; unused when `group_by`
     /// is empty (then there is at most one group).
     table: ChainTable,
-    /// The first row of each group; its group-by columns are the key.
-    firsts: Vec<Tuple>,
+    /// `group_by.len()` key values per group, group-major.
+    keys: Vec<Value>,
+    /// Number of groups opened.
+    groups: usize,
     /// `aggs.len()` accumulators per group, group-major.
     accs: Vec<Acc>,
 }
@@ -96,27 +110,33 @@ impl<'a> AggState<'a> {
             group_by,
             aggs,
             table: ChainTable::new(),
-            firsts: Vec::new(),
+            keys: Vec::new(),
+            groups: 0,
             accs: Vec::new(),
         }
     }
 
     /// Fold one row into its group. Rows must be distinct across calls.
     /// Fails with [`EvalError::AggregateType`] when a `sum` column holds
-    /// a non-integer.
-    pub(crate) fn push(&mut self, t: &Tuple) -> Result<(), EvalError> {
+    /// a non-integer, and with [`EvalError::AggregateOverflow`] when a
+    /// sum leaves the `i64` range.
+    #[inline]
+    pub(crate) fn push<R: Row + ?Sized>(&mut self, t: &R) -> Result<(), EvalError> {
         let n = self.aggs.len();
         if self.group_by.is_empty() {
-            if self.firsts.is_empty() {
+            if self.groups == 0 {
                 return self.open_group(t, None);
             }
             return self.accs.iter_mut().try_for_each(|a| a.update(t));
         }
+        let k = self.group_by.len();
         let hash = self.table.hash_cols(t, self.group_by);
-        let found = self
-            .table
-            .matches(hash)
-            .find(|&g| cols_eq(&self.firsts[g], self.group_by, t, self.group_by));
+        let found = self.table.matches(hash).find(|&g| {
+            self.keys[g * k..(g + 1) * k]
+                .iter()
+                .zip(self.group_by)
+                .all(|(v, &c)| v == t.col(c))
+        });
         match found {
             Some(g) => self.accs[g * n..(g + 1) * n]
                 .iter_mut()
@@ -125,29 +145,28 @@ impl<'a> AggState<'a> {
         }
     }
 
-    fn open_group(&mut self, t: &Tuple, hash: Option<u64>) -> Result<(), EvalError> {
+    fn open_group<R: Row + ?Sized>(&mut self, t: &R, hash: Option<u64>) -> Result<(), EvalError> {
         for agg in self.aggs {
             self.accs.push(Acc::first(agg, t)?);
         }
         if let Some(h) = hash {
             self.table.push(h);
         }
-        self.firsts.push(t.clone());
+        self.keys
+            .extend(self.group_by.iter().map(|&c| t.col(c).clone()));
+        self.groups += 1;
         Ok(())
     }
 
     /// The result relation: one row per group, group-by values then
     /// aggregate values.
     pub(crate) fn finish(self) -> Result<Relation, EvalError> {
-        let n = self.aggs.len();
-        let rows = self.firsts.iter().enumerate().map(|(g, first)| {
-            let key = self.group_by.iter().map(|&c| first[c].clone());
+        let (k, n) = (self.group_by.len(), self.aggs.len());
+        let rows = (0..self.groups).map(|g| {
+            let key = self.keys[g * k..(g + 1) * k].iter().cloned();
             Tuple::new(key.chain(self.accs[g * n..(g + 1) * n].iter().map(Acc::value)))
         });
-        Ok(Relation::from_tuple_set(
-            self.group_by.len() + n,
-            rows.collect(),
-        )?)
+        Ok(Relation::from_tuple_set(k + n, rows.collect())?)
     }
 }
 
@@ -219,6 +238,25 @@ mod tests {
         let r = rel(&[[1, 10], [1, 30], [2, 5]]);
         let out = eval_aggregate(&r, &[0], &[]).unwrap();
         assert_eq!(out, Relation::from_rows(1, [tuple![1], tuple![2]]).unwrap());
+    }
+
+    #[test]
+    fn sum_overflow_errors_in_any_group() {
+        let r = rel(&[[1, i64::MAX], [2, 1]]);
+        for group_by in [&[][..], &[1][..]] {
+            let out = eval_aggregate(&r, group_by, &[AggExpr::Sum(1)]);
+            if group_by.is_empty() {
+                assert_eq!(out, Err(EvalError::AggregateOverflow { agg: "sum" }));
+            } else {
+                // One row per group: no sum overflows.
+                assert_eq!(out.unwrap().len(), 2);
+            }
+        }
+        let r = rel(&[[1, i64::MIN], [1, -1], [2, 5]]);
+        assert_eq!(
+            eval_aggregate(&r, &[0], &[AggExpr::Count, AggExpr::Sum(1)]),
+            Err(EvalError::AggregateOverflow { agg: "sum" })
+        );
     }
 
     #[test]

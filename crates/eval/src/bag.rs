@@ -28,6 +28,7 @@ use hypoquery_storage::{BagRelation, Catalog, RelName, Tuple, Value};
 
 use hypoquery_algebra::{AggExpr, ExplicitSubst, Predicate, Query, StateExpr, Update};
 
+use crate::aggregate::checked_sum;
 use crate::error::EvalError;
 use crate::join::split_equi_pairs;
 
@@ -258,15 +259,17 @@ fn eval_bag_aggregate(
                 AggExpr::Sum(col) => {
                     let mut total = 0i64;
                     for (t, m) in &members {
-                        match t[*col].as_int() {
-                            Some(v) => total += v * (*m as i64),
-                            None => {
-                                return Err(EvalError::AggregateType {
-                                    agg: "sum",
-                                    value: t[*col].to_string(),
-                                })
-                            }
-                        }
+                        let Some(v) = t[*col].as_int() else {
+                            return Err(EvalError::AggregateType {
+                                agg: "sum",
+                                value: t[*col].to_string(),
+                            });
+                        };
+                        let term = i64::try_from(*m)
+                            .ok()
+                            .and_then(|m| v.checked_mul(m))
+                            .ok_or(EvalError::AggregateOverflow { agg: "sum" })?;
+                        total = checked_sum(total, term)?;
                     }
                     Value::int(total)
                 }
@@ -351,6 +354,25 @@ mod tests {
         let out = eval_bag_query(&q, &db).unwrap();
         // count = 3 (2 copies of 1 + 1 copy of 2); sum = 1+1+2 = 4.
         assert_eq!(out.multiplicity(&tuple![3, 4]), 1);
+    }
+
+    #[test]
+    fn bag_sum_overflow_is_an_error() {
+        let mut cat = Catalog::new();
+        cat.declare_arity("R", 2).unwrap();
+        let sum = Query::base("R").aggregate([], [AggExpr::Sum(1)]);
+        // Overflow across rows, and within one row's multiplicity.
+        let mut db = BagState::new(cat.clone());
+        db.insert_row("R", tuple![1, i64::MAX], 1).unwrap();
+        db.insert_row("R", tuple![2, 1], 1).unwrap();
+        let mut dup = BagState::new(cat);
+        dup.insert_row("R", tuple![1, i64::MAX / 2 + 1], 2).unwrap();
+        for db in [db, dup] {
+            assert_eq!(
+                eval_bag_query(&sum, &db),
+                Err(EvalError::AggregateOverflow { agg: "sum" })
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! in a plain `Vec` and use a [`ChainTable`] only to find candidate
 //! entries by hash. Key columns are hashed in place, so no `Vec<Value>`
 //! key is allocated per row; callers confirm a candidate by comparing its
-//! key columns ([`cols_eq`]).
+//! key columns ([`cols_eq`]). Columns are read through [`Row`], so a probe
+//! can be a borrowed row view. A [`RowSet`] is the same table keyed on
+//! whole rows: the dedup sets and the right operand of a set difference
+//! or intersection, looked up by view and built only on a miss.
 //!
 //! Row values come from clients, so every table hashes with its own keyed
 //! SipHash ([`RandomState`]): with an unkeyed hash a client could choose
@@ -14,7 +17,21 @@
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash, Hasher};
 
-use hypoquery_storage::Tuple;
+use hypoquery_storage::{Row, Tuple, Value};
+
+/// Feed one key value to a table's hasher. An integer is hashed as its
+/// eight bytes alone, without the enum tag `Value`'s own `Hash` writes
+/// first: SipHash's cost grows with every eight-byte word, and integer
+/// keys are the common case. Equal values still hash equally, and values
+/// of different types that happen to collide are told apart by the key
+/// comparison every caller makes.
+#[inline]
+fn hash_value(v: &Value, h: &mut impl Hasher) {
+    match v {
+        Value::Int(i) => h.write_i64(*i),
+        v => v.hash(h),
+    }
+}
 
 /// End of a chain. Entry indexes are positions in `Vec`s, which never
 /// reach `usize::MAX`.
@@ -48,10 +65,20 @@ impl ChainTable {
 
     /// Hash columns `cols` of `t`, in order, with this table's key.
     #[inline]
-    pub(crate) fn hash_cols(&self, t: &Tuple, cols: &[usize]) -> u64 {
+    pub(crate) fn hash_cols<R: Row + ?Sized>(&self, t: &R, cols: &[usize]) -> u64 {
         let mut h = self.state.build_hasher();
         for &c in cols {
-            t[c].hash(&mut h);
+            hash_value(t.col(c), &mut h);
+        }
+        h.finish()
+    }
+
+    /// Hash every column of `t`, in order, with this table's key.
+    #[inline]
+    fn hash_row<R: Row + ?Sized>(&self, t: &R) -> u64 {
+        let mut h = self.state.build_hasher();
+        for c in 0..t.arity() {
+            hash_value(t.col(c), &mut h);
         }
         h.finish()
     }
@@ -132,8 +159,61 @@ impl Iterator for Matches<'_> {
 /// Whether columns `a_cols` of `a` equal columns `b_cols` of `b`,
 /// pairwise.
 #[inline]
-pub(crate) fn cols_eq(a: &Tuple, a_cols: &[usize], b: &Tuple, b_cols: &[usize]) -> bool {
-    a_cols.iter().zip(b_cols).all(|(&i, &j)| a[i] == b[j])
+pub(crate) fn cols_eq<A: Row + ?Sized, B: Row + ?Sized>(
+    a: &A,
+    a_cols: &[usize],
+    b: &B,
+    b_cols: &[usize],
+) -> bool {
+    a_cols
+        .iter()
+        .zip(b_cols)
+        .all(|(&i, &j)| a.col(i) == b.col(j))
+}
+
+/// A set of same-arity rows, probed with any [`Row`]: the tuple for a row
+/// is built only when the row is not already in the set.
+pub(crate) struct RowSet {
+    table: ChainTable,
+    rows: Vec<Tuple>,
+}
+
+impl RowSet {
+    pub(crate) fn new() -> RowSet {
+        RowSet {
+            table: ChainTable::new(),
+            rows: Vec::new(),
+        }
+    }
+
+    fn find<R: Row + ?Sized>(&self, t: &R, hash: u64) -> bool {
+        self.table
+            .matches(hash)
+            .any(|i| (0..t.arity()).all(|c| self.rows[i].col(c) == t.col(c)))
+    }
+
+    /// Whether a row equal to `t` is in the set.
+    #[inline]
+    pub(crate) fn contains<R: Row + ?Sized>(&self, t: &R) -> bool {
+        self.find(t, self.table.hash_row(t))
+    }
+
+    /// Add `t` unless an equal row is already in the set, building its
+    /// tuple with `build` only then. Returns whether it was added.
+    #[inline]
+    pub(crate) fn insert_with<R: Row + ?Sized>(
+        &mut self,
+        t: &R,
+        build: impl FnOnce(&R) -> Tuple,
+    ) -> bool {
+        let hash = self.table.hash_row(t);
+        if self.find(t, hash) {
+            return false;
+        }
+        self.table.push(hash);
+        self.rows.push(build(t));
+        true
+    }
 }
 
 #[cfg(test)]
@@ -168,5 +248,22 @@ mod tests {
         assert_eq!(table.hash_cols(&a, &[1, 2]), table.hash_cols(&b, &[2, 1]));
         assert!(cols_eq(&a, &[1, 2], &b, &[2, 1]));
         assert!(!cols_eq(&a, &[0], &b, &[0]));
+    }
+
+    #[test]
+    fn row_set_builds_only_on_a_miss() {
+        let mut set = RowSet::new();
+        let mut built = 0;
+        for i in 0..1000i64 {
+            let t = tuple![i % 300, 1];
+            set.insert_with(&t, |t| {
+                built += 1;
+                t.clone()
+            });
+        }
+        assert_eq!(built, 300);
+        assert!(set.contains(&tuple![299, 1]));
+        assert!(!set.contains(&tuple![300, 1]));
+        assert!(!set.contains(&tuple![0, 2]));
     }
 }

@@ -332,4 +332,18 @@ mod tests {
             Err(EvalError::AggregateType { agg: "sum", .. })
         ));
     }
+
+    #[test]
+    fn sum_overflow_errors() {
+        let mut cat = Catalog::new();
+        cat.declare_arity("R", 2).unwrap();
+        let mut db = DatabaseState::new(cat);
+        db.insert_row("R", tuple![1, i64::MAX]).unwrap();
+        db.insert_row("R", tuple![2, 1]).unwrap();
+        let q = Query::base("R").aggregate([], [AggExpr::Sum(1)]);
+        assert_eq!(
+            eval_query(&q, &db),
+            Err(EvalError::AggregateOverflow { agg: "sum" })
+        );
+    }
 }

@@ -17,6 +17,12 @@ pub enum EvalError {
         /// Display of the offending value.
         value: String,
     },
+    /// An aggregate's result left the 64-bit integer range (e.g. a `sum`
+    /// past `i64::MAX`).
+    AggregateOverflow {
+        /// Which aggregate.
+        agg: &'static str,
+    },
     /// A query shape the called evaluator does not accept (e.g. `when`
     /// reaching a pure-only evaluator, or a non-explicit state expression
     /// reaching `filter1`). Indicates a missing normalization step.
@@ -29,6 +35,9 @@ impl fmt::Display for EvalError {
             EvalError::Storage(e) => write!(f, "{e}"),
             EvalError::AggregateType { agg, value } => {
                 write!(f, "aggregate {agg} applied to non-numeric value {value}")
+            }
+            EvalError::AggregateOverflow { agg } => {
+                write!(f, "aggregate {agg} overflowed the 64-bit integer range")
             }
             EvalError::UnsupportedShape(s) => {
                 write!(
@@ -70,5 +79,7 @@ mod tests {
         };
         assert!(a.to_string().contains("sum"));
         assert!(std::error::Error::source(&a).is_none());
+        let o = EvalError::AggregateOverflow { agg: "sum" };
+        assert!(o.to_string().contains("sum overflowed"));
     }
 }

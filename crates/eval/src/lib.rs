@@ -33,6 +33,7 @@ pub mod filter2;
 pub mod filter3;
 pub mod join;
 pub mod physical;
+mod view;
 pub mod xsub;
 
 pub use bag::{apply_bag_subst, eval_bag_query, eval_bag_state, eval_bag_update, BagState};

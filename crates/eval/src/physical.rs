@@ -16,20 +16,45 @@
 //!
 //! Operators execute in the Volcano spirit (one row at a time through an
 //! operator tree), realized **push-based**: each operator drives its
-//! children and hands produced tuples to a consumer callback. Push
+//! children and hands produced rows to a consumer callback. Push
 //! composition sidesteps the self-referential-iterator problem that a
 //! pull-based design hits with `Arc<BTreeSet>`-backed storage, while
-//! keeping the same pipelining property — a tuple flows from its scan
-//! through every streaming operator above it before the next tuple is
+//! keeping the same pipelining property — a row flows from its scan
+//! through every streaming operator above it before the next row is
 //! produced.
 //!
-//! Pipeline *breakers* materialize exactly what they must: a hash join
-//! materializes only its build side; `Diff`/`Intersect` only their right
-//! operand; `Aggregate` one running accumulator per group; `Dedup` the
-//! distinct set seen so far. The plan sink materializes the final result,
-//! so set semantics are restored at every breaker and at the output —
-//! streaming segments may carry duplicates in flight (see
-//! [`PhysOp::Dedup`] for where the lowering chooses to collapse them
+//! A row is handed on as a borrowed *view* (`RowView`), not a tuple: a
+//! stored tuple, a join pair of two views, or a projection of a view.
+//! Filters, projections, joins (hash, nested-loop and index) and unions
+//! pass views on and allocate nothing per row; predicates, key hashing
+//! and aggregate accumulators read columns through the
+//! [`Row`] trait that both views and tuples implement. A three-way join's
+//! row is a pair whose one side is itself a pair, read in place.
+//!
+//! # Where tuples are built
+//!
+//! A view lives only for the consumer call it is passed to, so a tuple is
+//! built exactly where a row outlives that call — a pipeline *breaker* or
+//! the output:
+//!
+//! * a hash join's build side (and a nested loop's build rows);
+//! * `Dedup`'s seen set and the seen set of an `Aggregate` over a
+//!   non-[`distinct`](PhysNode::distinct) input — looked up by view first,
+//!   built only on a miss;
+//! * the right operand of `Diff`/`Intersect`, likewise built only for a
+//!   row not seen before;
+//! * the bindings of [`PhysOp::XsubRebind`] and the atoms of
+//!   [`PhysOp::DeltaApply`], materialized into relations;
+//! * the plan sink, which collects the result relation.
+//!
+//! Building a view of a stored tuple shares it (a reference-count bump);
+//! building a join pair or a projection allocates one tuple. `Aggregate`
+//! keeps no input row at all, only each group's key values and running
+//! accumulators. Every build is counted in [`OpStats::built`] of the
+//! operator whose output row was kept, so `EXPLAIN ANALYZE` shows where
+//! materialization happens. Set semantics are restored at every breaker
+//! and at the output — streaming segments may carry duplicates in flight
+//! (see [`PhysOp::Dedup`] for where the lowering chooses to collapse them
 //! early).
 //!
 //! # Duplicate-freedom
@@ -45,10 +70,12 @@
 //!
 //! # Hash tables
 //!
-//! The hash join's build side and the aggregate's groups live in
-//! arena-backed chained tables (`chain::ChainTable`): key
-//! columns are hashed in place with a per-table keyed SipHash and
-//! compared on a hash match, so neither operator allocates a key per row.
+//! The hash join's build side, the aggregate's groups and every seen set
+//! (`Dedup`, a non-distinct `Aggregate`, the right operand of
+//! `Diff`/`Intersect`) live in arena-backed chained tables
+//! (`chain::ChainTable`, `chain::RowSet`): key columns are hashed in
+//! place with a per-table keyed SipHash and compared on a hash match, so
+//! no operator allocates a key per row.
 //!
 //! # Hypothetical operators
 //!
@@ -69,31 +96,30 @@
 //!
 //! # Instrumentation
 //!
-//! Every operator carries rows-in/rows-out counters (always on; two
-//! `Cell` bumps per tuple) and an elapsed-time counter that is only
+//! Every operator carries rows-in/rows-out/built counters (always on; a
+//! `Cell` bump each) and an elapsed-time counter that is only
 //! exercised under [`PhysPlan::execute_analyze`]. Elapsed time is
 //! *exclusive* self-time: the clock runs only around an operator's own
 //! work (predicate evaluation, hashing, set probes), never around the
 //! downstream consumer, so the per-operator numbers in `EXPLAIN ANALYZE`
 //! add up meaningfully even though execution is one fused pipeline.
 
-use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use hypoquery_storage::{
-    lookup_or_build_index, DatabaseState, KeyRange, RelName, Relation, Tuple, Value,
+    lookup_or_build_index, DatabaseState, KeyRange, RelName, Relation, Row, Tuple, Value,
 };
 
 use hypoquery_algebra::{AggExpr, Predicate};
 
 use crate::aggregate::AggState;
-use crate::chain::{cols_eq, ChainTable};
+use crate::chain::{cols_eq, ChainTable, RowSet};
 use crate::delta::{effective_iter, DeltaValue, RelDelta};
 use crate::error::EvalError;
 use crate::join::EquiPair;
+use crate::view::RowView;
 use crate::xsub::XsubValue;
 
 /// Which operand of a binary operator plays a given role.
@@ -407,8 +433,8 @@ impl PhysPlan {
         // sorts and bulk-loads the tree, far cheaper than a per-row
         // sorted insert.
         let mut out: Vec<Tuple> = Vec::new();
-        run(&self.root, &ctx, &env, &mut |t| {
-            out.push(t.into_owned());
+        run(&self.root, &ctx, &env, &mut |v| {
+            out.push(ctx.keep(self.root.id, v));
             Ok(())
         })?;
         let rel = Relation::from_tuple_set(self.root.arity, out.into_iter().collect())?;
@@ -432,6 +458,12 @@ pub struct OpStats {
     pub rows_in: u64,
     /// Tuples pushed to the parent.
     pub rows_out: u64,
+    /// Rows of this operator's output that were built into owned tuples
+    /// because a consumer keeps them: a hash join's build side, a dedup
+    /// set, a `Diff`/`Intersect` right operand, an xsub binding, a delta
+    /// atom, or the plan sink. A join's or projection's row that streams
+    /// on as a view counts none (a kept stored row is shared, not copied).
+    pub built: u64,
     /// Exclusive self-time (zero unless executed under
     /// [`PhysPlan::execute_analyze`]).
     pub elapsed: Duration,
@@ -492,6 +524,7 @@ impl Env {
 struct NodeCtr {
     rows_in: Cell<u64>,
     rows_out: Cell<u64>,
+    built: Cell<u64>,
     nanos: Cell<u64>,
 }
 
@@ -512,6 +545,15 @@ impl Ctx<'_> {
     fn row_out(&self, id: usize) {
         let c = &self.ctrs[id].rows_out;
         c.set(c.get() + 1);
+    }
+
+    /// Keep a row of node `producer`'s output as an owned tuple, counting
+    /// it in `producer`'s [`OpStats::built`].
+    #[inline]
+    fn keep(&self, producer: usize, row: &RowView<'_>) -> Tuple {
+        let c = &self.ctrs[producer].built;
+        c.set(c.get() + 1);
+        row.to_tuple()
     }
 
     /// Run `f` with node `id`'s clock on. Only the operator's *own* work
@@ -537,6 +579,7 @@ impl Ctx<'_> {
                 .map(|c| OpStats {
                     rows_in: c.rows_in.get(),
                     rows_out: c.rows_out.get(),
+                    built: c.built.get(),
                     elapsed: Duration::from_nanos(c.nanos.get()),
                 })
                 .collect(),
@@ -544,8 +587,9 @@ impl Ctx<'_> {
     }
 }
 
-/// The tuple consumer operators push into.
-type Sink<'s> = dyn FnMut(Cow<'_, Tuple>) -> Result<(), EvalError> + 's;
+/// The row consumer operators push into. The view lives only for the
+/// call; a consumer that keeps the row builds a tuple ([`Ctx::keep`]).
+type Sink<'s> = dyn FnMut(&RowView<'_>) -> Result<(), EvalError> + 's;
 
 /// Drain a source iterator into `out`, charging each `next` to node
 /// `id`. Generic so the common direct-scan path is monomorphized with no
@@ -561,7 +605,7 @@ fn scan_emit<'a>(
             return Ok(());
         };
         ctx.row_out(id);
-        out(Cow::Borrowed(t))?;
+        out(&RowView::Stored(t))?;
     }
 }
 
@@ -603,7 +647,7 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
             for t in candidates {
                 if ctx.timed(id, || pred.eval(t)) {
                     ctx.row_out(id);
-                    out(Cow::Borrowed(t))?;
+                    out(&RowView::Stored(t))?;
                 }
             }
             Ok(())
@@ -611,24 +655,23 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
         PhysOp::Const { rel } => {
             for t in rel.iter() {
                 ctx.row_out(id);
-                out(Cow::Borrowed(t))?;
+                out(&RowView::Stored(t))?;
             }
             Ok(())
         }
-        PhysOp::Filter { input, pred } => run(input, ctx, env, &mut |t| {
+        PhysOp::Filter { input, pred } => run(input, ctx, env, &mut |v| {
             ctx.row_in(id);
-            if ctx.timed(id, || pred.eval(&t)) {
+            if ctx.timed(id, || pred.eval(v)) {
                 ctx.row_out(id);
-                out(t)
+                out(v)
             } else {
                 Ok(())
             }
         }),
-        PhysOp::Project { input, cols } => run(input, ctx, env, &mut |t| {
+        PhysOp::Project { input, cols } => run(input, ctx, env, &mut |v| {
             ctx.row_in(id);
-            let proj = ctx.timed(id, || t.project(cols));
             ctx.row_out(id);
-            out(Cow::Owned(proj))
+            out(&RowView::Project { input: v, cols })
         }),
         PhysOp::HashJoin {
             left,
@@ -652,24 +695,25 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
             // One key column probes with the row's own field; wider keys
             // reuse one buffer.
             let mut buf: Vec<Value> = Vec::with_capacity(probe_cols.len());
-            run(probe, ctx, env, &mut |t| {
+            run(probe, ctx, env, &mut |v| {
                 ctx.row_in(id);
                 let matches = ctx.timed(id, || match probe_cols.as_slice() {
-                    [c] => idx.probe(std::slice::from_ref(&t[*c])),
+                    [c] => idx.probe(std::slice::from_ref(v.col(*c))),
                     cols => {
                         buf.clear();
-                        buf.extend(cols.iter().map(|&c| t[c].clone()));
+                        buf.extend(cols.iter().map(|&c| v.col(c).clone()));
                         idx.probe(&buf)
                     }
                 });
                 for m in matches {
-                    let joined = ctx.timed(id, || match probe_side {
-                        Side::Left => t.concat(m),
-                        Side::Right => m.concat(&t),
-                    });
+                    let m = RowView::Stored(m);
+                    let joined = match probe_side {
+                        Side::Left => RowView::pair(v, &m),
+                        Side::Right => RowView::pair(&m, v),
+                    };
                     if ctx.timed(id, || residual.iter().all(|p| p.eval(&joined))) {
                         ctx.row_out(id);
-                        out(Cow::Owned(joined))?;
+                        out(&joined)?;
                     }
                 }
                 Ok(())
@@ -677,49 +721,36 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
         }
         PhysOp::Union { left, right } => {
             for child in [left.as_ref(), right.as_ref()] {
-                run(child, ctx, env, &mut |t| {
+                run(child, ctx, env, &mut |v| {
                     ctx.row_in(id);
                     ctx.row_out(id);
-                    out(t)
+                    out(v)
                 })?;
             }
             Ok(())
         }
-        PhysOp::Diff { left, right } => {
+        PhysOp::Diff { left, right } | PhysOp::Intersect { left, right } => {
+            let keep_present = matches!(node.op, PhysOp::Intersect { .. });
             let rset = collect_set(right, ctx, env, id)?;
-            run(left, ctx, env, &mut |t| {
+            run(left, ctx, env, &mut |v| {
                 ctx.row_in(id);
-                if ctx.timed(id, || !rset.contains(t.as_ref())) {
+                if ctx.timed(id, || rset.contains(v)) == keep_present {
                     ctx.row_out(id);
-                    out(t)
-                } else {
-                    Ok(())
-                }
-            })
-        }
-        PhysOp::Intersect { left, right } => {
-            let rset = collect_set(right, ctx, env, id)?;
-            run(left, ctx, env, &mut |t| {
-                ctx.row_in(id);
-                if ctx.timed(id, || rset.contains(t.as_ref())) {
-                    ctx.row_out(id);
-                    out(t)
+                    out(v)
                 } else {
                     Ok(())
                 }
             })
         }
         PhysOp::Dedup { input } => {
-            let mut seen: HashSet<Tuple> = HashSet::new();
-            run(input, ctx, env, &mut |t| {
+            let mut seen = RowSet::new();
+            run(input, ctx, env, &mut |v| {
                 ctx.row_in(id);
-                // One hash per row: a clone is a reference-count bump.
-                let owned = t.into_owned();
-                if !ctx.timed(id, || seen.insert(owned.clone())) {
+                if !ctx.timed(id, || seen.insert_with(v, |v| ctx.keep(input.id, v))) {
                     return Ok(());
                 }
                 ctx.row_out(id);
-                out(Cow::Owned(owned))
+                out(v)
             })
         }
         PhysOp::Aggregate {
@@ -729,17 +760,17 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
         } => {
             let mut st = AggState::new(group_by, aggs);
             if input.distinct {
-                run(input, ctx, env, &mut |t| {
+                run(input, ctx, env, &mut |v| {
                     ctx.row_in(id);
-                    ctx.timed(id, || st.push(&t))
+                    ctx.timed(id, || st.push(v))
                 })?;
             } else {
-                let mut seen: HashSet<Tuple> = HashSet::new();
-                run(input, ctx, env, &mut |t| {
+                let mut seen = RowSet::new();
+                run(input, ctx, env, &mut |v| {
                     ctx.row_in(id);
                     ctx.timed(id, || {
-                        if seen.insert(t.as_ref().clone()) {
-                            st.push(&t)
+                        if seen.insert_with(v, |v| ctx.keep(input.id, v)) {
+                            st.push(v)
                         } else {
                             Ok(())
                         }
@@ -749,7 +780,7 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
             let result = ctx.timed(id, || st.finish())?;
             for t in result.iter() {
                 ctx.row_out(id);
-                out(Cow::Borrowed(t))?;
+                out(&RowView::Stored(t))?;
             }
             Ok(())
         }
@@ -767,9 +798,9 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
                 xsub: env.xsub.smash(&f),
                 delta: DeltaValue::new(kept.map(|(n, d)| (n.clone(), d.clone()))),
             };
-            run(body, ctx, &inner, &mut |t| {
+            run(body, ctx, &inner, &mut |v| {
                 ctx.row_out(id);
-                out(t)
+                out(v)
             })
         }
         PhysOp::DeltaApply { atoms, body } => {
@@ -795,9 +826,9 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
                 xsub: env.xsub.clone(),
                 delta: env.delta.smash(&acc)?,
             };
-            run(body, ctx, &inner, &mut |t| {
+            run(body, ctx, &inner, &mut |v| {
                 ctx.row_out(id);
-                out(t)
+                out(v)
             })
         }
     }
@@ -815,34 +846,30 @@ fn materialize(
 ) -> Result<Relation, EvalError> {
     if let PhysOp::Const { rel } = &node.op {
         let n = rel.len() as u64;
-        let (out, into) = (&ctx.ctrs[node.id].rows_out, &ctx.ctrs[id].rows_in);
-        out.set(out.get() + n);
-        into.set(into.get() + n);
+        let c = &ctx.ctrs[node.id];
+        for counter in [&c.rows_out, &c.built, &ctx.ctrs[id].rows_in] {
+            counter.set(counter.get() + n);
+        }
         return Ok(rel.clone());
     }
     let mut rows: Vec<Tuple> = Vec::new();
-    run(node, ctx, env, &mut |t| {
+    run(node, ctx, env, &mut |v| {
         ctx.row_in(id);
-        rows.push(t.into_owned());
+        rows.push(ctx.keep(node.id, v));
         Ok(())
     })?;
     let rel = Relation::from_tuple_set(node.arity, rows.into_iter().collect())?;
     Ok(rel)
 }
 
-/// Materialize a sub-plan into a hash set (the right operand of `Diff` /
+/// Materialize a sub-plan into a row set (the right operand of `Diff` /
 /// `Intersect` — probed per left row, so O(1) membership beats a sorted
 /// set), charging rows and build time to operator `id`.
-fn collect_set(
-    node: &PhysNode,
-    ctx: &Ctx<'_>,
-    env: &Env,
-    id: usize,
-) -> Result<HashSet<Tuple>, EvalError> {
-    let mut set: HashSet<Tuple> = HashSet::new();
-    run(node, ctx, env, &mut |t| {
+fn collect_set(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, id: usize) -> Result<RowSet, EvalError> {
+    let mut set = RowSet::new();
+    run(node, ctx, env, &mut |v| {
         ctx.row_in(id);
-        ctx.timed(id, || set.insert(t.into_owned()));
+        ctx.timed(id, || set.insert_with(v, |v| ctx.keep(node.id, v)));
         Ok(())
     })?;
     Ok(set)
@@ -866,31 +893,33 @@ fn run_hash_join(
         Side::Right => (right, left),
     };
     let build_is_left = build == Side::Left;
+    // The joined row is a view of the build row and the probe row side by
+    // side; only the build rows are kept.
+    let join = |b: &Tuple, v: &RowView<'_>, out: &mut Sink<'_>| {
+        let b = RowView::Stored(b);
+        let joined = if build_is_left {
+            RowView::pair(&b, v)
+        } else {
+            RowView::pair(v, &b)
+        };
+        if ctx.timed(id, || residual.iter().all(|p| p.eval(&joined))) {
+            ctx.row_out(id);
+            out(&joined)?;
+        }
+        Ok(())
+    };
 
     if pairs.is_empty() {
         // Nested loop (product, possibly with residual theta conjuncts).
         let mut rows: Vec<Tuple> = Vec::new();
-        run(build_child, ctx, env, &mut |t| {
+        run(build_child, ctx, env, &mut |v| {
             ctx.row_in(id);
-            rows.push(t.into_owned());
+            rows.push(ctx.timed(id, || ctx.keep(build_child.id, v)));
             Ok(())
         })?;
-        return run(probe_child, ctx, env, &mut |t| {
+        return run(probe_child, ctx, env, &mut |v| {
             ctx.row_in(id);
-            for b in &rows {
-                let joined = ctx.timed(id, || {
-                    if build_is_left {
-                        b.concat(&t)
-                    } else {
-                        t.concat(b)
-                    }
-                });
-                if ctx.timed(id, || residual.iter().all(|p| p.eval(&joined))) {
-                    ctx.row_out(id);
-                    out(Cow::Owned(joined))?;
-                }
-            }
-            Ok(())
+            rows.iter().try_for_each(|b| join(b, v, out))
         });
     }
 
@@ -907,34 +936,22 @@ fn run_hash_join(
     // arena positions (entry `i` of the table is `rows[i]`).
     let mut table = ChainTable::new();
     let mut rows: Vec<Tuple> = Vec::new();
-    run(build_child, ctx, env, &mut |t| {
+    run(build_child, ctx, env, &mut |v| {
         ctx.row_in(id);
         ctx.timed(id, || {
-            table.push(table.hash_cols(&t, &build_cols));
-            rows.push(t.into_owned());
+            table.push(table.hash_cols(v, &build_cols));
+            rows.push(ctx.keep(build_child.id, v));
         });
         Ok(())
     })?;
 
-    run(probe_child, ctx, env, &mut |t| {
+    run(probe_child, ctx, env, &mut |v| {
         ctx.row_in(id);
-        let hash = ctx.timed(id, || table.hash_cols(&t, &probe_cols));
+        let hash = ctx.timed(id, || table.hash_cols(v, &probe_cols));
         for i in table.matches(hash) {
             let b = &rows[i];
-            let joined = ctx.timed(id, || {
-                if !cols_eq(b, &build_cols, &t, &probe_cols) {
-                    return None;
-                }
-                let joined = if build_is_left {
-                    b.concat(&t)
-                } else {
-                    t.concat(b)
-                };
-                residual.iter().all(|p| p.eval(&joined)).then_some(joined)
-            });
-            if let Some(joined) = joined {
-                ctx.row_out(id);
-                out(Cow::Owned(joined))?;
+            if ctx.timed(id, || cols_eq(b, &build_cols, v, &probe_cols)) {
+                join(b, v, out)?;
             }
         }
         Ok(())
@@ -1045,9 +1062,10 @@ fn render_node(node: &PhysNode, depth: usize, metrics: Option<&ExecMetrics>, out
         let s = m.node(node.id);
         let _ = write!(
             out,
-            "  (rows in={} out={}, time={})",
+            "  (rows in={} out={} built={}, time={})",
             s.rows_in,
             s.rows_out,
+            s.built,
             fmt_elapsed(s.elapsed)
         );
     }
@@ -1464,6 +1482,130 @@ mod tests {
             out,
             Relation::from_rows(3, [tuple![2, 1, 200], tuple![3, 1, 300]]).unwrap()
         );
+    }
+
+    #[test]
+    fn joined_rows_reach_the_aggregate_unbuilt() {
+        // The served `scan` shape: Aggregate(HashJoin(Scan R, Scan S))
+        // under a delete-then-insert delta.
+        let db = db();
+        let atom = |name: &str, insert: bool, bound: i64| DeltaAtom {
+            name: name.into(),
+            insert,
+            input: PhysNode::new(
+                2,
+                PhysOp::Filter {
+                    input: Box::new(scan("S")),
+                    pred: Predicate::col_cmp(1, CmpOp::Lt, bound),
+                },
+            ),
+        };
+        let body = PhysNode::new(
+            2,
+            PhysOp::Aggregate {
+                input: Box::new(hash_join(scan("R"), scan("S"))),
+                group_by: vec![],
+                aggs: vec![AggExpr::Count, AggExpr::Sum(1)],
+            },
+        );
+        let plan = PhysPlan::new(PhysNode::new(
+            2,
+            PhysOp::DeltaApply {
+                atoms: vec![atom("S", false, 250), atom("R", true, 1000)],
+                body: Box::new(body),
+            },
+        ));
+        let (out, m) = plan.execute_analyze(&db).unwrap();
+        // S loses (2,200); R gains (3,300); R ⋈ S on #0 = {(3,30),(3,300)}×{(3,300)}.
+        assert_eq!(out, Relation::singleton(tuple![2, 330]));
+
+        let PhysOp::DeltaApply { atoms, body } = &plan.root.op else {
+            unreachable!()
+        };
+        let PhysOp::Aggregate { input: join, .. } = &body.op else {
+            unreachable!()
+        };
+        let PhysOp::HashJoin { right: build, .. } = &join.op else {
+            unreachable!()
+        };
+        assert_eq!(m.node(join.id).rows_out, 2);
+        assert_eq!(m.node(join.id).built, 0);
+        assert_eq!(m.node(body.id).built, 0);
+        assert_eq!(m.node(build.id).rows_out, 1);
+        assert_eq!(m.node(build.id).built, 1);
+        // The atoms' rows become deltas; the sink keeps the one result.
+        assert_eq!(m.node(atoms[0].input.id).built, 1);
+        assert_eq!(m.node(atoms[1].input.id).built, 1);
+        assert_eq!(m.node(plan.root.id).built, 1);
+        let rendered = plan.render(Some(&m));
+        let join_line = rendered.lines().find(|l| l.contains("HashJoin")).unwrap();
+        assert!(join_line.contains("out=2 built=0"), "{rendered}");
+    }
+
+    #[test]
+    fn views_nest_through_joins_and_projections() {
+        // π(R ⋈ S) ⋈ S under a nested-loop product with a residual, kept
+        // by a dedup and the sink: every kept row is built from views of
+        // views.
+        let db = db();
+        let inner = project(hash_join(scan("R"), scan("S")), vec![3, 0, 0]);
+        let plan = PhysPlan::new(PhysNode::new(
+            5,
+            PhysOp::Dedup {
+                input: Box::new(PhysNode::new(
+                    5,
+                    PhysOp::HashJoin {
+                        left: Box::new(inner),
+                        right: Box::new(scan("S")),
+                        pairs: vec![],
+                        residual: vec![Predicate::col_col(1, CmpOp::Eq, 3)],
+                        build: Side::Left,
+                    },
+                )),
+            },
+        ));
+        let (out, m) = plan.execute_analyze(&db).unwrap();
+        assert_eq!(
+            out,
+            Relation::from_rows(5, [tuple![200, 2, 2, 2, 200], tuple![300, 3, 3, 3, 300]]).unwrap()
+        );
+        // The product's build side (the projection) and the dedup's
+        // input are built; the inner join's rows never are.
+        let PhysOp::Dedup { input: product } = &plan.root.op else {
+            unreachable!()
+        };
+        let PhysOp::HashJoin { left: proj, .. } = &product.op else {
+            unreachable!()
+        };
+        let PhysOp::Project { input: join, .. } = &proj.op else {
+            unreachable!()
+        };
+        assert_eq!(m.node(proj.id).built, 2);
+        assert_eq!(m.node(product.id).built, 2);
+        assert_eq!(m.node(join.id).built, 0);
+    }
+
+    #[test]
+    fn sum_overflow_is_an_error_not_a_wrap() {
+        let mut cat = Catalog::new();
+        cat.declare_arity("R", 2).unwrap();
+        let mut db = DatabaseState::new(cat);
+        db.insert_rows("R", [tuple![1, i64::MAX], tuple![2, 1]])
+            .unwrap();
+        for input in [scan("R"), union(scan("R"), scan("R"))] {
+            let plan = PhysPlan::new(PhysNode::new(
+                1,
+                PhysOp::Aggregate {
+                    input: Box::new(input),
+                    group_by: vec![],
+                    aggs: vec![AggExpr::Sum(1)],
+                },
+            ));
+            assert_eq!(
+                plan.execute(&db),
+                Err(EvalError::AggregateOverflow { agg: "sum" })
+            );
+        }
     }
 
     #[test]

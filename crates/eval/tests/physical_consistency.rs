@@ -7,12 +7,14 @@
 //! workloads where the streaming segments carry duplicates internally.
 //! Aggregates run over inputs the plan proves duplicate-free (folded
 //! straight into the accumulators) and over duplicate-carrying ones
-//! (deduplicated first), with and without grouping columns.
+//! (deduplicated first), with and without grouping columns. Joins of
+//! joins (rows that are views of views) feed every operator that keeps a
+//! row as a tuple.
 
 use proptest::prelude::*;
 
 use hypoquery_algebra::scope::dom_update;
-use hypoquery_algebra::{Query, StateExpr, Update};
+use hypoquery_algebra::{CmpOp, ExplicitSubst, Predicate, Query, StateExpr, Update};
 use hypoquery_core::{fully_lazy, to_enf_query, to_mod_enf, RewriteTrace};
 use hypoquery_eval::{
     algorithm_hql1, algorithm_hql2, algorithm_hql3, eval_bag_query, eval_pure, eval_query,
@@ -139,6 +141,46 @@ fn arb_aggregate2(universe: &Universe) -> BoxedStrategy<Query> {
     (arb_query(universe, 2, 2), 0..2usize, arb_agg(2))
         .prop_map(|(q, c, agg)| q.aggregate([c], [agg]))
         .boxed()
+}
+
+/// A join of `l` (arity `la`) and `r` (arity `ra`): an equi-join on one
+/// column pair plus a random residual, or (for the nested loop) a product
+/// filtered by the residual alone.
+fn arb_join_of(
+    l: BoxedStrategy<Query>,
+    la: usize,
+    r: BoxedStrategy<Query>,
+    ra: usize,
+) -> BoxedStrategy<Query> {
+    (l, r, 0..la, 0..ra, arb_predicate(la + ra, 1), any::<bool>())
+        .prop_map(move |(l, r, i, j, residual, equi)| {
+            let p = if equi {
+                Predicate::col_col(i, CmpOp::Eq, la + j).and(residual)
+            } else {
+                residual
+            };
+            l.join(r, p)
+        })
+        .boxed()
+}
+
+/// A join operand: mostly a base relation, sometimes a small query.
+fn arb_operand(universe: &Universe, arity: usize) -> BoxedStrategy<Query> {
+    prop_oneof![
+        2 => prop::sample::select(universe.names_of_arity(arity)).prop_map(Query::Base),
+        1 => arb_query(universe, arity, 1),
+    ]
+    .boxed()
+}
+
+/// Three binary operands joined left-deep or right-deep (arity 6).
+fn arb_join3(universe: &Universe) -> BoxedStrategy<Query> {
+    let op = || arb_operand(universe, 2);
+    prop_oneof![
+        arb_join_of(arb_join_of(op(), 2, op(), 2), 4, op(), 2),
+        arb_join_of(op(), 2, arb_join_of(op(), 2, op(), 2), 4),
+    ]
+    .boxed()
 }
 
 /// Pipelined == every legacy evaluator, on the strategy's own prepared
@@ -305,6 +347,53 @@ proptest! {
             agg.clone().join(other.clone(), p),
             agg.clone().union(other),
             body.when(StateExpr::update(Update::insert("R", agg))),
+        ];
+        for q in queries {
+            check_all_strategies(&q, &db)?;
+            check_all_strategies(&q, &declare_all(&db))?;
+        }
+    }
+
+    /// Joins of joins, so rows are views inside views: three-way joins
+    /// (equi and nested-loop, with residuals), under a filter and a
+    /// projection, and fed into every operator that keeps a row as a
+    /// tuple — a hash join's build side, a dedup set, the right operand
+    /// of a difference or intersection, grouped and non-distinct
+    /// aggregates, an xsub binding, a delta atom and the plan sink.
+    #[test]
+    fn pipelined_matches_legacy_on_nested_join_views(
+        join3 in arb_join3(&universe()),
+        other3 in arb_join3(&universe()),
+        pair in arb_join_of(arb_operand(&universe(), 1), 1, arb_operand(&universe(), 1), 1),
+        pred in arb_predicate(6, 1),
+        cols in prop::collection::vec(0..6usize, 2),
+        other in arb_operand(&universe(), 2),
+        p in arb_predicate(4, 1),
+        group_by in prop::collection::vec(0..6usize, 0..=2),
+        aggs in prop::collection::vec(arb_agg(6), 1..=2),
+        agg in arb_agg(2),
+        body in arb_query(&universe(), 2, 1),
+        insert in any::<bool>(),
+        db in arb_db(&universe(), 6),
+    ) {
+        // Arity 2: a three-way join's rows read through a filter and a
+        // projection (not duplicate-free).
+        let narrow = join3.clone().select(pred).project(cols);
+        let eps = ExplicitSubst::new([("R".into(), pair.clone()), ("S".into(), narrow.clone())]);
+        let atom = |q: Query| if insert { Update::insert("R", q) } else { Update::delete("R", q) };
+        let queries = [
+            join3,
+            narrow.clone(),
+            pair.clone().join(other.clone(), p.clone()),
+            other.clone().join(narrow.clone(), p.clone()),
+            pair.clone().union(narrow.clone()).join(other.clone(), p),
+            other.clone().diff(pair.clone()),
+            other.clone().intersect(narrow.clone()),
+            other3.aggregate(group_by, aggs),
+            narrow.clone().aggregate([], [agg.clone()]),
+            pair.clone().union(narrow.clone()).aggregate([0], [agg]),
+            body.clone().when(StateExpr::subst(eps)),
+            body.when(StateExpr::update(atom(pair).then(Update::insert("S", narrow)))),
         ];
         for q in queries {
             check_all_strategies(&q, &db)?;

@@ -703,6 +703,18 @@ mod tests {
     }
 
     #[test]
+    fn sum_overflow_is_an_err_reply() {
+        let mut s = Session::new(Database::new());
+        ok(&mut s, "DEFINE R k,v", "");
+        ok(&mut s, "LOAD R (1, 9223372036854775807) (2, 1)", "");
+        let e = err(&mut s, "QUERY aggregate [; sum 1] (R)", "");
+        assert_eq!(e.code, ErrCode::Eval);
+        assert!(e.to_string().contains("overflow"), "{e}");
+        // The session is still usable.
+        assert_eq!(rows(ok(&mut s, "QUERY aggregate [0; sum 1] (R)", "")), 2);
+    }
+
+    #[test]
     fn table_constraint_restore() {
         let mut s = session();
         let t = match ok(&mut s, "TABLE select qty >= 20 (inv)", "") {

@@ -32,5 +32,5 @@ pub use error::StorageError;
 pub use index::{distinct_counts, lookup_or_build_index, ColumnIndex, IndexCounters, IndexStats};
 pub use relation::{KeyRange, Relation};
 pub use schema::{Catalog, RelName, RelSchema};
-pub use tuple::Tuple;
+pub use tuple::{Row, Tuple};
 pub use value::{Value, ValueType};

@@ -68,6 +68,49 @@ impl Tuple {
     }
 }
 
+/// Read access to the columns of a row, shared by stored [`Tuple`]s and
+/// the executor's borrowed row views (a join pair or a projection that is
+/// never copied into a tuple of its own). Predicates, hashing and
+/// aggregation read rows through it, so they accept either.
+pub trait Row {
+    /// Number of columns.
+    fn arity(&self) -> usize;
+
+    /// Column `i`. Panics if `i` is out of range.
+    fn col(&self, i: usize) -> &Value;
+
+    /// Column `i`, if in range.
+    fn get(&self, i: usize) -> Option<&Value> {
+        (i < self.arity()).then(|| self.col(i))
+    }
+
+    /// The row as an owned tuple: a stored tuple is shared, any other
+    /// row is copied into one new allocation.
+    fn to_tuple(&self) -> Tuple;
+}
+
+impl Row for Tuple {
+    #[inline]
+    fn arity(&self) -> usize {
+        self.fields.len()
+    }
+
+    #[inline]
+    fn col(&self, i: usize) -> &Value {
+        &self.fields[i]
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> Option<&Value> {
+        self.fields.get(i)
+    }
+
+    #[inline]
+    fn to_tuple(&self) -> Tuple {
+        self.clone()
+    }
+}
+
 impl Index<usize> for Tuple {
     type Output = Value;
     fn index(&self, i: usize) -> &Value {
