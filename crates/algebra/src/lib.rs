@@ -20,6 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod attrs;
+pub mod depth;
 pub mod predicate;
 pub mod query;
 pub mod scope;
@@ -28,6 +29,7 @@ pub mod typing;
 pub mod update;
 
 pub use attrs::{attrs_of, position_of};
+pub use depth::{MAX_DEPTH, MAX_DEPTH_STACK};
 pub use predicate::{CmpOp, Predicate, ScalarExpr};
 pub use query::{AggExpr, Query};
 pub use state_expr::{ExplicitSubst, StateExpr};

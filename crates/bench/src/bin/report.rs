@@ -26,7 +26,7 @@ use std::time::Instant;
 use hypoquery_algebra::{AggExpr, CmpOp, Predicate, Query, StateExpr, Update};
 use hypoquery_bench::workload::{
     e12_join_chain, e12_select_chain, e1_query, e2_family, e2_state, e3_db, e3_update, e4_db,
-    e4_query, e5_update, e7_query, e9_db, e9_scenarios, rs_join, sel, two_table_db,
+    e5_update, e7_query, e9_db, e9_scenarios, rs_join, sel, two_table_db,
 };
 use hypoquery_core::{
     fully_lazy, lazy_state, red_query, red_state, sub_query, to_enf_query, to_mod_enf, RewriteTrace,
@@ -36,8 +36,9 @@ use hypoquery_eval::{
     algorithm_hql1, algorithm_hql2, algorithm_hql3, eval_pure, filter1, materialize_subst,
     XsubValue,
 };
-use hypoquery_opt::{lower_query, optimize, plan, reduce_optimized, Statistics};
+use hypoquery_opt::{lower_query, optimize, plan, plan_as, PlannedStrategy, Statistics};
 use hypoquery_storage::{tuple, DatabaseState, RelName, Relation};
+use hypoquery_testkit::{example_2_4, Levels};
 
 /// An experiment: runs its cases, prints its table, records into the JSON.
 type Experiment = fn(&mut BenchJson);
@@ -288,7 +289,7 @@ fn e1(json: &mut BenchJson) {
             algorithm_hql2(&enf, &db).unwrap().len()
         });
         let tl = json.time(&format!("lazy_{n}"), 3, || {
-            let reduced = fully_lazy(&q, &mut RewriteTrace::new());
+            let reduced = fully_lazy(&q, &mut |q| q, &mut RewriteTrace::new());
             let (optimized, _) = optimize(&reduced, db.catalog());
             let rows = eval_pure(&optimized, &db).unwrap().len();
             assert_eq!(rows, 0);
@@ -333,7 +334,7 @@ fn e2(json: &mut BenchJson) {
         });
         // Composed once, materialized once, reused k times.
         let te = json.time(&format!("compose_once_eager_{k}"), 3, || {
-            let rho = lazy_state(&eta, &mut RewriteTrace::new());
+            let rho = lazy_state(&eta, &mut |q| q, &mut RewriteTrace::new());
             let e = materialize_subst(&rho, &db).unwrap();
             family
                 .iter()
@@ -342,7 +343,7 @@ fn e2(json: &mut BenchJson) {
         });
         // Composed once, substituted into each query.
         let tl = json.time(&format!("compose_once_lazy_{k}"), 3, || {
-            let rho = lazy_state(&eta, &mut RewriteTrace::new());
+            let rho = lazy_state(&eta, &mut |q| q, &mut RewriteTrace::new());
             family
                 .iter()
                 .map(|q| eval_pure(&sub_query(q, &rho).unwrap(), &db).unwrap().len())
@@ -386,7 +387,11 @@ fn e3(json: &mut BenchJson) {
             eval_pure(&reduced, &db).unwrap().len()
         });
         let tlb = json.time(&format!("lazy_binding_removed_{n}"), 3, || {
-            let reduced = fully_lazy(&q.clone().when(eta.clone()), &mut RewriteTrace::new());
+            let reduced = fully_lazy(
+                &q.clone().when(eta.clone()),
+                &mut |q| q,
+                &mut RewriteTrace::new(),
+            );
             eval_pure(&reduced, &db).unwrap().len()
         });
         println!(
@@ -404,11 +409,11 @@ fn e4(json: &mut BenchJson) {
     println!("## E4 — Example 2.4: exponential blow-up and the rescue");
     println!("paper claims: (a) the lazy equivalent is exponential in n;");
     println!("(b) algebra rewriting finds ∅ cheaply; (c) eager wins on small values.\n");
-    println!("| n | input nodes | lazy nodes | lazy red (ms) | rescue (ms) | eager HQL-1 (ms) | lazy then eval (ms) |");
-    println!("|---:|---:|---:|---:|---:|---:|---:|");
+    println!("| n | input nodes | lazy nodes | lazy red (ms) | rescue, lazy candidate (ms) | plan (b) (ms) | plan (a) (ms) | eager HQL-1 (ms) | lazy then eval (ms) |");
+    println!("|---:|---:|---:|---:|---:|---:|---:|---:|---:|");
     let depths: &[usize] = if quick() { &[6, 8] } else { &[6, 10, 14] };
     for &n in depths {
-        let (q, catalog) = e4_query(n, None);
+        let (q, catalog) = example_2_4(n, None, Levels::Products);
         let input_nodes = q.node_count();
         json.record(&format!("input_nodes_{n}"), input_nodes as f64, Unit::Count);
         let mut lazy_nodes = 0;
@@ -417,13 +422,24 @@ fn e4(json: &mut BenchJson) {
             lazy_nodes
         });
         json.record(&format!("lazy_nodes_{n}"), lazy_nodes as f64, Unit::Count);
-        // The empty innermost level short-circuits interleaved
-        // reduction and simplification.
-        let (q_rescue, rescue_catalog) = e4_query(n, Some(1));
+        // The empty innermost level: the planner's lazy reduction
+        // simplifies each binding before substituting it, so the ∅ stops
+        // every substitution above it.
+        let (q_rescue, rescue_catalog) = example_2_4(n, Some(1), Levels::Products);
+        // Cardinalities only: per-column statistics of the 2ⁿ-column
+        // relations would time the estimator, not the reduction.
+        let stats = Statistics::from_cards(catalog.iter().map(|(name, _)| (name.clone(), 1.0)));
         let tres = json.time(&format!("rewriting_rescue_{n}"), 3, || {
-            let nodes = reduce_optimized(&q_rescue, &rescue_catalog).0.node_count();
+            let p = plan_as(&q_rescue, &rescue_catalog, &stats, PlannedStrategy::Lazy).unwrap();
+            let nodes = p.query.node_count();
             assert_eq!(nodes, 1); // ∅
             nodes
+        });
+        let tplan_b = json.time(&format!("plan_rescue_{n}"), 3, || {
+            plan(&q_rescue, &rescue_catalog, &stats).query.node_count()
+        });
+        let tplan_a = json.time(&format!("plan_blowup_{n}"), 3, || {
+            plan(&q, &catalog, &stats).query.node_count()
         });
         // Small Eᵢ values: HQL-1 materializes them level by level, while
         // lazy evaluation still pays the 2ⁿ rewrite.
@@ -441,9 +457,11 @@ fn e4(json: &mut BenchJson) {
             ("—".to_string(), "—".to_string())
         };
         println!(
-            "| {n} | {input_nodes} | {lazy_nodes} | {} | {} | {eager} | {lazy_eval} |",
+            "| {n} | {input_nodes} | {lazy_nodes} | {} | {} | {} | {} | {eager} | {lazy_eval} |",
             ms(tred),
-            ms(tres)
+            ms(tres),
+            ms(tplan_b),
+            ms(tplan_a)
         );
     }
     println!();
@@ -576,7 +594,7 @@ fn e7(json: &mut BenchJson) {
         let q = e7_query(m);
         let enf = to_enf_query(&q, &mut RewriteTrace::new());
         let tl = json.time(&format!("lazy_{m}"), 3, || {
-            let reduced = fully_lazy(&q, &mut RewriteTrace::new());
+            let reduced = fully_lazy(&q, &mut |q| q, &mut RewriteTrace::new());
             eval_pure(&reduced, &db).unwrap().len()
         });
         let te = json.time(&format!("eager_hql2_{m}"), 3, || {
@@ -608,7 +626,7 @@ fn e8(json: &mut BenchJson) {
     ];
     for (name, from, q) in &scenarios {
         let tl = json.time(&format!("fixed_lazy_{name}"), 3, || {
-            let reduced = fully_lazy(q, &mut RewriteTrace::new());
+            let reduced = fully_lazy(q, &mut |q| q, &mut RewriteTrace::new());
             let (optimized, _) = optimize(&reduced, db.catalog());
             eval_pure(&optimized, &db).unwrap().len()
         });
@@ -1051,7 +1069,11 @@ fn e12(json: &mut BenchJson) {
             ("join_chain", e12_join_chain(6, rows as i64, rows)),
         ] {
             let q = body.when(StateExpr::update(u.clone()));
-            let reduced = optimize(&fully_lazy(&q, &mut RewriteTrace::new()), db.catalog()).0;
+            let reduced = optimize(
+                &fully_lazy(&q, &mut |q| q, &mut RewriteTrace::new()),
+                db.catalog(),
+            )
+            .0;
             let enf = to_enf_query(&q, &mut RewriteTrace::new());
             let modq = to_mod_enf(&q).unwrap();
             for (strat, pq) in [("lazy", &reduced), ("hql2", &enf), ("hql3", &modq)] {

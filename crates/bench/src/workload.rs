@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hypoquery_algebra::{CmpOp, ExplicitSubst, Predicate, Query, StateExpr, Update};
+use hypoquery_algebra::{CmpOp, Predicate, Query, StateExpr, Update};
 use hypoquery_storage::{Catalog, DatabaseState, RelName, Relation, Tuple, Value};
 
 /// Deterministic RNG for reproducible benches.
@@ -127,34 +127,6 @@ pub fn e3_db(rows: usize, seed: u64) -> DatabaseState {
     db.set(RelName::new("T"), int_relation(rows / 2, 100, &mut r))
         .unwrap();
     db
-}
-
-/// Example 2.4's query: depth-`n` nest of
-/// `(… (R0 when {E1(R1)/R0}) …) when {En(Rn)/R_{n-1}}` with
-/// `E_i(R_i) = R_i × R_i`, except `E_j = (R_j × R_j) − (R_j × R_j)` when
-/// `empty_level = Some(j)`. `R_i` has arity `2^(n-i)`.
-pub fn e4_query(n: usize, empty_level: Option<usize>) -> (Query, Catalog) {
-    let mut catalog = Catalog::new();
-    for i in 0..=n {
-        catalog
-            .declare_arity(format!("R{i}"), 1usize << (n - i))
-            .unwrap();
-    }
-    let mut q = Query::base("R0");
-    for lvl in 1..=n {
-        let name = format!("R{lvl}");
-        let prod = Query::base(name.clone()).product(Query::base(name));
-        let e = if empty_level == Some(lvl) {
-            prod.clone().diff(prod)
-        } else {
-            prod
-        };
-        q = q.when(StateExpr::subst(ExplicitSubst::single(
-            format!("R{}", lvl - 1),
-            e,
-        )));
-    }
-    (q, catalog)
 }
 
 /// A state for Example 2.4(c): every `R_i` holds a couple of rows so that
@@ -299,6 +271,7 @@ mod tests {
     use super::*;
     use hypoquery_algebra::typing::arity_of;
     use hypoquery_eval::eval_query;
+    use hypoquery_testkit::{example_2_4, Levels};
 
     #[test]
     fn relations_have_requested_sizes() {
@@ -339,10 +312,10 @@ mod tests {
     }
 
     #[test]
-    fn e4_query_types_and_blows_up() {
-        let (q, catalog) = e4_query(6, None);
+    fn example_2_4_types_and_evaluates_empty() {
+        let (q, catalog) = example_2_4(6, None, Levels::Products);
         assert_eq!(arity_of(&q, &catalog), Ok(64));
-        let (q_empty, catalog) = e4_query(6, Some(3));
+        let (q_empty, catalog) = example_2_4(6, Some(3), Levels::Products);
         assert_eq!(arity_of(&q_empty, &catalog), Ok(64));
         let db = e4_db(&catalog, 2);
         assert!(eval_query(&q_empty, &db).unwrap().is_empty());

@@ -14,8 +14,10 @@
 
 use std::io;
 use std::process::ExitCode;
+use std::thread;
 
 use hypoquery_client::repl::{Backend, Repl};
+use hypoquery_engine::MAX_DEPTH_STACK;
 use hypoquery_server::proto::DEFAULT_PORT;
 
 fn main() -> ExitCode {
@@ -73,13 +75,24 @@ fn main() -> ExitCode {
     };
 
     let prompt = std::env::var("HQL_INTERACTIVE").is_ok();
-    let stdin = io::stdin();
-    let mut input = stdin.lock();
-    let mut output = io::stdout();
-    match Repl::new(backend).run(&mut input, &mut output, prompt) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+    // An in-process session parses and runs queries on this thread: give
+    // it the stack a query at the nesting limit needs.
+    let repl = thread::Builder::new()
+        .stack_size(MAX_DEPTH_STACK)
+        .spawn(move || {
+            let stdin = io::stdin();
+            let mut input = stdin.lock();
+            Repl::new(backend).run(&mut input, &mut io::stdout(), prompt)
+        });
+    match repl.map(|t| t.join()) {
+        Ok(Ok(Ok(()))) => ExitCode::SUCCESS,
+        Ok(Ok(Err(e))) => {
             eprintln!("i/o error: {e}");
+            ExitCode::FAILURE
+        }
+        Ok(Err(_)) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("cannot start the shell: {e}");
             ExitCode::FAILURE
         }
     }

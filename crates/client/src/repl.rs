@@ -37,7 +37,10 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// An in-process backend over a fresh, empty database.
+    /// An in-process backend over a fresh, empty database. Its session
+    /// runs on the caller's thread, which should have
+    /// [`hypoquery_engine::MAX_DEPTH_STACK`] bytes of stack for queries
+    /// near the nesting limit.
     pub fn local() -> Backend {
         Backend::Local(Box::new(Session::new(Database::new())))
     }

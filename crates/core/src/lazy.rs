@@ -8,6 +8,20 @@
 //! dropped (`Q when ε ≡ Q when ε₋R` if `R ∉ free(Q)`), which avoids the
 //! useless work Example 2.3 calls out.
 //!
+//! The reduction takes a *simplification step*, applied to every binding
+//! that survives binding removal before that binding is substituted.
+//! Example 2.4 shows why: the lazy form of a depth-n nest of `when`s can
+//! have 2ⁿ nodes, but "relational algebra rewriting can help" (2.4(b)):
+//! substituting a binding simplified to `∅` leaves `∅` where its name
+//! was, which in 2.4(b) leaves the body with no free name, so every
+//! enclosing binding is removed instead of substituted and the blow-up
+//! never happens. The body after a substitution is not simplified, so
+//! the cut-off happens only when the empty binding leaves no free name:
+//! in `((R ⋈ S) when {(R − R)/R}) when {E/S}` the body `∅ ⋈ S` keeps `S`
+//! free, and `E` is still substituted. The planner passes the RA
+//! optimizer; callers that need exactly the reduction of
+//! [`crate::red::red_query`] pass the identity.
+//!
 //! The output is a pure RA query equal (by Theorem 4.1) to the input's
 //! value in every database state, ready for a conventional optimizer and
 //! evaluator.
@@ -18,30 +32,38 @@ use hypoquery_algebra::{ExplicitSubst, Query, StateExpr, Update};
 use crate::equiv::{RewriteTrace, Rule};
 use crate::subst::{compose_pure, slice, sub_query};
 
-/// Reduce an HQL query to pure RA, recording the rules applied.
+/// The simplification step of the reduction: maps a pure query to an
+/// equivalent pure query.
+pub type Simplify<'a> = &'a mut dyn FnMut(Query) -> Query;
+
+/// Reduce an HQL query to pure RA, recording the rules applied, with
+/// `simplify` applied to each surviving binding before it is substituted.
 ///
-/// Equivalent to [`crate::red::red_query`] plus binding removal; never
-/// fails (the internal invariant is that recursively reduced queries are
-/// pure, so `sub`/`slice`/`#` always apply).
-pub fn fully_lazy(q: &Query, trace: &mut RewriteTrace) -> Query {
+/// With the identity as `simplify` this is [`crate::red::red_query`] plus
+/// binding removal. Never fails (the internal invariant is that
+/// recursively reduced queries are pure, so `sub`/`slice`/`#` always
+/// apply).
+pub fn fully_lazy(q: &Query, simplify: Simplify<'_>, trace: &mut RewriteTrace) -> Query {
+    let mut go = |q: &Query| fully_lazy(q, simplify, trace);
     match q {
         Query::Base(_) | Query::Singleton(_) | Query::Empty { .. } => q.clone(),
-        Query::Select(inner, p) => fully_lazy(inner, trace).select(p.clone()),
-        Query::Project(inner, cols) => fully_lazy(inner, trace).project(cols.clone()),
-        Query::Union(a, b) => fully_lazy(a, trace).union(fully_lazy(b, trace)),
-        Query::Intersect(a, b) => fully_lazy(a, trace).intersect(fully_lazy(b, trace)),
-        Query::Product(a, b) => fully_lazy(a, trace).product(fully_lazy(b, trace)),
-        Query::Join(a, b, p) => fully_lazy(a, trace).join(fully_lazy(b, trace), p.clone()),
-        Query::Diff(a, b) => fully_lazy(a, trace).diff(fully_lazy(b, trace)),
+        Query::Select(inner, p) => go(inner).select(p.clone()),
+        Query::Project(inner, cols) => go(inner).project(cols.clone()),
+        Query::Union(a, b) => go(a).union(go(b)),
+        Query::Intersect(a, b) => go(a).intersect(go(b)),
+        Query::Product(a, b) => go(a).product(go(b)),
+        Query::Join(a, b, p) => go(a).join(go(b), p.clone()),
+        Query::Diff(a, b) => go(a).diff(go(b)),
         Query::When(inner, eta) => {
-            let body = fully_lazy(inner, trace);
-            let rho = lazy_state(eta, trace);
-            // Binding removal (Ex. 2.3): restrict ρ to free(body).
+            let body = go(inner);
+            let rho = lazy_state(eta, simplify, trace);
+            // Binding removal (Ex. 2.3): restrict ρ to free(body), and
+            // simplify what is left (Ex. 2.4(b)).
             let free = free_query(&body);
             let mut restricted = ExplicitSubst::empty();
-            for (name, bq) in rho.iter() {
-                if free.contains(name) {
-                    restricted.bind(name.clone(), bq.clone());
+            for (name, bq) in rho.into_bindings() {
+                if free.contains(&name) {
+                    restricted.bind(name, simplify(bq));
                 } else {
                     trace.record(Rule::DropUnusedBinding.name());
                 }
@@ -57,47 +79,52 @@ pub fn fully_lazy(q: &Query, trace: &mut RewriteTrace) -> Query {
             input,
             group_by,
             aggs,
-        } => fully_lazy(input, trace).aggregate(group_by.clone(), aggs.clone()),
+        } => go(input).aggregate(group_by.clone(), aggs.clone()),
     }
 }
 
 /// Reduce a state expression to an abstract (pure-binding) substitution,
-/// recording the convert/compose rules applied.
-pub fn lazy_state(eta: &StateExpr, trace: &mut RewriteTrace) -> ExplicitSubst {
+/// recording the convert/compose rules applied; the queries inside it are
+/// reduced by [`fully_lazy`] with the same `simplify`.
+pub fn lazy_state(
+    eta: &StateExpr,
+    simplify: Simplify<'_>,
+    trace: &mut RewriteTrace,
+) -> ExplicitSubst {
     match eta {
         StateExpr::Update(u) => {
-            let reduced = lazy_update(u, trace);
+            let reduced = lazy_update(u, simplify, trace);
             slice(&reduced).expect("invariant: lazily reduced updates are pure")
         }
         StateExpr::Subst(eps) => {
             let mut out = ExplicitSubst::empty();
             for (name, q) in eps.iter() {
-                out.bind(name.clone(), fully_lazy(q, trace));
+                out.bind(name.clone(), fully_lazy(q, simplify, trace));
             }
             out
         }
         StateExpr::Compose(a, b) => {
-            let ra = lazy_state(a, trace);
-            let rb = lazy_state(b, trace);
+            let ra = lazy_state(a, simplify, trace);
+            let rb = lazy_state(b, simplify, trace);
             trace.record(Rule::ComputeComposition.name());
             compose_pure(&ra, &rb).expect("invariant: reduced substitutions are pure")
         }
     }
 }
 
-fn lazy_update(u: &Update, trace: &mut RewriteTrace) -> Update {
+fn lazy_update(u: &Update, simplify: Simplify<'_>, trace: &mut RewriteTrace) -> Update {
     match u {
         Update::Insert(r, q) => {
             trace.record(Rule::ConvertInsert.name());
-            Update::Insert(r.clone(), fully_lazy(q, trace))
+            Update::Insert(r.clone(), fully_lazy(q, simplify, trace))
         }
         Update::Delete(r, q) => {
             trace.record(Rule::ConvertDelete.name());
-            Update::Delete(r.clone(), fully_lazy(q, trace))
+            Update::Delete(r.clone(), fully_lazy(q, simplify, trace))
         }
         Update::Seq(a, b) => {
             trace.record(Rule::ConvertSeq.name());
-            lazy_update(a, trace).then(lazy_update(b, trace))
+            lazy_update(a, simplify, trace).then(lazy_update(b, simplify, trace))
         }
         Update::Cond {
             guard,
@@ -106,9 +133,9 @@ fn lazy_update(u: &Update, trace: &mut RewriteTrace) -> Update {
         } => {
             trace.record(Rule::ConvertCond.name());
             Update::cond(
-                fully_lazy(guard, trace),
-                lazy_update(then_u, trace),
-                lazy_update(else_u, trace),
+                fully_lazy(guard, simplify, trace),
+                lazy_update(then_u, simplify, trace),
+                lazy_update(else_u, simplify, trace),
             )
         }
     }
@@ -131,7 +158,10 @@ mod tests {
             .join(Query::base("S"), Predicate::True)
             .when(eta);
         let mut trace = RewriteTrace::new();
-        assert_eq!(fully_lazy(&q, &mut trace), red_query(&q).unwrap());
+        assert_eq!(
+            fully_lazy(&q, &mut |q| q, &mut trace),
+            red_query(&q).unwrap()
+        );
         assert!(trace.count(Rule::ApplySubstitution.name()) == 1);
     }
 
@@ -149,7 +179,7 @@ mod tests {
             .union(Query::base("T"))
             .when(StateExpr::update(u));
         let mut trace = RewriteTrace::new();
-        let out = fully_lazy(&q, &mut trace);
+        let out = fully_lazy(&q, &mut |q| q, &mut trace);
         assert!(out.is_pure());
         // The S binding was dropped before application (recorded for the
         // planner: an eager strategy would then skip materializing it —
@@ -164,6 +194,7 @@ mod tests {
                 Query::When(_, eta) => (**eta).clone(),
                 _ => unreachable!(),
             },
+            &mut |q| q,
             &mut RewriteTrace::new(),
         );
         assert!(rho.get(&"S".into()).unwrap().to_string().contains("< 5"));
@@ -177,7 +208,7 @@ mod tests {
         let eta = StateExpr::update(Update::insert("T", Query::base("R")));
         let q = Query::base("R").when(eta);
         let mut trace = RewriteTrace::new();
-        let out = fully_lazy(&q, &mut trace);
+        let out = fully_lazy(&q, &mut |q| q, &mut trace);
         assert_eq!(out, Query::base("R"));
         assert_eq!(trace.count(Rule::DropEmptySubst.name()), 1);
     }
@@ -191,7 +222,7 @@ mod tests {
         );
         let q = Query::base("R").when(StateExpr::update(u));
         let mut trace = RewriteTrace::new();
-        let out = fully_lazy(&q, &mut trace);
+        let out = fully_lazy(&q, &mut |q| q, &mut trace);
         assert!(out.is_pure());
         assert_eq!(trace.count(Rule::ConvertCond.name()), 1);
         assert_eq!(out, red_query(&q).unwrap());

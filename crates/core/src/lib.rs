@@ -25,6 +25,6 @@ pub mod subst;
 
 pub use enf::{collapse, is_mod_enf, to_mod_enf, CollapsedTree, EnfError};
 pub use equiv::{is_enf_query, simplify_enf, to_enf_query, to_enf_state, RewriteTrace, Rule};
-pub use lazy::{fully_lazy, lazy_state};
+pub use lazy::{fully_lazy, lazy_state, Simplify};
 pub use red::{red_query, red_state, red_update};
 pub use subst::{compose_pure, compose_suspended, slice, slice_hql, sub_query, SubstError};

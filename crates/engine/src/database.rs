@@ -9,13 +9,14 @@ use hypoquery_storage::{
     Catalog, DatabaseState, IndexCounters, RelName, RelSchema, Relation, Tuple,
 };
 
+use hypoquery_algebra::depth::{height, too_deep, MAX_DEPTH};
 use hypoquery_algebra::typing::{arity_of, check_update};
 use hypoquery_algebra::{Query, Update};
 use hypoquery_eval::{algorithm_hql1, eval_update, ExecMetrics, PhysPlan, XsubValue};
 use hypoquery_opt::{
     lower_query, lower_under_xsub, plan, plan_as, Plan, PlannedStrategy, Statistics,
 };
-use hypoquery_parser::{parse_query_named, parse_update_named};
+use hypoquery_parser::{parse_query_named, parse_update_named, ParseError};
 
 use crate::error::EngineError;
 
@@ -207,7 +208,7 @@ impl Database {
             return Err(EngineError::DuplicateName(name.to_string()));
         }
         let q = parse_query_named(violation_query, self.state.catalog())?;
-        arity_of(&q, self.state.catalog())?;
+        check_query(&q, self.state.catalog())?;
         self.constraints
             .insert(name.to_string(), Constraint { violation_query: q });
         Ok(())
@@ -223,7 +224,7 @@ impl Database {
     /// Parse and type-check a query without running it.
     pub fn prepare(&self, src: &str) -> Result<Query, EngineError> {
         let q = self.parse(src)?;
-        arity_of(&q, self.state.catalog())?;
+        check_query(&q, self.state.catalog())?;
         Ok(q)
     }
 
@@ -263,7 +264,7 @@ impl Database {
     /// walkers remain available as [`Database::execute_legacy`], the
     /// differential-testing oracle.
     pub fn execute(&self, q: &Query, strategy: Strategy) -> Result<Relation, EngineError> {
-        arity_of(q, self.state.catalog())?;
+        check_query(q, self.state.catalog())?;
         let (_, phys) = self.plan_physical(q, strategy)?;
         Ok(phys.execute(&self.state)?)
     }
@@ -280,7 +281,7 @@ impl Database {
     /// `crates/engine/tests/` assert the pipelined default path agrees
     /// with this one on every strategy.
     pub fn execute_legacy(&self, q: &Query, strategy: Strategy) -> Result<Relation, EngineError> {
-        arity_of(q, self.state.catalog())?;
+        check_query(q, self.state.catalog())?;
         let p = self.plan_with(q, strategy, &Statistics::of(&self.state))?;
         Ok(match strategy {
             Strategy::Hql1 => algorithm_hql1(&p.query, &self.state)?,
@@ -363,7 +364,7 @@ impl Database {
         e: &XsubValue,
     ) -> Result<Relation, EngineError> {
         let catalog = self.state.catalog();
-        arity_of(q, catalog)?;
+        check_query(q, catalog)?;
         let stats = Statistics::of(&self.state);
         let p = plan(q, catalog, &stats);
         let phys = lower_under_xsub(&p.query, e, catalog, &stats)?;
@@ -381,7 +382,7 @@ impl Database {
     /// callers that wrap queries before planning (e.g. a what-if branch's
     /// state expression) or run a session strategy.
     pub fn explain_query(&self, q: &Query, strategy: Strategy) -> Result<String, EngineError> {
-        arity_of(q, self.state.catalog())?;
+        check_query(q, self.state.catalog())?;
         let (p, phys) = self.plan_physical(q, strategy)?;
         let mut out = String::new();
         use std::fmt::Write;
@@ -410,7 +411,7 @@ impl Database {
         q: &Query,
         strategy: Strategy,
     ) -> Result<String, EngineError> {
-        arity_of(q, self.state.catalog())?;
+        check_query(q, self.state.catalog())?;
         let (p, phys) = self.plan_physical(q, strategy)?;
         let (rel, metrics) = phys.execute_analyze(&self.state)?;
         Ok(Self::render_analyze(&p, &phys, &metrics, rel.len()))
@@ -492,6 +493,28 @@ impl Default for Database {
     fn default() -> Self {
         Database::new()
     }
+}
+
+/// Type-check `q`, after checking without recursion that its syntax tree
+/// is at most [`MAX_DEPTH`] levels high: every later walk recurses once
+/// per level. The parser bounds each source it reads, but a query run on
+/// a what-if branch is wrapped in one `#` per update stacked on the
+/// branch, so it is measured again here.
+fn check_query(q: &Query, catalog: &Catalog) -> Result<usize, EngineError> {
+    let h = height(q);
+    if h > MAX_DEPTH {
+        return Err(too_deep_error(format!("query is {h} levels deep")));
+    }
+    Ok(arity_of(q, catalog)?)
+}
+
+/// The error for input past [`MAX_DEPTH`]: a parse error, like the
+/// parser's own, naming the limit after `what` was found.
+pub(crate) fn too_deep_error(what: String) -> EngineError {
+    EngineError::Parse(ParseError {
+        offset: 0,
+        message: format!("{what}: {}", too_deep()),
+    })
 }
 
 /// Render a relation as an aligned text table under the given column

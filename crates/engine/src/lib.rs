@@ -28,6 +28,12 @@ pub use error::EngineError;
 pub use ext::{state_when, TempTables};
 /// The query AST that [`Database::parse`] and [`Database::prepare`] return.
 pub use hypoquery_algebra::Query;
+/// The deepest nesting a query may have: past it, parsing or running it
+/// is a [`EngineError::Parse`] naming the limit.
+pub use hypoquery_algebra::MAX_DEPTH;
+/// The stack a thread needs to run any query within [`MAX_DEPTH`]: run a
+/// [`Database`] that takes untrusted input on a thread of this size.
+pub use hypoquery_algebra::MAX_DEPTH_STACK;
 pub use prepared::PreparedState;
 pub use savepoint::Transaction;
 pub use whatif::WhatIfTree;

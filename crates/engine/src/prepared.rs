@@ -39,7 +39,7 @@ impl PreparedState {
     /// composed substitution. No data is touched yet.
     pub fn new(db: &Database, eta: StateExpr) -> Result<PreparedState, EngineError> {
         check_state_expr(&eta, db.catalog())?;
-        let rho = lazy_state(&eta, &mut RewriteTrace::new());
+        let rho = lazy_state(&eta, &mut |q| q, &mut RewriteTrace::new());
         Ok(PreparedState {
             eta,
             rho,

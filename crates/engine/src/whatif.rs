@@ -11,11 +11,12 @@ use std::collections::BTreeMap;
 
 use hypoquery_storage::Relation;
 
+use hypoquery_algebra::depth::MAX_DEPTH;
 use hypoquery_algebra::typing::check_update;
 use hypoquery_algebra::{Query, StateExpr, Update};
 use hypoquery_parser::{parse_query_named, parse_update_named};
 
-use crate::database::{Database, Strategy};
+use crate::database::{too_deep_error, Database, Strategy};
 use crate::error::EngineError;
 
 /// One branch in the tree.
@@ -63,8 +64,13 @@ impl WhatIfTree {
             return Err(EngineError::DuplicateName(name.to_string()));
         }
         if let Some(p) = parent {
-            if !self.branches.contains_key(p) {
-                return Err(EngineError::UnknownName(p.to_string()));
+            // A query on the branch is wrapped in one `#` per update on its
+            // path: past the nesting limit it could never run.
+            let updates = self.path(p)?.len() + 1;
+            if updates > MAX_DEPTH {
+                return Err(too_deep_error(format!(
+                    "branch `{name}` would stack {updates} updates"
+                )));
             }
         }
         check_update(&update, db.catalog())?;

@@ -190,7 +190,7 @@ fn check_all_strategies(q: &Query, db: &DatabaseState) -> Result<(), TestCaseErr
         .map_err(|e| TestCaseError::fail(format!("direct evaluation failed: {e}")))?;
 
     // Lazy: reduce to pure RA, then the pipeline must match `eval_pure`.
-    let reduced = fully_lazy(q, &mut RewriteTrace::new());
+    let reduced = fully_lazy(q, &mut |q| q, &mut RewriteTrace::new());
     let lazy = pipelined(&reduced, db)?;
     prop_assert_eq!(&lazy, &eval_pure(&reduced, db).unwrap());
     prop_assert_eq!(&lazy, &expected);

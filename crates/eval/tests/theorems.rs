@@ -99,7 +99,7 @@ proptest! {
         db in arb_db(&universe(), 5),
     ) {
         let mut trace = RewriteTrace::new();
-        let lazy = fully_lazy(&q, &mut trace);
+        let lazy = fully_lazy(&q, &mut |q| q, &mut trace);
         prop_assert!(lazy.is_pure());
         prop_assert_eq!(
             eval_pure(&lazy, &db).unwrap(),

@@ -20,13 +20,11 @@
 pub mod implication;
 pub mod lower;
 pub mod planner;
-pub mod reduce;
 pub mod rewrite;
 pub mod stats;
 
 pub use implication::{pred_implies, pred_unsat};
 pub use lower::{lower_query, lower_under_xsub};
 pub use planner::{plan, plan_as, Plan, PlannedStrategy};
-pub use reduce::reduce_optimized;
 pub use rewrite::optimize;
 pub use stats::{estimate_cost, estimate_rows, Statistics};

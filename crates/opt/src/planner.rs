@@ -7,9 +7,14 @@
 //! [`crate::stats`]; [`plan_as`] builds only the candidate of a fixed
 //! strategy.
 //!
-//! * **Lazy** — `fully_lazy` reduction + RA optimization; evaluate the pure
+//! * **Lazy** — `fully_lazy` reduction with the RA optimizer as its
+//!   simplification step (each binding is optimized before it is
+//!   substituted), then RA optimization of the result; evaluate the pure
 //!   result conventionally. Wins when hypothetical relations are referenced
 //!   rarely, or when rewriting proves the result (near-)empty — Ex. 2.1(b).
+//!   In Ex. 2.4(b) a binding optimized to `∅` leaves no free name in the
+//!   body, so every enclosing binding is dropped instead of substituted
+//!   and the exponential lazy form is never built.
 //! * **EagerXsub** — normalize to ENF, materialize substitutions, filter
 //!   (Algorithm HQL-2). Wins when affected names occur many times in the
 //!   query — Ex. 2.1(c) — because the cost model charges lazy for every
@@ -139,7 +144,7 @@ fn candidate(
     trace: &mut RewriteTrace,
 ) -> Result<Plan, EnfError> {
     let (query, ra_trace) = match strategy {
-        PlannedStrategy::Lazy => optimize_owned(fully_lazy(q, trace), catalog),
+        PlannedStrategy::Lazy => lazy_form(q, catalog, trace),
         PlannedStrategy::EagerXsub => {
             optimize_owned(simplify_enf(to_enf_query(q, trace), trace), catalog)
         }
@@ -148,6 +153,22 @@ fn candidate(
     };
     debug_assert!(strategy != PlannedStrategy::EagerDelta || is_mod_enf(&query));
     Ok(costed(strategy, query, ra_trace, stats))
+}
+
+/// The lazy form of `q`: `fully_lazy` with the RA optimizer as its
+/// simplification step (so an `∅` binding stops the substitutions above it,
+/// Ex. 2.4(b)), then the RA optimizer on the result. Returns the RA rule
+/// counts of both.
+fn lazy_form(q: &Query, catalog: &Catalog, trace: &mut RewriteTrace) -> (Query, RewriteTrace) {
+    let mut ra_trace = RewriteTrace::new();
+    let mut optimize = |q| {
+        let (q, t) = optimize_owned(q, catalog);
+        ra_trace.merge(t);
+        q
+    };
+    let reduced = fully_lazy(q, &mut optimize, trace);
+    let query = optimize(reduced);
+    (query, ra_trace)
 }
 
 /// A single-candidate plan of `query` (the caller fills in the
@@ -182,16 +203,14 @@ pub fn plan(q: &Query, catalog: &Catalog, stats: &Statistics) -> Plan {
         // The hybrid's derivation is traced only if the hybrid is listed.
         let hybrid = can_mix(&xsub.query)
             .then(|| {
-                let mut steps = RewriteTrace::new();
-                (
-                    hybridize(xsub.query.clone(), catalog, stats, &mut steps),
-                    steps,
-                )
+                let (mut when, mut ra) = (RewriteTrace::new(), RewriteTrace::new());
+                let h = hybridize(xsub.query.clone(), catalog, stats, &mut when, &mut ra);
+                (h, when, ra)
             })
-            .filter(|(h, _)| *h != xsub.query && *h != cands[0].query)
-            .map(|(h, steps)| {
-                trace.merge(steps);
-                costed(PlannedStrategy::Hybrid, h, RewriteTrace::new(), stats)
+            .filter(|(h, _, _)| *h != xsub.query && *h != cands[0].query)
+            .map(|(h, when, ra)| {
+                trace.merge(when);
+                costed(PlannedStrategy::Hybrid, h, ra, stats)
             });
         cands.push(xsub);
         cands.extend(delta);
@@ -243,15 +262,22 @@ fn can_mix(enf: &Query) -> bool {
 
 /// Greedy hybrid: walk the ENF query; at each `when`, inline it lazily if
 /// the reduced form is estimated cheaper than keeping it for
-/// materialization.
-fn hybridize(q: Query, catalog: &Catalog, stats: &Statistics, trace: &mut RewriteTrace) -> Query {
-    let rebuilt = q.map_subqueries(|sub| hybridize(sub, catalog, stats, trace));
+/// materialization. Records the RA rule counts of the lazy forms it
+/// inlines in `ra_trace`.
+fn hybridize(
+    q: Query,
+    catalog: &Catalog,
+    stats: &Statistics,
+    trace: &mut RewriteTrace,
+    ra_trace: &mut RewriteTrace,
+) -> Query {
+    let rebuilt = q.map_subqueries(|sub| hybridize(sub, catalog, stats, trace, ra_trace));
     if let Query::When(_, _) = &rebuilt {
         let eager_cost = estimate_cost(&rebuilt, stats);
-        let (lazy_form, _) = optimize_owned(fully_lazy(&rebuilt, trace), catalog);
-        let lazy_cost = estimate_cost(&lazy_form, stats);
-        if lazy_cost <= eager_cost {
-            return lazy_form;
+        let (lazy, lazy_trace) = lazy_form(&rebuilt, catalog, trace);
+        if estimate_cost(&lazy, stats) <= eager_cost {
+            ra_trace.merge(lazy_trace);
+            return lazy;
         }
     }
     rebuilt
@@ -262,6 +288,7 @@ mod tests {
     use super::*;
     use crate::stats::estimate;
     use hypoquery_algebra::{CmpOp, ExplicitSubst, Predicate, StateExpr, Update};
+    use hypoquery_testkit::{example_2_4, Levels};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -467,6 +494,19 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::Config::with_cases(256))]
 
+        /// Simplifying bindings during the reduction changes no lazy
+        /// plan: the lazy candidate is the optimized plain reduction.
+        #[test]
+        fn lazy_candidate_is_the_optimized_plain_reduction(
+            q in hypoquery_testkit::arb_query(&hypoquery_testkit::Universe::standard(), 2, 3),
+        ) {
+            let u = hypoquery_testkit::Universe::standard();
+            let st = Statistics::default();
+            let lazy = plan_as(&q, &u.catalog, &st, PlannedStrategy::Lazy).unwrap().query;
+            let plain = fully_lazy(&q, &mut |q| q, &mut RewriteTrace::new());
+            proptest::prop_assert_eq!(lazy, optimize_owned(plain, &u.catalog).0, "{}", q);
+        }
+
         /// Where the ENF candidate is a `when` over a pure body, the
         /// hybrid `plan` no longer builds could not have changed its
         /// choice: it is the ENF query, the lazy candidate, or a query
@@ -492,11 +532,87 @@ mod tests {
             proptest::prop_assert!(!can_mix(&enf));
             let lazy = plan_as(&q, &u.catalog, &st, PlannedStrategy::Lazy).unwrap().query;
             let chosen = plan(&q, &u.catalog, &st);
-            let h = hybridize(enf.clone(), &u.catalog, &st, &mut RewriteTrace::new());
+            let h = hybridize(
+                enf.clone(),
+                &u.catalog,
+                &st,
+                &mut RewriteTrace::new(),
+                &mut RewriteTrace::new(),
+            );
             proptest::prop_assert!(
                 h == enf || h == lazy || estimate_cost(&h, &st) > chosen.est_cost,
                 "hybrid {} of {} would win over {}", h, q, chosen
             );
+        }
+    }
+
+    /// Example 2.4(a): with no `∅` to find, the lazy form stays
+    /// exponential in the nesting depth.
+    #[test]
+    fn example_2_4a_lazy_form_is_exponential() {
+        let (q, catalog) = example_2_4(8, None, Levels::Products);
+        assert!(q.node_count() < 100, "input is linear in n");
+        for reduced in [
+            hypoquery_core::red_query(&q).unwrap(),
+            plan_as(&q, &catalog, &Statistics::default(), PlannedStrategy::Lazy)
+                .unwrap()
+                .query,
+        ] {
+            assert!(
+                reduced.node_count() > (1 << 8),
+                "fully lazy output should be exponential, got {}",
+                reduced.node_count()
+            );
+        }
+    }
+
+    /// Example 2.4(b): the lazy candidate is `∅`, whether the empty
+    /// binding sits at the innermost level (found before any blow-up) or
+    /// at the outermost (the body blew up below it, but substituting `∅`
+    /// collapses it).
+    #[test]
+    fn example_2_4b_lazy_candidate_is_empty() {
+        for (n, level) in [(10, 1), (6, 6)] {
+            let (q, catalog) = example_2_4(n, Some(level), Levels::Products);
+            let p = plan_as(&q, &catalog, &Statistics::default(), PlannedStrategy::Lazy).unwrap();
+            assert_eq!(p.query, Query::empty(1 << n), "∅ at level {level} of {n}");
+        }
+    }
+
+    /// The simplified reduction means what the plain one does.
+    #[test]
+    fn example_2_4b_lazy_candidate_agrees_with_red() {
+        use hypoquery_storage::tuple;
+        let (q, catalog) = example_2_4(3, Some(2), Levels::Products);
+        let mut db = DatabaseState::new(catalog.clone());
+        db.insert_row("R3", tuple![1]).unwrap();
+        db.insert_rows("R2", [tuple![1, 2]]).unwrap();
+        let lazy = plan_as(&q, &catalog, &Statistics::of(&db), PlannedStrategy::Lazy).unwrap();
+        let plain = hypoquery_core::red_query(&q).unwrap();
+        assert_eq!(
+            eval_pure(&lazy.query, &db).unwrap(),
+            eval_pure(&plain, &db).unwrap()
+        );
+    }
+
+    /// `plan` serves Ex. 2.4(b) at a depth whose plain lazy form would
+    /// have 2⁴⁸ nodes: the `∅` binding at level 1 removes every binding
+    /// above it.
+    #[test]
+    fn plan_finds_the_empty_answer_of_a_deep_example_2_4b() {
+        use hypoquery_core::Rule;
+        for n in [8, 48] {
+            let (q, catalog) = example_2_4(n, Some(1), Levels::Joins);
+            let st = Statistics::from_cards(catalog.iter().map(|(n, _)| (n.clone(), 100.0)));
+            // Only the `∅` binding is substituted; every binding above it
+            // is dropped. Checked at depth 8 first, so a lost rescue fails
+            // there instead of building a 2⁴⁸-node tree.
+            let lazy = plan_as(&q, &catalog, &st, PlannedStrategy::Lazy).unwrap();
+            let applied = lazy.when_trace.count(Rule::ApplySubstitution.name());
+            assert_eq!(applied, 1, "depth {n}");
+            let p = plan(&q, &catalog, &st);
+            assert_eq!(p.strategy, PlannedStrategy::Lazy, "{p}");
+            assert_eq!(p.query, Query::empty(2));
         }
     }
 

@@ -38,6 +38,7 @@ use std::fmt;
 
 use hypoquery_storage::{Catalog, Tuple, Value};
 
+use hypoquery_algebra::depth::{too_deep, MAX_DEPTH};
 use hypoquery_algebra::{
     AggExpr, CmpOp, ExplicitSubst, Predicate, Query, ScalarExpr, StateExpr, Update,
 };
@@ -126,6 +127,11 @@ enum PrePred {
 struct Parser<'c> {
     toks: Vec<Token>,
     pos: usize,
+    /// Current recursion depth, bounded by [`MAX_DEPTH`]. Every parse
+    /// function that returns a tree also returns its height (as
+    /// [`hypoquery_algebra::depth::height`] counts it), bounded the same
+    /// way, so nothing this parser builds is too deep to walk.
+    depth: usize,
     /// Schema used to resolve named columns (`salary >= 200`). `None`
     /// restricts predicates/projections to positional `#N` references.
     catalog: Option<&'c Catalog>,
@@ -140,8 +146,26 @@ impl<'c> Parser<'c> {
         Ok(Parser {
             toks,
             pos: 0,
+            depth: 0,
             catalog,
         })
+    }
+
+    /// Enter one level of recursion (left by `self.depth -= 1`).
+    fn descend(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return self.error(too_deep());
+        }
+        Ok(())
+    }
+
+    /// `h`, the height of a tree just built, if it is within the limit.
+    fn height(&self, h: usize) -> Result<usize, ParseError> {
+        if h > MAX_DEPTH {
+            return self.error(too_deep());
+        }
+        Ok(h)
     }
 
     fn peek(&self) -> &Token {
@@ -230,56 +254,65 @@ impl<'c> Parser<'c> {
 
     // -- queries -----------------------------------------------------------
 
-    fn query(&mut self) -> Result<Query, ParseError> {
-        let mut q = self.set_expr()?;
+    fn query(&mut self) -> Result<(Query, usize), ParseError> {
+        self.descend()?;
+        let (mut q, mut h) = self.set_expr()?;
         while self.eat_keyword("when") {
-            let eta = self.state_expr()?;
+            let (eta, he) = self.state_expr()?;
+            h = self.height(1 + h.max(he))?;
             q = q.when(eta);
         }
-        Ok(q)
+        self.depth -= 1;
+        Ok((q, h))
     }
 
-    fn set_expr(&mut self) -> Result<Query, ParseError> {
-        let mut q = self.term()?;
+    fn set_expr(&mut self) -> Result<(Query, usize), ParseError> {
+        let (mut q, mut h) = self.term()?;
         loop {
-            if self.eat_keyword("union") {
-                q = q.union(self.term()?);
+            let op: fn(Query, Query) -> Query = if self.eat_keyword("union") {
+                Query::union
             } else if self.eat_keyword("except") {
-                q = q.diff(self.term()?);
+                Query::diff
             } else if self.eat_keyword("intersect") {
-                q = q.intersect(self.term()?);
+                Query::intersect
             } else {
-                return Ok(q);
-            }
+                return Ok((q, h));
+            };
+            let (rhs, hr) = self.term()?;
+            h = self.height(1 + h.max(hr))?;
+            q = op(q, rhs);
         }
     }
 
-    fn term(&mut self) -> Result<Query, ParseError> {
-        let mut q = self.factor()?;
+    fn term(&mut self) -> Result<(Query, usize), ParseError> {
+        let (mut q, mut h) = self.factor()?;
         loop {
             if self.eat_keyword("times") {
-                q = q.product(self.factor()?);
+                let (rhs, hr) = self.factor()?;
+                h = self.height(1 + h.max(hr))?;
+                q = q.product(rhs);
             } else if self.eat_keyword("join") {
-                let rhs = self.factor()?;
+                let (rhs, hr) = self.factor()?;
                 self.expect_keyword("on")?;
-                let p = self.pre_predicate()?;
+                let (p, hp) = self.pre_predicate()?;
+                h = self.height(1 + h.max(hr).max(hp))?;
                 let joined = q.clone().product(rhs.clone());
                 let p = self.resolve_pred(p, &joined)?;
                 q = q.join(rhs, p);
             } else {
-                return Ok(q);
+                return Ok((q, h));
             }
         }
     }
 
-    fn factor(&mut self) -> Result<Query, ParseError> {
+    fn factor(&mut self) -> Result<(Query, usize), ParseError> {
         if self.eat_keyword("select") {
-            let p = self.pre_predicate()?;
+            let (p, hp) = self.pre_predicate()?;
             self.expect(&TokenKind::LParen)?;
-            let q = self.query()?;
+            let (q, h) = self.query()?;
             self.expect(&TokenKind::RParen)?;
             let p = self.resolve_pred(p, &q)?;
-            return Ok(q.select(p));
+            return Ok((q.select(p), self.height(1 + h.max(hp))?));
         }
         if self.eat_keyword("project") {
             let mut cols = Vec::new();
@@ -291,10 +324,10 @@ impl<'c> Parser<'c> {
                 }
             }
             self.expect(&TokenKind::LParen)?;
-            let q = self.query()?;
+            let (q, h) = self.query()?;
             self.expect(&TokenKind::RParen)?;
             let cols = self.resolve_cols(cols, &q)?;
-            return Ok(q.project(cols));
+            return Ok((q.project(cols), self.height(1 + h)?));
         }
         if self.eat_keyword("aggregate") {
             self.expect(&TokenKind::LBracket)?;
@@ -313,14 +346,14 @@ impl<'c> Parser<'c> {
             }
             self.expect(&TokenKind::RBracket)?;
             self.expect(&TokenKind::LParen)?;
-            let q = self.query()?;
+            let (q, h) = self.query()?;
             self.expect(&TokenKind::RParen)?;
             let cols = self.resolve_cols(cols, &q)?;
             let aggs = aggs
                 .into_iter()
                 .map(|a| self.resolve_agg(a, &q))
                 .collect::<Result<Vec<_>, _>>()?;
-            return Ok(q.aggregate(cols, aggs));
+            return Ok((q.aggregate(cols, aggs), self.height(1 + h)?));
         }
         if self.eat_keyword("row") {
             self.expect(&TokenKind::LParen)?;
@@ -330,13 +363,13 @@ impl<'c> Parser<'c> {
                 vals.push(self.literal()?);
             }
             self.expect(&TokenKind::RParen)?;
-            return Ok(Query::singleton(Tuple::new(vals)));
+            return Ok((Query::singleton(Tuple::new(vals)), 1));
         }
         if self.eat_keyword("empty") {
             self.expect(&TokenKind::LParen)?;
             let arity = self.expect_usize()?;
             self.expect(&TokenKind::RParen)?;
-            return Ok(Query::empty(arity));
+            return Ok((Query::empty(arity), 1));
         }
         if self.peek().kind == TokenKind::LParen {
             self.advance();
@@ -345,7 +378,7 @@ impl<'c> Parser<'c> {
             return Ok(q);
         }
         let name = self.expect_name()?;
-        Ok(Query::base(name))
+        Ok((Query::base(name), 1))
     }
 
     fn pre_agg(&mut self) -> Result<PreAgg, ParseError> {
@@ -472,16 +505,20 @@ impl<'c> Parser<'c> {
 
     // -- state expressions ---------------------------------------------------
 
-    fn state_expr(&mut self) -> Result<StateExpr, ParseError> {
-        let mut eta = self.state_primary()?;
+    fn state_expr(&mut self) -> Result<(StateExpr, usize), ParseError> {
+        self.descend()?;
+        let (mut eta, mut h) = self.state_primary()?;
         while self.peek().kind == TokenKind::Hash {
             self.advance();
-            eta = eta.compose(self.state_primary()?);
+            let (rhs, hr) = self.state_primary()?;
+            h = self.height(1 + h.max(hr))?;
+            eta = eta.compose(rhs);
         }
-        Ok(eta)
+        self.depth -= 1;
+        Ok((eta, h))
     }
 
-    fn state_primary(&mut self) -> Result<StateExpr, ParseError> {
+    fn state_primary(&mut self) -> Result<(StateExpr, usize), ParseError> {
         if self.peek().kind == TokenKind::LParen {
             self.advance();
             let eta = self.state_expr()?;
@@ -492,18 +529,20 @@ impl<'c> Parser<'c> {
         // Empty substitution.
         if self.peek().kind == TokenKind::RBrace {
             self.advance();
-            return Ok(StateExpr::subst(ExplicitSubst::empty()));
+            return Ok((StateExpr::subst(ExplicitSubst::empty()), 1));
         }
         // Update?
         if self.at_keyword("insert") || self.at_keyword("delete") || self.at_keyword("if") {
-            let u = self.update()?;
+            let (u, h) = self.update()?;
             self.expect(&TokenKind::RBrace)?;
-            return Ok(StateExpr::update(u));
+            return Ok((StateExpr::update(u), self.height(1 + h)?));
         }
         // Explicit substitution: binding (',' binding)*.
         let mut subst = ExplicitSubst::empty();
+        let mut h = 0;
         loop {
-            let q = self.query()?;
+            let (q, hq) = self.query()?;
+            h = h.max(hq);
             self.expect(&TokenKind::Slash)?;
             let name = self.expect_name()?;
             subst.bind(name, q);
@@ -514,21 +553,25 @@ impl<'c> Parser<'c> {
             }
         }
         self.expect(&TokenKind::RBrace)?;
-        Ok(StateExpr::subst(subst))
+        Ok((StateExpr::subst(subst), self.height(1 + h)?))
     }
 
     // -- updates -------------------------------------------------------------
 
-    fn update(&mut self) -> Result<Update, ParseError> {
-        let mut u = self.atomic_update()?;
+    fn update(&mut self) -> Result<(Update, usize), ParseError> {
+        self.descend()?;
+        let (mut u, mut h) = self.atomic_update()?;
         while self.peek().kind == TokenKind::Semi {
             self.advance();
-            u = u.then(self.atomic_update()?);
+            let (rhs, hr) = self.atomic_update()?;
+            h = self.height(1 + h.max(hr))?;
+            u = u.then(rhs);
         }
-        Ok(u)
+        self.depth -= 1;
+        Ok((u, h))
     }
 
-    fn atomic_update(&mut self) -> Result<Update, ParseError> {
+    fn atomic_update(&mut self) -> Result<(Update, usize), ParseError> {
         if self.peek().kind == TokenKind::LParen {
             self.advance();
             let u = self.update()?;
@@ -538,23 +581,24 @@ impl<'c> Parser<'c> {
         if self.eat_keyword("insert") {
             self.expect_keyword("into")?;
             let name = self.expect_name()?;
-            let q = self.factor()?;
-            return Ok(Update::insert(name, q));
+            let (q, h) = self.factor()?;
+            return Ok((Update::insert(name, q), self.height(1 + h)?));
         }
         if self.eat_keyword("delete") {
             self.expect_keyword("from")?;
             let name = self.expect_name()?;
-            let q = self.factor()?;
-            return Ok(Update::delete(name, q));
+            let (q, h) = self.factor()?;
+            return Ok((Update::delete(name, q), self.height(1 + h)?));
         }
         if self.eat_keyword("if") {
-            let guard = self.query()?;
+            let (guard, hg) = self.query()?;
             self.expect_keyword("then")?;
-            let then_u = self.update()?;
+            let (then_u, ht) = self.update()?;
             self.expect_keyword("else")?;
-            let else_u = self.update()?;
+            let (else_u, he) = self.update()?;
             self.expect_keyword("end")?;
-            return Ok(Update::cond(guard, then_u, else_u));
+            let h = self.height(1 + hg.max(ht).max(he))?;
+            return Ok((Update::cond(guard, then_u, else_u), h));
         }
         self.error(format!(
             "expected update (insert/delete/if), found {}",
@@ -564,31 +608,40 @@ impl<'c> Parser<'c> {
 
     // -- predicates ------------------------------------------------------------
 
-    fn pre_predicate(&mut self) -> Result<PrePred, ParseError> {
-        let mut p = self.pre_and()?;
+    fn pre_predicate(&mut self) -> Result<(PrePred, usize), ParseError> {
+        self.descend()?;
+        let (mut p, mut h) = self.pre_and()?;
         while self.eat_keyword("or") {
-            p = PrePred::Or(Box::new(p), Box::new(self.pre_and()?));
+            let (rhs, hr) = self.pre_and()?;
+            h = self.height(1 + h.max(hr))?;
+            p = PrePred::Or(Box::new(p), Box::new(rhs));
         }
-        Ok(p)
+        self.depth -= 1;
+        Ok((p, h))
     }
 
-    fn pre_and(&mut self) -> Result<PrePred, ParseError> {
-        let mut p = self.pre_unary()?;
+    fn pre_and(&mut self) -> Result<(PrePred, usize), ParseError> {
+        let (mut p, mut h) = self.pre_unary()?;
         while self.eat_keyword("and") {
-            p = PrePred::And(Box::new(p), Box::new(self.pre_unary()?));
+            let (rhs, hr) = self.pre_unary()?;
+            h = self.height(1 + h.max(hr))?;
+            p = PrePred::And(Box::new(p), Box::new(rhs));
         }
-        Ok(p)
+        Ok((p, h))
     }
 
-    fn pre_unary(&mut self) -> Result<PrePred, ParseError> {
+    fn pre_unary(&mut self) -> Result<(PrePred, usize), ParseError> {
         if self.eat_keyword("not") {
-            return Ok(PrePred::Not(Box::new(self.pre_unary()?)));
+            self.descend()?;
+            let (p, h) = self.pre_unary()?;
+            self.depth -= 1;
+            return Ok((PrePred::Not(Box::new(p)), self.height(1 + h)?));
         }
         if self.eat_keyword("true") {
-            return Ok(PrePred::True);
+            return Ok((PrePred::True, 1));
         }
         if self.eat_keyword("false") {
-            return Ok(PrePred::False);
+            return Ok((PrePred::False, 1));
         }
         if self.peek().kind == TokenKind::LParen {
             self.advance();
@@ -599,7 +652,7 @@ impl<'c> Parser<'c> {
         let a = self.pre_scalar()?;
         let op = self.cmp_op()?;
         let b = self.pre_scalar()?;
-        Ok(PrePred::Cmp(a, op, b))
+        Ok((PrePred::Cmp(a, op, b), 1))
     }
 
     fn pre_scalar(&mut self) -> Result<PreScalar, ParseError> {
@@ -659,7 +712,7 @@ impl<'c> Parser<'c> {
 /// Parse a complete query (positional column references only).
 pub fn parse_query(src: &str) -> Result<Query, ParseError> {
     let mut p = Parser::new(src, None)?;
-    let q = p.query()?;
+    let (q, _) = p.query()?;
     p.finish(q)
 }
 
@@ -667,28 +720,28 @@ pub fn parse_query(src: &str) -> Result<Query, ParseError> {
 /// (`salary >= 200`) against the catalog's attribute names.
 pub fn parse_query_named(src: &str, catalog: &Catalog) -> Result<Query, ParseError> {
     let mut p = Parser::new(src, Some(catalog))?;
-    let q = p.query()?;
+    let (q, _) = p.query()?;
     p.finish(q)
 }
 
 /// Parse a complete update expression (positional columns only).
 pub fn parse_update(src: &str) -> Result<Update, ParseError> {
     let mut p = Parser::new(src, None)?;
-    let u = p.update()?;
+    let (u, _) = p.update()?;
     p.finish(u)
 }
 
 /// Parse a complete update expression with named-column resolution.
 pub fn parse_update_named(src: &str, catalog: &Catalog) -> Result<Update, ParseError> {
     let mut p = Parser::new(src, Some(catalog))?;
-    let u = p.update()?;
+    let (u, _) = p.update()?;
     p.finish(u)
 }
 
 /// Parse a complete hypothetical-state expression.
 pub fn parse_state_expr(src: &str) -> Result<StateExpr, ParseError> {
     let mut p = Parser::new(src, None)?;
-    let eta = p.state_expr()?;
+    let (eta, _) = p.state_expr()?;
     p.finish(eta)
 }
 
@@ -696,7 +749,7 @@ pub fn parse_state_expr(src: &str) -> Result<StateExpr, ParseError> {
 /// resolution.
 pub fn parse_state_expr_named(src: &str, catalog: &Catalog) -> Result<StateExpr, ParseError> {
     let mut p = Parser::new(src, Some(catalog))?;
-    let eta = p.state_expr()?;
+    let (eta, _) = p.state_expr()?;
     p.finish(eta)
 }
 
@@ -704,7 +757,7 @@ pub fn parse_state_expr_named(src: &str, catalog: &Catalog) -> Result<StateExpr,
 /// input schema to resolve names against).
 pub fn parse_predicate(src: &str) -> Result<Predicate, ParseError> {
     let mut p = Parser::new(src, None)?;
-    let pred = p.pre_predicate()?;
+    let (pred, _) = p.pre_predicate()?;
     let pred = p.resolve_pred(pred, &Query::empty(0))?;
     p.finish(pred)
 }
@@ -821,6 +874,58 @@ mod tests {
                 .not()
                 .or(Predicate::True)
         );
+    }
+
+    /// Run `f` on a thread with room for [`MAX_DEPTH`] levels of parser
+    /// recursion in a debug build.
+    fn on_big_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(hypoquery_algebra::MAX_DEPTH_STACK)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    fn is_too_deep<T: fmt::Debug>(r: Result<T, ParseError>) -> bool {
+        matches!(r, Err(e) if e.message == too_deep())
+    }
+
+    #[test]
+    fn recursion_past_the_limit_is_an_error() {
+        on_big_stack(|| {
+            let parens = |n| format!("{}R{}", "(".repeat(n), ")".repeat(n));
+            assert_eq!(parse_query(&parens(MAX_DEPTH - 1)), Ok(Query::base("R")));
+            assert!(is_too_deep(parse_query(&parens(MAX_DEPTH))));
+            let nots = |n| format!("{}#0 = 1", "not ".repeat(n));
+            assert!(parse_predicate(&nots(MAX_DEPTH - 2)).is_ok());
+            assert!(is_too_deep(parse_predicate(&nots(100_000))));
+            let braces = |n| format!("{}{{}}{}", "(".repeat(n), ")".repeat(n));
+            assert!(is_too_deep(parse_state_expr(&braces(100_000))));
+            let updates = |n| format!("{}insert into R (R){}", "(".repeat(n), ")".repeat(n));
+            assert!(is_too_deep(parse_update(&updates(100_000))));
+        });
+    }
+
+    /// Chains are built by loops, not recursion, but the trees they build
+    /// are bounded by the same limit, with the height
+    /// [`hypoquery_algebra::depth::height`] measures.
+    #[test]
+    fn trees_past_the_limit_are_an_error() {
+        let union_chain = |n| format!("R{}", " union R".repeat(n - 1));
+        let q = parse_query(&union_chain(MAX_DEPTH)).unwrap();
+        assert_eq!(hypoquery_algebra::depth::height(&q), MAX_DEPTH);
+        assert!(is_too_deep(parse_query(&union_chain(MAX_DEPTH + 1))));
+        assert!(is_too_deep(parse_query(&union_chain(100_000))));
+        // A chain nested as the left operand of another adds to its height.
+        let half = format!("R{}", " union R".repeat(MAX_DEPTH / 2));
+        assert!(is_too_deep(parse_query(&format!("({half}){}", &half[1..]))));
+        let ors = format!("#0 = 1{}", " or #0 = 2".repeat(100_000));
+        assert!(is_too_deep(parse_predicate(&ors)));
+        let seq = format!("insert into R (R){}", "; delete from R (R)".repeat(100_000));
+        assert!(is_too_deep(parse_update(&seq)));
+        let compose = format!("{{}}{}", " # {}".repeat(100_000));
+        assert!(is_too_deep(parse_state_expr(&compose)));
     }
 
     #[test]

@@ -93,12 +93,16 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Write one frame: 4-byte big-endian length, then the payload.
+/// Write one frame: 4-byte big-endian length, then the payload, in one
+/// `write_all` — with `TCP_NODELAY`, two writes would leave as two
+/// segments.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame over 4 GiB"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 

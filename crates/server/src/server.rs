@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use hypoquery_engine::Database;
+use hypoquery_engine::{Database, MAX_DEPTH_STACK};
 
 use crate::metrics::Metrics;
 use crate::proto::{
@@ -135,6 +135,7 @@ pub fn serve(config: ServerConfig, base: Database) -> io::Result<ServerHandle> {
             let shared = Arc::clone(&shared);
             thread::Builder::new()
                 .name(format!("hq-worker-{i}"))
+                .stack_size(MAX_DEPTH_STACK)
                 .spawn(move || worker_loop(&listener, &shared))
         })
         .collect::<io::Result<_>>()?;

@@ -422,6 +422,7 @@ impl Session {
 mod tests {
     use super::*;
     use crate::proto::ErrCode;
+    use hypoquery_engine::MAX_DEPTH;
     use hypoquery_storage::tuple;
 
     fn req(line: &str, body: &str) -> Request {
@@ -712,6 +713,82 @@ mod tests {
         assert!(e.to_string().contains("overflow"), "{e}");
         // The session is still usable.
         assert_eq!(rows(ok(&mut s, "QUERY aggregate [0; sum 1] (R)", "")), 2);
+    }
+
+    /// Run `f` on a thread with a server worker's stack: inputs are
+    /// bounded to fit there, and a debug build needs more than a test
+    /// thread's default stack to reach the limit.
+    fn on_worker_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(hypoquery_engine::MAX_DEPTH_STACK)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    fn past_the_limit(e: &WireError) -> bool {
+        e.code == ErrCode::Parse && e.message.contains(&format!("limit of {MAX_DEPTH} levels"))
+    }
+
+    #[test]
+    fn parentheses_past_the_limit_are_a_parse_error() {
+        on_worker_stack(|| {
+            let mut s = session();
+            let nest = |n| format!("QUERY {}inv{}", "(".repeat(n), ")".repeat(n));
+            let e = err(&mut s, &nest(1000), "");
+            assert!(past_the_limit(&e), "{e}");
+            // The same session answers, nested parentheses included.
+            assert_eq!(rows(ok(&mut s, &nest(300), "")), 3);
+        });
+    }
+
+    #[test]
+    fn union_chain_past_the_limit_is_a_parse_error() {
+        on_worker_stack(|| {
+            let mut s = session();
+            let chain = |n| {
+                (0..n).fold("QUERY inv".to_string(), |q, i| {
+                    q + &format!(" union select #0 = {i} (inv)")
+                })
+            };
+            let e = err(&mut s, &chain(3000), "");
+            assert!(past_the_limit(&e), "{e}");
+            assert_eq!(rows(ok(&mut s, &chain(400), "")), 3);
+        });
+    }
+
+    #[test]
+    fn branch_path_past_the_limit_is_a_parse_error() {
+        on_worker_stack(|| {
+            let mut s = session();
+            ok(&mut s, "BRANCH b0", "insert into inv (row(9, 90))");
+            ok(&mut s, "SWITCH b0", "");
+            assert_eq!(rows(ok(&mut s, "QUERY inv", "")), 4);
+            // Each hypothetical UPDATE stacks one more branch, until the
+            // path would pass the limit (the loop is bounded on its own so
+            // that a build without the limit still reaches the query).
+            let mut path = 1;
+            let mut refused = None;
+            while refused.is_none() && path < 4 * MAX_DEPTH {
+                match s.handle(&req("UPDATE delete from inv (row(9, 90))", "")).0 {
+                    Reply::Ok(_) => path += 1,
+                    Reply::Err(e) => refused = Some(e),
+                    other => panic!("{other:?}"),
+                }
+            }
+            // The deepest branch wraps a query past the limit.
+            let e = err(&mut s, "QUERY inv", "");
+            assert!(past_the_limit(&e), "{e}");
+            let refused = refused.expect("an UPDATE past the limit is refused");
+            assert!(past_the_limit(&refused), "{refused}");
+            assert_eq!(path, MAX_DEPTH);
+            // The same session still answers, at the root and on b0.
+            ok(&mut s, "SWITCH -", "");
+            assert_eq!(rows(ok(&mut s, "QUERY inv", "")), 3);
+            ok(&mut s, "SWITCH b0", "");
+            assert_eq!(rows(ok(&mut s, "QUERY inv", "")), 4);
+        });
     }
 
     #[test]

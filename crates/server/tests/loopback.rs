@@ -11,8 +11,8 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use hypoquery_client::Client;
-use hypoquery_engine::{Database, Strategy, WhatIfTree};
+use hypoquery_client::{Client, ClientError};
+use hypoquery_engine::{Database, Strategy, WhatIfTree, MAX_DEPTH};
 use hypoquery_server::proto::{read_frame, write_frame, ErrCode, FrameError, Reply, HELLO_PREFIX};
 use hypoquery_server::{serve, ServerConfig, ServerHandle};
 use hypoquery_storage::tuple;
@@ -267,6 +267,35 @@ fn malformed_requests_answer_and_keep_the_connection() {
     let m = handle.metrics();
     assert_eq!(m.errors.load(std::sync::atomic::Ordering::Relaxed), 3);
     drop(s);
+    handle.shutdown();
+    handle.join();
+}
+
+/// A query nested past the parser's limit is an `ERR parse`, not a stack
+/// overflow that aborts the process: the same connection, and a new one,
+/// are still served.
+#[test]
+fn deep_query_is_refused_and_the_server_lives() {
+    let handle = start(quick_config());
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let chain: String = (0..3000)
+        .map(|i| format!(" union select #0 = {i} (inv)"))
+        .collect();
+    for deep in [
+        format!("{}inv{}", "(".repeat(1000), ")".repeat(1000)),
+        format!("inv{chain}"),
+    ] {
+        match c.query(&deep) {
+            Err(ClientError::Server(e)) => {
+                assert_eq!(e.code, ErrCode::Parse, "{e}");
+                assert!(e.message.contains(&format!("limit of {MAX_DEPTH}")), "{e}");
+            }
+            other => panic!("{other:?}"),
+        }
+        c.ping().unwrap();
+    }
+    assert_eq!(c.query("inv").unwrap().len(), 8);
+    Client::connect(handle.addr()).unwrap().ping().unwrap();
     handle.shutdown();
     handle.join();
 }

@@ -379,10 +379,65 @@ pub fn arb_agg(arity: usize) -> BoxedStrategy<AggExpr> {
     }
 }
 
+/// What each level of [`example_2_4`]'s query binds.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Levels {
+    /// The paper's `Eᵢ(Rᵢ) = Rᵢ × Rᵢ`: `Rᵢ` has arity `2^(n-i)`, so `n`
+    /// stays small.
+    Products,
+    /// `Eᵢ(Rᵢ) = π₀,₃(Rᵢ ⋈_{#1 = #2} Rᵢ)`: every `Rᵢ` is binary, so any
+    /// depth types.
+    Joins,
+}
+
+/// Example 2.4's query and its catalog: the depth-`n` nest
+/// `(… (R0 when {E1(R1)/R0}) … when {En(Rn)/R(n-1)})`, with `Eⱼ` replaced
+/// by `Eⱼ − Eⱼ` at `empty_level` (2.4(b); the paper writes `Rⱼ − Rⱼ` with
+/// arities "inferred from the context"). Its fully lazy form has about
+/// 2ⁿ nodes.
+pub fn example_2_4(n: usize, empty_level: Option<usize>, levels: Levels) -> (Query, Catalog) {
+    let rel = |i: usize| RelName::new(format!("R{i}"));
+    let mut catalog = Catalog::new();
+    for i in 0..=n {
+        let arity = match levels {
+            Levels::Products => 1usize << (n - i),
+            Levels::Joins => 2,
+        };
+        catalog.declare_arity(rel(i), arity).expect("fresh names");
+    }
+    let mut q = Query::base(rel(0));
+    for lvl in 1..=n {
+        let (a, b) = (Query::base(rel(lvl)), Query::base(rel(lvl)));
+        let e = match levels {
+            Levels::Products => a.product(b),
+            Levels::Joins => a
+                .join(b, Predicate::col_col(1, CmpOp::Eq, 2))
+                .project([0, 3]),
+        };
+        let e = if empty_level == Some(lvl) {
+            e.clone().diff(e)
+        } else {
+            e
+        };
+        q = q.when(StateExpr::subst(ExplicitSubst::single(rel(lvl - 1), e)));
+    }
+    (q, catalog)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use hypoquery_algebra::typing::{arity_of, check_state_expr, check_update};
+
+    #[test]
+    fn example_2_4_types_at_every_level_shape() {
+        for empty in [None, Some(1), Some(5)] {
+            let (q, catalog) = example_2_4(5, empty, Levels::Products);
+            assert_eq!(arity_of(&q, &catalog), Ok(32));
+            let (q, catalog) = example_2_4(5, empty, Levels::Joins);
+            assert_eq!(arity_of(&q, &catalog), Ok(2));
+        }
+    }
 
     proptest! {
         #[test]

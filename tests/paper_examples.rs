@@ -51,7 +51,7 @@ fn example_2_1b_lazy_proves_emptiness_without_data() {
 
     // Lazy reduction + RA optimization proves emptiness *syntactically*.
     let q = db.prepare(&q_src).unwrap();
-    let reduced = fully_lazy(&q, &mut RewriteTrace::new());
+    let reduced = fully_lazy(&q, &mut |q| q, &mut RewriteTrace::new());
     let (optimized, _) = optimize(&reduced, db.catalog());
     assert_eq!(optimized, Query::empty(4), "lazy rewriting must reach ∅");
 
@@ -127,7 +127,7 @@ fn example_2_3_binding_removal() {
         )
         .unwrap();
     let mut trace = RewriteTrace::new();
-    let reduced = fully_lazy(&q, &mut trace);
+    let reduced = fully_lazy(&q, &mut |q| q, &mut trace);
     assert_eq!(trace.count(Rule::DropUnusedBinding.name()), 1);
     assert!(!reduced.to_string().contains("< 5"), "S slice must be gone");
     // All strategies agree on the value.
@@ -154,7 +154,7 @@ fn example_2_2b_family_of_queries() {
         "{delete from S (select #0 < 60 (S))} # {insert into R (select #0 > 30 (S))}",
     )
     .unwrap();
-    let rho = lazy_state(&eta, &mut RewriteTrace::new());
+    let rho = lazy_state(&eta, &mut |q| q, &mut RewriteTrace::new());
     for family_member in [
         Query::base("R"),
         Query::base("S"),
