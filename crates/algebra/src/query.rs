@@ -221,54 +221,61 @@ impl Query {
     }
 }
 
+impl fmt::Display for AggExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AggExpr::Count => write!(f, "count"),
+            AggExpr::Sum(c) => write!(f, "sum {c}"),
+            AggExpr::Min(c) => write!(f, "min {c}"),
+            AggExpr::Max(c) => write!(f, "max {c}"),
+        }
+    }
+}
+
+/// Write `items` separated by `, `.
+fn comma_list<T: fmt::Display>(f: &mut fmt::Formatter<'_>, items: &[T]) -> fmt::Result {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            write!(f, ", ")?;
+        }
+        write!(f, "{item}")?;
+    }
+    Ok(())
+}
+
+/// HQL surface syntax, fully parenthesized so that precedence never
+/// matters: `parse_query(&q.to_string()) == q` for every query whose
+/// relation names are not keywords (property-tested in the parser's
+/// `tests/roundtrip.rs`).
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Query::Base(name) => write!(f, "{name}"),
-            Query::Singleton(t) => write!(f, "{{{t}}}"),
-            Query::Empty { arity } => write!(f, "∅/{arity}"),
-            Query::Select(q, p) => write!(f, "σ[{p}]({q})"),
+            Query::Singleton(t) => write!(f, "row{t}"),
+            Query::Empty { arity } => write!(f, "empty({arity})"),
+            Query::Select(q, p) => write!(f, "select {p} ({q})"),
             Query::Project(q, cols) => {
-                write!(f, "π[")?;
-                for (i, c) in cols.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{c}")?;
-                }
-                write!(f, "]({q})")
+                write!(f, "project ")?;
+                comma_list(f, cols)?;
+                let gap = if cols.is_empty() { "" } else { " " };
+                write!(f, "{gap}({q})")
             }
-            Query::Union(a, b) => write!(f, "({a} ∪ {b})"),
-            Query::Intersect(a, b) => write!(f, "({a} ∩ {b})"),
-            Query::Product(a, b) => write!(f, "({a} × {b})"),
-            Query::Join(a, b, p) => write!(f, "({a} ⋈[{p}] {b})"),
-            Query::Diff(a, b) => write!(f, "({a} − {b})"),
+            Query::Union(a, b) => write!(f, "({a} union {b})"),
+            Query::Intersect(a, b) => write!(f, "({a} intersect {b})"),
+            Query::Product(a, b) => write!(f, "({a} times {b})"),
+            Query::Join(a, b, p) => write!(f, "({a} join {b} on {p})"),
+            Query::Diff(a, b) => write!(f, "({a} except {b})"),
             Query::When(q, eta) => write!(f, "({q} when {eta})"),
             Query::Aggregate {
                 input,
                 group_by,
                 aggs,
             } => {
-                write!(f, "γ[")?;
-                for (i, c) in group_by.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{c}")?;
-                }
-                write!(f, ";")?;
-                for (i, a) in aggs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    match a {
-                        AggExpr::Count => write!(f, "count")?,
-                        AggExpr::Sum(c) => write!(f, "sum({c})")?,
-                        AggExpr::Min(c) => write!(f, "min({c})")?,
-                        AggExpr::Max(c) => write!(f, "max({c})")?,
-                    }
-                }
-                write!(f, "]({input})")
+                write!(f, "aggregate [")?;
+                comma_list(f, group_by)?;
+                write!(f, "; ")?;
+                comma_list(f, aggs)?;
+                write!(f, "] ({input})")
             }
         }
     }
@@ -292,7 +299,7 @@ mod tests {
             .select(sel60())
             .union(Query::base("S"))
             .project([0]);
-        assert_eq!(q.to_string(), "π[0]((σ[#0 >= 60](R) ∪ S))");
+        assert_eq!(q.to_string(), "project 0 ((select #0 >= 60 (R) union S))");
     }
 
     #[test]
@@ -326,9 +333,18 @@ mod tests {
 
     #[test]
     fn display_of_special_nodes() {
-        assert_eq!(Query::empty(2).to_string(), "∅/2");
-        assert_eq!(Query::singleton(tuple![1, 2]).to_string(), "{(1, 2)}");
+        assert_eq!(Query::empty(2).to_string(), "empty(2)");
+        assert_eq!(
+            Query::singleton(tuple![1, "a"]).to_string(),
+            "row(1, \"a\")"
+        );
         let agg = Query::base("R").aggregate([0], [AggExpr::Count, AggExpr::Sum(1)]);
-        assert_eq!(agg.to_string(), "γ[0;count,sum(1)](R)");
+        assert_eq!(agg.to_string(), "aggregate [0; count, sum 1] (R)");
+        let global = Query::base("R").aggregate(Vec::<usize>::new(), [AggExpr::Count]);
+        assert_eq!(global.to_string(), "aggregate [; count] (R)");
+        assert_eq!(
+            Query::base("R").project(Vec::<usize>::new()).to_string(),
+            "project (R)"
+        );
     }
 }

@@ -143,6 +143,7 @@ impl FromIterator<(RelName, Query)> for ExplicitSubst {
     }
 }
 
+/// HQL surface syntax: `{q / R, …}`, `{}` when empty.
 impl fmt::Display for ExplicitSubst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
@@ -150,7 +151,7 @@ impl fmt::Display for ExplicitSubst {
             if i > 0 {
                 write!(f, ", ")?;
             }
-            write!(f, "{q}/{n}")?;
+            write!(f, "{q} / {n}")?;
         }
         write!(f, "}}")
     }
@@ -225,6 +226,7 @@ impl From<ExplicitSubst> for StateExpr {
     }
 }
 
+/// HQL surface syntax: `{U}`, `{q / R, …}` or `(η # η)`.
 impl fmt::Display for StateExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -278,14 +280,14 @@ mod tests {
     #[test]
     fn display_forms() {
         let s = ExplicitSubst::new([("R".into(), Query::base("R").union(q()))]);
-        assert_eq!(s.to_string(), "{(R ∪ σ[#0 > 30](S))/R}");
+        assert_eq!(s.to_string(), "{(R union select #0 > 30 (S)) / R}");
         let eta = StateExpr::subst(s.clone()).compose(StateExpr::update(Update::delete(
             "S",
             Query::base("S").select(Predicate::col_cmp(0, CmpOp::Lt, 60)),
         )));
         assert_eq!(
             eta.to_string(),
-            "({(R ∪ σ[#0 > 30](S))/R} # {del(S, σ[#0 < 60](S))})"
+            "({(R union select #0 > 30 (S)) / R} # {delete from S (select #0 < 60 (S))})"
         );
     }
 

@@ -112,19 +112,20 @@ impl Update {
     }
 }
 
+/// HQL surface syntax. `;` parses left-associatively, so a right-nested
+/// sequence is parenthesized and every update's tree round-trips.
 impl fmt::Display for Update {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Update::Insert(r, q) => write!(f, "ins({r}, {q})"),
-            Update::Delete(r, q) => write!(f, "del({r}, {q})"),
-            Update::Seq(a, b) => write!(f, "({a}; {b})"),
+            Update::Insert(r, q) => write!(f, "insert into {r} ({q})"),
+            Update::Delete(r, q) => write!(f, "delete from {r} ({q})"),
+            Update::Seq(a, b) if matches!(**b, Update::Seq(_, _)) => write!(f, "{a}; ({b})"),
+            Update::Seq(a, b) => write!(f, "{a}; {b}"),
             Update::Cond {
                 guard,
                 then_u,
                 else_u,
-            } => {
-                write!(f, "if {guard} then {then_u} else {else_u}")
-            }
+            } => write!(f, "if {guard} then {then_u} else {else_u} end"),
         }
     }
 }
@@ -141,7 +142,10 @@ mod tests {
             Query::base("S").select(Predicate::col_cmp(0, CmpOp::Gt, 30)),
         )
         .then(Update::delete("S", Query::base("S")));
-        assert_eq!(u.to_string(), "(ins(R, σ[#0 > 30](S)); del(S, S))");
+        assert_eq!(
+            u.to_string(),
+            "insert into R (select #0 > 30 (S)); delete from S (S)"
+        );
     }
 
     #[test]

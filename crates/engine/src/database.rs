@@ -10,9 +10,10 @@ use hypoquery_storage::{
 };
 
 use hypoquery_algebra::depth::{height, too_deep, MAX_DEPTH};
+use hypoquery_algebra::scope::dom_update;
 use hypoquery_algebra::typing::{arity_of, check_update};
 use hypoquery_algebra::{Query, Update};
-use hypoquery_eval::{algorithm_hql1, eval_update, ExecMetrics, PhysPlan, XsubValue};
+use hypoquery_eval::{eval_update, ExecMetrics, PhysPlan, XsubValue};
 use hypoquery_opt::{
     lower_query, lower_under_xsub, plan, plan_as, Plan, PlannedStrategy, Statistics,
 };
@@ -29,9 +30,10 @@ pub enum Strategy {
     Auto,
     /// Fully lazy: reduce to pure RA, optimize, evaluate conventionally.
     Lazy,
-    /// Eager, node-at-a-time: Algorithm HQL-1.
-    Hql1,
-    /// Eager, clustered: Algorithm HQL-2.
+    /// Eager: materialize each `when`'s state as an xsub-value. Algorithms
+    /// HQL-1 and HQL-2 share this ENF shape and differ only in the order an
+    /// interpreter visits it, which has no physical counterpart, so
+    /// `hql1` names this strategy too.
     Hql2,
     /// Eager with delta values: Algorithm HQL-3 (requires a mod-ENF form).
     Delta,
@@ -42,7 +44,6 @@ impl fmt::Display for Strategy {
         let s = match self {
             Strategy::Auto => "auto",
             Strategy::Lazy => "lazy",
-            Strategy::Hql1 => "hql1",
             Strategy::Hql2 => "hql2",
             Strategy::Delta => "delta",
         };
@@ -53,13 +54,12 @@ impl fmt::Display for Strategy {
 impl std::str::FromStr for Strategy {
     type Err = EngineError;
 
-    /// Accepts exactly the [`fmt::Display`] names (case-insensitive).
+    /// Accepts the [`fmt::Display`] names and `hql1` (case-insensitive).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
             "auto" => Ok(Strategy::Auto),
             "lazy" => Ok(Strategy::Lazy),
-            "hql1" => Ok(Strategy::Hql1),
-            "hql2" => Ok(Strategy::Hql2),
+            "hql1" | "hql2" => Ok(Strategy::Hql2),
             "delta" => Ok(Strategy::Delta),
             other => Err(EngineError::UnknownName(format!("strategy {other}"))),
         }
@@ -261,32 +261,12 @@ impl Database {
     /// normalized into (pure / ENF / mod-ENF), which
     /// [`hypoquery_opt::lower`] then compiles onto the one operator set of
     /// [`hypoquery_eval::physical`]. The retired per-strategy tree
-    /// walkers remain available as [`Database::execute_legacy`], the
-    /// differential-testing oracle.
+    /// walkers remain as [`Plan::execute_legacy`], the differential-testing
+    /// oracle.
     pub fn execute(&self, q: &Query, strategy: Strategy) -> Result<Relation, EngineError> {
         check_query(q, self.state.catalog())?;
         let (_, phys) = self.plan_physical(q, strategy)?;
         Ok(phys.execute(&self.state)?)
-    }
-
-    /// Run an already-built query AST through the **legacy** recursive
-    /// tree-walking evaluators (`eval_pure`, `filter1`/`filter2`/
-    /// `filter3`), which materialize a relation at every node. The query
-    /// is planned exactly as [`Database::execute`] plans it; HQL-1 runs
-    /// Algorithm HQL-1 on the ENF form, every other strategy the oracle of
-    /// its plan ([`Plan::execute_legacy`]).
-    ///
-    /// Kept as the differential oracle: the proptests in
-    /// `crates/eval/tests/physical_consistency.rs` and
-    /// `crates/engine/tests/` assert the pipelined default path agrees
-    /// with this one on every strategy.
-    pub fn execute_legacy(&self, q: &Query, strategy: Strategy) -> Result<Relation, EngineError> {
-        check_query(q, self.state.catalog())?;
-        let p = self.plan_with(q, strategy, &Statistics::of(&self.state))?;
-        Ok(match strategy {
-            Strategy::Hql1 => algorithm_hql1(&p.query, &self.state)?,
-            _ => p.execute_legacy(&self.state)?,
-        })
     }
 
     /// Run several independent queries in parallel, fanning out across
@@ -324,10 +304,7 @@ impl Database {
         let fixed = match strategy {
             Strategy::Auto => return Ok(plan(q, catalog, stats)),
             Strategy::Lazy => PlannedStrategy::Lazy,
-            // HQL-1 and HQL-2 share the ENF shape: the two algorithms
-            // differ only in interpreter traversal order, which has no
-            // physical counterpart.
-            Strategy::Hql1 | Strategy::Hql2 => PlannedStrategy::EagerXsub,
+            Strategy::Hql2 => PlannedStrategy::EagerXsub,
             Strategy::Delta => PlannedStrategy::EagerDelta,
         };
         Ok(plan_as(q, catalog, stats, fixed)?)
@@ -356,8 +333,9 @@ impl Database {
 
     /// Type-check `q`, plan it as [`Database::execute`] does under Auto,
     /// and run it in the state `apply(DB, e)` of the materialized
-    /// xsub-value `e` (a prepared hypothetical state, Example 2.2): `e`'s
-    /// relations are bound as constants, never re-collected.
+    /// xsub-value `e` (a prepared hypothetical state, Example 2.2, or the
+    /// relations a committing update writes): `e`'s relations are bound as
+    /// constants, never re-collected.
     pub(crate) fn execute_under_xsub(
         &self,
         q: &Query,
@@ -449,13 +427,17 @@ impl Database {
     /// AST form of [`Database::execute_update`].
     pub fn apply_update(&mut self, u: &Update) -> Result<(), EngineError> {
         check_update(u, self.state.catalog())?;
-        // Hypothetical check: constraint when {U} must be empty.
+        // `U` is evaluated once. Each check `C when {U}` runs `C`'s own
+        // plan with the relations `U` writes bound to their next values,
+        // so no constraint derives `U` again.
+        let next = eval_update(u, &self.state)?;
+        let mut written = XsubValue::empty();
+        for name in dom_update(u) {
+            let rel = next.get(&name)?;
+            written.bind(name, rel);
+        }
         for (name, c) in &self.constraints {
-            let check = c
-                .violation_query
-                .clone()
-                .when(hypoquery_algebra::StateExpr::update(u.clone()));
-            let violations = self.execute(&check, Strategy::Auto)?;
+            let violations = self.execute_under_xsub(&c.violation_query, &written)?;
             if !violations.is_empty() {
                 return Err(EngineError::ConstraintViolation {
                     constraint: name.clone(),
@@ -463,7 +445,7 @@ impl Database {
                 });
             }
         }
-        self.state = eval_update(u, &self.state)?;
+        self.state = next;
         Ok(())
     }
 
@@ -661,6 +643,27 @@ mod tests {
         ));
     }
 
+    /// A constrained update evaluates its steps once. Planned as one
+    /// query, `C when {U}` re-derives `U`, and its lazy candidate doubles
+    /// with each step that reads what an earlier one wrote.
+    #[test]
+    fn long_constrained_update_commits() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut db = Database::new();
+            db.define("R", 2).unwrap();
+            db.load("R", (0..200).map(|i| tuple![i, i])).unwrap();
+            db.add_constraint("nonneg", "select #1 < 0 (R)").unwrap();
+            let steps: Vec<String> = (0..40)
+                .map(|i| format!("delete from R (select #0 = {i} (R))"))
+                .collect();
+            db.execute_update(&steps.join("; ")).unwrap();
+            tx.send(db.query("R").unwrap().len()).unwrap();
+        });
+        let left = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(left, Ok(160));
+    }
+
     #[test]
     fn type_errors_surface() {
         let mut db = db();
@@ -785,7 +788,6 @@ mod tests {
             for (strat, planned) in [
                 (Strategy::Auto, ""),
                 (Strategy::Lazy, "lazy "),
-                (Strategy::Hql1, "eager-xsub "),
                 (Strategy::Hql2, "eager-xsub "),
                 (Strategy::Delta, "eager-delta "),
             ] {
@@ -794,7 +796,13 @@ mod tests {
                 assert!(named, "{src} under {strat}:\n{text}");
                 let got = db.execute(&q, strat).unwrap();
                 assert_eq!(got, expected, "{src} under {strat}");
-                let legacy = db.execute_legacy(&q, strat).unwrap();
+                // EXPLAIN's plan line is HQL that runs to the same rows.
+                let plan = text.lines().find_map(|l| l.strip_prefix("plan: ")).unwrap();
+                let replayed = db.query_with(plan, strat).unwrap();
+                assert_eq!(replayed, expected, "{src} under {strat}: plan {plan}");
+                let stats = Statistics::of(db.state());
+                let plan = db.plan_with(&q, strat, &stats).unwrap();
+                let legacy = plan.execute_legacy(db.state()).unwrap();
                 assert_eq!(legacy, expected, "{src} under {strat}");
             }
         }
@@ -807,13 +815,13 @@ mod tests {
         for s in [
             Strategy::Auto,
             Strategy::Lazy,
-            Strategy::Hql1,
             Strategy::Hql2,
             Strategy::Delta,
         ] {
             assert_eq!(s.to_string().parse::<Strategy>().unwrap(), s);
             assert_eq!(s.to_string().to_uppercase().parse::<Strategy>().unwrap(), s);
         }
+        assert_eq!("HQL1".parse::<Strategy>().unwrap(), Strategy::Hql2);
         assert!(matches!(
             "eager".parse::<Strategy>(),
             Err(EngineError::UnknownName(_))
@@ -831,12 +839,7 @@ mod tests {
         let q = "(select #0 = 2 (emp) join dept on #0 = #2) \
                  when {insert into emp (row(9, 900))}";
         let expected = db.query_with(q, Strategy::Lazy).unwrap();
-        for s in [
-            Strategy::Auto,
-            Strategy::Hql1,
-            Strategy::Hql2,
-            Strategy::Delta,
-        ] {
+        for s in [Strategy::Auto, Strategy::Hql2, Strategy::Delta] {
             assert_eq!(db.query_with(q, s).unwrap(), expected, "strategy {s}");
         }
         assert!(db.drop_index("emp", 0).unwrap());

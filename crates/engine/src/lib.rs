@@ -34,6 +34,9 @@ pub use hypoquery_algebra::MAX_DEPTH;
 /// The stack a thread needs to run any query within [`MAX_DEPTH`]: run a
 /// [`Database`] that takes untrusted input on a thread of this size.
 pub use hypoquery_algebra::MAX_DEPTH_STACK;
+/// Reads `LOAD`'s inline rows, `(v, …) (v, …)`, with the query
+/// language's literals.
+pub use hypoquery_parser::parse_rows;
 pub use prepared::PreparedState;
 pub use savepoint::Transaction;
 pub use whatif::WhatIfTree;

@@ -283,12 +283,7 @@ mod tests {
     #[test]
     fn query_all_branches_matches_query_at() {
         let (db, tree) = setup();
-        for s in [
-            Strategy::Auto,
-            Strategy::Lazy,
-            Strategy::Hql1,
-            Strategy::Hql2,
-        ] {
+        for s in [Strategy::Auto, Strategy::Lazy, Strategy::Hql2] {
             let all = tree.query_all_branches(&db, "inv", s).unwrap();
             assert_eq!(all.len(), 3);
             for name in tree.branch_names() {
@@ -312,7 +307,7 @@ mod tests {
         // restock has items {2,3,4}; clearance has {2}: diff = {3,4}.
         assert_eq!(d.len(), 2);
         // Strategies agree.
-        for s in [Strategy::Lazy, Strategy::Hql1, Strategy::Hql2] {
+        for s in [Strategy::Lazy, Strategy::Hql2] {
             assert_eq!(
                 tree.diff_between(&db, "restock", "clearance", "inv", s)
                     .unwrap(),

@@ -16,10 +16,9 @@ use hypoquery_testkit::{
     arb_atomic_update_seq, arb_db, arb_pure_query, arb_query, arb_update, Universe,
 };
 
-const STRATEGIES: [Strategy; 5] = [
+const STRATEGIES: [Strategy; 4] = [
     Strategy::Auto,
     Strategy::Lazy,
-    Strategy::Hql1,
     Strategy::Hql2,
     Strategy::Delta,
 ];
@@ -77,7 +76,7 @@ proptest! {
             tree.branch_update(&db, &name, parent, u.clone()).unwrap();
             last = Some(name);
         }
-        for s in [Strategy::Auto, Strategy::Lazy, Strategy::Hql1, Strategy::Hql2] {
+        for s in [Strategy::Auto, Strategy::Lazy, Strategy::Hql2] {
             let all = tree.query_all_branches(&db, "R", s).unwrap();
             prop_assert_eq!(all.len(), updates.len());
             for name in tree.branch_names() {

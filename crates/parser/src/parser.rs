@@ -8,8 +8,8 @@
 //! term    := factor ('times' factor | 'join' factor 'on' pred)*
 //! factor  := 'select' pred '(' query ')'
 //!          | 'project' [INT (',' INT)*] '(' query ')'
-//!          | 'aggregate' '[' cols ';' aggs ']' '(' query ')'
-//!          | 'row' '(' lit (',' lit)* ')'
+//!          | 'aggregate' '[' cols ';' [aggs] ']' '(' query ')'
+//!          | 'row' row
 //!          | 'empty' '(' INT ')'
 //!          | NAME
 //!          | '(' query ')'
@@ -23,9 +23,15 @@
 //!          | 'if' query 'then' update 'else' update 'end'
 //! pred    := conjunctions/disjunctions of `scalar op scalar`,
 //!            'true', 'false', 'not', parentheses
-//! scalar  := '#' INT | INT | STRING
+//! scalar  := '#' INT | NAME | lit
 //! lit     := INT | STRING | 'true' | 'false'
+//! row     := '(' [lit (',' lit)*] ')'
+//! rows    := row*                                     -- LOAD's inline rows
 //! ```
+//!
+//! `Display` on the AST types prints this syntax back, fully
+//! parenthesized: `parse_query(&q.to_string()) == q` whenever no relation
+//! name is a keyword.
 //!
 //! Examples:
 //!
@@ -94,10 +100,30 @@ const KEYWORDS: &[&str] = &[
     "max",
 ];
 
+/// The comparison tokens and the operators they stand for.
+const CMP_OPS: [(TokenKind, CmpOp); 6] = [
+    (TokenKind::Eq, CmpOp::Eq),
+    (TokenKind::Ne, CmpOp::Ne),
+    (TokenKind::Lt, CmpOp::Lt),
+    (TokenKind::Le, CmpOp::Le),
+    (TokenKind::Gt, CmpOp::Gt),
+    (TokenKind::Ge, CmpOp::Ge),
+];
+
+/// The attribute names a named column resolves against: `None` when the
+/// input has none to offer (no catalog, or an input that does not type).
+type Attrs<'a> = Option<&'a [Option<String>]>;
+
 /// A column reference before name resolution.
 enum PreCol {
     Pos(usize),
     Named(String, usize),
+}
+
+impl PreCol {
+    fn is_named(&self) -> bool {
+        matches!(self, PreCol::Named(..))
+    }
 }
 
 /// An aggregate before column resolution.
@@ -122,6 +148,19 @@ enum PrePred {
     And(Box<PrePred>, Box<PrePred>),
     Or(Box<PrePred>, Box<PrePred>),
     Not(Box<PrePred>),
+}
+
+impl PrePred {
+    /// Whether a named column occurs, so resolution needs attribute names.
+    fn has_names(&self) -> bool {
+        let named = |s: &PreScalar| matches!(s, PreScalar::Col(c) if c.is_named());
+        match self {
+            PrePred::True | PrePred::False => false,
+            PrePred::Cmp(a, _, b) => named(a) || named(b),
+            PrePred::And(a, b) | PrePred::Or(a, b) => a.has_names() || b.has_names(),
+            PrePred::Not(a) => a.has_names(),
+        }
+    }
 }
 
 struct Parser<'c> {
@@ -286,22 +325,40 @@ impl<'c> Parser<'c> {
 
     fn term(&mut self) -> Result<(Query, usize), ParseError> {
         let (mut q, mut h) = self.factor()?;
+        // The attribute names of `q`: computed when a named column first
+        // needs them, then extended link by link, so a long chain is not
+        // walked again at every `join`.
+        let mut attrs: Option<Vec<Option<String>>> = None;
         loop {
-            if self.eat_keyword("times") {
-                let (rhs, hr) = self.factor()?;
-                h = self.height(1 + h.max(hr))?;
-                q = q.product(rhs);
-            } else if self.eat_keyword("join") {
-                let (rhs, hr) = self.factor()?;
-                self.expect_keyword("on")?;
-                let (p, hp) = self.pre_predicate()?;
-                h = self.height(1 + h.max(hr).max(hp))?;
-                let joined = q.clone().product(rhs.clone());
-                let p = self.resolve_pred(p, &joined)?;
-                q = q.join(rhs, p);
-            } else {
+            let product = self.eat_keyword("times");
+            if !product && !self.eat_keyword("join") {
                 return Ok((q, h));
             }
+            let (rhs, hr) = self.factor()?;
+            let (p, hp) = if product {
+                (None, 0)
+            } else {
+                self.expect_keyword("on")?;
+                let (p, hp) = self.pre_predicate()?;
+                (Some(p), hp)
+            };
+            h = self.height(1 + h.max(hr).max(hp))?;
+            if attrs.is_none() && p.as_ref().is_some_and(PrePred::has_names) {
+                attrs = self.attrs_for(&q);
+            }
+            if let Some(a) = &mut attrs {
+                match self.attrs_for(&rhs) {
+                    Some(more) => a.extend(more),
+                    None => attrs = None,
+                }
+            }
+            q = match p {
+                None => q.product(rhs),
+                Some(p) => {
+                    let p = self.resolve_pred(p, attrs.as_deref())?;
+                    q.join(rhs, p)
+                }
+            };
         }
     }
 
@@ -311,7 +368,8 @@ impl<'c> Parser<'c> {
             self.expect(&TokenKind::LParen)?;
             let (q, h) = self.query()?;
             self.expect(&TokenKind::RParen)?;
-            let p = self.resolve_pred(p, &q)?;
+            let attrs = self.attrs_if(p.has_names(), &q);
+            let p = self.resolve_pred(p, attrs.as_deref())?;
             return Ok((q.select(p), self.height(1 + h.max(hp))?));
         }
         if self.eat_keyword("project") {
@@ -326,7 +384,8 @@ impl<'c> Parser<'c> {
             self.expect(&TokenKind::LParen)?;
             let (q, h) = self.query()?;
             self.expect(&TokenKind::RParen)?;
-            let cols = self.resolve_cols(cols, &q)?;
+            let attrs = self.attrs_if(cols.iter().any(PreCol::is_named), &q);
+            let cols = self.resolve_cols(cols, attrs.as_deref())?;
             return Ok((q.project(cols), self.height(1 + h)?));
         }
         if self.eat_keyword("aggregate") {
@@ -339,31 +398,32 @@ impl<'c> Parser<'c> {
                 }
             }
             self.expect(&TokenKind::Semi)?;
-            let mut aggs = vec![self.pre_agg()?];
-            while self.peek().kind == TokenKind::Comma {
-                self.advance();
+            let mut aggs = Vec::new();
+            if self.peek().kind != TokenKind::RBracket {
                 aggs.push(self.pre_agg()?);
+                while self.peek().kind == TokenKind::Comma {
+                    self.advance();
+                    aggs.push(self.pre_agg()?);
+                }
             }
             self.expect(&TokenKind::RBracket)?;
             self.expect(&TokenKind::LParen)?;
             let (q, h) = self.query()?;
             self.expect(&TokenKind::RParen)?;
-            let cols = self.resolve_cols(cols, &q)?;
+            let named = cols.iter().any(PreCol::is_named)
+                || aggs.iter().any(|a| {
+                    matches!(a, PreAgg::Sum(c) | PreAgg::Min(c) | PreAgg::Max(c) if c.is_named())
+                });
+            let attrs = self.attrs_if(named, &q);
+            let cols = self.resolve_cols(cols, attrs.as_deref())?;
             let aggs = aggs
                 .into_iter()
-                .map(|a| self.resolve_agg(a, &q))
+                .map(|a| self.resolve_agg(a, attrs.as_deref()))
                 .collect::<Result<Vec<_>, _>>()?;
             return Ok((q.aggregate(cols, aggs), self.height(1 + h)?));
         }
         if self.eat_keyword("row") {
-            self.expect(&TokenKind::LParen)?;
-            let mut vals = vec![self.literal()?];
-            while self.peek().kind == TokenKind::Comma {
-                self.advance();
-                vals.push(self.literal()?);
-            }
-            self.expect(&TokenKind::RParen)?;
-            return Ok((Query::singleton(Tuple::new(vals)), 1));
+            return Ok((Query::singleton(self.row_literal()?), 1));
         }
         if self.eat_keyword("empty") {
             self.expect(&TokenKind::LParen)?;
@@ -430,17 +490,22 @@ impl<'c> Parser<'c> {
         hypoquery_algebra::attrs_of(q, catalog).ok()
     }
 
-    fn resolve_col(&self, col: PreCol, q: &Query) -> Result<usize, ParseError> {
+    /// [`Parser::attrs_for`], computed only if a named column needs it.
+    fn attrs_if(&self, named: bool, q: &Query) -> Option<Vec<Option<String>>> {
+        named.then(|| self.attrs_for(q)).flatten()
+    }
+
+    fn resolve_col(&self, col: PreCol, attrs: Attrs) -> Result<usize, ParseError> {
         match col {
             PreCol::Pos(i) => Ok(i),
             PreCol::Named(name, offset) => {
-                let attrs = self.attrs_for(q).ok_or(ParseError {
+                let attrs = attrs.ok_or(ParseError {
                     offset,
                     message: format!(
                         "named column `{name}` requires a schema with attribute names"
                     ),
                 })?;
-                hypoquery_algebra::position_of(&attrs, &name).ok_or(ParseError {
+                hypoquery_algebra::position_of(attrs, &name).ok_or(ParseError {
                     offset,
                     message: format!("no column named `{name}` in this input"),
                 })
@@ -448,37 +513,61 @@ impl<'c> Parser<'c> {
         }
     }
 
-    fn resolve_cols(&self, cols: Vec<PreCol>, q: &Query) -> Result<Vec<usize>, ParseError> {
-        cols.into_iter().map(|c| self.resolve_col(c, q)).collect()
+    fn resolve_cols(&self, cols: Vec<PreCol>, attrs: Attrs) -> Result<Vec<usize>, ParseError> {
+        cols.into_iter()
+            .map(|c| self.resolve_col(c, attrs))
+            .collect()
     }
 
-    fn resolve_agg(&self, agg: PreAgg, q: &Query) -> Result<AggExpr, ParseError> {
+    fn resolve_agg(&self, agg: PreAgg, attrs: Attrs) -> Result<AggExpr, ParseError> {
         Ok(match agg {
             PreAgg::Count => AggExpr::Count,
-            PreAgg::Sum(c) => AggExpr::Sum(self.resolve_col(c, q)?),
-            PreAgg::Min(c) => AggExpr::Min(self.resolve_col(c, q)?),
-            PreAgg::Max(c) => AggExpr::Max(self.resolve_col(c, q)?),
+            PreAgg::Sum(c) => AggExpr::Sum(self.resolve_col(c, attrs)?),
+            PreAgg::Min(c) => AggExpr::Min(self.resolve_col(c, attrs)?),
+            PreAgg::Max(c) => AggExpr::Max(self.resolve_col(c, attrs)?),
         })
     }
 
-    fn resolve_pred(&self, p: PrePred, q: &Query) -> Result<Predicate, ParseError> {
+    fn resolve_pred(&self, p: PrePred, attrs: Attrs) -> Result<Predicate, ParseError> {
         Ok(match p {
             PrePred::True => Predicate::True,
             PrePred::False => Predicate::False,
-            PrePred::Cmp(a, op, b) => {
-                Predicate::Cmp(self.resolve_scalar(a, q)?, op, self.resolve_scalar(b, q)?)
-            }
-            PrePred::And(a, b) => self.resolve_pred(*a, q)?.and(self.resolve_pred(*b, q)?),
-            PrePred::Or(a, b) => self.resolve_pred(*a, q)?.or(self.resolve_pred(*b, q)?),
-            PrePred::Not(a) => self.resolve_pred(*a, q)?.not(),
+            PrePred::Cmp(a, op, b) => Predicate::Cmp(
+                self.resolve_scalar(a, attrs)?,
+                op,
+                self.resolve_scalar(b, attrs)?,
+            ),
+            PrePred::And(a, b) => self
+                .resolve_pred(*a, attrs)?
+                .and(self.resolve_pred(*b, attrs)?),
+            PrePred::Or(a, b) => self
+                .resolve_pred(*a, attrs)?
+                .or(self.resolve_pred(*b, attrs)?),
+            PrePred::Not(a) => self.resolve_pred(*a, attrs)?.not(),
         })
     }
 
-    fn resolve_scalar(&self, s: PreScalar, q: &Query) -> Result<ScalarExpr, ParseError> {
+    fn resolve_scalar(&self, s: PreScalar, attrs: Attrs) -> Result<ScalarExpr, ParseError> {
         Ok(match s {
-            PreScalar::Col(c) => ScalarExpr::Col(self.resolve_col(c, q)?),
+            PreScalar::Col(c) => ScalarExpr::Col(self.resolve_col(c, attrs)?),
             PreScalar::Const(v) => ScalarExpr::Const(v),
         })
+    }
+
+    /// `'(' [lit (',' lit)*] ')'`: the fields of `row(…)` and of each of
+    /// LOAD's rows. `()` is the 0-ary row.
+    fn row_literal(&mut self) -> Result<Tuple, ParseError> {
+        self.expect(&TokenKind::LParen)?;
+        let mut vals = Vec::new();
+        if self.peek().kind != TokenKind::RParen {
+            vals.push(self.literal()?);
+            while self.peek().kind == TokenKind::Comma {
+                self.advance();
+                vals.push(self.literal()?);
+            }
+        }
+        self.expect(&TokenKind::RParen)?;
+        Ok(Tuple::new(vals))
     }
 
     fn literal(&mut self) -> Result<Value, ParseError> {
@@ -637,10 +726,15 @@ impl<'c> Parser<'c> {
             self.depth -= 1;
             return Ok((PrePred::Not(Box::new(p)), self.height(1 + h)?));
         }
-        if self.eat_keyword("true") {
+        // `true`/`false` are predicates unless compared (`true = #0`).
+        let compared = self
+            .toks
+            .get(self.pos + 1)
+            .is_some_and(|t| CMP_OPS.iter().any(|(k, _)| *k == t.kind));
+        if !compared && self.eat_keyword("true") {
             return Ok((PrePred::True, 1));
         }
-        if self.eat_keyword("false") {
+        if !compared && self.eat_keyword("false") {
             return Ok((PrePred::False, 1));
         }
         if self.peek().kind == TokenKind::LParen {
@@ -661,13 +755,9 @@ impl<'c> Parser<'c> {
                 self.advance();
                 Ok(PreScalar::Col(PreCol::Pos(self.expect_usize()?)))
             }
-            TokenKind::Int(v) => {
-                self.advance();
-                Ok(PreScalar::Const(Value::int(v)))
-            }
-            TokenKind::Str(s) => {
-                self.advance();
-                Ok(PreScalar::Const(Value::str(s)))
+            TokenKind::Int(_) | TokenKind::Str(_) => Ok(PreScalar::Const(self.literal()?)),
+            TokenKind::Ident(ref b) if b == "true" || b == "false" => {
+                Ok(PreScalar::Const(self.literal()?))
             }
             TokenKind::Ident(ref name) if !KEYWORDS.contains(&name.as_str()) => {
                 let name = name.clone();
@@ -682,19 +772,11 @@ impl<'c> Parser<'c> {
     }
 
     fn cmp_op(&mut self) -> Result<CmpOp, ParseError> {
-        let op = match self.peek().kind {
-            TokenKind::Eq => CmpOp::Eq,
-            TokenKind::Ne => CmpOp::Ne,
-            TokenKind::Lt => CmpOp::Lt,
-            TokenKind::Le => CmpOp::Le,
-            TokenKind::Gt => CmpOp::Gt,
-            TokenKind::Ge => CmpOp::Ge,
-            _ => {
-                return self.error(format!(
-                    "expected comparison operator, found {}",
-                    self.peek().kind
-                ))
-            }
+        let Some(&(_, op)) = CMP_OPS.iter().find(|(k, _)| *k == self.peek().kind) else {
+            return self.error(format!(
+                "expected comparison operator, found {}",
+                self.peek().kind
+            ));
         };
         self.advance();
         Ok(op)
@@ -758,8 +840,19 @@ pub fn parse_state_expr_named(src: &str, catalog: &Catalog) -> Result<StateExpr,
 pub fn parse_predicate(src: &str) -> Result<Predicate, ParseError> {
     let mut p = Parser::new(src, None)?;
     let (pred, _) = p.pre_predicate()?;
-    let pred = p.resolve_pred(pred, &Query::empty(0))?;
+    let pred = p.resolve_pred(pred, None)?;
     p.finish(pred)
+}
+
+/// Parse `LOAD`'s inline rows, `(v, …) (v, …)`: each row holds the
+/// literals `row(…)` reads, and `()` is the 0-ary row.
+pub fn parse_rows(src: &str) -> Result<Vec<Tuple>, ParseError> {
+    let mut p = Parser::new(src, None)?;
+    let mut rows = Vec::new();
+    while p.peek().kind != TokenKind::Eof {
+        rows.push(p.row_literal()?);
+    }
+    Ok(rows)
 }
 
 /// Check whether `name` is reserved as a keyword in the surface language.
@@ -971,9 +1064,7 @@ mod tests {
     }
 
     #[test]
-    fn display_roundtrip_via_parser_syntax() {
-        // Not full display-parse roundtrip (Display uses math glyphs), but
-        // the parser accepts what our docs advertise.
+    fn documented_syntax_parses() {
         for src in [
             "R",
             "row(1, 2)",
@@ -1085,6 +1176,29 @@ mod named_tests {
         // No catalog at all: clear error.
         let e = parse_query("select salary > 10 (emp)").unwrap_err();
         assert!(e.to_string().contains("requires a schema"), "{e}");
+    }
+
+    #[test]
+    fn named_column_resolves_deep_in_a_long_join_chain() {
+        let c = catalog();
+        // A named column early, positional links, then names again at the
+        // end of the chain: `dept_id` is the chain's last column.
+        let links = 300;
+        let src = format!(
+            "emp join anon on salary = #2{} times anon join dept on dept_id = id",
+            " join anon on #0 = #2".repeat(links)
+        );
+        let mut expected =
+            Query::base("emp").join(Query::base("anon"), Predicate::col_col(1, CmpOp::Eq, 2));
+        for _ in 0..links {
+            expected = expected.join(Query::base("anon"), Predicate::col_col(0, CmpOp::Eq, 2));
+        }
+        let width = 2 + 2 * (links + 2);
+        let expected = expected.product(Query::base("anon")).join(
+            Query::base("dept"),
+            Predicate::col_col(width + 1, CmpOp::Eq, 0),
+        );
+        assert_eq!(parse_query_named(&src, &c).unwrap(), expected);
     }
 
     #[test]

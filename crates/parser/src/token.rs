@@ -19,7 +19,8 @@ pub enum TokenKind {
     Ident(String),
     /// Integer literal.
     Int(i64),
-    /// String literal (double-quoted, `\"` and `\\` escapes).
+    /// String literal (double-quoted, with the dump format's `\"`, `\\`,
+    /// `\t` and `\n` escapes).
     Str(String),
     /// `#` (column reference prefix).
     Hash,
@@ -118,23 +119,12 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
                     i += 1;
                 }
             }
-            '-' if bytes.get(i + 1).is_some_and(|b| b.is_ascii_digit()) => {
-                // Negative integer literal.
+            // An integer literal, read with its sign so that `i64::MIN`
+            // reads back; `+` too, as the dump format's integers take it.
+            '-' | '+' | '0'..='9'
+                if c.is_ascii_digit() || bytes.get(i + 1).is_some_and(u8::is_ascii_digit) =>
+            {
                 i += 1;
-                let ds = i;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let v: i64 = src[ds..i].parse().map_err(|_| LexError {
-                    offset: start,
-                    message: "integer literal out of range".into(),
-                })?;
-                out.push(Token {
-                    kind: TokenKind::Int(-v),
-                    offset: start,
-                });
-            }
-            '0'..='9' => {
                 while i < bytes.len() && bytes[i].is_ascii_digit() {
                     i += 1;
                 }
@@ -148,37 +138,33 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
                 });
             }
             '"' => {
-                i += 1;
                 let mut s = String::new();
+                let mut chars = src[i + 1..].char_indices();
                 loop {
-                    match bytes.get(i) {
+                    match chars.next() {
                         None => {
                             return Err(LexError {
                                 offset: start,
                                 message: "unterminated string literal".into(),
                             })
                         }
-                        Some(b'"') => {
-                            i += 1;
+                        Some((j, '"')) => {
+                            i += j + 2;
                             break;
                         }
-                        Some(b'\\') => {
-                            match bytes.get(i + 1) {
-                                Some(b'"') => s.push('"'),
-                                Some(b'\\') => s.push('\\'),
-                                _ => {
-                                    return Err(LexError {
-                                        offset: i,
-                                        message: "bad escape in string literal".into(),
-                                    })
-                                }
+                        Some((j, '\\')) => match chars.next() {
+                            Some((_, '"')) => s.push('"'),
+                            Some((_, '\\')) => s.push('\\'),
+                            Some((_, 't')) => s.push('\t'),
+                            Some((_, 'n')) => s.push('\n'),
+                            _ => {
+                                return Err(LexError {
+                                    offset: i + 1 + j,
+                                    message: "bad escape in string literal".into(),
+                                })
                             }
-                            i += 2;
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
+                        },
+                        Some((_, c)) => s.push(c),
                     }
                 }
                 out.push(Token {
@@ -371,11 +357,13 @@ mod tests {
     #[test]
     fn strings_and_escapes() {
         assert_eq!(
-            kinds(r#""hello" "a\"b" "c\\d""#),
+            kinds(r#""hello" "a\"b" "c\\d" "t\tn\n" "é,)""#),
             vec![
                 TokenKind::Str("hello".into()),
                 TokenKind::Str("a\"b".into()),
                 TokenKind::Str("c\\d".into()),
+                TokenKind::Str("t\tn\n".into()),
+                TokenKind::Str("é,)".into()),
                 TokenKind::Eof
             ]
         );
@@ -386,14 +374,18 @@ mod tests {
     #[test]
     fn negative_ints_and_comments() {
         assert_eq!(
-            kinds("-5 7 -- a comment\n 9"),
+            kinds("-5 7 +8 -- a comment\n 9 -9223372036854775808"),
             vec![
                 TokenKind::Int(-5),
                 TokenKind::Int(7),
+                TokenKind::Int(8),
                 TokenKind::Int(9),
+                TokenKind::Int(i64::MIN),
                 TokenKind::Eof
             ]
         );
+        assert!(tokenize("9223372036854775808").is_err());
+        assert!(tokenize("- 5").is_err());
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 use hypoquery_engine::EngineError;
-use hypoquery_storage::{decode_tuple, encode_tuple, Relation, Tuple, Value};
+use hypoquery_storage::{decode_tuple, encode_tuple, Relation};
 
 /// Protocol version spoken by this crate.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -561,113 +561,6 @@ impl Reply {
     }
 }
 
-// ---------------------------------------------------------------------
-// Row literals
-// ---------------------------------------------------------------------
-
-/// Parse human row literals `(1, "a", true) (2, "b", false)` — the
-/// `LOAD` verb's command-line form (the REPL's row syntax).
-pub fn parse_paren_rows(src: &str) -> Result<Vec<Tuple>, WireError> {
-    let mut rows = Vec::new();
-    let mut depth = 0usize;
-    let mut cur = String::new();
-    let mut in_str = false;
-    let mut escaped = false;
-    for c in src.chars() {
-        if in_str {
-            cur.push(c);
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' if depth > 0 => {
-                in_str = true;
-                cur.push(c);
-            }
-            '(' => {
-                if depth == 0 {
-                    cur.clear();
-                } else {
-                    cur.push(c);
-                }
-                depth += 1;
-            }
-            ')' => {
-                depth = depth
-                    .checked_sub(1)
-                    .ok_or_else(|| WireError::proto("unbalanced parentheses"))?;
-                if depth == 0 {
-                    rows.push(parse_row_fields(&cur)?);
-                } else {
-                    cur.push(c);
-                }
-            }
-            _ => {
-                if depth > 0 {
-                    cur.push(c);
-                } else if !c.is_whitespace() {
-                    return Err(WireError::proto(format!(
-                        "unexpected {c:?} outside a row literal"
-                    )));
-                }
-            }
-        }
-    }
-    if depth != 0 || in_str {
-        return Err(WireError::proto("unbalanced parentheses"));
-    }
-    Ok(rows)
-}
-
-fn parse_row_fields(inner: &str) -> Result<Tuple, WireError> {
-    if inner.trim().is_empty() {
-        return Ok(Tuple::empty());
-    }
-    // Split on commas outside string literals.
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut in_str = false;
-    let mut escaped = false;
-    for c in inner.chars() {
-        if in_str {
-            cur.push(c);
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-        } else if c == '"' {
-            in_str = true;
-            cur.push(c);
-        } else if c == ',' {
-            fields.push(std::mem::take(&mut cur));
-        } else {
-            cur.push(c);
-        }
-    }
-    fields.push(cur);
-    let values: Result<Vec<Value>, WireError> = fields
-        .iter()
-        .map(|f| {
-            // A field is exactly a dump-format scalar; reuse that codec.
-            decode_tuple(f.trim(), 0)
-                .ok()
-                .filter(|t| t.arity() == 1)
-                .map(|t| t.fields()[0].clone())
-                .ok_or_else(|| WireError::proto(format!("bad literal {:?}", f.trim())))
-        })
-        .collect();
-    Ok(Tuple::new(values?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -882,16 +775,5 @@ mod tests {
             }
         }
         assert_eq!(table.len(), 8, "one row per EngineError variant");
-    }
-
-    #[test]
-    fn paren_rows_parse() {
-        let rows = parse_paren_rows("(1, \"a, b\", true) (2, \"c)\", false)").unwrap();
-        assert_eq!(rows, vec![tuple![1, "a, b", true], tuple![2, "c)", false]]);
-        assert_eq!(parse_paren_rows("()").unwrap(), vec![Tuple::empty()]);
-        assert_eq!(parse_paren_rows("  ").unwrap(), vec![]);
-        for bad in ["(1, 2", "(nope)", "junk (1)", "(\"unterminated)"] {
-            assert!(parse_paren_rows(bad).is_err(), "{bad:?}");
-        }
     }
 }

@@ -23,10 +23,10 @@
 use std::collections::BTreeMap;
 
 use hypoquery_engine::{
-    render_table, Database, EngineError, PreparedState, Query, Strategy, WhatIfTree,
+    parse_rows, render_table, Database, EngineError, PreparedState, Query, Strategy, WhatIfTree,
 };
 
-use crate::proto::{parse_paren_rows, Reply, Request, Verb, WireError};
+use crate::proto::{Reply, Request, Verb, WireError};
 
 /// What the connection loop should do after a reply.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -207,9 +207,9 @@ impl Session {
         if name.is_empty() {
             return Err(WireError::proto("usage: LOAD <name> [(v, ...) ...]"));
         }
-        // Rows arrive inline in paren syntax and/or as dump-format body
-        // lines (the client's bulk path).
-        let mut rows = parse_paren_rows(inline)?;
+        // Rows arrive inline as HQL row literals and/or as dump-format
+        // body lines (the client's bulk path).
+        let mut rows = parse_rows(inline).map_err(|e| WireError::proto(e.to_string()))?;
         for (i, line) in req.body.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
@@ -423,7 +423,7 @@ mod tests {
     use super::*;
     use crate::proto::ErrCode;
     use hypoquery_engine::MAX_DEPTH;
-    use hypoquery_storage::tuple;
+    use hypoquery_storage::{tuple, Relation, Tuple};
 
     fn req(line: &str, body: &str) -> Request {
         let mut payload = line.to_string();
@@ -632,6 +632,9 @@ mod tests {
             let t = text(&mut s, &format!("{verb} inv"));
             assert!(t.contains("strategy: eager-xsub"), "{verb}: {t}");
         }
+        // `hql1` names the same eager strategy.
+        let reply = ok(&mut s, "STRATEGY hql1", "");
+        assert_eq!(reply, Reply::Ok("strategy hql2".into()));
     }
 
     #[test]
@@ -701,6 +704,58 @@ mod tests {
         );
         assert_eq!(err(&mut s, "BRANCH", "").code, ErrCode::Proto);
         assert_eq!(err(&mut s, "STATS", "").code, ErrCode::Proto);
+    }
+
+    /// LOAD's inline rows are HQL row literals: strings holding `,`, `)`
+    /// and the dump's escapes, negative integers and the 0-ary `()` load
+    /// as written, and a malformed row is an error that loads nothing.
+    #[test]
+    fn load_reads_row_literals() {
+        let mut s = Session::new(Database::new());
+        ok(&mut s, "DEFINE t 3", "");
+        ok(&mut s, "DEFINE z 0", "");
+        ok(&mut s, "DEFINE e 4", "");
+        ok(&mut s, r#"LOAD t (1, "a, b", true) (2, "c)", false)"#, "");
+        ok(&mut s, "LOAD z ()", "");
+        ok(&mut s, "LOAD z   ", "");
+        let escapes = r#"("q\"uote", "back\\slash", "tab\tnew\nline", -9223372036854775808)"#;
+        ok(
+            &mut s,
+            &format!("LOAD e {escapes} (-5, \"\", \"é\", +7)"),
+            "",
+        );
+        for bad in [
+            "(1, 2",
+            "(nope)",
+            "junk (1)",
+            "(\"unterminated)",
+            "(\"bad \\x\")",
+        ] {
+            assert_eq!(
+                err(&mut s, &format!("LOAD t {bad}"), "").code,
+                ErrCode::Proto
+            );
+        }
+        let mut relation = |name: &str| match ok(&mut s, &format!("QUERY {name}"), "") {
+            Reply::Rows(rel) => rel,
+            other => panic!("expected rows, got {other:?}"),
+        };
+        let expect = |arity, rows: Vec<Tuple>| Relation::from_rows(arity, rows).unwrap();
+        assert_eq!(
+            relation("t"),
+            expect(3, vec![tuple![1, "a, b", true], tuple![2, "c)", false]])
+        );
+        assert_eq!(relation("z"), expect(0, vec![Tuple::empty()]));
+        assert_eq!(
+            relation("e"),
+            expect(
+                4,
+                vec![
+                    tuple!["q\"uote", "back\\slash", "tab\tnew\nline", i64::MIN],
+                    tuple![-5, "", "é", 7],
+                ]
+            )
+        );
     }
 
     #[test]
@@ -889,6 +944,4 @@ mod tests {
                 .unwrap()
         );
     }
-
-    use hypoquery_storage::Relation;
 }

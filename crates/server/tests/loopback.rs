@@ -67,7 +67,6 @@ fn concurrent_clients_match_in_process_whatif_evaluation() {
     let strategies = [
         Strategy::Auto,
         Strategy::Lazy,
-        Strategy::Hql1,
         Strategy::Hql2,
         Strategy::Delta,
     ];

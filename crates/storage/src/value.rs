@@ -5,7 +5,7 @@
 //! and hashable, which the sort-merge operators in `hypoquery-eval` and the
 //! `BTreeSet`-backed relations rely on.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// A scalar value in a tuple field.
@@ -115,11 +115,25 @@ impl From<bool> for Value {
     }
 }
 
+/// The HQL literal: an integer, `true`/`false`, or a double-quoted
+/// string with the dump format's `\"`, `\\`, `\t` and `\n` escapes.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Int(v) => write!(f, "{v}"),
-            Value::Str(v) => write!(f, "{v:?}"),
+            Value::Str(v) => {
+                f.write_char('"')?;
+                for c in v.chars() {
+                    match c {
+                        '"' => f.write_str("\\\"")?,
+                        '\\' => f.write_str("\\\\")?,
+                        '\t' => f.write_str("\\t")?,
+                        '\n' => f.write_str("\\n")?,
+                        other => f.write_char(other)?,
+                    }
+                }
+                f.write_char('"')
+            }
             Value::Bool(v) => write!(f, "{v}"),
         }
     }
@@ -179,6 +193,10 @@ mod tests {
     fn display_forms() {
         assert_eq!(Value::int(42).to_string(), "42");
         assert_eq!(Value::str("hi").to_string(), "\"hi\"");
+        assert_eq!(
+            Value::str("a\"b\\c\td\ne").to_string(),
+            r#""a\"b\\c\td\ne""#
+        );
         assert_eq!(Value::bool(false).to_string(), "false");
     }
 

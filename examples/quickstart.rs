@@ -38,12 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. The same query can be evaluated anywhere on the paper's
     //    lazy↔eager spectrum — the answer never changes, only the plan.
-    for strategy in [
-        Strategy::Lazy,
-        Strategy::Hql1,
-        Strategy::Hql2,
-        Strategy::Delta,
-    ] {
+    for strategy in [Strategy::Lazy, Strategy::Hql2, Strategy::Delta] {
         let out = db.query_with(q, strategy)?;
         assert_eq!(out, hypothetical);
         println!("strategy {strategy:<5} agrees ({} rows)", out.len());

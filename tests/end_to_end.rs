@@ -72,12 +72,7 @@ fn full_scenario_pricing_whatif() {
     assert_eq!(at_premium.len(), 3);
 
     // All strategies agree at every branch.
-    for s in [
-        Strategy::Lazy,
-        Strategy::Hql1,
-        Strategy::Hql2,
-        Strategy::Delta,
-    ] {
+    for s in [Strategy::Lazy, Strategy::Hql2, Strategy::Delta] {
         assert_eq!(
             tree.query_at(&db, "premium_only", dangling, s).unwrap(),
             at_premium,
@@ -110,12 +105,7 @@ fn aggregation_distributes_through_when() {
     let out = db.query(q).unwrap();
     assert!(out.contains(&tuple![5, 200, 10, 70]));
     // Same through every strategy.
-    for s in [
-        Strategy::Lazy,
-        Strategy::Hql1,
-        Strategy::Hql2,
-        Strategy::Delta,
-    ] {
+    for s in [Strategy::Lazy, Strategy::Hql2, Strategy::Delta] {
         assert_eq!(db.query_with(q, s).unwrap(), out);
     }
     // Grouped.
@@ -179,7 +169,7 @@ proptest! {
             db.load(name.as_str(), rel.iter().cloned()).unwrap();
         }
         let auto = db.execute(&q, Strategy::Auto).unwrap();
-        for s in [Strategy::Lazy, Strategy::Hql1, Strategy::Hql2] {
+        for s in [Strategy::Lazy, Strategy::Hql2] {
             prop_assert_eq!(&auto, &db.execute(&q, s).unwrap(), "strategy {}", s);
         }
         // Delta when a mod-ENF form exists.

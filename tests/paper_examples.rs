@@ -59,7 +59,6 @@ fn example_2_1b_lazy_proves_emptiness_without_data() {
     for s in [
         Strategy::Auto,
         Strategy::Lazy,
-        Strategy::Hql1,
         Strategy::Hql2,
         Strategy::Delta,
     ] {
@@ -136,7 +135,7 @@ fn example_2_3_binding_removal() {
             "(R union T) when {insert into R (select #0 > 1 (S)); \
                            delete from S (select #0 < 5 (R)); \
                            insert into T (project 0, 1 (R))}",
-            Strategy::Hql1,
+            Strategy::Hql2,
         )
         .unwrap();
     assert_eq!(
