@@ -908,7 +908,9 @@ fn e11(json: &mut BenchJson) {
     println!("faster than a full scan at 100k rows; CoW branches that leave the");
     println!("indexed base untouched share the one physical index — zero rebuilds");
     println!("across an 8-branch what-if tree; and a column-0 range select walks");
-    println!("only its range of the sorted relation. Measured on the pipeline:");
+    println!("only its range of the sorted relation; a join under a 1% delta probes");
+    println!("the stored index through the delta instead of hash-building the");
+    println!("merged scan (§5.5's join-when). Measured on the pipeline:");
     println!("each query is lowered and executed; statistics are computed once.\n");
 
     let rows = scaled(100_000);
@@ -1036,6 +1038,58 @@ fn e11(json: &mut BenchJson) {
         range_speedups.push((pct, t_full / t_ranged));
     }
 
+    // §5.5's join-when on a base access path: a join aggregated in a
+    // state that deletes 0.5% of `S` and inserts as many rows into it.
+    // With `S.#0` indexed the join probes the stored index through the
+    // delta's ∇/Δ⁺ patch; without, it hash-builds the merged scan.
+    let slice = (rows / 200) as i64;
+    let join_when = Query::base("R")
+        .join(Query::base("S"), Predicate::col_col(0, CmpOp::Eq, 2))
+        .aggregate(vec![], vec![AggExpr::Count, AggExpr::Sum(1)])
+        .when(StateExpr::update(
+            Update::delete(
+                "S",
+                Query::base("S").select(Predicate::col_cmp(1, CmpOp::Lt, slice)),
+            )
+            .then(Update::insert(
+                "S",
+                Query::base("R").select(Predicate::col_cmp(1, CmpOp::Lt, slice)),
+            )),
+        ));
+    let mut jdb = db.clone();
+    jdb.declare_index(RelName::new("S"), 0).unwrap();
+    let hashed = lower_query(&join_when, db.catalog(), &stats).unwrap();
+    let indexed = lower_query(&join_when, jdb.catalog(), &Statistics::of(&jdb)).unwrap();
+    assert!(
+        hashed.render(None).contains("HashJoin"),
+        "{}",
+        hashed.render(None)
+    );
+    let shape = indexed.render(None);
+    assert!(
+        shape.contains("IndexJoin") && !shape.contains("HashJoin"),
+        "{shape}"
+    );
+    // Also builds the index, so the timed series probes a warm one.
+    assert_eq!(hashed.execute(&db).unwrap(), indexed.execute(&jdb).unwrap());
+    let (t_hash, t_patched) = json.time_pair(
+        [
+            &format!("join_when_1pct_hash_{rows}"),
+            &format!("join_when_1pct_index_{rows}"),
+        ],
+        reps(11),
+        || hashed.execute(&db).unwrap().len(),
+        || indexed.execute(&jdb).unwrap().len(),
+    );
+    println!(
+        "| join-when (R ⋈ S, 1% ∇/Δ⁺ on S), hash join | {} |",
+        fmt_ns(t_hash)
+    );
+    println!(
+        "| join-when (R ⋈ S, 1% ∇/Δ⁺ on S), patched index join | {} |",
+        fmt_ns(t_patched)
+    );
+
     let speedup = t_scan / t_idx;
     println!("\npoint-select speedup: {speedup:.1}×; index rebuilds across 8 branches: {rebuilds}");
     json.record("point_select_speedup", speedup, Unit::Ratio);
@@ -1048,6 +1102,9 @@ fn e11(json: &mut BenchJson) {
             Unit::Ratio,
         );
     }
+    let join_speedup = t_hash / t_patched;
+    println!("join-when speedup (patched index join vs hash join): {join_speedup:.2}×");
+    json.record("join_when_1pct_speedup", join_speedup, Unit::Ratio);
     println!();
 }
 

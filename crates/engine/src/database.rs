@@ -597,6 +597,35 @@ mod tests {
     }
 
     #[test]
+    fn join_when_probes_base_indexes_through_the_delta() {
+        // The served `scan` query on `R`/`S` shaped like its data set:
+        // 6000 rows each, keys in 0..3000, both indexed on the key.
+        let mut db = Database::new();
+        for (name, step) in [("R", 7919), ("S", 7907)] {
+            db.define_named(name, ["k", "v"]).unwrap();
+            let rows = (0..6000i64).map(|v| tuple![(v * step + 13) % 3000, v]);
+            db.load(name, rows).unwrap();
+            db.create_index(name, 0).unwrap();
+        }
+        let src = "aggregate [; count, sum 1] (R join S on #0 = #2) \
+                   when {delete from S (select v < 300 (S)); insert into R (select k < 150 (S))}";
+        let plan = db.explain(src).unwrap();
+        assert!(plan.contains("IndexJoin"), "{plan}");
+        assert!(!plan.contains("HashJoin"), "{plan}");
+        let analyzed = db.explain_analyze(src).unwrap();
+        let join = analyzed.lines().find(|l| l.contains("IndexJoin")).unwrap();
+        assert!(join.contains("built=0"), "{analyzed}");
+        // The patched index join answers what the hash join over the
+        // merged scans answers.
+        let indexed = db.query(src).unwrap();
+        for name in ["R", "S"] {
+            db.drop_index(name, 0).unwrap();
+        }
+        assert!(db.explain(src).unwrap().contains("HashJoin"));
+        assert_eq!(indexed, db.query(src).unwrap());
+    }
+
+    #[test]
     fn hypothetical_queries_do_not_mutate() {
         let db = db();
         db.query("emp when {delete from emp (emp)}").unwrap();

@@ -134,6 +134,7 @@ impl ChainTable {
 }
 
 /// Iterator over the entries of one hash; see [`ChainTable::matches`].
+#[derive(Clone)]
 pub(crate) struct Matches<'a> {
     table: &'a ChainTable,
     hash: u64,

@@ -75,7 +75,8 @@
 //! `Diff`/`Intersect`) live in arena-backed chained tables
 //! (`chain::ChainTable`, `chain::RowSet`): key columns are hashed in
 //! place with a per-table keyed SipHash and compared on a hash match, so
-//! no operator allocates a key per row.
+//! no operator allocates a key per row. An index join's delta patch is
+//! one too, over references to the delta's rows.
 //!
 //! # Hypothetical operators
 //!
@@ -92,7 +93,9 @@
 //!   atom's source query is evaluated under the accumulated delta, the
 //!   resulting [`RelDelta`]s are smashed left-to-right, and the body's
 //!   base scans stream `(base − ∇) ∪ Δ` via [`effective_iter`] without
-//!   materializing the hypothetical state.
+//!   materializing the hypothetical state. An [`PhysOp::IndexJoin`] on
+//!   an updated name probes the stored index and patches the matches
+//!   of each probe key with the ∇ and Δ rows of that key.
 //!
 //! # Instrumentation
 //!
@@ -208,11 +211,13 @@ pub enum PhysOp {
         /// Which side is materialized.
         build: Side,
     },
-    /// Index nested-loop join: the build side is an unrebound base scan
-    /// with declared indexes on its equi columns, so instead of hashing
-    /// it the probe side streams against the shared cached
-    /// [`hypoquery_storage::ColumnIndex`]. Output columns are always
-    /// `left ++ right`.
+    /// Index nested-loop join: the build side is a base scan that no
+    /// xsub rebinds, with declared indexes on its equi columns, so
+    /// instead of hashing it the probe side streams against the shared
+    /// cached [`hypoquery_storage::ColumnIndex`]. A delta on `rel` in
+    /// scope patches each probe's matches: the ∇ rows of its key are
+    /// dropped and the Δ⁺ rows of its key added (§5.5's `join-when`).
+    /// Output columns are always `left ++ right`.
     IndexJoin {
         /// The streaming (probe) operand.
         probe: Box<PhysNode>,
@@ -349,7 +354,8 @@ impl PhysNode {
             PhysOp::Diff { left, .. } | PhysOp::Intersect { left, .. } => left.distinct,
             PhysOp::XsubRebind { body, .. } | PhysOp::DeltaApply { body, .. } => body.distinct,
             // Distinct pairs of input rows concatenate to distinct rows;
-            // an index join's other side is a stored base relation.
+            // an index join's other side is a stored base relation, or
+            // one patched by a delta (still a set).
             PhysOp::HashJoin { left, right, .. } => left.distinct && right.distinct,
             PhysOp::IndexJoin { probe, .. } => probe.distinct,
             PhysOp::Project { .. } | PhysOp::Union { .. } => false,
@@ -688,9 +694,20 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
             probe_cols,
             residual,
         } => {
+            // The lowering never indexes an xsub-rebound name: a binding
+            // replaces the stored base whose index this probes.
+            debug_assert!(
+                env.xsub.get(rel).is_none(),
+                "IndexJoin on xsub-rebound {rel}"
+            );
             let base = ctx.db.get(rel)?;
-            let idx = ctx.timed(id, || {
-                lookup_or_build_index(&base, index_cols, ctx.db.index_stats())
+            let (idx, patch) = ctx.timed(id, || {
+                let idx = lookup_or_build_index(&base, index_cols, ctx.db.index_stats());
+                let patch = env
+                    .delta
+                    .get(rel)
+                    .and_then(|d| DeltaPatch::new(d, index_cols));
+                (idx, patch)
             });
             // One key column probes with the row's own field; wider keys
             // reuse one buffer.
@@ -705,7 +722,7 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
                         idx.probe(&buf)
                     }
                 });
-                for m in matches {
+                let emit = |m: &Tuple, out: &mut Sink<'_>| {
                     let m = RowView::Stored(m);
                     let joined = match probe_side {
                         Side::Left => RowView::pair(v, &m),
@@ -714,6 +731,28 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
                     if ctx.timed(id, || residual.iter().all(|p| p.eval(&joined))) {
                         ctx.row_out(id);
                         out(&joined)?;
+                    }
+                    Ok(())
+                };
+                let hits = ctx.timed(id, || {
+                    let hits = patch.as_ref().map(|p| p.hits(v, probe_cols));
+                    hits.filter(|h| h.clone().next().is_some())
+                });
+                let Some(hits) = hits else {
+                    return matches.iter().try_for_each(|m| emit(m, out));
+                };
+                // The delta touches this key: its rows are the base matches
+                // not in ∇, then the Δ⁺ rows not among those (so the output
+                // stays a set).
+                let deleted = |t: &Tuple| hits.clone().any(|(d, ins)| !ins && d == t);
+                for m in matches {
+                    if !ctx.timed(id, || deleted(m)) {
+                        emit(m, out)?;
+                    }
+                }
+                for (t, ins) in hits.clone() {
+                    if ins && !ctx.timed(id, || matches.contains(t) && !deleted(t)) {
+                        emit(t, out)?;
                     }
                 }
                 Ok(())
@@ -873,6 +912,54 @@ fn collect_set(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, id: usize) -> Result<R
         Ok(())
     })?;
     Ok(set)
+}
+
+/// The ∇ and Δ⁺ rows of a delta-rebound relation, keyed on an
+/// [`PhysOp::IndexJoin`]'s index columns, so that each probe finds what
+/// the delta takes from and adds to the stored index's matches of its key
+/// (§5.5's `join-when` on a base access path). It holds references into
+/// the delta and builds no tuple: one pass over the delta per execution,
+/// whatever the base's size.
+struct DeltaPatch<'a> {
+    table: ChainTable,
+    /// Entry `i` of `table`: a row, and whether it is inserted (Δ⁺)
+    /// rather than deleted (∇).
+    rows: Vec<(&'a Tuple, bool)>,
+    /// The relation's key columns, aligned with the probe columns.
+    cols: &'a [usize],
+}
+
+impl<'a> DeltaPatch<'a> {
+    /// The patch of `d`; `None` when it has no row.
+    fn new(d: &'a RelDelta, cols: &'a [usize]) -> Option<DeltaPatch<'a>> {
+        if d.is_empty() {
+            return None;
+        }
+        let deleted = d.deleted.iter().map(|t| (t, false));
+        let inserted = d.inserted.iter().map(|t| (t, true));
+        let mut patch = DeltaPatch {
+            table: ChainTable::new(),
+            rows: Vec::with_capacity(d.len()),
+            cols,
+        };
+        for (t, ins) in deleted.chain(inserted) {
+            patch.table.push(patch.table.hash_cols(t, cols));
+            patch.rows.push((t, ins));
+        }
+        Some(patch)
+    }
+
+    /// The patch rows whose key equals `probe_cols` of `v`.
+    fn hits<'p, R: Row + ?Sized>(
+        &'p self,
+        v: &'p R,
+        probe_cols: &'p [usize],
+    ) -> impl Iterator<Item = (&'a Tuple, bool)> + Clone + 'p {
+        self.table
+            .matches(self.table.hash_cols(v, probe_cols))
+            .map(|i| self.rows[i])
+            .filter(move |&(t, _)| cols_eq(t, self.cols, v, probe_cols))
+    }
 }
 
 #[allow(clippy::too_many_arguments)]

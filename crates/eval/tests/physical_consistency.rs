@@ -9,19 +9,21 @@
 //! straight into the accumulators) and over duplicate-carrying ones
 //! (deduplicated first), with and without grouping columns. Joins of
 //! joins (rows that are views of views) feed every operator that keeps a
-//! row as a tuple.
+//! row as a tuple. Joins of indexed base names under `when {U}` probe the
+//! stored index through the delta's ∇/Δ⁺ patch and must match the same
+//! query run with no index declared.
 
 use proptest::prelude::*;
 
 use hypoquery_algebra::scope::dom_update;
-use hypoquery_algebra::{CmpOp, ExplicitSubst, Predicate, Query, StateExpr, Update};
+use hypoquery_algebra::{AggExpr, CmpOp, ExplicitSubst, Predicate, Query, StateExpr, Update};
 use hypoquery_core::{fully_lazy, to_enf_query, to_mod_enf, RewriteTrace};
 use hypoquery_eval::{
     algorithm_hql1, algorithm_hql2, algorithm_hql3, eval_bag_query, eval_pure, eval_query,
     BagState, PhysPlan,
 };
 use hypoquery_opt::{lower_query, plan, Statistics};
-use hypoquery_storage::{DatabaseState, RelName, Relation};
+use hypoquery_storage::{DatabaseState, RelName, Relation, Tuple, Value};
 use hypoquery_testkit::{
     arb_agg, arb_atomic_update_seq, arb_db, arb_predicate, arb_pure_query, arb_pure_subst,
     arb_query, arb_tuple, arb_update, Universe,
@@ -222,6 +224,77 @@ fn check_all_strategies(q: &Query, db: &DatabaseState) -> Result<(), TestCaseErr
     Ok(())
 }
 
+/// A binary name that the join-when tests join and update.
+fn arb_joined_name() -> BoxedStrategy<RelName> {
+    prop::sample::select(vec![RelName::from("R"), RelName::from("S")]).boxed()
+}
+
+/// An equi-join of two such base names (possibly the same one) on one
+/// column pair or on both, sometimes with a residual conjunct.
+fn arb_base_equi_join() -> BoxedStrategy<Query> {
+    (
+        arb_joined_name(),
+        arb_joined_name(),
+        (0..2usize, 0..2usize),
+        any::<bool>(),
+        any::<bool>(),
+        arb_predicate(4, 1),
+    )
+        .prop_map(|(a, b, (i, j), two_keys, residual, r)| {
+            let mut p = Predicate::col_col(i, CmpOp::Eq, 2 + j);
+            if two_keys {
+                p = p.and(Predicate::col_col(1 - i, CmpOp::Eq, 3 - j));
+            }
+            if residual {
+                p = p.and(r);
+            }
+            Query::Base(a).join(Query::Base(b), p)
+        })
+        .boxed()
+}
+
+/// The rows of one update atom: a literal row whose key may or may not
+/// be in the base, every row of one key (already in the base when the
+/// atom updates the same name), a filtered base, or a join of the joined
+/// names (under earlier atoms, itself a join-when).
+fn arb_atom_source() -> BoxedStrategy<Query> {
+    let name = || prop::sample::select(universe().names_of_arity(2)).prop_map(Query::Base);
+    prop_oneof![
+        arb_tuple(2).prop_map(Query::singleton).boxed(),
+        (name(), 0i64..10)
+            .prop_map(|(q, k)| q.select(Predicate::col_cmp(0, CmpOp::Eq, k)))
+            .boxed(),
+        (name(), arb_predicate(2, 1))
+            .prop_map(|(q, p)| q.select(p))
+            .boxed(),
+        (arb_base_equi_join(), 0..4usize, 0..4usize)
+            .prop_map(|(j, a, b)| j.project(vec![a, b]))
+            .boxed(),
+    ]
+    .boxed()
+}
+
+/// An atomic-update sequence over the joined names: one to three steps,
+/// each an insert or delete, or a key deleted and then re-inserted with
+/// a (maybe different) row.
+fn arb_join_when_update() -> BoxedStrategy<Update> {
+    let atom = (arb_joined_name(), any::<bool>(), arb_atom_source()).prop_map(|(n, ins, q)| {
+        if ins {
+            Update::insert(n, q)
+        } else {
+            Update::delete(n, q)
+        }
+    });
+    let reinsert = (arb_joined_name(), 0i64..10, 0i64..10).prop_map(|(n, k, v)| {
+        let key = Query::Base(n.clone()).select(Predicate::col_cmp(0, CmpOp::Eq, k));
+        let row = Query::singleton(Tuple::new(vec![Value::int(k), Value::int(v)]));
+        Update::delete(n.clone(), key).then(Update::insert(n, row))
+    });
+    prop::collection::vec(prop_oneof![2 => atom.boxed(), 1 => reinsert.boxed()], 1..=3)
+        .prop_map(Update::seq)
+        .boxed()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -399,5 +472,37 @@ proptest! {
             check_all_strategies(&q, &db)?;
             check_all_strategies(&q, &declare_all(&db))?;
         }
+    }
+
+    /// Equi-joins of indexed base names under `when {U}` (§5.5's
+    /// `join-when`): the index join probes the stored index, drops the ∇
+    /// rows and adds the Δ⁺ rows with each probe's key. It must match the
+    /// direct semantics and the same query with no index declared (a hash
+    /// join over the merged scans), under the aggregate of the served
+    /// `scan` query, a filter, and a second `when` around the first.
+    #[test]
+    fn index_join_when_matches_unindexed(
+        join in arb_base_equi_join(),
+        u in arb_join_when_update(),
+        outer in arb_join_when_update(),
+        shape in 0..4usize,
+        p in arb_predicate(4, 1),
+        db in arb_db(&universe(), 8),
+    ) {
+        let when = |q: Query| q.when(StateExpr::update(u.clone()));
+        let q = match shape {
+            0 => when(join),
+            1 => when(join.aggregate([], [AggExpr::Count, AggExpr::Sum(1)])),
+            2 => when(join.select(p)),
+            _ => when(join).when(StateExpr::update(outer)),
+        };
+        let expected = eval_query(&q, &db).unwrap();
+        let indexed = declare_all(&db);
+        let phys = lower_query(&q, indexed.catalog(), &Statistics::of(&indexed)).unwrap();
+        prop_assert!(phys.render(None).contains("IndexJoin"), "{}", phys.render(None));
+        for d in [&db, &indexed] {
+            prop_assert_eq!(&pipelined(&q, d)?, &expected);
+        }
+        check_all_strategies(&q, &indexed)?;
     }
 }

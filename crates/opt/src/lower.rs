@@ -32,28 +32,38 @@
 //!   either merged with a delta — is a sorted set the scan can range.
 //! * **Full scan.** A predicate with no column-0 bound (`<>`, `or`,
 //!   `not`, column-to-column) filters a plain `Scan`.
-//! * **Joins.** A side that is an unrebound base scan with declared
-//!   indexes on all its equi columns becomes the probed side of an
-//!   [`PhysOp::IndexJoin`]; with both sides qualifying the *larger*
-//!   (estimated) side is indexed, leaving the smaller to stream — the
+//! * **Joins.** A side that is a base scan with declared indexes on all
+//!   its equi columns, and that no xsub rebinds, becomes the probed side
+//!   of an [`PhysOp::IndexJoin`]. A delta-rebound side qualifies: the
+//!   executor probes the stored index and patches each probe's matches
+//!   with the delta's ∇ and Δ⁺ rows of that key (§5.5's `join-when` on
+//!   a base access path). With both sides qualifying, the side no delta
+//!   rebinds is indexed (its probes need no patch), and between equals
+//!   the *larger* (estimated) side, leaving the smaller to stream — the
 //!   same cost-based policy the planner assumes. Otherwise joins
 //!   hash-build the smaller (estimated) side.
 //!
 //! The cost model ([`crate::stats::estimate`]) prices the two index
-//! paths, but without the shadow analysis below: it may price an index
-//! path inside a `when` body that the lowering will not take. It does
-//! not price ranges.
+//! paths, but without the shadow analysis below, so it can price a path
+//! the lowering does not take in two cases: an index join on an
+//! xsub-rebound name, and an index probe on any rebound name (a point
+//! select under a delta stays a ranged scan). It also streams the smaller
+//! side where the lowering keeps a delta-rebound larger side streaming,
+//! and it does not price ranges.
 //!
-//! **Shadow analysis.** A base name may only use a stored index if, at
-//! runtime, the scan resolves to the stored base relation. During
-//! lowering we track the set of names bound by each enclosing
-//! `XsubRebind`/`DeltaApply` wrapper (and by a prepared xsub-value, see
-//! [`lower_under_xsub`]); a name in neither set is *guaranteed*
-//! unrebound in every execution (wrappers only ever add their
-//! statically-known domains to the environment), so gating on these
-//! sets is sound. This is the only place index access paths are
-//! chosen: the legacy evaluators (`filter1`/`filter2`/`filter3`) are
-//! index-free oracles.
+//! **Shadow analysis.** An index path must read the stored base
+//! relation, or the base patched by a delta. During lowering we track
+//! the set of names bound by each enclosing `XsubRebind` and the set
+//! updated by each enclosing `DeltaApply` (and the names of a prepared
+//! xsub-value, see [`lower_under_xsub`]); wrappers only ever add their
+//! statically-known domains to the environment, so gating on these sets
+//! is sound. A name in neither set is *guaranteed* unrebound in every
+//! execution and may take either index path. A name only in the delta
+//! set may still take an index join, which applies whatever delta is in
+//! scope at run time. An xsub binding replaces the base outright, so a
+//! name in the xsub set takes neither. This is the only place index
+//! access paths are chosen: the legacy evaluators
+//! (`filter1`/`filter2`/`filter3`) are index-free oracles.
 //!
 //! Duplicate semantics: streamed segments may carry duplicates (set
 //! semantics are restored at pipeline breakers); a join operand whose
@@ -247,8 +257,8 @@ impl Lowerer<'_> {
     }
 
     /// Lower a join (`pred = None` for a plain product): pick index
-    /// nested-loop when an unrebound indexed base scan qualifies, else a
-    /// hash join building the smaller estimated side.
+    /// nested-loop when an indexed base scan that no xsub rebinds
+    /// qualifies, else a hash join building the smaller estimated side.
     fn lower_join(
         &self,
         a: &Query,
@@ -267,12 +277,15 @@ impl Lowerer<'_> {
         let est_r = estimate_rows(b, self.stats);
 
         if !pairs.is_empty() {
-            // A side qualifies for an index nested-loop when it is an
-            // unrebound base scan with every equi column declared.
+            // A side qualifies for an index nested-loop when it is a base
+            // scan with every equi column declared that no xsub rebinds:
+            // a binding replaces the stored base, while a delta only
+            // patches it (the executor's `DeltaPatch`).
             let qualifies = |q: &Query, cols: &[usize]| -> bool {
                 match q {
                     Query::Base(name) => {
-                        sh.unshadowed(name) && cols.iter().all(|&c| self.stats.has_index(name, c))
+                        !sh.xsub.contains(name)
+                            && cols.iter().all(|&c| self.stats.has_index(name, c))
                     }
                     _ => false,
                 }
@@ -281,9 +294,11 @@ impl Lowerer<'_> {
             let right_cols: Vec<usize> = pairs.iter().map(|p| p.right).collect();
             let left_ok = qualifies(a, &left_cols);
             let right_ok = qualifies(b, &right_cols);
-            // With both sides indexed, probe the larger: only the
-            // smaller side streams.
-            let index_left = left_ok && (!right_ok || est_l >= est_r);
+            // With both sides indexed, index the one no delta rebinds (its
+            // probes need no patch), then the larger: only the smaller
+            // side streams.
+            let undelta = |q: &Query| !matches!(q, Query::Base(n) if sh.delta.contains(n));
+            let index_left = left_ok && (!right_ok || (undelta(a), est_l) >= (undelta(b), est_r));
             if index_left || right_ok {
                 let (rel, index_cols, probe_cols, probe, probe_side) = if index_left {
                     let Query::Base(name) = a else { unreachable!() };
@@ -574,6 +589,126 @@ mod tests {
         assert_eq!(rel.as_str(), "S");
         let out = plan.execute(&db).unwrap();
         assert_eq!(out, eval_query(&q, &db).unwrap());
+    }
+
+    /// The operator under `node`'s hypothetical wrappers.
+    fn under_wrappers(node: &PhysNode) -> &PhysOp {
+        match &node.op {
+            PhysOp::XsubRebind { body, .. } | PhysOp::DeltaApply { body, .. } => {
+                under_wrappers(body)
+            }
+            op => op,
+        }
+    }
+
+    fn indexed_db() -> DatabaseState {
+        let mut db = db();
+        db.declare_index("R", 0).unwrap();
+        db.declare_index("S", 0).unwrap();
+        db
+    }
+
+    fn r_join_s() -> Query {
+        Query::base("R").join(Query::base("S"), Predicate::col_col(0, CmpOp::Eq, 2))
+    }
+
+    #[test]
+    fn delta_rebound_indexed_side_lowers_to_index_join() {
+        let mut db = db();
+        db.declare_index("S", 0).unwrap();
+        let del_s = Update::delete(
+            "S",
+            Query::base("S").select(Predicate::col_cmp(1, CmpOp::Lt, 250)),
+        );
+        let ins_s = Update::insert("S", Query::singleton(tuple![1, 100]));
+        for u in [del_s.clone(), ins_s.clone(), del_s.then(ins_s)] {
+            let q = r_join_s().when(StateExpr::update(u));
+            let plan = lower_in(&db, &q);
+            let PhysOp::IndexJoin {
+                rel, probe_side, ..
+            } = under_wrappers(&plan.root)
+            else {
+                panic!("expected IndexJoin, got {}", plan.render(None));
+            };
+            assert_eq!((rel.as_str(), *probe_side), ("S", Side::Left));
+            assert_eq!(
+                plan.execute(&db).unwrap(),
+                eval_query(&q, &db).unwrap(),
+                "{q}"
+            );
+        }
+    }
+
+    #[test]
+    fn xsub_rebound_side_still_hash_joins() {
+        let db = indexed_db();
+        let s_for_r = StateExpr::subst(hypoquery_algebra::ExplicitSubst::new([
+            ("R".into(), Query::base("S")),
+            ("S".into(), Query::base("R")),
+        ]));
+        let ins = StateExpr::update(
+            Update::insert("R", Query::singleton(tuple![2, 21]))
+                .then(Update::insert("S", Query::singleton(tuple![1, 11]))),
+        );
+        // A binding replaces the stored base; a delta inside it patches
+        // the binding, not the base.
+        for q in [
+            r_join_s().when(s_for_r.clone()),
+            r_join_s().when(ins).when(s_for_r),
+        ] {
+            let plan = lower_in(&db, &q);
+            assert!(
+                matches!(under_wrappers(&plan.root), PhysOp::HashJoin { .. }),
+                "{q}: {}",
+                plan.render(None)
+            );
+            assert_eq!(
+                plan.execute(&db).unwrap(),
+                eval_query(&q, &db).unwrap(),
+                "{q}"
+            );
+        }
+        // A prepared xsub-value binds its names the same way.
+        let e = XsubValue::new([
+            ("R".into(), db.get(&"S".into()).unwrap()),
+            ("S".into(), db.get(&"R".into()).unwrap()),
+        ]);
+        let plan = lower_under_xsub(&r_join_s(), &e, db.catalog(), &Statistics::of(&db)).unwrap();
+        assert!(matches!(
+            under_wrappers(&plan.root),
+            PhysOp::HashJoin { .. }
+        ));
+        let applied = e.apply(&db).unwrap();
+        assert_eq!(
+            plan.execute(&db).unwrap(),
+            eval_query(&r_join_s(), &applied).unwrap()
+        );
+    }
+
+    #[test]
+    fn join_indexes_the_side_no_delta_rebinds() {
+        let db = indexed_db();
+        // R is the larger side either way, so only the delta rule sends
+        // the index to S.
+        let q = r_join_s().when(StateExpr::update(Update::insert(
+            "R",
+            Query::singleton(tuple![4, 40]),
+        )));
+        let plan = lower_in(&db, &q);
+        let PhysOp::IndexJoin {
+            rel, probe_side, ..
+        } = under_wrappers(&plan.root)
+        else {
+            panic!("expected IndexJoin, got {}", plan.render(None));
+        };
+        assert_eq!((rel.as_str(), *probe_side), ("S", Side::Left));
+        assert_eq!(plan.execute(&db).unwrap(), eval_query(&q, &db).unwrap());
+        // Without the delta, both sides are stored bases: the larger, R,
+        // is indexed.
+        let PhysOp::IndexJoin { rel, .. } = &lower_in(&db, &r_join_s()).root.op else {
+            panic!("expected IndexJoin");
+        };
+        assert_eq!(rel.as_str(), "R");
     }
 
     #[test]

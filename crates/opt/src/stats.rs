@@ -10,8 +10,11 @@
 //! bottom-up walk; [`estimate_rows`] and [`estimate_cost`] read one field
 //! of it. Index paths are priced with the tests the lowering uses to take
 //! them (`point_eq_conjuncts` for probes, `split_equi_pairs` for index
-//! joins), but the estimator is not shadow-aware: inside a `when` body it
-//! prices an index path on a rebound name that the lowering will scan.
+//! joins), but the estimator is not shadow-aware. Inside a `when` body
+//! the lowering takes an index join on a delta-rebound name (probing the
+//! stored index through the delta), so the estimate holds there; it
+//! still prices two paths the lowering will scan instead: an index join
+//! on an xsub-rebound name, and an index probe on any rebound name.
 //! The lowering's other access path, a column-0 range scan
 //! (`key_range`), is not priced: a range predicate costs `SEL_RANGE`
 //! rows over a full scan either way.
