@@ -97,7 +97,7 @@ commands (case-insensitive; most mirror wire verbs):
   update <hql update>                     real at root; auto-branch on a branch
   explain [analyze] <hql>                 show the chosen plan/strategy;
                                           `analyze` runs it and reports
-                                          per-operator rows and time
+                                          per-operator rows and phase times
   constraint <name> <violation query>     register an integrity constraint
   branch <name> [from <parent>] <update>  create a what-if branch
   switch <branch | ->                     enter a branch (`-` = root)

@@ -4,6 +4,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::time::{Duration, Instant};
 
 use hypoquery_storage::{
     Catalog, DatabaseState, IndexCounters, RelName, RelSchema, Relation, Tuple,
@@ -373,9 +374,9 @@ impl Database {
         Ok(out)
     }
 
-    /// `EXPLAIN ANALYZE`: run the query through the pipelined executor
-    /// with full instrumentation and render the physical plan with
-    /// per-operator rows-in/rows-out and exclusive elapsed time.
+    /// `EXPLAIN ANALYZE`: plan, lower and run the query through the
+    /// pipelined executor, and render the physical plan with per-operator
+    /// rows-in/rows-out/built and the time each of the three phases took.
     pub fn explain_analyze(&self, src: &str) -> Result<String, EngineError> {
         let q = self.prepare(src)?;
         self.explain_analyze_query(&q, Strategy::Auto)
@@ -390,12 +391,25 @@ impl Database {
         strategy: Strategy,
     ) -> Result<String, EngineError> {
         check_query(q, self.state.catalog())?;
-        let (p, phys) = self.plan_physical(q, strategy)?;
+        // One clock pair per phase: the executor itself reads no clock.
+        let start = Instant::now();
+        let stats = Statistics::of(&self.state);
+        let p = self.plan_with(q, strategy, &stats)?;
+        let planned = Instant::now();
+        let phys = lower_query(&p.query, self.state.catalog(), &stats)?;
+        let lowered = Instant::now();
         let (rel, metrics) = phys.execute_analyze(&self.state)?;
-        Ok(Self::render_analyze(&p, &phys, &metrics, rel.len()))
+        let phases = [planned - start, lowered - planned, lowered.elapsed()];
+        Ok(Self::render_analyze(&p, &phys, &metrics, rel.len(), phases))
     }
 
-    fn render_analyze(p: &Plan, phys: &PhysPlan, metrics: &ExecMetrics, rows: usize) -> String {
+    fn render_analyze(
+        p: &Plan,
+        phys: &PhysPlan,
+        metrics: &ExecMetrics,
+        rows: usize,
+        [plan, lower, exec]: [Duration; 3],
+    ) -> String {
         let mut out = String::new();
         use std::fmt::Write;
         let _ = writeln!(
@@ -407,9 +421,8 @@ impl Database {
         out.push_str(&phys.render(Some(metrics)));
         let _ = writeln!(
             out,
-            "result: {rows} row(s); operators: {}; total operator time: {:?}",
-            metrics.len(),
-            metrics.total_elapsed()
+            "result: {rows} row(s); operators: {}; plan={plan:?} lower={lower:?} exec={exec:?}",
+            metrics.len()
         );
         out
     }
@@ -790,7 +803,10 @@ mod tests {
             .unwrap();
         assert!(s.contains("physical plan (analyzed):"), "{s}");
         assert!(s.contains("rows in="), "{s}");
-        assert!(s.contains("time="), "{s}");
+        let result = s.lines().find(|l| l.starts_with("result:"));
+        for phase in ["plan=", "lower=", "exec="] {
+            assert!(result.is_some_and(|l| l.contains(phase)), "{s}");
+        }
         assert!(s.contains("result:"), "{s}");
     }
 

@@ -99,17 +99,18 @@
 //!
 //! # Instrumentation
 //!
-//! Every operator carries rows-in/rows-out/built counters (always on; a
-//! `Cell` bump each) and an elapsed-time counter that is only
-//! exercised under [`PhysPlan::execute_analyze`]. Elapsed time is
-//! *exclusive* self-time: the clock runs only around an operator's own
-//! work (predicate evaluation, hashing, set probes), never around the
-//! downstream consumer, so the per-operator numbers in `EXPLAIN ANALYZE`
-//! add up meaningfully even though execution is one fused pipeline.
+//! Every plan runs one way: [`PhysPlan::execute`] is
+//! [`PhysPlan::execute_analyze`] with the metrics dropped. An operator
+//! counts only what cannot be derived afterwards — the rows it pushes on
+//! ([`OpStats::rows_out`], a `Cell` bump each) and the rows of its output
+//! that are built ([`OpStats::built`]). [`OpStats::rows_in`] is derived
+//! from the plan's shape: the sum of `rows_out` over the inputs an
+//! operator consumes. No operator reads a clock; `EXPLAIN ANALYZE` times
+//! the phases around execution instead, where one pair of clock reads
+//! costs nothing next to the work it measures.
 
 use std::cell::Cell;
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
 
 use hypoquery_storage::{
     lookup_or_build_index, DatabaseState, KeyRange, RelName, Relation, Row, Tuple, Value,
@@ -409,30 +410,20 @@ impl PhysPlan {
         self.root.arity
     }
 
-    /// Execute against `db`, returning the result relation. Row counters
-    /// run; the per-operator clock does not.
+    /// Execute against `db`, returning the result relation.
     pub fn execute(&self, db: &DatabaseState) -> Result<Relation, EvalError> {
-        self.run_root(db, false).map(|(rel, _)| rel)
+        self.execute_analyze(db).map(|(rel, _)| rel)
     }
 
-    /// Execute with full instrumentation: row counters plus exclusive
-    /// per-operator elapsed time.
+    /// Execute against `db`, returning the result relation and each
+    /// operator's row counts.
     pub fn execute_analyze(
         &self,
         db: &DatabaseState,
     ) -> Result<(Relation, ExecMetrics), EvalError> {
-        self.run_root(db, true)
-    }
-
-    fn run_root(
-        &self,
-        db: &DatabaseState,
-        timing: bool,
-    ) -> Result<(Relation, ExecMetrics), EvalError> {
         let ctx = Ctx {
             db,
             ctrs: (0..self.node_count).map(|_| NodeCtr::default()).collect(),
-            timing,
         };
         let env = Env::empty();
         // Buffer rows and bulk-build the result set once: `from_iter`
@@ -444,12 +435,12 @@ impl PhysPlan {
             Ok(())
         })?;
         let rel = Relation::from_tuple_set(self.root.arity, out.into_iter().collect())?;
-        Ok((rel, ctx.into_metrics()))
+        Ok((rel, ctx.into_metrics(&self.root)))
     }
 
     /// Render the plan tree, one operator per line. With `metrics`, each
-    /// line carries `rows in/out` and (when timed) exclusive elapsed
-    /// time — the `EXPLAIN ANALYZE` output.
+    /// line carries `rows in/out` and `built` — the `EXPLAIN ANALYZE`
+    /// output.
     pub fn render(&self, metrics: Option<&ExecMetrics>) -> String {
         let mut s = String::new();
         render_node(&self.root, 0, metrics, &mut s);
@@ -460,7 +451,9 @@ impl PhysPlan {
 /// Per-operator execution statistics.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct OpStats {
-    /// Tuples received from children (0 for sources).
+    /// Tuples received from the inputs the operator consumes: every
+    /// child but the body of an `XsubRebind`/`DeltaApply`, whose rows
+    /// pass through uncounted (0 for sources).
     pub rows_in: u64,
     /// Tuples pushed to the parent.
     pub rows_out: u64,
@@ -470,9 +463,6 @@ pub struct OpStats {
     /// atom, or the plan sink. A join's or projection's row that streams
     /// on as a view counts none (a kept stored row is shared, not copied).
     pub built: u64,
-    /// Exclusive self-time (zero unless executed under
-    /// [`PhysPlan::execute_analyze`]).
-    pub elapsed: Duration,
 }
 
 /// Execution statistics for every operator of a plan, indexed by node id.
@@ -495,11 +485,6 @@ impl ExecMetrics {
     /// Whether there are no instrumented nodes.
     pub fn is_empty(&self) -> bool {
         self.per_node.is_empty()
-    }
-
-    /// Sum of exclusive self-times — the pipeline's total measured work.
-    pub fn total_elapsed(&self) -> Duration {
-        self.per_node.iter().map(|s| s.elapsed).sum()
     }
 }
 
@@ -528,25 +513,16 @@ impl Env {
 
 #[derive(Default)]
 struct NodeCtr {
-    rows_in: Cell<u64>,
     rows_out: Cell<u64>,
     built: Cell<u64>,
-    nanos: Cell<u64>,
 }
 
 struct Ctx<'a> {
     db: &'a DatabaseState,
     ctrs: Vec<NodeCtr>,
-    timing: bool,
 }
 
 impl Ctx<'_> {
-    #[inline]
-    fn row_in(&self, id: usize) {
-        let c = &self.ctrs[id].rows_in;
-        c.set(c.get() + 1);
-    }
-
     #[inline]
     fn row_out(&self, id: usize) {
         let c = &self.ctrs[id].rows_out;
@@ -562,34 +538,32 @@ impl Ctx<'_> {
         row.to_tuple()
     }
 
-    /// Run `f` with node `id`'s clock on. Only the operator's *own* work
-    /// goes through here — never the downstream `out` call — so elapsed
-    /// stays exclusive.
-    #[inline]
-    fn timed<R>(&self, id: usize, f: impl FnOnce() -> R) -> R {
-        if !self.timing {
-            return f();
+    /// The counters as statistics, each operator's `rows_in` summed from
+    /// the `rows_out` of the inputs it consumes.
+    fn into_metrics(self, root: &PhysNode) -> ExecMetrics {
+        fn derive(n: &PhysNode, per_node: &mut [OpStats]) {
+            let kids = n.children();
+            // A wrapper's body, its last child, passes through uncounted.
+            let inputs = match n.op {
+                PhysOp::XsubRebind { .. } | PhysOp::DeltaApply { .. } => kids.len() - 1,
+                _ => kids.len(),
+            };
+            per_node[n.id].rows_in = kids[..inputs].iter().map(|c| per_node[c.id].rows_out).sum();
+            for c in kids {
+                derive(c, per_node);
+            }
         }
-        let t0 = Instant::now();
-        let r = f();
-        let c = &self.ctrs[id].nanos;
-        c.set(c.get() + t0.elapsed().as_nanos() as u64);
-        r
-    }
-
-    fn into_metrics(self) -> ExecMetrics {
-        ExecMetrics {
-            per_node: self
-                .ctrs
-                .into_iter()
-                .map(|c| OpStats {
-                    rows_in: c.rows_in.get(),
-                    rows_out: c.rows_out.get(),
-                    built: c.built.get(),
-                    elapsed: Duration::from_nanos(c.nanos.get()),
-                })
-                .collect(),
-        }
+        let mut per_node: Vec<OpStats> = self
+            .ctrs
+            .into_iter()
+            .map(|c| OpStats {
+                rows_in: 0,
+                rows_out: c.rows_out.get(),
+                built: c.built.get(),
+            })
+            .collect();
+        derive(root, &mut per_node);
+        ExecMetrics { per_node }
     }
 }
 
@@ -597,22 +571,20 @@ impl Ctx<'_> {
 /// call; a consumer that keeps the row builds a tuple ([`Ctx::keep`]).
 type Sink<'s> = dyn FnMut(&RowView<'_>) -> Result<(), EvalError> + 's;
 
-/// Drain a source iterator into `out`, charging each `next` to node
-/// `id`. Generic so the common direct-scan path is monomorphized with no
-/// boxed-iterator indirection.
+/// Drain a source iterator into `out` as node `id`'s output. Generic so
+/// the common direct-scan path is monomorphized with no boxed-iterator
+/// indirection.
 fn scan_emit<'a>(
     id: usize,
     ctx: &Ctx<'_>,
-    mut it: impl Iterator<Item = &'a Tuple>,
+    it: impl Iterator<Item = &'a Tuple>,
     out: &mut Sink<'_>,
 ) -> Result<(), EvalError> {
-    loop {
-        let Some(t) = ctx.timed(id, || it.next()) else {
-            return Ok(());
-        };
+    for t in it {
         ctx.row_out(id);
         out(&RowView::Stored(t))?;
     }
+    Ok(())
 }
 
 fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<(), EvalError> {
@@ -646,12 +618,10 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
             pred,
         } => {
             let base = ctx.db.get(name)?;
-            let idx = ctx.timed(id, || {
-                lookup_or_build_index(&base, &[*col], ctx.db.index_stats())
-            });
+            let idx = lookup_or_build_index(&base, &[*col], ctx.db.index_stats());
             let candidates = idx.probe(std::slice::from_ref(value));
             for t in candidates {
-                if ctx.timed(id, || pred.eval(t)) {
+                if pred.eval(t) {
                     ctx.row_out(id);
                     out(&RowView::Stored(t))?;
                 }
@@ -666,8 +636,7 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
             Ok(())
         }
         PhysOp::Filter { input, pred } => run(input, ctx, env, &mut |v| {
-            ctx.row_in(id);
-            if ctx.timed(id, || pred.eval(v)) {
+            if pred.eval(v) {
                 ctx.row_out(id);
                 out(v)
             } else {
@@ -675,7 +644,6 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
             }
         }),
         PhysOp::Project { input, cols } => run(input, ctx, env, &mut |v| {
-            ctx.row_in(id);
             ctx.row_out(id);
             out(&RowView::Project { input: v, cols })
         }),
@@ -701,43 +669,39 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
                 "IndexJoin on xsub-rebound {rel}"
             );
             let base = ctx.db.get(rel)?;
-            let (idx, patch) = ctx.timed(id, || {
-                let idx = lookup_or_build_index(&base, index_cols, ctx.db.index_stats());
-                let patch = env
-                    .delta
-                    .get(rel)
-                    .and_then(|d| DeltaPatch::new(d, index_cols));
-                (idx, patch)
-            });
+            let idx = lookup_or_build_index(&base, index_cols, ctx.db.index_stats());
+            let patch = env
+                .delta
+                .get(rel)
+                .and_then(|d| DeltaPatch::new(d, index_cols));
             // One key column probes with the row's own field; wider keys
             // reuse one buffer.
             let mut buf: Vec<Value> = Vec::with_capacity(probe_cols.len());
             run(probe, ctx, env, &mut |v| {
-                ctx.row_in(id);
-                let matches = ctx.timed(id, || match probe_cols.as_slice() {
+                let matches = match probe_cols.as_slice() {
                     [c] => idx.probe(std::slice::from_ref(v.col(*c))),
                     cols => {
                         buf.clear();
                         buf.extend(cols.iter().map(|&c| v.col(c).clone()));
                         idx.probe(&buf)
                     }
-                });
+                };
                 let emit = |m: &Tuple, out: &mut Sink<'_>| {
                     let m = RowView::Stored(m);
                     let joined = match probe_side {
                         Side::Left => RowView::pair(v, &m),
                         Side::Right => RowView::pair(&m, v),
                     };
-                    if ctx.timed(id, || residual.iter().all(|p| p.eval(&joined))) {
+                    if residual.iter().all(|p| p.eval(&joined)) {
                         ctx.row_out(id);
                         out(&joined)?;
                     }
                     Ok(())
                 };
-                let hits = ctx.timed(id, || {
-                    let hits = patch.as_ref().map(|p| p.hits(v, probe_cols));
-                    hits.filter(|h| h.clone().next().is_some())
-                });
+                let hits = patch
+                    .as_ref()
+                    .map(|p| p.hits(v, probe_cols))
+                    .filter(|h| h.clone().next().is_some());
                 let Some(hits) = hits else {
                     return matches.iter().try_for_each(|m| emit(m, out));
                 };
@@ -746,12 +710,12 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
                 // stays a set).
                 let deleted = |t: &Tuple| hits.clone().any(|(d, ins)| !ins && d == t);
                 for m in matches {
-                    if !ctx.timed(id, || deleted(m)) {
+                    if !deleted(m) {
                         emit(m, out)?;
                     }
                 }
                 for (t, ins) in hits.clone() {
-                    if ins && !ctx.timed(id, || matches.contains(t) && !deleted(t)) {
+                    if ins && (!matches.contains(t) || deleted(t)) {
                         emit(t, out)?;
                     }
                 }
@@ -761,7 +725,6 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
         PhysOp::Union { left, right } => {
             for child in [left.as_ref(), right.as_ref()] {
                 run(child, ctx, env, &mut |v| {
-                    ctx.row_in(id);
                     ctx.row_out(id);
                     out(v)
                 })?;
@@ -770,10 +733,9 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
         }
         PhysOp::Diff { left, right } | PhysOp::Intersect { left, right } => {
             let keep_present = matches!(node.op, PhysOp::Intersect { .. });
-            let rset = collect_set(right, ctx, env, id)?;
+            let rset = collect_set(right, ctx, env)?;
             run(left, ctx, env, &mut |v| {
-                ctx.row_in(id);
-                if ctx.timed(id, || rset.contains(v)) == keep_present {
+                if rset.contains(v) == keep_present {
                     ctx.row_out(id);
                     out(v)
                 } else {
@@ -784,8 +746,7 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
         PhysOp::Dedup { input } => {
             let mut seen = RowSet::new();
             run(input, ctx, env, &mut |v| {
-                ctx.row_in(id);
-                if !ctx.timed(id, || seen.insert_with(v, |v| ctx.keep(input.id, v))) {
+                if !seen.insert_with(v, |v| ctx.keep(input.id, v)) {
                     return Ok(());
                 }
                 ctx.row_out(id);
@@ -799,24 +760,18 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
         } => {
             let mut st = AggState::new(group_by, aggs);
             if input.distinct {
-                run(input, ctx, env, &mut |v| {
-                    ctx.row_in(id);
-                    ctx.timed(id, || st.push(v))
-                })?;
+                run(input, ctx, env, &mut |v| st.push(v))?;
             } else {
                 let mut seen = RowSet::new();
                 run(input, ctx, env, &mut |v| {
-                    ctx.row_in(id);
-                    ctx.timed(id, || {
-                        if seen.insert_with(v, |v| ctx.keep(input.id, v)) {
-                            st.push(v)
-                        } else {
-                            Ok(())
-                        }
-                    })
+                    if seen.insert_with(v, |v| ctx.keep(input.id, v)) {
+                        st.push(v)
+                    } else {
+                        Ok(())
+                    }
                 })?;
             }
-            let result = ctx.timed(id, || st.finish())?;
+            let result = st.finish()?;
             for t in result.iter() {
                 ctx.row_out(id);
                 out(&RowView::Stored(t))?;
@@ -828,7 +783,7 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
             // *current* environment, then smash.
             let mut f = XsubValue::empty();
             for (name, plan) in bindings {
-                f.bind(name.clone(), materialize(plan, ctx, env, id)?);
+                f.bind(name.clone(), materialize(plan, ctx, env)?);
             }
             // The bindings already saw the deltas in scope; the body must
             // not apply those deltas to the rebound names a second time.
@@ -852,7 +807,7 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
                     xsub: env.xsub.clone(),
                     delta: env.delta.smash(&acc)?,
                 };
-                let rel = materialize(&atom.input, ctx, &inner, id)?;
+                let rel = materialize(&atom.input, ctx, &inner)?;
                 let d = if atom.insert {
                     RelDelta::insertion(rel)
                 } else {
@@ -873,27 +828,21 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
     }
 }
 
-/// Materialize a sub-plan into a relation, charging its rows to operator
-/// `id`. A constant sub-plan is handed back by `Arc` bump (with the same
-/// row counts a streamed copy would record), so a prepared xsub-value
-/// bound as constants is reused, not re-collected.
-fn materialize(
-    node: &PhysNode,
-    ctx: &Ctx<'_>,
-    env: &Env,
-    id: usize,
-) -> Result<Relation, EvalError> {
+/// Materialize a sub-plan into a relation. A constant sub-plan is handed
+/// back by `Arc` bump (with the same row counts a streamed copy would
+/// record), so a prepared xsub-value bound as constants is reused, not
+/// re-collected.
+fn materialize(node: &PhysNode, ctx: &Ctx<'_>, env: &Env) -> Result<Relation, EvalError> {
     if let PhysOp::Const { rel } = &node.op {
         let n = rel.len() as u64;
         let c = &ctx.ctrs[node.id];
-        for counter in [&c.rows_out, &c.built, &ctx.ctrs[id].rows_in] {
+        for counter in [&c.rows_out, &c.built] {
             counter.set(counter.get() + n);
         }
         return Ok(rel.clone());
     }
     let mut rows: Vec<Tuple> = Vec::new();
     run(node, ctx, env, &mut |v| {
-        ctx.row_in(id);
         rows.push(ctx.keep(node.id, v));
         Ok(())
     })?;
@@ -903,12 +852,11 @@ fn materialize(
 
 /// Materialize a sub-plan into a row set (the right operand of `Diff` /
 /// `Intersect` — probed per left row, so O(1) membership beats a sorted
-/// set), charging rows and build time to operator `id`.
-fn collect_set(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, id: usize) -> Result<RowSet, EvalError> {
+/// set).
+fn collect_set(node: &PhysNode, ctx: &Ctx<'_>, env: &Env) -> Result<RowSet, EvalError> {
     let mut set = RowSet::new();
     run(node, ctx, env, &mut |v| {
-        ctx.row_in(id);
-        ctx.timed(id, || set.insert_with(v, |v| ctx.keep(node.id, v)));
+        set.insert_with(v, |v| ctx.keep(node.id, v));
         Ok(())
     })?;
     Ok(set)
@@ -989,7 +937,7 @@ fn run_hash_join(
         } else {
             RowView::pair(v, &b)
         };
-        if ctx.timed(id, || residual.iter().all(|p| p.eval(&joined))) {
+        if residual.iter().all(|p| p.eval(&joined)) {
             ctx.row_out(id);
             out(&joined)?;
         }
@@ -1000,12 +948,10 @@ fn run_hash_join(
         // Nested loop (product, possibly with residual theta conjuncts).
         let mut rows: Vec<Tuple> = Vec::new();
         run(build_child, ctx, env, &mut |v| {
-            ctx.row_in(id);
-            rows.push(ctx.timed(id, || ctx.keep(build_child.id, v)));
+            rows.push(ctx.keep(build_child.id, v));
             Ok(())
         })?;
         return run(probe_child, ctx, env, &mut |v| {
-            ctx.row_in(id);
             rows.iter().try_for_each(|b| join(b, v, out))
         });
     }
@@ -1024,20 +970,15 @@ fn run_hash_join(
     let mut table = ChainTable::new();
     let mut rows: Vec<Tuple> = Vec::new();
     run(build_child, ctx, env, &mut |v| {
-        ctx.row_in(id);
-        ctx.timed(id, || {
-            table.push(table.hash_cols(v, &build_cols));
-            rows.push(ctx.keep(build_child.id, v));
-        });
+        table.push(table.hash_cols(v, &build_cols));
+        rows.push(ctx.keep(build_child.id, v));
         Ok(())
     })?;
 
     run(probe_child, ctx, env, &mut |v| {
-        ctx.row_in(id);
-        let hash = ctx.timed(id, || table.hash_cols(v, &probe_cols));
-        for i in table.matches(hash) {
+        for i in table.matches(table.hash_cols(v, &probe_cols)) {
             let b = &rows[i];
-            if ctx.timed(id, || cols_eq(b, &build_cols, v, &probe_cols)) {
+            if cols_eq(b, &build_cols, v, &probe_cols) {
                 join(b, v, out)?;
             }
         }
@@ -1131,15 +1072,6 @@ fn side_name(s: Side) -> &'static str {
     }
 }
 
-fn fmt_elapsed(d: Duration) -> String {
-    let n = d.as_nanos();
-    if n >= 1_000_000 {
-        format!("{:.2}ms", n as f64 / 1.0e6)
-    } else {
-        format!("{:.1}\u{b5}s", n as f64 / 1.0e3)
-    }
-}
-
 fn render_node(node: &PhysNode, depth: usize, metrics: Option<&ExecMetrics>, out: &mut String) {
     for _ in 0..depth {
         out.push_str("  ");
@@ -1149,11 +1081,8 @@ fn render_node(node: &PhysNode, depth: usize, metrics: Option<&ExecMetrics>, out
         let s = m.node(node.id);
         let _ = write!(
             out,
-            "  (rows in={} out={} built={}, time={})",
-            s.rows_in,
-            s.rows_out,
-            s.built,
-            fmt_elapsed(s.elapsed)
+            "  (rows in={} out={} built={})",
+            s.rows_in, s.rows_out, s.built
         );
     }
     out.push('\n');
@@ -1670,6 +1599,182 @@ mod tests {
         assert_eq!(m.node(proj.id).built, 2);
         assert_eq!(m.node(product.id).built, 2);
         assert_eq!(m.node(join.id).built, 0);
+    }
+
+    /// `rows in` of every operator kind that consumes input: the rows its
+    /// inputs pushed to it. An `XsubRebind`'s or `DeltaApply`'s body
+    /// streams through uncounted; only its bindings or atoms are input.
+    #[test]
+    fn rows_in_counts_what_each_operator_consumes() {
+        let db = db();
+        let filter = |input: PhysNode, pred: Predicate| {
+            PhysNode::new(
+                input.arity,
+                PhysOp::Filter {
+                    input: Box::new(input),
+                    pred,
+                },
+            )
+        };
+        let r_ge_2 = || filter(scan("R"), Predicate::col_cmp(0, CmpOp::Ge, 2));
+        let join = |build: Side, pairs: Vec<EquiPair>, residual: Vec<Predicate>| {
+            PhysNode::new(
+                4,
+                PhysOp::HashJoin {
+                    left: Box::new(scan("R")),
+                    right: Box::new(scan("S")),
+                    pairs,
+                    residual,
+                    build,
+                },
+            )
+        };
+        let on_key = || vec![EquiPair { left: 0, right: 0 }];
+        let index_join = || {
+            PhysNode::new(
+                4,
+                PhysOp::IndexJoin {
+                    probe: Box::new(scan("R")),
+                    probe_side: Side::Left,
+                    rel: "S".into(),
+                    index_cols: vec![0],
+                    probe_cols: vec![0],
+                    residual: vec![],
+                },
+            )
+        };
+        let set_op = |intersect: bool| {
+            let (left, right) = (Box::new(scan("R")), Box::new(r_ge_2()));
+            let op = if intersect {
+                PhysOp::Intersect { left, right }
+            } else {
+                PhysOp::Diff { left, right }
+            };
+            PhysNode::new(2, op)
+        };
+        let aggregate = |input: PhysNode| {
+            PhysNode::new(
+                1,
+                PhysOp::Aggregate {
+                    input: Box::new(input),
+                    group_by: vec![],
+                    aggs: vec![AggExpr::Count],
+                },
+            )
+        };
+        let xsub = |binding: PhysNode| {
+            PhysNode::new(
+                2,
+                PhysOp::XsubRebind {
+                    bindings: vec![("R".into(), binding)],
+                    body: Box::new(scan("R")),
+                },
+            )
+        };
+        let konst = PhysNode::new(
+            2,
+            PhysOp::Const {
+                rel: Relation::from_rows(2, [tuple![7, 70], tuple![8, 80]]).unwrap(),
+            },
+        );
+        // S loses (2, 200) and gains (1, 100); every atom reads one row.
+        let delta = |body: PhysNode| {
+            PhysNode::new(
+                body.arity,
+                PhysOp::DeltaApply {
+                    atoms: vec![
+                        DeltaAtom {
+                            name: "S".into(),
+                            insert: false,
+                            input: filter(scan("S"), Predicate::col_cmp(0, CmpOp::Eq, 2)),
+                        },
+                        DeltaAtom {
+                            name: "S".into(),
+                            insert: true,
+                            input: PhysNode::new(
+                                2,
+                                PhysOp::Const {
+                                    rel: Relation::singleton(tuple![1, 100]),
+                                },
+                            ),
+                        },
+                    ],
+                    body: Box::new(body),
+                },
+            )
+        };
+        let cases: Vec<(&str, PhysNode, u64, u64)> = vec![
+            ("filter", r_ge_2(), 3, 2),
+            ("project", project(scan("R"), vec![1]), 3, 3),
+            (
+                "hash join, build left",
+                join(Side::Left, on_key(), vec![]),
+                5,
+                2,
+            ),
+            (
+                "hash join, build right",
+                join(Side::Right, on_key(), vec![]),
+                5,
+                2,
+            ),
+            (
+                "nested loop",
+                join(
+                    Side::Left,
+                    vec![],
+                    vec![Predicate::col_col(0, CmpOp::Lt, 2)],
+                ),
+                5,
+                3,
+            ),
+            ("index join", index_join(), 3, 2),
+            ("union", union(scan("R"), scan("S")), 5, 5),
+            ("diff", set_op(false), 5, 1),
+            ("intersect", set_op(true), 5, 2),
+            (
+                "dedup",
+                PhysNode::new(
+                    2,
+                    PhysOp::Dedup {
+                        input: Box::new(union(scan("R"), scan("R"))),
+                    },
+                ),
+                6,
+                3,
+            ),
+            ("aggregate, distinct input", aggregate(scan("R")), 3, 1),
+            (
+                "aggregate, duplicate input",
+                aggregate(union(scan("R"), scan("R"))),
+                6,
+                1,
+            ),
+            ("xsub, const binding", xsub(konst), 2, 2),
+            ("xsub, computed binding", xsub(r_ge_2()), 2, 2),
+            ("delta", delta(scan("S")), 2, 2),
+        ];
+        for (what, root, rows_in, rows_out) in cases {
+            let plan = PhysPlan::new(root);
+            let (_, m) = plan.execute_analyze(&db).unwrap();
+            let s = m.node(plan.root.id);
+            assert_eq!((s.rows_in, s.rows_out), (rows_in, rows_out), "{what}");
+        }
+
+        // An index join whose indexed side a delta patches: R probes
+        // S' = {(1, 100), (3, 300)}.
+        let plan = PhysPlan::new(delta(index_join()));
+        let (out, m) = plan.execute_analyze(&db).unwrap();
+        assert_eq!(
+            out,
+            Relation::from_rows(4, [tuple![1, 10, 1, 100], tuple![3, 30, 3, 300]]).unwrap()
+        );
+        let PhysOp::DeltaApply { body, .. } = &plan.root.op else {
+            unreachable!()
+        };
+        let (root, join) = (m.node(plan.root.id), m.node(body.id));
+        assert_eq!((root.rows_in, root.rows_out), (2, 2));
+        assert_eq!((join.rows_in, join.rows_out), (3, 2));
     }
 
     #[test]

@@ -168,8 +168,8 @@ impl Session {
     fn explain(&self, req: &Request) -> Result<Reply, WireError> {
         let src = req.source();
         // `EXPLAIN ANALYZE <hql>` rides on the same verb: a leading
-        // ANALYZE keyword (case-insensitive) switches to instrumented
-        // execution with per-operator rows/elapsed.
+        // ANALYZE keyword (case-insensitive) also runs the plan, reporting
+        // per-operator rows and the plan/lower/exec phase times.
         let (analyze, src) = match src.trim_start().split_once(char::is_whitespace) {
             Some((kw, rest)) if kw.eq_ignore_ascii_case("ANALYZE") => {
                 (true, rest.trim().to_string())
@@ -650,7 +650,8 @@ mod tests {
         };
         assert!(t.contains("physical plan (analyzed):"), "{t}");
         assert!(t.contains("rows in="), "{t}");
-        assert!(t.contains("time="), "{t}");
+        let result = t.lines().find(|l| l.starts_with("result:")).unwrap();
+        assert!(result.contains(" exec="), "{t}");
         // Analyze also works on a branch, and the keyword is
         // case-insensitive.
         ok(
@@ -756,6 +757,22 @@ mod tests {
                 ]
             )
         );
+    }
+
+    /// A `LOAD` with one row of the wrong arity loads none of its rows,
+    /// so a `PREPARE`d materialization made before it stays current.
+    #[test]
+    fn load_with_a_bad_row_loads_nothing() {
+        let mut s = Session::new(Database::new());
+        ok(&mut s, "DEFINE r 2", "");
+        ok(&mut s, "PREPARE p", "{insert into r (row(9, 9))}");
+        err(&mut s, "LOAD r (1, 2) (3)", "");
+        let mut relation = |line: &str| match ok(&mut s, line, "") {
+            Reply::Rows(rel) => rel,
+            other => panic!("expected rows, got {other:?}"),
+        };
+        assert_eq!(relation("QUERY r"), Relation::empty(2));
+        assert_eq!(relation("EXEC p r"), Relation::singleton(tuple![9, 9]));
     }
 
     #[test]

@@ -150,13 +150,23 @@ impl DatabaseState {
         Ok(())
     }
 
-    /// Bulk-load rows into `R`.
+    /// Bulk-load rows into `R`, all or nothing: every row is checked
+    /// against the catalog before any is inserted.
     pub fn insert_rows(
         &mut self,
         name: impl Into<RelName> + Clone,
         rows: impl IntoIterator<Item = Tuple>,
     ) -> Result<(), StorageError> {
         let name = name.into();
+        let arity = self.catalog.arity(&name)?;
+        let rows: Vec<Tuple> = rows.into_iter().collect();
+        if let Some(bad) = rows.iter().find(|t| t.arity() != arity) {
+            return Err(StorageError::ArityMismatch {
+                context: "relation insert",
+                expected: arity,
+                found: bad.arity(),
+            });
+        }
         for row in rows {
             self.insert_row(name.clone(), row)?;
         }
@@ -318,6 +328,21 @@ mod tests {
         assert_eq!(db.get(&"S".into()).unwrap().len(), 2);
         assert_eq!(db.total_tuples(), 2);
         assert!(db.insert_row("S", tuple![1, 2]).is_err());
+    }
+
+    #[test]
+    fn insert_rows_is_all_or_nothing() {
+        let mut db = DatabaseState::new(cat());
+        db.insert_row("R", tuple![1, 2]).unwrap();
+        let before = db.clone();
+        let bad = [tuple![3, 4], tuple![5], tuple![6, 7]];
+        assert!(matches!(
+            db.insert_rows("R", bad),
+            Err(StorageError::ArityMismatch { found: 1, .. })
+        ));
+        assert_eq!(db, before);
+        assert!(db.insert_rows("Z", [tuple![1]]).is_err());
+        assert_eq!(db, before);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! per line with tab-separated values: bare integers, `true`/`false`
 //! booleans, and double-quoted strings with `\"`/`\\`/`\t`/`\n` escapes.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::database::DatabaseState;
 use crate::schema::{Catalog, RelSchema};
@@ -40,26 +40,6 @@ impl fmt::Display for DumpError {
 }
 
 impl std::error::Error for DumpError {}
-
-fn encode_value(v: &Value, out: &mut String) {
-    match v {
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Str(s) => {
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\t' => out.push_str("\\t"),
-                    '\n' => out.push_str("\\n"),
-                    other => out.push(other),
-                }
-            }
-            out.push('"');
-        }
-    }
-}
 
 fn decode_value(field: &str, line: usize) -> Result<Value, DumpError> {
     let field = field.trim();
@@ -102,9 +82,10 @@ fn decode_value(field: &str, line: usize) -> Result<Value, DumpError> {
     })
 }
 
-/// Encode one tuple as a dump/wire row line: tab-separated values (bare
-/// integers, `true`/`false`, double-quoted escaped strings), or the
-/// literal `()` for the 0-ary tuple. The inverse of [`decode_tuple`].
+/// Encode one tuple as a dump/wire row line: tab-separated values as
+/// [`Value`]'s `Display` prints them (bare integers, `true`/`false`,
+/// double-quoted escaped strings), or the literal `()` for the 0-ary
+/// tuple. The inverse of [`decode_tuple`].
 pub fn encode_tuple(t: &Tuple) -> String {
     if t.arity() == 0 {
         return "()".to_string();
@@ -114,7 +95,7 @@ pub fn encode_tuple(t: &Tuple) -> String {
         if i > 0 {
             row.push('\t');
         }
-        encode_value(v, &mut row);
+        let _ = write!(row, "{v}");
     }
     row
 }
