@@ -5,7 +5,7 @@
 //! `count`/`sum`/`min`/`max`; no input row is collected, sorted or grouped
 //! into a vector, and no input row is built into a tuple. Rows are read
 //! through [`Row`], so the pipeline folds a join's row views straight in.
-//! Groups are found through a keyed hash table (`chain::ChainTable`) over
+//! Groups are found through a keyed hash table ([`ChainTable`]) over
 //! the group-by columns; each group keeps only its key values, so a row
 //! that joins an existing group allocates nothing. A `sum` that leaves the
 //! 64-bit range fails with [`EvalError::AggregateOverflow`] instead of
@@ -16,11 +16,11 @@
 //! its input stream directly when the plan proves it duplicate-free and
 //! through a dedup set otherwise.
 
+use hypoquery_storage::chain::ChainTable;
 use hypoquery_storage::{Relation, Row, Tuple, Value};
 
 use hypoquery_algebra::AggExpr;
 
-use crate::chain::ChainTable;
 use crate::error::EvalError;
 
 /// Running state of one aggregate within one group.

@@ -23,7 +23,6 @@
 
 pub mod aggregate;
 pub mod bag;
-mod chain;
 pub mod delta;
 pub mod direct;
 pub mod error;

@@ -70,13 +70,16 @@
 //!
 //! # Hash tables
 //!
-//! The hash join's build side, the aggregate's groups and every seen set
-//! (`Dedup`, a non-distinct `Aggregate`, the right operand of
-//! `Diff`/`Intersect`) live in arena-backed chained tables
-//! (`chain::ChainTable`, `chain::RowSet`): key columns are hashed in
-//! place with a per-table keyed SipHash and compared on a hash match, so
-//! no operator allocates a key per row. An index join's delta patch is
-//! one too, over references to the delta's rows.
+//! Every operator that finds rows by key uses one table,
+//! [`KeyedRows`]: an arena of rows plus a chained hash table over their
+//! key columns, hashed in place with a per-table keyed SipHash and
+//! compared on a hash match, so no operator allocates a key per row. It
+//! is the hash join's build side, the stored index an index join probes
+//! (cached in the relation's storage), that index's per-execution delta
+//! patch, and — keyed on whole rows — every seen set (`Dedup`, a
+//! non-distinct `Aggregate`, the right operand of `Diff`/`Intersect`).
+//! Both joins probe through one routine (`JoinProbe`). The aggregate's
+//! groups use the bare chained table.
 //!
 //! # Hypothetical operators
 //!
@@ -113,13 +116,12 @@ use std::cell::Cell;
 use std::fmt::Write as _;
 
 use hypoquery_storage::{
-    lookup_or_build_index, DatabaseState, KeyRange, RelName, Relation, Row, Tuple, Value,
+    lookup_or_build_index, DatabaseState, KeyRange, KeyedRows, RelName, Relation, Row, Tuple, Value,
 };
 
 use hypoquery_algebra::{AggExpr, Predicate};
 
 use crate::aggregate::AggState;
-use crate::chain::{cols_eq, ChainTable, RowSet};
 use crate::delta::{effective_iter, DeltaValue, RelDelta};
 use crate::error::EvalError;
 use crate::join::EquiPair;
@@ -159,8 +161,9 @@ pub enum PhysOp {
     Scan {
         /// The relation scanned.
         name: RelName,
-        /// Column-0 range to walk; `None` walks everything. A superset
-        /// of the rows the plan needs: a `Filter` above re-checks them.
+        /// Column-0 range to walk; `None` walks everything. Exactly the
+        /// rows the range bounds; the lowering puts a `Filter` above it
+        /// when the selection also tests something else.
         range: Option<KeyRange>,
     },
     /// Probe a declared single-column index of an (unrebound) base
@@ -215,10 +218,11 @@ pub enum PhysOp {
     /// Index nested-loop join: the build side is a base scan that no
     /// xsub rebinds, with declared indexes on its equi columns, so
     /// instead of hashing it the probe side streams against the shared
-    /// cached [`hypoquery_storage::ColumnIndex`]. A delta on `rel` in
-    /// scope patches each probe's matches: the ∇ rows of its key are
-    /// dropped and the Δ⁺ rows of its key added (§5.5's `join-when`).
-    /// Output columns are always `left ++ right`.
+    /// cached index — the same [`KeyedRows`] table a hash join builds.
+    /// A delta on `rel` in scope patches each probe's matches: the ∇ rows
+    /// of its key are dropped and the Δ⁺ rows of its key added (§5.5's
+    /// `join-when`), found with the probe's one hash. Output columns are
+    /// always `left ++ right`.
     IndexJoin {
         /// The streaming (probe) operand.
         probe: Box<PhysNode>,
@@ -619,8 +623,7 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
         } => {
             let base = ctx.db.get(name)?;
             let idx = lookup_or_build_index(&base, &[*col], ctx.db.index_stats());
-            let candidates = idx.probe(std::slice::from_ref(value));
-            for t in candidates {
+            for t in idx.matches(&Tuple::new([value.clone()]), &[0]) {
                 if pred.eval(t) {
                     ctx.row_out(id);
                     out(&RowView::Stored(t))?;
@@ -653,7 +656,33 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
             pairs,
             residual,
             build,
-        } => run_hash_join(node, left, right, pairs, residual, *build, ctx, env, out),
+        } => {
+            // The build rows are kept in a keyed table; the other side
+            // streams through as probes, on the opposite side of the
+            // output. No equi pairs means no key: a nested loop.
+            let (build_child, probe_child, probe_side) = match build {
+                Side::Left => (left, right, Side::Right),
+                Side::Right => (right, left, Side::Left),
+            };
+            let cols = |side: Side| -> Vec<usize> {
+                let col = |p: &EquiPair| if side == Side::Left { p.left } else { p.right };
+                pairs.iter().map(col).collect()
+            };
+            let mut table = KeyedRows::new(cols(*build));
+            run(build_child, ctx, env, &mut |v| {
+                table.push(ctx.keep(build_child.id, v));
+                Ok(())
+            })?;
+            let join = JoinProbe {
+                id,
+                table: &table,
+                patch: None,
+                cols: &cols(probe_side),
+                side: probe_side,
+                residual,
+            };
+            run(probe_child, ctx, env, &mut |v| join.probe(ctx, v, out))
+        }
         PhysOp::IndexJoin {
             probe,
             probe_side,
@@ -669,58 +698,16 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
                 "IndexJoin on xsub-rebound {rel}"
             );
             let base = ctx.db.get(rel)?;
-            let idx = lookup_or_build_index(&base, index_cols, ctx.db.index_stats());
-            let patch = env
-                .delta
-                .get(rel)
-                .and_then(|d| DeltaPatch::new(d, index_cols));
-            // One key column probes with the row's own field; wider keys
-            // reuse one buffer.
-            let mut buf: Vec<Value> = Vec::with_capacity(probe_cols.len());
-            run(probe, ctx, env, &mut |v| {
-                let matches = match probe_cols.as_slice() {
-                    [c] => idx.probe(std::slice::from_ref(v.col(*c))),
-                    cols => {
-                        buf.clear();
-                        buf.extend(cols.iter().map(|&c| v.col(c).clone()));
-                        idx.probe(&buf)
-                    }
-                };
-                let emit = |m: &Tuple, out: &mut Sink<'_>| {
-                    let m = RowView::Stored(m);
-                    let joined = match probe_side {
-                        Side::Left => RowView::pair(v, &m),
-                        Side::Right => RowView::pair(&m, v),
-                    };
-                    if residual.iter().all(|p| p.eval(&joined)) {
-                        ctx.row_out(id);
-                        out(&joined)?;
-                    }
-                    Ok(())
-                };
-                let hits = patch
-                    .as_ref()
-                    .map(|p| p.hits(v, probe_cols))
-                    .filter(|h| h.clone().next().is_some());
-                let Some(hits) = hits else {
-                    return matches.iter().try_for_each(|m| emit(m, out));
-                };
-                // The delta touches this key: its rows are the base matches
-                // not in ∇, then the Δ⁺ rows not among those (so the output
-                // stays a set).
-                let deleted = |t: &Tuple| hits.clone().any(|(d, ins)| !ins && d == t);
-                for m in matches {
-                    if !deleted(m) {
-                        emit(m, out)?;
-                    }
-                }
-                for (t, ins) in hits.clone() {
-                    if ins && (!matches.contains(t) || deleted(t)) {
-                        emit(t, out)?;
-                    }
-                }
-                Ok(())
-            })
+            let table = lookup_or_build_index(&base, index_cols, ctx.db.index_stats());
+            let join = JoinProbe {
+                id,
+                table: &table,
+                patch: env.delta.get(rel).map(|d| DeltaPatch::new(&table, d)),
+                cols: probe_cols,
+                side: *probe_side,
+                residual,
+            };
+            run(probe, ctx, env, &mut |v| join.probe(ctx, v, out))
         }
         PhysOp::Union { left, right } => {
             for child in [left.as_ref(), right.as_ref()] {
@@ -733,7 +720,13 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
         }
         PhysOp::Diff { left, right } | PhysOp::Intersect { left, right } => {
             let keep_present = matches!(node.op, PhysOp::Intersect { .. });
-            let rset = collect_set(right, ctx, env)?;
+            // The right operand is probed per left row, so O(1)
+            // membership beats a sorted set.
+            let mut rset = KeyedRows::set(right.arity);
+            run(right, ctx, env, &mut |v| {
+                rset.insert_with(v, |v| ctx.keep(right.id, v));
+                Ok(())
+            })?;
             run(left, ctx, env, &mut |v| {
                 if rset.contains(v) == keep_present {
                     ctx.row_out(id);
@@ -744,7 +737,7 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
             })
         }
         PhysOp::Dedup { input } => {
-            let mut seen = RowSet::new();
+            let mut seen = KeyedRows::set(input.arity);
             run(input, ctx, env, &mut |v| {
                 if !seen.insert_with(v, |v| ctx.keep(input.id, v)) {
                     return Ok(());
@@ -762,7 +755,7 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
             if input.distinct {
                 run(input, ctx, env, &mut |v| st.push(v))?;
             } else {
-                let mut seen = RowSet::new();
+                let mut seen = KeyedRows::set(input.arity);
                 run(input, ctx, env, &mut |v| {
                     if seen.insert_with(v, |v| ctx.keep(input.id, v)) {
                         st.push(v)
@@ -850,140 +843,83 @@ fn materialize(node: &PhysNode, ctx: &Ctx<'_>, env: &Env) -> Result<Relation, Ev
     Ok(rel)
 }
 
-/// Materialize a sub-plan into a row set (the right operand of `Diff` /
-/// `Intersect` — probed per left row, so O(1) membership beats a sorted
-/// set).
-fn collect_set(node: &PhysNode, ctx: &Ctx<'_>, env: &Env) -> Result<RowSet, EvalError> {
-    let mut set = RowSet::new();
-    run(node, ctx, env, &mut |v| {
-        set.insert_with(v, |v| ctx.keep(node.id, v));
-        Ok(())
-    })?;
-    Ok(set)
+/// What a delta on an [`PhysOp::IndexJoin`]'s relation takes from (∇)
+/// and adds to (Δ⁺) the stored index's matches of each probe key (§5.5's
+/// `join-when` on a base access path). Both tables are keyed like the
+/// index and with its hash key, so one hash of a probe key finds its rows
+/// in all three. One pass over the delta per execution, whatever the
+/// base's size; its rows are shared, not copied.
+struct DeltaPatch {
+    deleted: KeyedRows,
+    inserted: KeyedRows,
 }
 
-/// The ∇ and Δ⁺ rows of a delta-rebound relation, keyed on an
-/// [`PhysOp::IndexJoin`]'s index columns, so that each probe finds what
-/// the delta takes from and adds to the stored index's matches of its key
-/// (§5.5's `join-when` on a base access path). It holds references into
-/// the delta and builds no tuple: one pass over the delta per execution,
-/// whatever the base's size.
-struct DeltaPatch<'a> {
-    table: ChainTable,
-    /// Entry `i` of `table`: a row, and whether it is inserted (Δ⁺)
-    /// rather than deleted (∇).
-    rows: Vec<(&'a Tuple, bool)>,
-    /// The relation's key columns, aligned with the probe columns.
-    cols: &'a [usize],
-}
-
-impl<'a> DeltaPatch<'a> {
-    /// The patch of `d`; `None` when it has no row.
-    fn new(d: &'a RelDelta, cols: &'a [usize]) -> Option<DeltaPatch<'a>> {
-        if d.is_empty() {
-            return None;
-        }
-        let deleted = d.deleted.iter().map(|t| (t, false));
-        let inserted = d.inserted.iter().map(|t| (t, true));
-        let mut patch = DeltaPatch {
-            table: ChainTable::new(),
-            rows: Vec::with_capacity(d.len()),
-            cols,
+impl DeltaPatch {
+    fn new(index: &KeyedRows, d: &RelDelta) -> DeltaPatch {
+        let keyed = |rel: &Relation| {
+            let mut t = index.empty_like();
+            t.extend(rel.iter().cloned());
+            t
         };
-        for (t, ins) in deleted.chain(inserted) {
-            patch.table.push(patch.table.hash_cols(t, cols));
-            patch.rows.push((t, ins));
+        DeltaPatch {
+            deleted: keyed(&d.deleted),
+            inserted: keyed(&d.inserted),
         }
-        Some(patch)
-    }
-
-    /// The patch rows whose key equals `probe_cols` of `v`.
-    fn hits<'p, R: Row + ?Sized>(
-        &'p self,
-        v: &'p R,
-        probe_cols: &'p [usize],
-    ) -> impl Iterator<Item = (&'a Tuple, bool)> + Clone + 'p {
-        self.table
-            .matches(self.table.hash_cols(v, probe_cols))
-            .map(|i| self.rows[i])
-            .filter(move |&(t, _)| cols_eq(t, self.cols, v, probe_cols))
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_hash_join(
-    node: &PhysNode,
-    left: &PhysNode,
-    right: &PhysNode,
-    pairs: &[EquiPair],
-    residual: &[Predicate],
-    build: Side,
-    ctx: &Ctx<'_>,
-    env: &Env,
-    out: &mut Sink<'_>,
-) -> Result<(), EvalError> {
-    let id = node.id;
-    let (build_child, probe_child) = match build {
-        Side::Left => (left, right),
-        Side::Right => (right, left),
-    };
-    let build_is_left = build == Side::Left;
-    // The joined row is a view of the build row and the probe row side by
-    // side; only the build rows are kept.
-    let join = |b: &Tuple, v: &RowView<'_>, out: &mut Sink<'_>| {
-        let b = RowView::Stored(b);
-        let joined = if build_is_left {
-            RowView::pair(&b, v)
-        } else {
-            RowView::pair(v, &b)
-        };
-        if residual.iter().all(|p| p.eval(&joined)) {
-            ctx.row_out(id);
-            out(&joined)?;
-        }
-        Ok(())
-    };
+/// The probe half of an equi-join, shared by [`PhysOp::HashJoin`] (its
+/// build rows) and [`PhysOp::IndexJoin`] (a stored index, patched when a
+/// delta rebinds its relation): each probe row meets the rows of `table`
+/// whose key equals its `cols`, and every pair that passes `residual` is
+/// pushed on as a view.
+struct JoinProbe<'p> {
+    /// The join's node id.
+    id: usize,
+    table: &'p KeyedRows,
+    patch: Option<DeltaPatch>,
+    /// Probe columns, aligned with the table's key columns.
+    cols: &'p [usize],
+    /// Which side of the output the probe row is on.
+    side: Side,
+    residual: &'p [Predicate],
+}
 
-    if pairs.is_empty() {
-        // Nested loop (product, possibly with residual theta conjuncts).
-        let mut rows: Vec<Tuple> = Vec::new();
-        run(build_child, ctx, env, &mut |v| {
-            rows.push(ctx.keep(build_child.id, v));
+impl JoinProbe<'_> {
+    fn probe(&self, ctx: &Ctx<'_>, v: &RowView<'_>, out: &mut Sink<'_>) -> Result<(), EvalError> {
+        let emit = |m: &Tuple, out: &mut Sink<'_>| {
+            let m = RowView::Stored(m);
+            let joined = match self.side {
+                Side::Left => RowView::pair(v, &m),
+                Side::Right => RowView::pair(&m, v),
+            };
+            if self.residual.iter().all(|p| p.eval(&joined)) {
+                ctx.row_out(self.id);
+                out(&joined)?;
+            }
             Ok(())
-        })?;
-        return run(probe_child, ctx, env, &mut |v| {
-            rows.iter().try_for_each(|b| join(b, v, out))
-        });
-    }
-
-    let build_cols: Vec<usize> = pairs
-        .iter()
-        .map(|p| if build_is_left { p.left } else { p.right })
-        .collect();
-    let probe_cols: Vec<usize> = pairs
-        .iter()
-        .map(|p| if build_is_left { p.right } else { p.left })
-        .collect();
-
-    // Build rows live in an arena; the chained table maps key hashes to
-    // arena positions (entry `i` of the table is `rows[i]`).
-    let mut table = ChainTable::new();
-    let mut rows: Vec<Tuple> = Vec::new();
-    run(build_child, ctx, env, &mut |v| {
-        table.push(table.hash_cols(v, &build_cols));
-        rows.push(ctx.keep(build_child.id, v));
-        Ok(())
-    })?;
-
-    run(probe_child, ctx, env, &mut |v| {
-        for i in table.matches(table.hash_cols(v, &probe_cols)) {
-            let b = &rows[i];
-            if cols_eq(b, &build_cols, v, &probe_cols) {
-                join(b, v, out)?;
+        };
+        let hash = self.table.hash(v, self.cols);
+        let matches = self.table.get(hash, v, self.cols);
+        let Some(patch) = &self.patch else {
+            return matches.clone().try_for_each(|m| emit(m, out));
+        };
+        // The key's rows under the delta: the matches not in ∇, then the
+        // Δ⁺ rows not among those (so the output stays a set).
+        let deleted = patch.deleted.get(hash, v, self.cols);
+        let dropped = |t: &Tuple| deleted.clone().any(|d| d == t);
+        for m in matches.clone() {
+            if !dropped(m) {
+                emit(m, out)?;
+            }
+        }
+        for t in patch.inserted.get(hash, v, self.cols) {
+            if dropped(t) || !matches.clone().any(|m| m == t) {
+                emit(t, out)?;
             }
         }
         Ok(())
-    })
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -27,9 +27,13 @@
 //!   bound a column-0 [`KeyRange`]: a [`PhysOp::Scan`] that walks only
 //!   that range, under a [`PhysOp::Filter`] with the **full** predicate.
 //!   The range only needs to contain every answer, so correctness never
-//!   rests on how tight it is. It needs no shadow gate: whatever the
-//!   name resolves to at run time — the stored base, an xsub binding, or
-//!   either merged with a delta — is a sorted set the scan can range.
+//!   rests on how tight it is. When those bounds are every conjunct
+//!   (`stats::key_range_is_exact`), the scan stands alone: `CmpOp::apply`
+//!   and the stored order are the same total order on values, so the
+//!   range holds exactly the rows the predicate keeps. A ranged scan
+//!   needs no shadow gate: whatever the name resolves to at run time —
+//!   the stored base, an xsub binding, or either merged with a delta —
+//!   is a sorted set the scan can range.
 //! * **Full scan.** A predicate with no column-0 bound (`<>`, `or`,
 //!   `not`, column-to-column) filters a plain `Scan`.
 //! * **Joins.** A side that is a base scan with declared indexes on all
@@ -79,7 +83,7 @@ use hypoquery_eval::join::split_equi_pairs;
 use hypoquery_eval::physical::{DeltaAtom, PhysNode, PhysOp, PhysPlan, Side};
 use hypoquery_eval::{EvalError, XsubValue};
 
-use crate::stats::{estimate_rows, key_range, point_eq_conjuncts, Statistics};
+use crate::stats::{estimate_rows, key_range, key_range_is_exact, point_eq_conjuncts, Statistics};
 
 /// Lower any normalized query (pure, ENF, or mod-ENF — `when` bodies
 /// must be explicit substitutions or atomic-update sequences) to a
@@ -172,8 +176,13 @@ impl Lowerer<'_> {
                             ));
                         }
                         // Otherwise walk only the column-0 range the
-                        // predicate bounds; the filter keeps all of `p`.
-                        self.scan(name, key_range(p))?
+                        // predicate bounds; the filter keeps all of `p`,
+                        // unless the range is all of it.
+                        let range = key_range(p);
+                        if range.is_some() && key_range_is_exact(p) {
+                            return self.scan(name, range);
+                        }
+                        self.scan(name, range)?
                     }
                     _ => self.lower(inner, sh)?,
                 };
@@ -459,7 +468,7 @@ mod tests {
         let mut db = db();
         let q = Query::base("R").select(Predicate::col_cmp(0, CmpOp::Eq, 2));
         let plan = lower_in(&db, &q);
-        assert!(matches!(plan.root.op, PhysOp::Filter { .. }));
+        assert_eq!(ranged(&plan.root), (Some("#0 = 2".into()), None));
 
         db.declare_index("R", 0).unwrap();
         let plan = lower_in(&db, &q);
@@ -485,22 +494,42 @@ mod tests {
         let PhysOp::XsubRebind { body, .. } = &plan.root.op else {
             panic!("expected XsubRebind root, got {:?}", plan.root.op);
         };
-        assert!(matches!(body.op, PhysOp::Filter { .. }));
+        assert_eq!(ranged(body), (Some("#0 = 2".into()), None));
         // The unshadowed S *binding* under the same plan may still probe.
         let out = plan.execute(&db).unwrap();
         assert_eq!(out, eval_query(&q, &db).unwrap());
     }
 
-    /// The range of the scan under `node`'s filter, and the filter's
-    /// predicate.
-    fn ranged(node: &PhysNode) -> (Option<String>, &Predicate) {
-        let PhysOp::Filter { input, pred } = &node.op else {
-            panic!("expected Filter, got {:?}", node.op);
+    /// The range of the scan at or under `node`, and the predicate of the
+    /// filter over it, if any.
+    fn ranged(node: &PhysNode) -> (Option<String>, Option<&Predicate>) {
+        let (scan, pred) = match &node.op {
+            PhysOp::Filter { input, pred } => (input.as_ref(), Some(pred)),
+            _ => (node, None),
         };
-        let PhysOp::Scan { range, .. } = &input.op else {
-            panic!("expected Scan, got {:?}", input.op);
+        let PhysOp::Scan { range, .. } = &scan.op else {
+            panic!("expected Scan, got {:?}", scan.op);
         };
         (range.as_ref().map(|r| r.to_string()), pred)
+    }
+
+    #[test]
+    fn exact_range_needs_no_filter() {
+        let db = db();
+        // Every conjunct bounds column 0: the ranged scan is the answer.
+        let exact = Predicate::col_cmp(0, CmpOp::Ge, 2).and(Predicate::col_cmp(0, CmpOp::Lt, 3));
+        // A `#1` conjunct next to the bound: the filter stays.
+        let mixed = Predicate::col_cmp(0, CmpOp::Lt, 3).and(Predicate::col_cmp(1, CmpOp::Gt, 10));
+        for (p, range, filter) in [
+            (&exact, "#0 >= 2 and #0 < 3", None),
+            (&mixed, "#0 < 3", Some(&mixed)),
+        ] {
+            let q = Query::base("R").select(p.clone());
+            let plan = lower_in(&db, &q);
+            assert_eq!(ranged(&plan.root), (Some(range.into()), filter), "{p}");
+            assert_eq!(plan.render(None).contains("Filter"), filter.is_some());
+            assert_eq!(plan.execute(&db).unwrap(), eval_query(&q, &db).unwrap());
+        }
     }
 
     #[test]
@@ -517,7 +546,7 @@ mod tests {
             panic!("expected Aggregate, got {:?}", plan.root.op);
         };
         // The filter keeps the full predicate above the range.
-        assert_eq!(ranged(input), (Some("#0 < 3".into()), &p));
+        assert_eq!(ranged(input), (Some("#0 < 3".into()), Some(&p)));
         assert!(plan.render(None).contains("Scan R [#0 < 3]"));
         let (out, m) = plan.execute_analyze(&db).unwrap();
         assert_eq!(out, eval_query(&q, &db).unwrap());
@@ -548,7 +577,7 @@ mod tests {
                 body = b;
             }
             // R is rebound, so no index probe — but the range stays.
-            assert_eq!(ranged(body), (Some("#0 = 3".into()), &p), "{q}");
+            assert_eq!(ranged(body), (Some("#0 = 3".into()), None), "{q}");
             assert_eq!(
                 plan.execute(&db).unwrap(),
                 eval_query(&q, &db).unwrap(),
@@ -568,7 +597,7 @@ mod tests {
         ] {
             let q = Query::base("R").select(p.clone());
             let plan = lower_in(&db, &q);
-            assert_eq!(ranged(&plan.root), (None, &p));
+            assert_eq!(ranged(&plan.root), (None, Some(&p)));
             assert_eq!(plan.execute(&db).unwrap(), eval_query(&q, &db).unwrap());
         }
     }
@@ -758,7 +787,7 @@ mod tests {
             panic!("expected XsubRebind root, got {:?}", plan.root.op);
         };
         assert!(matches!(bindings[0].1.op, PhysOp::Const { .. }));
-        assert!(matches!(body.op, PhysOp::Filter { .. }));
+        assert_eq!(ranged(body), (Some("#0 = 2".into()), None));
         let applied = e.apply(&db).unwrap();
         assert_eq!(
             plan.execute(&db).unwrap(),

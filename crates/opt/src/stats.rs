@@ -27,7 +27,7 @@ use hypoquery_storage::{distinct_counts, DatabaseState, KeyRange, RelName, Value
 use hypoquery_algebra::{CmpOp, Predicate, Query, ScalarExpr, StateExpr, Update};
 use hypoquery_eval::join::{split_equi_pairs, EquiPair};
 
-use crate::implication::conjuncts;
+use crate::implication::{any_conjunct, conjuncts};
 
 /// Selectivity assumed for equality predicates.
 pub const SEL_EQ: f64 = 0.1;
@@ -457,6 +457,17 @@ pub(crate) fn key_range(p: &Predicate) -> Option<KeyRange> {
         },
     );
     (!range.is_full()).then_some(range)
+}
+
+/// Whether [`key_range`] bounds every conjunct of `p`: each is a
+/// `#0 op const` with `op ≠ <>`, so a scan of the range yields exactly
+/// the rows satisfying `p` and needs no filter above it.
+pub(crate) fn key_range_is_exact(p: &Predicate) -> bool {
+    use ScalarExpr::{Col, Const};
+    !any_conjunct(p, &mut |c| {
+        !matches!(c, Predicate::Cmp(Col(0), op, Const(_)) | Predicate::Cmp(Const(_), op, Col(0))
+            if *op != CmpOp::Ne)
+    })
 }
 
 #[cfg(test)]

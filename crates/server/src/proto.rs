@@ -533,17 +533,18 @@ impl Reply {
                 .next()
                 .and_then(|s| s.parse().ok())
                 .ok_or_else(|| WireError::proto("ROWS missing arity"))?;
-            let mut rel = Relation::empty(arity);
             let mut lines = body.lines();
-            for i in 0..n {
-                let row = lines
-                    .next()
-                    .ok_or_else(|| WireError::proto(format!("ROWS truncated at row {i}")))?;
-                let t = decode_tuple(row, i + 1)
-                    .map_err(|e| WireError::proto(format!("bad row {i}: {e}")))?;
-                rel.insert(t)
-                    .map_err(|e| WireError::proto(format!("bad row {i}: {e}")))?;
-            }
+            let rows = (0..n)
+                .map(|i| {
+                    let row = lines
+                        .next()
+                        .ok_or_else(|| WireError::proto(format!("ROWS truncated at row {i}")))?;
+                    decode_tuple(row, i + 1)
+                        .map_err(|e| WireError::proto(format!("bad row {i}: {e}")))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let rel = Relation::from_rows(arity, rows)
+                .map_err(|e| WireError::proto(format!("bad row: {e}")))?;
             return Ok(Reply::Rows(rel));
         }
         if line == "TEXT" {

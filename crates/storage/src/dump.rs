@@ -17,9 +17,11 @@
 //! per line with tab-separated values: bare integers, `true`/`false`
 //! booleans, and double-quoted strings with `\"`/`\\`/`\t`/`\n` escapes.
 
+use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
 use crate::database::DatabaseState;
+use crate::relation::Relation;
 use crate::schema::{Catalog, RelSchema};
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -174,9 +176,11 @@ pub fn load_state(src: &str) -> Result<DatabaseState, DumpError> {
             })?;
         }
     }
-    // Second pass: rows.
-    let mut db = DatabaseState::new(catalog);
-    let mut current: Option<(String, usize)> = None;
+    // Second pass: rows, decoded per relation (a repeated header adds to
+    // its relation), then each relation built in one step.
+    // Per relation: its first header's line, its arity and its rows.
+    let mut rows: HashMap<&str, (usize, usize, Vec<Tuple>)> = HashMap::new();
+    let mut current: Option<&str> = None;
     for (i, line) in src.lines().enumerate() {
         let line_no = i + 1;
         let line = line.trim_end();
@@ -185,26 +189,34 @@ pub fn load_state(src: &str) -> Result<DatabaseState, DumpError> {
         }
         if let Some(rest) = line.strip_prefix("relation ") {
             let mut parts = rest.splitn(3, ' ');
-            let name = parts.next().unwrap_or_default().to_string();
+            let name = parts.next().unwrap_or_default();
             let arity: usize = parts.next().and_then(|s| s.parse().ok()).unwrap_or(0);
-            current = Some((name, arity));
+            rows.entry(name).or_insert((line_no, arity, Vec::new()));
+            current = Some(name);
             continue;
         }
-        let (name, arity) = current.clone().ok_or(DumpError {
+        let name = current.ok_or(DumpError {
             line: line_no,
             message: "row before any relation header".into(),
         })?;
+        let (_, arity, section) = rows.get_mut(name).expect("a header opened the section");
         let t = decode_tuple(line, line_no)?;
-        if t.arity() != arity {
+        if t.arity() != *arity {
             return Err(DumpError {
                 line: line_no,
                 message: format!("expected {arity} fields, found {}", t.arity()),
             });
         }
-        db.insert_row(name.as_str(), t).map_err(|e| DumpError {
-            line: line_no,
-            message: e.to_string(),
-        })?;
+        section.push(t);
+    }
+    let mut db = DatabaseState::new(catalog);
+    for (name, (header, arity, section)) in rows {
+        Relation::from_rows(arity, section)
+            .and_then(|rel| db.set(name, rel))
+            .map_err(|e| DumpError {
+                line: header,
+                message: e.to_string(),
+            })?;
     }
     Ok(db)
 }
@@ -285,6 +297,18 @@ mod tests {
             assert_eq!(decode_tuple(&line, 7).unwrap(), t, "{line:?}");
         }
         assert_eq!(decode_tuple("nope", 7).unwrap_err().line, 7);
+    }
+
+    #[test]
+    fn a_repeated_header_adds_to_its_relation() {
+        let text = "relation R 2\n1\t10\nrelation S 1\n7\nrelation R 2\n2\t20\n1\t10\n";
+        let db = load_state(text).unwrap();
+        let r = db.get(&"R".into()).unwrap();
+        assert_eq!(
+            r,
+            Relation::from_rows(2, [tuple![1, 10], tuple![2, 20]]).unwrap()
+        );
+        assert_eq!(db.get(&"S".into()).unwrap().len(), 1);
     }
 
     #[test]

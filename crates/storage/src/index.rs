@@ -1,8 +1,9 @@
 //! Per-column hash indexes that ride the copy-on-write storage design.
 //!
-//! An index maps a key — the tuple's values at a fixed column list — to
-//! the tuples carrying that key. A built index is cached *inside the
-//! relation's shared storage* (next to its tuples), so every CoW snapshot
+//! An index is a [`KeyedRows`] table over a relation's tuples, keyed on a
+//! fixed column list: the same table a hash join builds, probed by any
+//! row. A built index is cached *inside the relation's shared storage*
+//! (next to its tuples), so every CoW snapshot
 //! that still physically shares a base relation ([`Relation::ptr_eq`])
 //! finds the same cached index for free. Any mutation un-shares or
 //! rewrites the storage and clears its caches, so a stale index is never
@@ -14,43 +15,13 @@
 //! so two databases in one process count independently. The server's
 //! `STATS` verb and the E11 bench read them.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::chain::KeyedRows;
 use crate::relation::Relation;
-use crate::tuple::Tuple;
 use crate::value::Value;
-
-/// A hash index over one relation: key = the tuple's values at `cols`.
-///
-/// Immutable once built; shared behind an `Arc` by every snapshot whose
-/// relation still points at the indexed storage.
-#[derive(Debug)]
-pub struct ColumnIndex {
-    map: HashMap<Vec<Value>, Vec<Tuple>>,
-}
-
-impl ColumnIndex {
-    /// Build an index over `rel` keyed on `cols`.
-    ///
-    /// Every column must be in range for the relation's arity (callers
-    /// validate against the catalog; this is a hard invariant).
-    pub fn build(rel: &Relation, cols: &[usize]) -> ColumnIndex {
-        debug_assert!(cols.iter().all(|&c| c < rel.arity()));
-        let mut map: HashMap<Vec<Value>, Vec<Tuple>> = HashMap::new();
-        for t in rel.iter() {
-            let key: Vec<Value> = cols.iter().map(|&c| t[c].clone()).collect();
-            map.entry(key).or_default().push(t.clone());
-        }
-        ColumnIndex { map }
-    }
-
-    /// The tuples whose key columns equal `key` (empty when absent).
-    pub fn probe(&self, key: &[Value]) -> &[Tuple] {
-        self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
-    }
-}
 
 /// Snapshot of one [`IndexStats`] handle (monotone since it was made).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -86,11 +57,7 @@ impl IndexStats {
 /// The index over `rel` keyed on `cols`, building and caching it in the
 /// relation's storage on first use. A cached answer counts as a hit in
 /// `stats`; building counts as one miss and one build.
-pub fn lookup_or_build_index(
-    rel: &Relation,
-    cols: &[usize],
-    stats: &IndexStats,
-) -> Arc<ColumnIndex> {
+pub fn lookup_or_build_index(rel: &Relation, cols: &[usize], stats: &IndexStats) -> Arc<KeyedRows> {
     let mut cache = rel
         .store()
         .indexes
@@ -104,7 +71,9 @@ pub fn lookup_or_build_index(
     // for a single build instead of each building their own.
     stats.misses.fetch_add(1, Ordering::Relaxed);
     stats.builds.fetch_add(1, Ordering::Relaxed);
-    let idx = Arc::new(ColumnIndex::build(rel, cols));
+    let mut idx = KeyedRows::new(cols.to_vec());
+    idx.extend(rel.iter().cloned());
+    let idx = Arc::new(idx);
     cache.insert(cols.to_vec(), Arc::clone(&idx));
     idx
 }
@@ -139,19 +108,19 @@ mod tests {
         ])
     }
 
+    fn lookup(rel: &Relation, cols: &[usize]) -> Arc<KeyedRows> {
+        lookup_or_build_index(rel, cols, &IndexStats::default())
+    }
+
     #[test]
     fn build_and_probe() {
         let rel = r3();
-        let idx = ColumnIndex::build(&rel, &[0]);
+        let idx = lookup(&rel, &[0]);
         assert_eq!(idx.probe(&[Value::int(2)]).len(), 2);
         assert_eq!(idx.probe(&[Value::int(1)]).len(), 1);
         assert_eq!(idx.probe(&[Value::int(9)]).len(), 0);
-        let idx = ColumnIndex::build(&rel, &[0, 1]);
+        let idx = lookup(&rel, &[0, 1]);
         assert_eq!(idx.probe(&[Value::int(2), Value::int(20)]).len(), 1);
-    }
-
-    fn lookup(rel: &Relation, cols: &[usize]) -> Arc<ColumnIndex> {
-        lookup_or_build_index(rel, cols, &IndexStats::default())
     }
 
     #[test]
@@ -179,7 +148,7 @@ mod tests {
         assert_eq!(distinct_counts(&rel), &[2, 3]);
         rel.insert(tuple![7, 70]).unwrap();
         let idx = lookup(&rel, &[0]);
-        assert_eq!(idx.probe(&[Value::int(7)]), &[tuple![7, 70]]);
+        assert_eq!(idx.probe(&[Value::int(7)]), [tuple![7, 70]]);
         assert_eq!(distinct_counts(&rel), &[3, 4]);
         assert!(rel.remove(&tuple![1, 10]));
         assert!(lookup(&rel, &[0]).probe(&[Value::int(1)]).is_empty());

@@ -16,6 +16,7 @@
 #![warn(missing_docs)]
 
 pub mod bag;
+pub mod chain;
 pub mod database;
 pub mod dump;
 pub mod error;
@@ -26,10 +27,11 @@ pub mod tuple;
 pub mod value;
 
 pub use bag::BagRelation;
+pub use chain::KeyedRows;
 pub use database::DatabaseState;
 pub use dump::{decode_tuple, dump_state, encode_tuple, load_state, DumpError};
 pub use error::StorageError;
-pub use index::{distinct_counts, lookup_or_build_index, ColumnIndex, IndexCounters, IndexStats};
+pub use index::{distinct_counts, lookup_or_build_index, IndexCounters, IndexStats};
 pub use relation::{KeyRange, Relation};
 pub use schema::{Catalog, RelName, RelSchema};
 pub use tuple::{Row, Tuple};

@@ -1,9 +1,9 @@
 //! Relations: finite sets of same-arity tuples.
 //!
 //! Set semantics, as in the paper. Backed by a `BTreeSet` so iteration is
-//! deterministic and already sorted — the sort-merge `join_when` operator in
-//! `hypoquery-eval` exploits this, and so does [`Relation::range`], which
-//! walks only the tuples whose column 0 lies in a [`KeyRange`].
+//! deterministic and already sorted — [`Relation::range`] exploits this,
+//! walking only the tuples whose column 0 lies in a [`KeyRange`], and so
+//! does the streaming merge of a base with a delta in `hypoquery-eval`.
 //!
 //! Tuple storage is `Arc`-shared and copy-on-write: `clone()` is a pointer
 //! bump, and the first mutation of a shared relation clones the underlying
@@ -20,8 +20,8 @@ use std::fmt;
 use std::ops::Bound;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::chain::KeyedRows;
 use crate::error::StorageError;
-use crate::index::ColumnIndex;
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -43,7 +43,7 @@ pub struct Relation {
 pub(crate) struct Store {
     pub(crate) tuples: BTreeSet<Tuple>,
     /// Built column indexes, keyed by column list.
-    pub(crate) indexes: Mutex<HashMap<Vec<usize>, Arc<ColumnIndex>>>,
+    pub(crate) indexes: Mutex<HashMap<Vec<usize>, Arc<KeyedRows>>>,
     /// Distinct-value count of every column, filled in one pass.
     pub(crate) distinct: OnceLock<Box<[usize]>>,
 }
