@@ -21,6 +21,7 @@
 //! numbers are not meaningful, but every code path runs and every
 //! selected `BENCH_*.json` file is written.
 
+use std::ops::Bound;
 use std::time::Instant;
 
 use hypoquery_algebra::{AggExpr, CmpOp, Predicate, Query, StateExpr, Update};
@@ -31,13 +32,14 @@ use hypoquery_bench::workload::{
 use hypoquery_core::{
     fully_lazy, lazy_state, red_query, red_state, sub_query, to_enf_query, to_mod_enf, RewriteTrace,
 };
-use hypoquery_eval::physical::{PhysNode, PhysOp, PhysPlan};
+use hypoquery_eval::join::EquiPair;
+use hypoquery_eval::physical::{PhysNode, PhysOp, PhysPlan, Side};
 use hypoquery_eval::{
     algorithm_hql1, algorithm_hql2, algorithm_hql3, eval_pure, filter1, materialize_subst,
     XsubValue,
 };
 use hypoquery_opt::{lower_query, optimize, plan, plan_as, PlannedStrategy, Statistics};
-use hypoquery_storage::{tuple, DatabaseState, RelName, Relation};
+use hypoquery_storage::{tuple, DatabaseState, KeyRange, RelName, Relation, Value};
 use hypoquery_testkit::{example_2_4, Levels};
 
 /// An experiment: runs its cases, prints its table, records into the JSON.
@@ -174,7 +176,7 @@ impl BenchJson {
     /// Record under `keys` and return the medians of `reps` (at least 3)
     /// timings each of `a` and `b`, taken alternately (`a`, `b`, `a`, …)
     /// so that host drift hits both sides alike. Every ratio of two
-    /// timings is taken from one such pair.
+    /// timings is taken from one such pair (or a [`BenchJson::time_round`]).
     fn time_pair(
         &mut self,
         keys: [&str; 2],
@@ -182,15 +184,29 @@ impl BenchJson {
         mut a: impl FnMut() -> usize,
         mut b: impl FnMut() -> usize,
     ) -> (f64, f64) {
-        let (mut sa, mut sb) = (Vec::new(), Vec::new());
-        for _ in 0..reps.max(3) {
-            sa.push(sample_ns(&mut a));
-            sb.push(sample_ns(&mut b));
-        }
-        let (ma, mb) = (median(sa), median(sb));
-        self.record(keys[0], ma, Unit::Ns);
-        self.record(keys[1], mb, Unit::Ns);
+        let [ma, mb] = self.time_round(keys, reps, [&mut a, &mut b]);
         (ma, mb)
+    }
+
+    /// [`BenchJson::time_pair`] for any number of cases: one sample of
+    /// each case in turn, `reps` (at least 3) rounds.
+    fn time_round<const N: usize>(
+        &mut self,
+        keys: [&str; N],
+        reps: usize,
+        mut cases: [&mut dyn FnMut() -> usize; N],
+    ) -> [f64; N] {
+        let mut samples: [Vec<f64>; N] = std::array::from_fn(|_| Vec::new());
+        for _ in 0..reps.max(3) {
+            for (f, s) in cases.iter_mut().zip(&mut samples) {
+                s.push(sample_ns(f));
+            }
+        }
+        let medians = samples.map(median);
+        for (key, &m) in keys.iter().zip(&medians) {
+            self.record(key, m, Unit::Ns);
+        }
+        medians
     }
 
     /// Record one metric; keys are unique within an experiment.
@@ -908,9 +924,11 @@ fn e11(json: &mut BenchJson) {
     println!("faster than a full scan at 100k rows; CoW branches that leave the");
     println!("indexed base untouched share the one physical index — zero rebuilds");
     println!("across an 8-branch what-if tree; and a column-0 range select walks");
-    println!("only its range of the sorted relation; a join under a 1% delta probes");
-    println!("the stored index through the delta instead of hash-building the");
-    println!("merged scan (§5.5's join-when). Measured on the pipeline:");
+    println!("only its range of the sorted relation; a join on the sort key under a");
+    println!("1% delta merges the two delta-patched scans, faster than probing the");
+    println!("stored index through the delta or hash-building the merged scan");
+    println!("(§5.5's join-when), until the indexed side is a few times the probe");
+    println!("side. Measured on the pipeline:");
     println!("each query is lowered and executed; statistics are computed once.\n");
 
     let rows = scaled(100_000);
@@ -982,8 +1000,10 @@ fn e11(json: &mut BenchJson) {
         fmt_ns(t_branches)
     );
 
-    // A column-0 range aggregate, lowered (a ranged scan) against the same
-    // plan with the range removed (a full scan), on the one executor.
+    // A column-0 range aggregate: the same filter over a full scan and
+    // over a scan of the range, both built by hand, and the plan the
+    // lowering makes (the ranged scan alone: its range is the whole
+    // predicate).
     let mut range_speedups = Vec::new();
     for pct in [1usize, 10] {
         let bound = (rows * pct / 100) as i64;
@@ -991,57 +1011,76 @@ fn e11(json: &mut BenchJson) {
         let q = Query::base("R")
             .select(pred.clone())
             .aggregate(vec![], vec![AggExpr::Count, AggExpr::Sum(1)]);
-        let ranged = lower_query(&q, db.catalog(), &stats).unwrap();
+        let lowered = lower_query(&q, db.catalog(), &stats).unwrap();
+        let shape = lowered.render(None);
         assert!(
-            ranged.render(None).contains("Scan R [#0 <"),
-            "{}",
-            ranged.render(None)
+            shape.contains("Scan R [#0 <") && !shape.contains("Filter"),
+            "{shape}"
         );
-        let full = PhysPlan::new(PhysNode::new(
-            2,
-            PhysOp::Aggregate {
-                input: Box::new(PhysNode::new(
-                    2,
-                    PhysOp::Filter {
-                        input: Box::new(PhysNode::new(
-                            2,
-                            PhysOp::Scan {
-                                name: RelName::new("R"),
-                                range: None,
-                            },
-                        )),
-                        pred,
-                    },
-                )),
-                group_by: vec![],
-                aggs: vec![AggExpr::Count, AggExpr::Sum(1)],
-            },
+        let filtered = |range: Option<KeyRange>| {
+            let scan = PhysNode::new(
+                2,
+                PhysOp::Scan {
+                    name: RelName::new("R"),
+                    range,
+                },
+            );
+            PhysPlan::new(PhysNode::new(
+                2,
+                PhysOp::Aggregate {
+                    input: Box::new(PhysNode::new(
+                        2,
+                        PhysOp::Filter {
+                            input: Box::new(scan),
+                            pred: pred.clone(),
+                        },
+                    )),
+                    group_by: vec![],
+                    aggs: vec![AggExpr::Count, AggExpr::Sum(1)],
+                },
+            ))
+        };
+        let full = filtered(None);
+        let ranged = filtered(Some(
+            KeyRange::full().with_hi(Bound::Excluded(Value::int(bound))),
         ));
-        assert_eq!(full.execute(&db).unwrap(), ranged.execute(&db).unwrap());
-        let (t_full, t_ranged) = json.time_pair(
+        let want = lowered.execute(&db).unwrap();
+        assert_eq!(full.execute(&db).unwrap(), want);
+        assert_eq!(ranged.execute(&db).unwrap(), want);
+        let [t_full, t_ranged, t_lowered] = json.time_round(
             [
                 &format!("range_select_{pct}pct_full"),
                 &format!("range_select_{pct}pct_ranged"),
+                &format!("range_select_{pct}pct_lowered"),
             ],
             reps(11),
-            || full.execute(&db).unwrap().len(),
-            || ranged.execute(&db).unwrap().len(),
+            [
+                &mut || full.execute(&db).unwrap().len(),
+                &mut || ranged.execute(&db).unwrap().len(),
+                &mut || lowered.execute(&db).unwrap().len(),
+            ],
         );
         println!(
-            "| range aggregate, {pct}% of rows, full scan | {} |",
+            "| range aggregate, {pct}% of rows, filter over a full scan | {} |",
             fmt_ns(t_full)
         );
         println!(
-            "| range aggregate, {pct}% of rows, ranged scan | {} |",
+            "| range aggregate, {pct}% of rows, filter over a ranged scan | {} |",
             fmt_ns(t_ranged)
+        );
+        println!(
+            "| range aggregate, {pct}% of rows, lowered: ranged scan alone | {} |",
+            fmt_ns(t_lowered)
         );
         range_speedups.push((pct, t_full / t_ranged));
     }
 
     // §5.5's join-when on a base access path: a join aggregated in a
     // state that deletes 0.5% of `S` and inserts as many rows into it.
-    // With `S.#0` indexed the join probes the stored index through the
-    // delta's ∇/Δ⁺ patch; without, it hash-builds the merged scan.
+    // The lowering merges the two delta-patched scans on the sort key;
+    // in its place, by hand, a hash join builds the merged scan of `S`,
+    // and an index join probes `S`'s stored index through the delta's
+    // ∇/Δ⁺ patch.
     let slice = (rows / 200) as i64;
     let join_when = Query::base("R")
         .join(Query::base("S"), Predicate::col_col(0, CmpOp::Eq, 2))
@@ -1058,28 +1097,32 @@ fn e11(json: &mut BenchJson) {
         ));
     let mut jdb = db.clone();
     jdb.declare_index(RelName::new("S"), 0).unwrap();
-    let hashed = lower_query(&join_when, db.catalog(), &stats).unwrap();
-    let indexed = lower_query(&join_when, jdb.catalog(), &Statistics::of(&jdb)).unwrap();
-    assert!(
-        hashed.render(None).contains("HashJoin"),
-        "{}",
-        hashed.render(None)
-    );
-    let shape = indexed.render(None);
-    assert!(
-        shape.contains("IndexJoin") && !shape.contains("HashJoin"),
-        "{shape}"
-    );
+    let merged = lower_query(&join_when, jdb.catalog(), &Statistics::of(&jdb)).unwrap();
+    let hashed = replace_merge(&merged, hash_join_on_key);
+    let indexed = replace_merge(&merged, index_join_on_key);
+    for (plan, op) in [
+        (&merged, "MergeJoin"),
+        (&hashed, "HashJoin"),
+        (&indexed, "IndexJoin"),
+    ] {
+        assert!(plan.render(None).contains(op), "{}", plan.render(None));
+    }
     // Also builds the index, so the timed series probes a warm one.
-    assert_eq!(hashed.execute(&db).unwrap(), indexed.execute(&jdb).unwrap());
-    let (t_hash, t_patched) = json.time_pair(
+    let want = merged.execute(&jdb).unwrap();
+    assert_eq!(hashed.execute(&jdb).unwrap(), want);
+    assert_eq!(indexed.execute(&jdb).unwrap(), want);
+    let [t_hash, t_patched, t_merge] = json.time_round(
         [
             &format!("join_when_1pct_hash_{rows}"),
             &format!("join_when_1pct_index_{rows}"),
+            &format!("join_when_1pct_merge_{rows}"),
         ],
         reps(11),
-        || hashed.execute(&db).unwrap().len(),
-        || indexed.execute(&jdb).unwrap().len(),
+        [
+            &mut || hashed.execute(&jdb).unwrap().len(),
+            &mut || indexed.execute(&jdb).unwrap().len(),
+            &mut || merged.execute(&jdb).unwrap().len(),
+        ],
     );
     println!(
         "| join-when (R ⋈ S, 1% ∇/Δ⁺ on S), hash join | {} |",
@@ -1089,6 +1132,65 @@ fn e11(json: &mut BenchJson) {
         "| join-when (R ⋈ S, 1% ∇/Δ⁺ on S), patched index join | {} |",
         fmt_ns(t_patched)
     );
+    println!(
+        "| join-when (R ⋈ S, 1% ∇/Δ⁺ on S), lowered: merge join | {} |",
+        fmt_ns(t_merge)
+    );
+
+    // Merge against index join as the indexed side outgrows the probe
+    // side: `P ⋈ I` aggregated, 0.5% of P deleted and about as many rows
+    // of I (a column-0 range of it) inserted into P — the side the
+    // lowering leaves unindexed — and I indexed. Keys range over I's
+    // size, so both joins emit about |P| pairs; the merge reads all of I,
+    // the index join probes it |P| times. The ratio where the merge stops
+    // winning sets the lowering's `MERGE_MAX_RATIO`.
+    let probe_rows = scaled(2_000);
+    let mut sweep = Vec::new();
+    for ratio in [1usize, 4, 16, 64] {
+        let index_rows = probe_rows * ratio;
+        // R is I, S is P.
+        let mut sdb = two_table_db(index_rows, probe_rows, index_rows as i64, 13);
+        let slice = (probe_rows / 200).max(1) as i64;
+        let q = Query::base("S")
+            .join(Query::base("R"), Predicate::col_col(0, CmpOp::Eq, 2))
+            .aggregate(vec![], vec![AggExpr::Count, AggExpr::Sum(1)])
+            .when(StateExpr::update(
+                Update::delete(
+                    "S",
+                    Query::base("S").select(Predicate::col_cmp(1, CmpOp::Lt, slice)),
+                )
+                .then(Update::insert(
+                    "S",
+                    Query::base("R").select(Predicate::col_cmp(0, CmpOp::Lt, slice)),
+                )),
+            ));
+        // With no index declared, the lowering merges.
+        let merged = lower_query(&q, sdb.catalog(), &Statistics::of(&sdb)).unwrap();
+        let indexed = replace_merge(&merged, index_join_on_key);
+        sdb.declare_index(RelName::new("R"), 0).unwrap();
+        let picked = lower_query(&q, sdb.catalog(), &Statistics::of(&sdb)).unwrap();
+        let picks_merge = picked.render(None).contains("MergeJoin");
+        assert_eq!(
+            merged.execute(&sdb).unwrap(),
+            indexed.execute(&sdb).unwrap()
+        );
+        let (t_merge, t_index) = json.time_pair(
+            [
+                &format!("merge_vs_index_{ratio}x_merge"),
+                &format!("merge_vs_index_{ratio}x_index"),
+            ],
+            reps(21),
+            || merged.execute(&sdb).unwrap().len(),
+            || indexed.execute(&sdb).unwrap().len(),
+        );
+        println!(
+            "| P ⋈ I, |P| = {probe_rows}, |I| = {ratio}×|P|: merge / index join (lowering picks {}) | {} / {} |",
+            if picks_merge { "merge" } else { "index" },
+            fmt_ns(t_merge),
+            fmt_ns(t_index)
+        );
+        sweep.push((ratio, t_index / t_merge));
+    }
 
     let speedup = t_scan / t_idx;
     println!("\npoint-select speedup: {speedup:.1}×; index rebuilds across 8 branches: {rebuilds}");
@@ -1105,7 +1207,86 @@ fn e11(json: &mut BenchJson) {
     let join_speedup = t_hash / t_patched;
     println!("join-when speedup (patched index join vs hash join): {join_speedup:.2}×");
     json.record("join_when_1pct_speedup", join_speedup, Unit::Ratio);
+    let merge_speedup = t_patched / t_merge;
+    println!("join-when speedup (merge join vs patched index join): {merge_speedup:.2}×");
+    json.record("join_when_1pct_merge_speedup", merge_speedup, Unit::Ratio);
+    for &(ratio, speedup) in &sweep {
+        println!("merge speedup over the index join at |I| = {ratio}×|P|: {speedup:.2}×");
+        json.record(
+            &format!("merge_vs_index_{ratio}x_speedup"),
+            speedup,
+            Unit::Ratio,
+        );
+    }
+    // Where the speedup falls through 1, interpolated on log scales.
+    let crossover = sweep.windows(2).find_map(|w| {
+        let ((r0, s0), (r1, s1)) = (w[0], w[1]);
+        (s0 >= 1.0 && s1 < 1.0).then(|| {
+            let (l0, l1) = ((r0 as f64).ln(), (r1 as f64).ln());
+            (l0 + (l1 - l0) * s0.ln() / (s0.ln() - s1.ln())).exp()
+        })
+    });
+    match crossover {
+        Some(c) => {
+            println!("merge/index crossover: |I| ≈ {c:.1}×|P|");
+            json.record("merge_vs_index_crossover", c, Unit::Ratio);
+        }
+        None => println!("merge/index crossover: not within the swept ratios"),
+    }
     println!();
+}
+
+/// `plan` with the merge join under its `DeltaApply` and `Aggregate`
+/// replaced, by hand, by what `make` builds from its operands and
+/// residual.
+fn replace_merge(
+    plan: &PhysPlan,
+    make: fn(PhysNode, PhysNode, Vec<Predicate>) -> PhysOp,
+) -> PhysPlan {
+    let mut root = plan.root.clone();
+    let PhysOp::DeltaApply { body, .. } = &mut root.op else {
+        panic!("expected DeltaApply: {}", plan.render(None));
+    };
+    let PhysOp::Aggregate { input, .. } = &mut body.op else {
+        panic!("expected Aggregate: {}", plan.render(None));
+    };
+    let PhysOp::MergeJoin {
+        left,
+        right,
+        residual,
+    } = input.op.clone()
+    else {
+        panic!("expected MergeJoin: {}", plan.render(None));
+    };
+    input.op = make(*left, *right, residual);
+    PhysPlan::new(root)
+}
+
+/// A hash join on column 0 of both operands, building the right one.
+fn hash_join_on_key(left: PhysNode, right: PhysNode, residual: Vec<Predicate>) -> PhysOp {
+    PhysOp::HashJoin {
+        left: Box::new(left),
+        right: Box::new(right),
+        pairs: vec![EquiPair { left: 0, right: 0 }],
+        residual,
+        build: Side::Right,
+    }
+}
+
+/// An index join on column 0 of both operands: the left one probes the
+/// stored index of the base relation the right one scans.
+fn index_join_on_key(left: PhysNode, right: PhysNode, residual: Vec<Predicate>) -> PhysOp {
+    let PhysOp::Scan { name, range: None } = right.op else {
+        panic!("not a whole base scan: {:?}", right.op);
+    };
+    PhysOp::IndexJoin {
+        probe: Box::new(left),
+        probe_side: Side::Left,
+        rel: name,
+        index_cols: vec![0],
+        probe_cols: vec![0],
+        residual,
+    }
 }
 
 fn e12(json: &mut BenchJson) {

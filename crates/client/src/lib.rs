@@ -22,7 +22,7 @@
 pub mod repl;
 
 use std::fmt;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -79,7 +79,10 @@ impl ClientError {
 /// A connected session. One TCP connection = one server-side session
 /// (its own CoW snapshot, branches, prepared states).
 pub struct Client {
-    stream: TcpStream,
+    /// The connection, read through a buffer so that a reply's length and
+    /// payload usually arrive in one `read` call; requests are written
+    /// straight to the stream underneath.
+    stream: BufReader<TcpStream>,
     /// The request-size limit the server advertised in its greeting.
     server_max: u32,
 }
@@ -105,7 +108,7 @@ impl Client {
         stream.set_write_timeout(Some(timeout))?;
         stream.set_nodelay(true).ok();
         let mut client = Client {
-            stream,
+            stream: BufReader::new(stream),
             server_max: u32::MAX,
         };
         // The server leads with a greeting frame.
@@ -146,7 +149,7 @@ impl Client {
                 ),
             }));
         }
-        write_frame(&mut self.stream, payload.as_bytes())?;
+        write_frame(self.stream.get_mut(), payload.as_bytes())?;
         let reply = self.read_reply_payload()?;
         match Reply::decode(&reply) {
             Ok(Reply::Err(e)) => Err(ClientError::Server(e)),

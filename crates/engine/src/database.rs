@@ -610,7 +610,9 @@ mod tests {
     }
 
     #[test]
-    fn join_when_probes_base_indexes_through_the_delta() {
+    fn join_when_merges_the_delta_patched_scans() {
+        use hypoquery_eval::join::EquiPair;
+        use hypoquery_eval::{PhysOp, Side};
         // The served `scan` query on `R`/`S` shaped like its data set:
         // 6000 rows each, keys in 0..3000, both indexed on the key.
         let mut db = Database::new();
@@ -622,20 +624,65 @@ mod tests {
         }
         let src = "aggregate [; count, sum 1] (R join S on #0 = #2) \
                    when {delete from S (select v < 300 (S)); insert into R (select k < 150 (S))}";
+        // Two sides of one size: the merge over both delta-patched scans
+        // beats probing either index.
         let plan = db.explain(src).unwrap();
-        assert!(plan.contains("IndexJoin"), "{plan}");
-        assert!(!plan.contains("HashJoin"), "{plan}");
+        assert!(plan.contains("MergeJoin (on #0=#2, residual=0)"), "{plan}");
+        assert!(
+            !plan.contains("IndexJoin") && !plan.contains("HashJoin"),
+            "{plan}"
+        );
         let analyzed = db.explain_analyze(src).unwrap();
-        let join = analyzed.lines().find(|l| l.contains("IndexJoin")).unwrap();
+        let join = analyzed.lines().find(|l| l.contains("MergeJoin")).unwrap();
         assert!(join.contains("built=0"), "{analyzed}");
-        // The patched index join answers what the hash join over the
-        // merged scans answers.
-        let indexed = db.query(src).unwrap();
-        for name in ["R", "S"] {
-            db.drop_index(name, 0).unwrap();
+        let merged = db.query(src).unwrap();
+
+        // The patched index join and the hash join over the merged scans,
+        // built by hand in the merge's place, answer the same and keep no
+        // joined row either.
+        let q = db.prepare(src).unwrap();
+        let phys = db.physical_plan(&db.plan_query(&q)).unwrap();
+        for index in [true, false] {
+            let mut root = phys.root.clone();
+            let PhysOp::DeltaApply { body, .. } = &mut root.op else {
+                panic!("{}", phys.render(None))
+            };
+            let PhysOp::Aggregate { input: join, .. } = &mut body.op else {
+                panic!("{}", phys.render(None))
+            };
+            let PhysOp::MergeJoin { left, right, .. } = join.op.clone() else {
+                panic!("{}", phys.render(None))
+            };
+            join.op = if index {
+                PhysOp::IndexJoin {
+                    probe: left,
+                    probe_side: Side::Left,
+                    rel: "S".into(),
+                    index_cols: vec![0],
+                    probe_cols: vec![0],
+                    residual: vec![],
+                }
+            } else {
+                PhysOp::HashJoin {
+                    left,
+                    right,
+                    pairs: vec![EquiPair { left: 0, right: 0 }],
+                    residual: vec![],
+                    build: Side::Right,
+                }
+            };
+            let by_hand = PhysPlan::new(root);
+            let (out, m) = by_hand.execute_analyze(db.state()).unwrap();
+            assert_eq!(out, merged, "{}", by_hand.render(None));
+            let rendered = by_hand.render(Some(&m));
+            let line = if index {
+                "IndexJoin (probe=left, index S[#0])"
+            } else {
+                "HashJoin"
+            };
+            let join = rendered.lines().find(|l| l.contains(line)).unwrap();
+            assert!(join.contains("built=0"), "{rendered}");
         }
-        assert!(db.explain(src).unwrap().contains("HashJoin"));
-        assert_eq!(indexed, db.query(src).unwrap());
     }
 
     #[test]

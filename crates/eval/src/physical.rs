@@ -23,9 +23,17 @@
 //! through every streaming operator above it before the next row is
 //! produced.
 //!
+//! One operator pulls instead: [`PhysOp::MergeJoin`]. Its operands are
+//! *ordered sources* ([`is_ordered_source`]) — a scan, or filters over
+//! one — whose rows arrive in column-0 order, so it resolves both scans
+//! in its own frame, holds their two iterators (the same
+//! [`effective_iter`] streams a `Scan` pushes), and advances whichever is
+//! behind. It counts each child's `rows_out` as it pulls; its own output
+//! is pushed on like any other operator's.
+//!
 //! A row is handed on as a borrowed *view* (`RowView`), not a tuple: a
 //! stored tuple, a join pair of two views, or a projection of a view.
-//! Filters, projections, joins (hash, nested-loop and index) and unions
+//! Filters, projections, joins (hash, nested-loop, index and merge) and unions
 //! pass views on and allocate nothing per row; predicates, key hashing
 //! and aggregate accumulators read columns through the
 //! [`Row`] trait that both views and tuples implement. A three-way join's
@@ -79,7 +87,9 @@
 //! patch, and — keyed on whole rows — every seen set (`Dedup`, a
 //! non-distinct `Aggregate`, the right operand of `Diff`/`Intersect`).
 //! Both joins probe through one routine (`JoinProbe`). The aggregate's
-//! groups use the bare chained table.
+//! groups use the bare chained table. The merge join builds no table at
+//! all: equal keys meet because both inputs are sorted, and the one thing
+//! it keeps is the current key's run of left rows, as references.
 //!
 //! # Hypothetical operators
 //!
@@ -96,9 +106,12 @@
 //!   atom's source query is evaluated under the accumulated delta, the
 //!   resulting [`RelDelta`]s are smashed left-to-right, and the body's
 //!   base scans stream `(base − ∇) ∪ Δ` via [`effective_iter`] without
-//!   materializing the hypothetical state. An [`PhysOp::IndexJoin`] on
-//!   an updated name probes the stored index and patches the matches
-//!   of each probe key with the ∇ and Δ rows of that key.
+//!   materializing the hypothetical state. A [`PhysOp::MergeJoin`]
+//!   walks two such streams side by side (the paper's sort-merge
+//!   `join-when`, with no sort: every stream is already in order). An
+//!   [`PhysOp::IndexJoin`] on an updated name probes the stored index and
+//!   patches the matches of each probe key with the ∇ and Δ rows of that
+//!   key.
 //!
 //! # Instrumentation
 //!
@@ -112,7 +125,9 @@
 //! the phases around execution instead, where one pair of clock reads
 //! costs nothing next to the work it measures.
 
+use std::borrow::Cow;
 use std::cell::Cell;
+use std::cmp::Ordering;
 use std::fmt::Write as _;
 
 use hypoquery_storage::{
@@ -237,6 +252,25 @@ pub enum PhysOp {
         /// Residual conjuncts over the concatenated tuple.
         residual: Vec<Predicate>,
     },
+    /// Merge join on column 0 of two *ordered sources* (see
+    /// [`is_ordered_source`]): a `Scan`, or a `Filter` over one, whose
+    /// rows arrive in column-0 order — every relation a scan resolves to
+    /// is a sorted set, and [`effective_iter`] merges a delta in order.
+    /// The one operator that pulls instead of being pushed to: it walks
+    /// both streams by key in its own frame, keeps the left side's run of
+    /// rows with the current key as references, and pushes each pair that
+    /// passes `residual` on as a view, so it hashes and builds nothing
+    /// (§5.5's sort-merge `join-when`, with no sort). Output columns are
+    /// `left ++ right`.
+    MergeJoin {
+        /// Left operand (an ordered source).
+        left: Box<PhysNode>,
+        /// Right operand (an ordered source).
+        right: Box<PhysNode>,
+        /// Residual conjuncts over the concatenated tuple, among them any
+        /// equi pair other than column 0 of both sides.
+        residual: Vec<Predicate>,
+    },
     /// Streaming union (both children pushed through; duplicates collapse
     /// at the next breaker or the sink).
     Union {
@@ -312,6 +346,7 @@ macro_rules! child_nodes {
             | PhysOp::Dedup { input }
             | PhysOp::Aggregate { input, .. } => vec![input],
             PhysOp::HashJoin { left, right, .. }
+            | PhysOp::MergeJoin { left, right, .. }
             | PhysOp::Union { left, right }
             | PhysOp::Diff { left, right }
             | PhysOp::Intersect { left, right } => vec![left, right],
@@ -361,7 +396,9 @@ impl PhysNode {
             // Distinct pairs of input rows concatenate to distinct rows;
             // an index join's other side is a stored base relation, or
             // one patched by a delta (still a set).
-            PhysOp::HashJoin { left, right, .. } => left.distinct && right.distinct,
+            PhysOp::HashJoin { left, right, .. } | PhysOp::MergeJoin { left, right, .. } => {
+                left.distinct && right.distinct
+            }
             PhysOp::IndexJoin { probe, .. } => probe.distinct,
             PhysOp::Project { .. } | PhysOp::Union { .. } => false,
         };
@@ -595,17 +632,8 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
     let id = node.id;
     match &node.op {
         PhysOp::Scan { name, range } => {
-            // A delta in scope applies on top of an xsub binding: the
-            // binding was made outside it (`XsubRebind` drops the deltas
-            // its bindings already saw).
-            let stored;
-            let base = match env.xsub.get(name) {
-                Some(rel) => rel,
-                None => {
-                    stored = ctx.db.get(name)?;
-                    &stored
-                }
-            };
+            let base = scan_base(name, ctx, env)?;
+            let base = &*base;
             // The delta-free cases skip the boxed merge iterator.
             match (env.delta.get(name), range) {
                 (None, None) => scan_emit(id, ctx, base.iter(), out),
@@ -708,6 +736,47 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
                 residual,
             };
             run(probe, ctx, env, &mut |v| join.probe(ctx, v, out))
+        }
+        PhysOp::MergeJoin {
+            left,
+            right,
+            residual,
+        } => {
+            let (l, r) = (
+                OrderedSource::new(left, ctx, env)?,
+                OrderedSource::new(right, ctx, env)?,
+            );
+            let mut lefts = l.rows(ctx);
+            let mut next_left = lefts.next();
+            // The left rows whose key is the current right row's.
+            let mut run: Vec<&Tuple> = Vec::new();
+            for t in r.rows(ctx) {
+                let key = &t[0];
+                if run.first().is_none_or(|m| &m[0] != key) {
+                    run.clear();
+                    while let Some(m) = next_left {
+                        match m[0].cmp(key) {
+                            Ordering::Less => {}
+                            Ordering::Equal => run.push(m),
+                            Ordering::Greater => break,
+                        }
+                        next_left = lefts.next();
+                    }
+                    if run.is_empty() && next_left.is_none() {
+                        break;
+                    }
+                }
+                let right_row = RowView::Stored(t);
+                for m in &run {
+                    let left_row = RowView::Stored(m);
+                    let joined = RowView::pair(&left_row, &right_row);
+                    if residual.iter().all(|p| p.eval(&joined)) {
+                        ctx.row_out(id);
+                        out(&joined)?;
+                    }
+                }
+            }
+            Ok(())
         }
         PhysOp::Union { left, right } => {
             for child in [left.as_ref(), right.as_ref()] {
@@ -818,6 +887,91 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
                 out(v)
             })
         }
+    }
+}
+
+/// The relation a scan of `name` reads before any delta: its xsub binding
+/// in `env`, else the stored base. A delta in scope applies on top of an
+/// xsub binding: the binding was made outside it (`XsubRebind` drops the
+/// deltas its bindings already saw).
+fn scan_base<'e>(
+    name: &RelName,
+    ctx: &Ctx<'_>,
+    env: &'e Env,
+) -> Result<Cow<'e, Relation>, EvalError> {
+    Ok(match env.xsub.get(name) {
+        Some(rel) => Cow::Borrowed(rel),
+        None => Cow::Owned(ctx.db.get(name)?),
+    })
+}
+
+/// Whether `node` is an *ordered source*, an operand a
+/// [`PhysOp::MergeJoin`] can pull in column-0 order: a `Scan` (ranged or
+/// not), or a `Filter` over an ordered source.
+pub fn is_ordered_source(node: &PhysNode) -> bool {
+    match &node.op {
+        PhysOp::Scan { .. } => true,
+        PhysOp::Filter { input, .. } => is_ordered_source(input),
+        _ => false,
+    }
+}
+
+/// A [`PhysOp::MergeJoin`] operand, resolved in the join's frame: the
+/// relation its scan reads, the delta and range it reads it through, and
+/// the filters above the scan, innermost first.
+struct OrderedSource<'p> {
+    /// The scan's node id.
+    scan: usize,
+    base: Cow<'p, Relation>,
+    delta: Option<&'p RelDelta>,
+    range: Option<&'p KeyRange>,
+    filters: Vec<(usize, &'p Predicate)>,
+}
+
+impl<'p> OrderedSource<'p> {
+    fn new(node: &'p PhysNode, ctx: &Ctx<'_>, env: &'p Env) -> Result<Self, EvalError> {
+        let mut filters = Vec::new();
+        let mut n = node;
+        loop {
+            match &n.op {
+                PhysOp::Filter { input, pred } => {
+                    filters.push((n.id, pred));
+                    n = input;
+                }
+                PhysOp::Scan { name, range } => {
+                    filters.reverse();
+                    return Ok(OrderedSource {
+                        scan: n.id,
+                        base: scan_base(name, ctx, env)?,
+                        delta: env.delta.get(name),
+                        range: range.as_ref(),
+                        filters,
+                    });
+                }
+                _ => {
+                    return Err(EvalError::UnsupportedShape(format!(
+                        "merge join operand {} is not an ordered source",
+                        op_label(n)
+                    )))
+                }
+            }
+        }
+    }
+
+    /// The source's rows in column-0 order, each counted in the `rows_out`
+    /// of the scan and of every filter it passes as it is pulled.
+    fn rows<'s>(&'s self, ctx: &'s Ctx<'_>) -> impl Iterator<Item = &'s Tuple> + 's {
+        effective_iter(&self.base, self.delta, self.range)
+            .inspect(move |_| ctx.row_out(self.scan))
+            .filter(move |t| {
+                self.filters.iter().all(|&(id, p)| {
+                    let keep = p.eval(*t);
+                    if keep {
+                        ctx.row_out(id);
+                    }
+                    keep
+                })
+            })
     }
 }
 
@@ -980,6 +1134,11 @@ fn op_label(node: &PhysNode) -> String {
                 cs.join(", ")
             )
         }
+        PhysOp::MergeJoin { left, residual, .. } => format!(
+            "MergeJoin (on #0=#{}, residual={})",
+            left.arity,
+            residual.len()
+        ),
         PhysOp::Union { .. } => "Union".into(),
         PhysOp::Diff { .. } => "Diff".into(),
         PhysOp::Intersect { .. } => "Intersect".into(),
@@ -1399,6 +1558,15 @@ mod tests {
         assert!(!hash_join(dup(), scan("S")).distinct);
         assert!(index_join(scan("R")).distinct);
         assert!(!index_join(dup()).distinct);
+        let merge_join = PhysNode::new(
+            4,
+            PhysOp::MergeJoin {
+                left: Box::new(filter(scan("R"))),
+                right: Box::new(scan("S")),
+                residual: vec![],
+            },
+        );
+        assert!(merge_join.distinct);
     }
 
     #[test]
@@ -1579,6 +1747,16 @@ mod tests {
                 },
             )
         };
+        let merge_join = |left: PhysNode| {
+            PhysNode::new(
+                4,
+                PhysOp::MergeJoin {
+                    left: Box::new(left),
+                    right: Box::new(scan("S")),
+                    residual: vec![],
+                },
+            )
+        };
         let set_op = |intersect: bool| {
             let (left, right) = (Box::new(scan("R")), Box::new(r_ge_2()));
             let op = if intersect {
@@ -1665,6 +1843,8 @@ mod tests {
                 3,
             ),
             ("index join", index_join(), 3, 2),
+            ("merge join", merge_join(scan("R")), 5, 2),
+            ("merge join, filtered side", merge_join(r_ge_2()), 4, 2),
             ("union", union(scan("R"), scan("S")), 5, 5),
             ("diff", set_op(false), 5, 1),
             ("intersect", set_op(true), 5, 2),
@@ -1711,6 +1891,33 @@ mod tests {
         let (root, join) = (m.node(plan.root.id), m.node(body.id));
         assert_eq!((root.rows_in, root.rows_out), (2, 2));
         assert_eq!((join.rows_in, join.rows_out), (3, 2));
+
+        // A merge join pulls both sides through the same delta, R against
+        // S', and hands its pairs to the aggregate unbuilt.
+        let plan = PhysPlan::new(delta(aggregate(merge_join(scan("R")))));
+        let (out, m) = plan.execute_analyze(&db).unwrap();
+        assert_eq!(out, Relation::singleton(tuple![2]));
+        let PhysOp::DeltaApply { body, .. } = &plan.root.op else {
+            unreachable!()
+        };
+        let PhysOp::Aggregate { input: join, .. } = &body.op else {
+            unreachable!()
+        };
+        let PhysOp::MergeJoin { left, right, .. } = &join.op else {
+            unreachable!()
+        };
+        let s = m.node(join.id);
+        assert_eq!((s.rows_in, s.rows_out, s.built), (5, 2, 0));
+        assert_eq!(
+            (m.node(left.id).rows_out, m.node(right.id).rows_out),
+            (3, 2)
+        );
+        let rendered = plan.render(Some(&m));
+        let line = rendered.lines().find(|l| l.contains("MergeJoin")).unwrap();
+        assert!(
+            line.contains("MergeJoin (on #0=#2, residual=0)  (rows in=5 out=2 built=0)"),
+            "{rendered}"
+        );
     }
 
     #[test]

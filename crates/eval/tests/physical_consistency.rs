@@ -11,22 +11,24 @@
 //! joins (rows that are views of views) feed every operator that keeps a
 //! row as a tuple. Joins of indexed base names under `when {U}` probe the
 //! stored index through the delta's ∇/Δ⁺ patch and must match the same
-//! query run with no index declared.
+//! query run with no index declared. Merge joins on column 0 must match a
+//! hash join over the same operands and the direct semantics.
 
 use proptest::prelude::*;
 
 use hypoquery_algebra::scope::dom_update;
 use hypoquery_algebra::{AggExpr, CmpOp, ExplicitSubst, Predicate, Query, StateExpr, Update};
 use hypoquery_core::{fully_lazy, to_enf_query, to_mod_enf, RewriteTrace};
+use hypoquery_eval::join::EquiPair;
 use hypoquery_eval::{
     algorithm_hql1, algorithm_hql2, algorithm_hql3, eval_bag_query, eval_pure, eval_query,
-    BagState, PhysPlan,
+    BagState, PhysNode, PhysOp, PhysPlan, Side,
 };
 use hypoquery_opt::{lower_query, plan, Statistics};
 use hypoquery_storage::{DatabaseState, RelName, Relation, Tuple, Value};
 use hypoquery_testkit::{
-    arb_agg, arb_atomic_update_seq, arb_db, arb_predicate, arb_pure_query, arb_pure_subst,
-    arb_query, arb_tuple, arb_update, Universe,
+    arb_agg, arb_atomic_update_seq, arb_db, arb_int_value, arb_predicate, arb_pure_query,
+    arb_pure_subst, arb_query, arb_tuple, arb_update, Universe,
 };
 
 fn universe() -> Universe {
@@ -295,6 +297,161 @@ fn arb_join_when_update() -> BoxedStrategy<Update> {
         .boxed()
 }
 
+/// `plan` with every [`PhysOp::MergeJoin`] replaced by what `make` builds
+/// from its operands and residual, installed anew with
+/// [`PhysPlan::new`]; and how many merges it replaced.
+fn swap_merge_joins(
+    plan: &PhysPlan,
+    make: fn(PhysNode, PhysNode, Vec<Predicate>) -> PhysOp,
+) -> (PhysPlan, usize) {
+    fn walk(n: &mut PhysNode, make: fn(PhysNode, PhysNode, Vec<Predicate>) -> PhysOp) -> usize {
+        if let PhysOp::MergeJoin {
+            left,
+            right,
+            residual,
+        } = &n.op
+        {
+            n.op = make((**left).clone(), (**right).clone(), residual.clone());
+            return 1;
+        }
+        match &mut n.op {
+            PhysOp::Scan { .. }
+            | PhysOp::IndexProbe { .. }
+            | PhysOp::Const { .. }
+            | PhysOp::MergeJoin { .. } => 0,
+            PhysOp::Filter { input, .. }
+            | PhysOp::Project { input, .. }
+            | PhysOp::Dedup { input }
+            | PhysOp::Aggregate { input, .. }
+            | PhysOp::IndexJoin { probe: input, .. } => walk(input, make),
+            PhysOp::HashJoin { left, right, .. }
+            | PhysOp::Union { left, right }
+            | PhysOp::Diff { left, right }
+            | PhysOp::Intersect { left, right } => walk(left, make) + walk(right, make),
+            PhysOp::XsubRebind { bindings, body } => {
+                bindings
+                    .iter_mut()
+                    .map(|(_, b)| walk(b, make))
+                    .sum::<usize>()
+                    + walk(body, make)
+            }
+            PhysOp::DeltaApply { atoms, body } => {
+                atoms
+                    .iter_mut()
+                    .map(|a| walk(&mut a.input, make))
+                    .sum::<usize>()
+                    + walk(body, make)
+            }
+        }
+    }
+    let mut root = plan.root.clone();
+    let swapped = walk(&mut root, make);
+    (PhysPlan::new(root), swapped)
+}
+
+/// A hash join on column 0 of both operands, building the right one.
+fn hash_join_on_key(left: PhysNode, right: PhysNode, residual: Vec<Predicate>) -> PhysOp {
+    PhysOp::HashJoin {
+        left: Box::new(left),
+        right: Box::new(right),
+        pairs: vec![EquiPair { left: 0, right: 0 }],
+        residual,
+        build: Side::Right,
+    }
+}
+
+/// An index join on column 0 of both operands: the left one probes the
+/// index of the base relation the right one scans whole, patched by any
+/// delta in scope.
+fn index_join_on_key(left: PhysNode, right: PhysNode, residual: Vec<Predicate>) -> PhysOp {
+    let PhysOp::Scan { name, range: None } = right.op else {
+        panic!("not a whole base scan: {:?}", right.op);
+    };
+    PhysOp::IndexJoin {
+        probe: Box::new(left),
+        probe_side: Side::Left,
+        rel: name,
+        index_cols: vec![0],
+        probe_cols: vec![0],
+        residual,
+    }
+}
+
+/// A value of any type, so that one column mixes them: a merge walks
+/// keys in `Value`'s total order across types.
+fn arb_mixed_value() -> BoxedStrategy<Value> {
+    prop_oneof![
+        3 => arb_int_value(),
+        1 => prop::sample::select(vec!["a", "b"]).prop_map(Value::str),
+        1 => any::<bool>().prop_map(Value::bool),
+    ]
+    .boxed()
+}
+
+/// `R` and `S` (up to 8 rows each, mixed-type keys out of a handful so
+/// keys repeat, either may be empty) over the standard universe.
+fn arb_mixed_db() -> BoxedStrategy<DatabaseState> {
+    let rel = || {
+        prop::collection::vec((arb_mixed_value(), arb_mixed_value()), 0..=8).prop_map(|rows| {
+            let rows = rows.into_iter().map(|(k, v)| Tuple::new(vec![k, v]));
+            Relation::from_rows(2, rows).unwrap()
+        })
+    };
+    (rel(), rel())
+        .prop_map(|(r, s)| {
+            let mut db = DatabaseState::new(universe().catalog);
+            db.set("R", r).unwrap();
+            db.set("S", s).unwrap();
+            db
+        })
+        .boxed()
+}
+
+/// A bound on column 0 by a constant of any type.
+fn arb_key_bound() -> BoxedStrategy<Predicate> {
+    let op = prop::sample::select(vec![CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge]);
+    (op, arb_mixed_value())
+        .prop_map(|(op, v)| Predicate::col_cmp(0, op, v))
+        .boxed()
+}
+
+/// A join operand that lowers to an ordered source: a bare base name, a
+/// ranged one, a filtered one, or both.
+fn arb_ordered_operand() -> BoxedStrategy<Query> {
+    let name = || arb_joined_name().prop_map(Query::Base);
+    prop_oneof![
+        2 => name(),
+        1 => (name(), arb_key_bound()).prop_map(|(q, b)| q.select(b)),
+        1 => (name(), arb_predicate(2, 1)).prop_map(|(q, p)| q.select(p)),
+        1 => (name(), arb_key_bound(), arb_predicate(2, 1))
+            .prop_map(|(q, b, p)| q.select(b.and(p))),
+    ]
+    .boxed()
+}
+
+/// A join of two ordered operands on `#0 = #2`, sometimes with the
+/// second equi pair `#1 = #3` and sometimes with a residual.
+fn arb_merge_join() -> BoxedStrategy<Query> {
+    (
+        arb_ordered_operand(),
+        arb_ordered_operand(),
+        any::<bool>(),
+        any::<bool>(),
+        arb_predicate(4, 1),
+    )
+        .prop_map(|(a, b, second, residual, r)| {
+            let mut p = Predicate::col_col(0, CmpOp::Eq, 2);
+            if second {
+                p = p.and(Predicate::col_col(1, CmpOp::Eq, 3));
+            }
+            if residual {
+                p = p.and(r);
+            }
+            a.join(b, p)
+        })
+        .boxed()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -499,10 +656,48 @@ proptest! {
         let expected = eval_query(&q, &db).unwrap();
         let indexed = declare_all(&db);
         let phys = lower_query(&q, indexed.catalog(), &Statistics::of(&indexed)).unwrap();
-        prop_assert!(phys.render(None).contains("IndexJoin"), "{}", phys.render(None));
+        let shape = phys.render(None);
+        prop_assert!(shape.contains("IndexJoin") || shape.contains("MergeJoin"), "{}", shape);
+        // Where the merge takes a column-0 key, the patched index join on
+        // that key runs in its place, built by hand.
+        let (by_index, _) = swap_merge_joins(&phys, index_join_on_key);
+        let shape = by_index.render(None);
+        prop_assert!(shape.contains("IndexJoin") && !shape.contains("MergeJoin"), "{}", shape);
+        prop_assert_eq!(&by_index.execute(&indexed).unwrap(), &expected);
         for d in [&db, &indexed] {
             prop_assert_eq!(&pipelined(&q, d)?, &expected);
         }
         check_all_strategies(&q, &indexed)?;
+    }
+
+    /// Merge joins on column 0 of two ordered sources — bare, ranged
+    /// (the lowering copies one side's range to the other), filtered,
+    /// xsub-bound and delta-rebound scans, with a second equi pair and a
+    /// residual — over keys of mixed types that repeat on both sides: the
+    /// lowered merge, the same plan with a hash join in its place, and the
+    /// direct semantics agree.
+    #[test]
+    fn merge_join_matches_hash_join(
+        join in arb_merge_join(),
+        u in arb_join_when_update(),
+        binding in arb_ordered_operand(),
+        bound in arb_joined_name(),
+        shape in 0..4usize,
+        db in arb_mixed_db(),
+    ) {
+        let eps = || StateExpr::subst(ExplicitSubst::single(bound.clone(), binding.clone()));
+        let q = match shape {
+            0 => join,
+            1 => join.when(StateExpr::update(u)),
+            2 => join.when(eps()),
+            _ => join.when(StateExpr::update(u)).when(eps()),
+        };
+        let expected = eval_query(&q, &db).unwrap();
+        let phys = lower_query(&q, db.catalog(), &Statistics::of(&db)).unwrap();
+        let (hashed, swapped) = swap_merge_joins(&phys, hash_join_on_key);
+        prop_assert!(swapped >= 1, "{}", phys.render(None));
+        prop_assert_eq!(&phys.execute(&db).unwrap(), &expected);
+        prop_assert_eq!(&hashed.execute(&db).unwrap(), &expected);
+        check_all_strategies(&q, &db)?;
     }
 }

@@ -36,16 +36,28 @@
 //!   is a sorted set the scan can range.
 //! * **Full scan.** A predicate with no column-0 bound (`<>`, `or`,
 //!   `not`, column-to-column) filters a plain `Scan`.
-//! * **Joins.** A side that is a base scan with declared indexes on all
-//!   its equi columns, and that no xsub rebinds, becomes the probed side
-//!   of an [`PhysOp::IndexJoin`]. A delta-rebound side qualifies: the
-//!   executor probes the stored index and patches each probe's matches
-//!   with the delta's ∇ and Δ⁺ rows of that key (§5.5's `join-when` on
-//!   a base access path). With both sides qualifying, the side no delta
-//!   rebinds is indexed (its probes need no patch), and between equals
-//!   the *larger* (estimated) side, leaving the smaller to stream — the
-//!   same cost-based policy the planner assumes. Otherwise joins
-//!   hash-build the smaller (estimated) side.
+//! * **Joins.** An equi pair on column 0 of both sides, each an *ordered
+//!   source* (a scan, ranged or not, maybe under filters — whatever the
+//!   name resolves to at run time is sorted on column 0), makes the join a
+//!   [`PhysOp::MergeJoin`]; the other pairs become residual conjuncts.
+//!   Equal keys share every bound, so a column-0 range on one side's scan
+//!   is copied to the other's (both walk the intersection of two). The
+//!   merge replaces the hash join wherever it qualifies: both read every
+//!   row, but the merge hashes nothing.
+//!
+//!   A side that is a base scan with declared indexes on all its equi
+//!   columns, and that no xsub rebinds, becomes the probed side of an
+//!   [`PhysOp::IndexJoin`]. A delta-rebound side qualifies: the executor
+//!   probes the stored index and patches each probe's matches with the
+//!   delta's ∇ and Δ⁺ rows of that key (§5.5's `join-when` on a base
+//!   access path). With both sides qualifying, the side no delta rebinds
+//!   is indexed (its probes need no patch), and between equals the
+//!   *larger* (estimated) side, leaving the smaller to stream — the same
+//!   cost-based policy the planner assumes. The merge replaces that index
+//!   join too, unless the indexed side's estimate exceeds
+//!   `MERGE_MAX_RATIO` (2, from `report e11`'s sweep) times the probe
+//!   side's: then reading all of the indexed side costs more than probing
+//!   it. Otherwise joins hash-build the smaller (estimated) side.
 //!
 //! The cost model ([`crate::stats::estimate`]) prices the two index
 //! paths, but without the shadow analysis below, so it can price a path
@@ -53,7 +65,7 @@
 //! xsub-rebound name, and an index probe on any rebound name (a point
 //! select under a delta stays a ranged scan). It also streams the smaller
 //! side where the lowering keeps a delta-rebound larger side streaming,
-//! and it does not price ranges.
+//! and it prices neither ranges nor merge joins.
 //!
 //! **Shadow analysis.** An index path must read the stored base
 //! relation, or the base patched by a delta. During lowering we track
@@ -77,10 +89,10 @@
 use hypoquery_storage::{Catalog, KeyRange, RelName};
 
 use hypoquery_algebra::scope::NameSet;
-use hypoquery_algebra::{Predicate, Query, StateExpr, Update};
+use hypoquery_algebra::{CmpOp, Predicate, Query, StateExpr, Update};
 
-use hypoquery_eval::join::split_equi_pairs;
-use hypoquery_eval::physical::{DeltaAtom, PhysNode, PhysOp, PhysPlan, Side};
+use hypoquery_eval::join::{split_equi_pairs, EquiPair};
+use hypoquery_eval::physical::{is_ordered_source, DeltaAtom, PhysNode, PhysOp, PhysPlan, Side};
 use hypoquery_eval::{EvalError, XsubValue};
 
 use crate::stats::{estimate_rows, key_range, key_range_is_exact, point_eq_conjuncts, Statistics};
@@ -120,6 +132,15 @@ pub fn lower_under_xsub(
     let root = Lowerer { catalog, stats }.lower_rebind(bindings, q, &Shadow::default())?;
     Ok(PhysPlan::new(root))
 }
+
+/// How many times the probe side's estimated rows the indexed side's may
+/// be before an index join beats a merge join on the same operands (see
+/// *Joins* above). `report e11`'s `merge_vs_index_*` sweep (2000 probe
+/// rows under a 1% delta, `BENCH_e11.json`) has the merge 1.31× as fast
+/// as the index join at 1× and 0.88× at 4×, crossing at
+/// `merge_vs_index_crossover` ≈ 2.6× (2.2× in another full run); 2 stays
+/// below both.
+const MERGE_MAX_RATIO: f64 = 2.0;
 
 /// Names that an enclosing hypothetical wrapper may rebind at runtime.
 #[derive(Clone, Default)]
@@ -285,6 +306,12 @@ impl Lowerer<'_> {
         let est_l = estimate_rows(a, self.stats);
         let est_r = estimate_rows(b, self.stats);
 
+        // A merge needs an equi pair on column 0 of both sides, each an
+        // ordered source; the other pairs become residual conjuncts.
+        let merge = pairs.contains(&EquiPair { left: 0, right: 0 })
+            && is_ordered_source(&l)
+            && is_ordered_source(&r);
+
         if !pairs.is_empty() {
             // A side qualifies for an index nested-loop when it is a base
             // scan with every equi column declared that no xsub rebinds:
@@ -308,7 +335,18 @@ impl Lowerer<'_> {
             // side streams.
             let undelta = |q: &Query| !matches!(q, Query::Base(n) if sh.delta.contains(n));
             let index_left = left_ok && (!right_ok || (undelta(a), est_l) >= (undelta(b), est_r));
-            if index_left || right_ok {
+            // A merge hashes nothing, but reads every row of both sides
+            // where an index join reads only the probe side's: it keeps
+            // the index join once the indexed side is `MERGE_MAX_RATIO`
+            // times the probe side.
+            let (est_indexed, est_probe) = if index_left {
+                (est_l, est_r)
+            } else {
+                (est_r, est_l)
+            };
+            let index =
+                (index_left || right_ok) && !(merge && est_indexed <= MERGE_MAX_RATIO * est_probe);
+            if index {
                 let (rel, index_cols, probe_cols, probe, probe_side) = if index_left {
                     let Query::Base(name) = a else { unreachable!() };
                     (name.clone(), left_cols, right_cols, r, Side::Right)
@@ -328,6 +366,10 @@ impl Lowerer<'_> {
                     },
                 ));
             }
+        }
+
+        if merge {
+            return Ok(merge_join(l, r, pairs, residual));
         }
 
         // Hash join / nested loop: materialize the smaller estimated
@@ -422,6 +464,44 @@ impl Lowerer<'_> {
                  or mod-ENF (atomic-update sequence) first"
             ))),
         }
+    }
+}
+
+/// A [`PhysOp::MergeJoin`] of two ordered sources on column 0: every
+/// other equi pair joins the residual, and a column-0 range on either
+/// side's scan narrows the other's too, since equal keys share every
+/// bound.
+fn merge_join(
+    mut l: PhysNode,
+    mut r: PhysNode,
+    pairs: Vec<EquiPair>,
+    mut residual: Vec<Predicate>,
+) -> PhysNode {
+    let split = l.arity;
+    let others = pairs.into_iter().filter(|p| (p.left, p.right) != (0, 0));
+    residual.extend(others.map(|p| Predicate::col_col(p.left, CmpOp::Eq, split + p.right)));
+    let range = match (scan_range(&mut l).take(), scan_range(&mut r).take()) {
+        (Some(a), Some(b)) => Some(a.with_lo(b.lo).with_hi(b.hi)),
+        (a, b) => a.or(b),
+    };
+    *scan_range(&mut l) = range.clone();
+    *scan_range(&mut r) = range;
+    PhysNode::new(
+        split + r.arity,
+        PhysOp::MergeJoin {
+            left: Box::new(l),
+            right: Box::new(r),
+            residual,
+        },
+    )
+}
+
+/// The range of the scan at the bottom of an ordered source.
+fn scan_range(node: &mut PhysNode) -> &mut Option<KeyRange> {
+    match &mut node.op {
+        PhysOp::Scan { range, .. } => range,
+        PhysOp::Filter { input, .. } => scan_range(input),
+        op => unreachable!("not an ordered source: {op:?}"),
     }
 }
 
@@ -602,11 +682,31 @@ mod tests {
         }
     }
 
+    /// `R` and `S` with second columns that meet (`R.#1` is 10, 20, 30;
+    /// `S` is `(7, 10)`, `(8, 30)`), indexed on `#1` where `indexed` says:
+    /// a join on `#1 = #3` takes no merge, so the index-join rules decide.
+    fn value_join_db(indexed: &[&str]) -> DatabaseState {
+        let mut cat = Catalog::new();
+        cat.declare_arity("R", 2).unwrap();
+        cat.declare_arity("S", 2).unwrap();
+        let mut db = DatabaseState::new(cat);
+        db.insert_rows("R", [tuple![1, 10], tuple![2, 20], tuple![3, 30]])
+            .unwrap();
+        db.insert_rows("S", [tuple![7, 10], tuple![8, 30]]).unwrap();
+        for name in indexed {
+            db.declare_index(*name, 1).unwrap();
+        }
+        db
+    }
+
+    fn r_join_s_on_values() -> Query {
+        Query::base("R").join(Query::base("S"), Predicate::col_col(1, CmpOp::Eq, 3))
+    }
+
     #[test]
     fn join_uses_declared_index_side() {
-        let mut db = db();
-        db.declare_index("S", 0).unwrap();
-        let q = Query::base("R").join(Query::base("S"), Predicate::col_col(0, CmpOp::Eq, 2));
+        let db = value_join_db(&["S"]);
+        let q = r_join_s_on_values();
         let plan = lower_in(&db, &q);
         let PhysOp::IndexJoin {
             probe_side, rel, ..
@@ -617,6 +717,7 @@ mod tests {
         assert_eq!(*probe_side, Side::Left);
         assert_eq!(rel.as_str(), "S");
         let out = plan.execute(&db).unwrap();
+        assert_eq!(out.len(), 2);
         assert_eq!(out, eval_query(&q, &db).unwrap());
     }
 
@@ -630,28 +731,20 @@ mod tests {
         }
     }
 
-    fn indexed_db() -> DatabaseState {
-        let mut db = db();
-        db.declare_index("R", 0).unwrap();
-        db.declare_index("S", 0).unwrap();
-        db
-    }
-
     fn r_join_s() -> Query {
         Query::base("R").join(Query::base("S"), Predicate::col_col(0, CmpOp::Eq, 2))
     }
 
     #[test]
     fn delta_rebound_indexed_side_lowers_to_index_join() {
-        let mut db = db();
-        db.declare_index("S", 0).unwrap();
+        let db = value_join_db(&["S"]);
         let del_s = Update::delete(
             "S",
-            Query::base("S").select(Predicate::col_cmp(1, CmpOp::Lt, 250)),
+            Query::base("S").select(Predicate::col_cmp(1, CmpOp::Lt, 20)),
         );
-        let ins_s = Update::insert("S", Query::singleton(tuple![1, 100]));
+        let ins_s = Update::insert("S", Query::singleton(tuple![9, 20]));
         for u in [del_s.clone(), ins_s.clone(), del_s.then(ins_s)] {
-            let q = r_join_s().when(StateExpr::update(u));
+            let q = r_join_s_on_values().when(StateExpr::update(u));
             let plan = lower_in(&db, &q);
             let PhysOp::IndexJoin {
                 rel, probe_side, ..
@@ -670,7 +763,7 @@ mod tests {
 
     #[test]
     fn xsub_rebound_side_still_hash_joins() {
-        let db = indexed_db();
+        let db = value_join_db(&["R", "S"]);
         let s_for_r = StateExpr::subst(hypoquery_algebra::ExplicitSubst::new([
             ("R".into(), Query::base("S")),
             ("S".into(), Query::base("R")),
@@ -682,8 +775,8 @@ mod tests {
         // A binding replaces the stored base; a delta inside it patches
         // the binding, not the base.
         for q in [
-            r_join_s().when(s_for_r.clone()),
-            r_join_s().when(ins).when(s_for_r),
+            r_join_s_on_values().when(s_for_r.clone()),
+            r_join_s_on_values().when(ins).when(s_for_r),
         ] {
             let plan = lower_in(&db, &q);
             assert!(
@@ -702,7 +795,8 @@ mod tests {
             ("R".into(), db.get(&"S".into()).unwrap()),
             ("S".into(), db.get(&"R".into()).unwrap()),
         ]);
-        let plan = lower_under_xsub(&r_join_s(), &e, db.catalog(), &Statistics::of(&db)).unwrap();
+        let q = r_join_s_on_values();
+        let plan = lower_under_xsub(&q, &e, db.catalog(), &Statistics::of(&db)).unwrap();
         assert!(matches!(
             under_wrappers(&plan.root),
             PhysOp::HashJoin { .. }
@@ -710,16 +804,16 @@ mod tests {
         let applied = e.apply(&db).unwrap();
         assert_eq!(
             plan.execute(&db).unwrap(),
-            eval_query(&r_join_s(), &applied).unwrap()
+            eval_query(&q, &applied).unwrap()
         );
     }
 
     #[test]
     fn join_indexes_the_side_no_delta_rebinds() {
-        let db = indexed_db();
+        let db = value_join_db(&["R", "S"]);
         // R is the larger side either way, so only the delta rule sends
         // the index to S.
-        let q = r_join_s().when(StateExpr::update(Update::insert(
+        let q = r_join_s_on_values().when(StateExpr::update(Update::insert(
             "R",
             Query::singleton(tuple![4, 40]),
         )));
@@ -734,10 +828,131 @@ mod tests {
         assert_eq!(plan.execute(&db).unwrap(), eval_query(&q, &db).unwrap());
         // Without the delta, both sides are stored bases: the larger, R,
         // is indexed.
-        let PhysOp::IndexJoin { rel, .. } = &lower_in(&db, &r_join_s()).root.op else {
+        let PhysOp::IndexJoin { rel, .. } = &lower_in(&db, &r_join_s_on_values()).root.op else {
             panic!("expected IndexJoin");
         };
         assert_eq!(rel.as_str(), "R");
+    }
+
+    /// The residual count of the merge join under `plan`'s hypothetical
+    /// wrappers, if that is a merge join.
+    fn merged(plan: &PhysPlan) -> Option<usize> {
+        match under_wrappers(&plan.root) {
+            PhysOp::MergeJoin { residual, .. } => Some(residual.len()),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn merge_join_takes_column_0_of_two_ordered_sources() {
+        let db = db();
+        let on = |l: usize, r: usize| Predicate::col_col(l, CmpOp::Eq, 2 + r);
+        let r_gt = Query::base("R").select(Predicate::col_cmp(1, CmpOp::Gt, 10));
+        let s_for_r = StateExpr::subst(hypoquery_algebra::ExplicitSubst::single(
+            "R",
+            Query::base("S"),
+        ));
+        let ins = StateExpr::update(Update::insert("S", Query::singleton(tuple![1, 11])));
+        // (query, residual conjuncts of the merge, or no merge)
+        let cases = [
+            (r_join_s(), Some(0)),
+            (
+                Query::base("R").join(Query::base("S"), on(0, 0).and(on(1, 1))),
+                Some(1),
+            ),
+            (
+                Query::base("R").join(
+                    Query::base("S"),
+                    on(0, 0).and(Predicate::col_col(1, CmpOp::Lt, 3)),
+                ),
+                Some(1),
+            ),
+            (
+                r_gt.clone().join(
+                    r_gt.clone().select(Predicate::col_cmp(1, CmpOp::Lt, 30)),
+                    on(0, 0),
+                ),
+                Some(0),
+            ),
+            (r_join_s().when(s_for_r), Some(0)),
+            (r_join_s().when(ins), Some(0)),
+            // Not column 0 of both sides.
+            (Query::base("R").join(Query::base("S"), on(0, 1)), None),
+            (Query::base("R").join(Query::base("S"), on(1, 1)), None),
+            (Query::base("R").product(Query::base("S")), None),
+            // A projection is not an ordered source.
+            (
+                Query::base("R")
+                    .project(vec![1, 0])
+                    .join(Query::base("S"), on(0, 0)),
+                None,
+            ),
+        ];
+        for (q, residual) in cases {
+            let plan = lower_in(&db, &q);
+            assert_eq!(merged(&plan), residual, "{q}: {}", plan.render(None));
+            assert_eq!(
+                plan.execute(&db).unwrap(),
+                eval_query(&q, &db).unwrap(),
+                "{q}"
+            );
+        }
+    }
+
+    #[test]
+    fn merge_join_copies_a_key_range_to_the_other_side() {
+        let db = db();
+        let below = |k: i64| Predicate::col_cmp(0, CmpOp::Lt, k);
+        let q = Query::base("S")
+            .select(below(150))
+            .join(Query::base("R"), Predicate::col_col(0, CmpOp::Eq, 2));
+        let plan = lower_in(&db, &q);
+        let shape = plan.render(None);
+        assert!(
+            shape.starts_with("MergeJoin (on #0=#2, residual=0)"),
+            "{shape}"
+        );
+        assert!(shape.contains("Scan S [#0 < 150]"), "{shape}");
+        assert!(shape.contains("Scan R [#0 < 150]"), "{shape}");
+        assert_eq!(plan.execute(&db).unwrap(), eval_query(&q, &db).unwrap());
+        // Two ranges: both sides walk their intersection.
+        let q = Query::base("R")
+            .select(below(3).and(Predicate::col_cmp(1, CmpOp::Gt, 10)))
+            .join(
+                Query::base("S").select(Predicate::col_cmp(0, CmpOp::Ge, 2)),
+                Predicate::col_col(0, CmpOp::Eq, 2),
+            );
+        let plan = lower_in(&db, &q);
+        let shape = plan.render(None);
+        assert!(shape.contains("Scan R [#0 >= 2 and #0 < 3]"), "{shape}");
+        assert!(shape.contains("Scan S [#0 >= 2 and #0 < 3]"), "{shape}");
+        let (out, m) = plan.execute_analyze(&db).unwrap();
+        assert_eq!(out, eval_query(&q, &db).unwrap());
+        assert_eq!(out.len(), 1);
+        // Node 2 scans R, node 3 scans S: one row each.
+        assert_eq!((m.node(2).rows_out, m.node(3).rows_out), (1, 1), "{shape}");
+    }
+
+    #[test]
+    fn merge_join_gives_way_to_an_index_join_on_a_much_larger_side() {
+        // S is the probe side; R is indexed and `big` times its size.
+        for (big, index) in [(1, false), (100, true)] {
+            let mut db = db();
+            db.insert_rows("R", (4..2 * big).map(|k| tuple![k, k]))
+                .unwrap();
+            db.declare_index("R", 0).unwrap();
+            let q = Query::base("S").join(Query::base("R"), Predicate::col_col(0, CmpOp::Eq, 2));
+            let plan = lower_in(&db, &q);
+            let op = under_wrappers(&plan.root);
+            assert_eq!(
+                matches!(op, PhysOp::IndexJoin { .. }),
+                index,
+                "{big}×: {}",
+                plan.render(None)
+            );
+            assert_eq!(matches!(op, PhysOp::MergeJoin { .. }), !index, "{big}×");
+            assert_eq!(plan.execute(&db).unwrap(), eval_query(&q, &db).unwrap());
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   worker that wakes into shutdown connects once more before it exits,
 //!   so one wake-up reaches the whole pool however small the backlog.
 
-use std::io::{self, Read};
+use std::io::{self, BufReader, Read};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -213,7 +213,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
     shared.metrics.active.fetch_sub(1, Ordering::Relaxed);
 }
 
-fn serve_connection_inner(mut stream: &TcpStream, shared: &Shared) -> io::Result<()> {
+fn serve_connection_inner(stream: &TcpStream, shared: &Shared) -> io::Result<()> {
     let cfg = &shared.config;
     stream.set_read_timeout(Some(cfg.read_timeout))?;
     stream.set_write_timeout(Some(cfg.write_timeout))?;
@@ -222,6 +222,10 @@ fn serve_connection_inner(mut stream: &TcpStream, shared: &Shared) -> io::Result
     let greeting = format!("{HELLO_PREFIX}{}", cfg.max_request_bytes);
     send(stream, greeting.as_bytes(), shared)?;
 
+    // Requests are read through a buffer, so that a frame's length and
+    // payload usually arrive in one `read` call; replies are written
+    // straight to the stream.
+    let mut reader = BufReader::new(stream);
     let mut session = Session::new(shared.base.clone());
     let mut idle_since = Instant::now();
     loop {
@@ -233,7 +237,7 @@ fn serve_connection_inner(mut stream: &TcpStream, shared: &Shared) -> io::Result
             let _ = send(stream, bye.encode().as_bytes(), shared);
             return Ok(());
         }
-        let payload = match read_frame(&mut stream, cfg.max_request_bytes) {
+        let payload = match read_frame(&mut reader, cfg.max_request_bytes) {
             Ok(Some(p)) => p,
             Ok(None) => return Ok(()), // clean disconnect
             Err(FrameError::Io(e))
@@ -264,7 +268,7 @@ fn serve_connection_inner(mut stream: &TcpStream, shared: &Shared) -> io::Result
                 let mut sink = [0u8; 8192];
                 let deadline = Instant::now() + cfg.read_timeout;
                 while remaining > 0 && Instant::now() < deadline {
-                    match stream.read(&mut sink) {
+                    match reader.read(&mut sink) {
                         Ok(0) | Err(_) => break,
                         Ok(n) => remaining = remaining.saturating_sub(n as u64),
                     }
