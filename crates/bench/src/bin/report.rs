@@ -174,9 +174,10 @@ impl BenchJson {
     }
 
     /// Record under `keys` and return the medians of `reps` (at least 3)
-    /// timings each of `a` and `b`, taken alternately (`a`, `b`, `a`, …)
-    /// so that host drift hits both sides alike. Every ratio of two
-    /// timings is taken from one such pair (or a [`BenchJson::time_round`]).
+    /// timings each of `a` and `b`, taken in rounds of one each (`a b`,
+    /// `b a`, `a b`, …, see [`BenchJson::time_round`]) so that host drift
+    /// hits both sides alike. Every ratio of two timings is taken from one
+    /// such pair (or a `time_round`).
     fn time_pair(
         &mut self,
         keys: [&str; 2],
@@ -189,7 +190,10 @@ impl BenchJson {
     }
 
     /// [`BenchJson::time_pair`] for any number of cases: one sample of
-    /// each case in turn, `reps` (at least 3) rounds.
+    /// each case in turn, `reps` (at least 3) rounds. Round `i` starts at
+    /// case `i mod N`, so no case always runs right after the same
+    /// neighbour (a case that evicts the cache would otherwise bill every
+    /// sample of the one after it).
     fn time_round<const N: usize>(
         &mut self,
         keys: [&str; N],
@@ -197,9 +201,10 @@ impl BenchJson {
         mut cases: [&mut dyn FnMut() -> usize; N],
     ) -> [f64; N] {
         let mut samples: [Vec<f64>; N] = std::array::from_fn(|_| Vec::new());
-        for _ in 0..reps.max(3) {
-            for (f, s) in cases.iter_mut().zip(&mut samples) {
-                s.push(sample_ns(f));
+        for round in 0..reps.max(3) {
+            for k in 0..N {
+                let c = (round + k) % N;
+                samples[c].push(sample_ns(&mut cases[c]));
             }
         }
         let medians = samples.map(median);
@@ -1077,10 +1082,11 @@ fn e11(json: &mut BenchJson) {
 
     // §5.5's join-when on a base access path: a join aggregated in a
     // state that deletes 0.5% of `S` and inserts as many rows into it.
-    // The lowering merges the two delta-patched scans on the sort key;
-    // in its place, by hand, a hash join builds the merged scan of `S`,
-    // and an index join probes `S`'s stored index through the delta's
-    // ∇/Δ⁺ patch.
+    // The lowering merges the two delta-patched scans on the sort key and
+    // folds each key's runs into the aggregate (a group join); in its
+    // place, by hand, an aggregate over the merge join's pairs, over a
+    // hash join that builds the merged scan of `S`, and over an index join
+    // that probes `S`'s stored index through the delta's ∇/Δ⁺ patch.
     let slice = (rows / 200) as i64;
     let join_when = Query::base("R")
         .join(Query::base("S"), Predicate::col_col(0, CmpOp::Eq, 2))
@@ -1097,10 +1103,12 @@ fn e11(json: &mut BenchJson) {
         ));
     let mut jdb = db.clone();
     jdb.declare_index(RelName::new("S"), 0).unwrap();
-    let merged = lower_query(&join_when, jdb.catalog(), &Statistics::of(&jdb)).unwrap();
-    let hashed = replace_merge(&merged, hash_join_on_key);
-    let indexed = replace_merge(&merged, index_join_on_key);
+    let grouped = lower_query(&join_when, jdb.catalog(), &Statistics::of(&jdb)).unwrap();
+    let merged = replace_group_join(&grouped, merge_join_on_key);
+    let hashed = replace_group_join(&grouped, hash_join_on_key);
+    let indexed = replace_group_join(&grouped, index_join_on_key);
     for (plan, op) in [
+        (&grouped, "GroupJoin"),
         (&merged, "MergeJoin"),
         (&hashed, "HashJoin"),
         (&indexed, "IndexJoin"),
@@ -1108,20 +1116,23 @@ fn e11(json: &mut BenchJson) {
         assert!(plan.render(None).contains(op), "{}", plan.render(None));
     }
     // Also builds the index, so the timed series probes a warm one.
-    let want = merged.execute(&jdb).unwrap();
-    assert_eq!(hashed.execute(&jdb).unwrap(), want);
-    assert_eq!(indexed.execute(&jdb).unwrap(), want);
-    let [t_hash, t_patched, t_merge] = json.time_round(
+    let want = grouped.execute(&jdb).unwrap();
+    for plan in [&merged, &hashed, &indexed] {
+        assert_eq!(plan.execute(&jdb).unwrap(), want);
+    }
+    let [t_hash, t_patched, t_merge, t_group] = json.time_round(
         [
             &format!("join_when_1pct_hash_{rows}"),
             &format!("join_when_1pct_index_{rows}"),
             &format!("join_when_1pct_merge_{rows}"),
+            &format!("join_when_1pct_groupjoin_{rows}"),
         ],
         reps(11),
         [
             &mut || hashed.execute(&jdb).unwrap().len(),
             &mut || indexed.execute(&jdb).unwrap().len(),
             &mut || merged.execute(&jdb).unwrap().len(),
+            &mut || grouped.execute(&jdb).unwrap().len(),
         ],
     );
     println!(
@@ -1133,8 +1144,12 @@ fn e11(json: &mut BenchJson) {
         fmt_ns(t_patched)
     );
     println!(
-        "| join-when (R ⋈ S, 1% ∇/Δ⁺ on S), lowered: merge join | {} |",
+        "| join-when (R ⋈ S, 1% ∇/Δ⁺ on S), merge join | {} |",
         fmt_ns(t_merge)
+    );
+    println!(
+        "| join-when (R ⋈ S, 1% ∇/Δ⁺ on S), lowered: group join | {} |",
+        fmt_ns(t_group)
     );
 
     // Merge against index join as the indexed side outgrows the probe
@@ -1164,12 +1179,15 @@ fn e11(json: &mut BenchJson) {
                     Query::base("R").select(Predicate::col_cmp(0, CmpOp::Lt, slice)),
                 )),
             ));
-        // With no index declared, the lowering merges.
-        let merged = lower_query(&q, sdb.catalog(), &Statistics::of(&sdb)).unwrap();
-        let indexed = replace_merge(&merged, index_join_on_key);
+        // With no index declared, the lowering merges (and groups the
+        // merge's runs); the sweep times the joins under a plain
+        // aggregate, as every other join is aggregated.
+        let grouped = lower_query(&q, sdb.catalog(), &Statistics::of(&sdb)).unwrap();
+        let merged = replace_group_join(&grouped, merge_join_on_key);
+        let indexed = replace_group_join(&grouped, index_join_on_key);
         sdb.declare_index(RelName::new("R"), 0).unwrap();
         let picked = lower_query(&q, sdb.catalog(), &Statistics::of(&sdb)).unwrap();
-        let picks_merge = picked.render(None).contains("MergeJoin");
+        let picks_merge = !picked.render(None).contains("IndexJoin");
         assert_eq!(
             merged.execute(&sdb).unwrap(),
             indexed.execute(&sdb).unwrap()
@@ -1210,6 +1228,15 @@ fn e11(json: &mut BenchJson) {
     let merge_speedup = t_patched / t_merge;
     println!("join-when speedup (merge join vs patched index join): {merge_speedup:.2}×");
     json.record("join_when_1pct_merge_speedup", merge_speedup, Unit::Ratio);
+    let group_speedup = t_merge / t_group;
+    println!(
+        "join-when speedup (group join vs aggregate over the merge join): {group_speedup:.2}×"
+    );
+    json.record(
+        "join_when_1pct_groupjoin_speedup",
+        group_speedup,
+        Unit::Ratio,
+    );
     for &(ratio, speedup) in &sweep {
         println!("merge speedup over the index join at |I| = {ratio}×|P|: {speedup:.2}×");
         json.record(
@@ -1236,10 +1263,9 @@ fn e11(json: &mut BenchJson) {
     println!();
 }
 
-/// `plan` with the merge join under its `DeltaApply` and `Aggregate`
-/// replaced, by hand, by what `make` builds from its operands and
-/// residual.
-fn replace_merge(
+/// `plan` with the group join under its `DeltaApply` replaced, by hand,
+/// by an `Aggregate` over what `make` builds from its operands.
+fn replace_group_join(
     plan: &PhysPlan,
     make: fn(PhysNode, PhysNode, Vec<Predicate>) -> PhysOp,
 ) -> PhysPlan {
@@ -1247,19 +1273,31 @@ fn replace_merge(
     let PhysOp::DeltaApply { body, .. } = &mut root.op else {
         panic!("expected DeltaApply: {}", plan.render(None));
     };
-    let PhysOp::Aggregate { input, .. } = &mut body.op else {
-        panic!("expected Aggregate: {}", plan.render(None));
-    };
-    let PhysOp::MergeJoin {
+    let PhysOp::GroupJoin {
         left,
         right,
-        residual,
-    } = input.op.clone()
+        group_by,
+        aggs,
+    } = body.op.clone()
     else {
-        panic!("expected MergeJoin: {}", plan.render(None));
+        panic!("expected GroupJoin: {}", plan.render(None));
     };
-    input.op = make(*left, *right, residual);
+    let join = PhysNode::new(left.arity + right.arity, make(*left, *right, Vec::new()));
+    body.op = PhysOp::Aggregate {
+        input: Box::new(join),
+        group_by,
+        aggs,
+    };
     PhysPlan::new(root)
+}
+
+/// A merge join on column 0 of both operands, as the lowering builds one.
+fn merge_join_on_key(left: PhysNode, right: PhysNode, residual: Vec<Predicate>) -> PhysOp {
+    PhysOp::MergeJoin {
+        left: Box::new(left),
+        right: Box::new(right),
+        residual,
+    }
 }
 
 /// A hash join on column 0 of both operands, building the right one.
@@ -1293,7 +1331,7 @@ fn e12(json: &mut BenchJson) {
     println!("## E12 — pipelined physical operators vs materializing walkers");
     println!("claim: streaming deep select/project/join chains through the");
     println!("physical operator layer beats (or at worst matches) the legacy");
-    println!("tree-walkers, which materialize a BTreeSet per operator — on the");
+    println!("tree-walkers, which materialize a relation per operator — on the");
     println!("same prepared query form under lazy, HQL-2, and HQL-3.\n");
 
     println!("| shape | rows | strategy | legacy | pipelined | speedup |");
@@ -1377,6 +1415,25 @@ mod tests {
 "#
             )
         );
+    }
+
+    #[test]
+    fn rounds_rotate_the_case_that_runs_first() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let mut json = BenchJson::new("e11");
+        let case = |c: usize| {
+            let order = &order;
+            move || {
+                order.borrow_mut().push(c);
+                0
+            }
+        };
+        let (mut a, mut b, mut c) = (case(0), case(1), case(2));
+        json.time_round(["a", "b", "c"], 4, [&mut a, &mut b, &mut c]);
+        assert_eq!(*order.borrow(), [0, 1, 2, 1, 2, 0, 2, 0, 1, 0, 1, 2]);
+        order.borrow_mut().clear();
+        json.time_pair(["x", "y"], 3, case(0), case(1));
+        assert_eq!(*order.borrow(), [0, 1, 1, 0, 0, 1]);
     }
 
     #[test]

@@ -40,15 +40,10 @@ pub fn rng(seed: u64) -> Rng {
 /// A binary relation of `n` distinct rows `(key, payload)` with keys drawn
 /// uniformly from `0..key_range`.
 pub fn int_relation(n: usize, key_range: i64, rng: &mut Rng) -> Relation {
-    let mut rel = Relation::empty(2);
-    let mut next_payload = 0i64;
-    while rel.len() < n {
-        let key = rng.below(key_range);
-        let row = Tuple::new([Value::int(key), Value::int(next_payload)]);
-        next_payload += 1;
-        let _ = rel.insert(row);
-    }
-    rel
+    // Every payload is new, so the `n` rows are distinct.
+    let rows = (0..n as i64)
+        .map(|payload| Tuple::new([Value::int(rng.below(key_range)), Value::int(payload)]));
+    Relation::from_rows(2, rows).expect("binary rows")
 }
 
 /// Build a state with binary relations `R` and `S` of the given sizes.
@@ -155,12 +150,13 @@ pub fn e3_db(rows: usize, seed: u64) -> DatabaseState {
 pub fn e4_db(catalog: &Catalog, rows_per_rel: usize) -> DatabaseState {
     let mut db = DatabaseState::new(catalog.clone());
     for (name, schema) in catalog.iter() {
-        let mut rel = Relation::empty(schema.arity);
-        for r in 0..rows_per_rel {
-            let row = Tuple::new((0..schema.arity).map(|c| Value::int((r + c % 2) as i64)));
-            let _ = rel.insert(row);
-        }
-        db.set(name.clone(), rel).unwrap();
+        let rows = (0..rows_per_rel)
+            .map(|r| Tuple::new((0..schema.arity).map(|c| Value::int((r + c % 2) as i64))));
+        db.set(
+            name.clone(),
+            Relation::from_rows(schema.arity, rows).unwrap(),
+        )
+        .unwrap();
     }
     db
 }
@@ -256,7 +252,7 @@ pub fn e9_scenarios(k: usize) -> Vec<Query> {
 /// E12: a depth-`k` chain of alternating range selections over `R`,
 /// shrinking the key window by `key_range/16` per step. Every step keeps
 /// most of the remaining rows, so a materializing tree-walker builds a
-/// large intermediate `BTreeSet` per operator while the pipelined
+/// large intermediate relation per operator while the pipelined
 /// executor streams the whole chain in one pass.
 pub fn e12_select_chain(k: usize, key_range: i64) -> Query {
     let step = (key_range / 16).max(1);

@@ -612,7 +612,7 @@ mod tests {
     #[test]
     fn join_when_merges_the_delta_patched_scans() {
         use hypoquery_eval::join::EquiPair;
-        use hypoquery_eval::{PhysOp, Side};
+        use hypoquery_eval::{PhysNode, PhysOp, Side};
         // The served `scan` query on `R`/`S` shaped like its data set:
         // 6000 rows each, keys in 0..3000, both indexed on the key.
         let mut db = Database::new();
@@ -625,61 +625,86 @@ mod tests {
         let src = "aggregate [; count, sum 1] (R join S on #0 = #2) \
                    when {delete from S (select v < 300 (S)); insert into R (select k < 150 (S))}";
         // Two sides of one size: the merge over both delta-patched scans
-        // beats probing either index.
+        // beats probing either index, and the aggregate over it folds each
+        // key's runs in the merge's walk.
         let plan = db.explain(src).unwrap();
-        assert!(plan.contains("MergeJoin (on #0=#2, residual=0)"), "{plan}");
         assert!(
-            !plan.contains("IndexJoin") && !plan.contains("HashJoin"),
+            plan.contains("GroupJoin (on #0=#2, group_by=[], aggs=2)"),
             "{plan}"
         );
+        for op in ["Aggregate", "MergeJoin", "IndexJoin", "HashJoin"] {
+            assert!(!plan.contains(op), "{plan}");
+        }
         let analyzed = db.explain_analyze(src).unwrap();
-        let join = analyzed.lines().find(|l| l.contains("MergeJoin")).unwrap();
-        assert!(join.contains("built=0"), "{analyzed}");
-        let merged = db.query(src).unwrap();
+        // The DeltaApply's body, one level under it (after its atoms).
+        let join = analyzed
+            .lines()
+            .find(|l| l.starts_with("  GroupJoin (on #0=#2, group_by=[], aggs=2)"))
+            .unwrap_or_else(|| panic!("{analyzed}"));
+        assert!(join.contains("out=1 built=0"), "{analyzed}");
+        assert!(
+            analyzed.lines().any(|l| l.starts_with("DeltaApply")),
+            "{analyzed}"
+        );
+        for op in ["Aggregate", "MergeJoin"] {
+            assert!(!analyzed.contains(op), "{analyzed}");
+        }
+        let grouped = db.query(src).unwrap();
 
-        // The patched index join and the hash join over the merged scans,
-        // built by hand in the merge's place, answer the same and keep no
-        // joined row either.
+        // The aggregate over the merge join, the patched index join and
+        // the hash join of the same scans, built by hand in the group
+        // join's place, answer the same, and none keeps a joined row.
         let q = db.prepare(src).unwrap();
         let phys = db.physical_plan(&db.plan_query(&q)).unwrap();
-        for index in [true, false] {
+        for line in [
+            "MergeJoin",
+            "IndexJoin (probe=left, index S[#0])",
+            "HashJoin",
+        ] {
             let mut root = phys.root.clone();
             let PhysOp::DeltaApply { body, .. } = &mut root.op else {
                 panic!("{}", phys.render(None))
             };
-            let PhysOp::Aggregate { input: join, .. } = &mut body.op else {
+            let PhysOp::GroupJoin {
+                left,
+                right,
+                group_by,
+                aggs,
+            } = body.op.clone()
+            else {
                 panic!("{}", phys.render(None))
             };
-            let PhysOp::MergeJoin { left, right, .. } = join.op.clone() else {
-                panic!("{}", phys.render(None))
-            };
-            join.op = if index {
-                PhysOp::IndexJoin {
+            let join = match line {
+                "MergeJoin" => PhysOp::MergeJoin {
+                    left,
+                    right,
+                    residual: vec![],
+                },
+                "HashJoin" => PhysOp::HashJoin {
+                    left,
+                    right,
+                    pairs: vec![EquiPair { left: 0, right: 0 }],
+                    residual: vec![],
+                    build: Side::Right,
+                },
+                _ => PhysOp::IndexJoin {
                     probe: left,
                     probe_side: Side::Left,
                     rel: "S".into(),
                     index_cols: vec![0],
                     probe_cols: vec![0],
                     residual: vec![],
-                }
-            } else {
-                PhysOp::HashJoin {
-                    left,
-                    right,
-                    pairs: vec![EquiPair { left: 0, right: 0 }],
-                    residual: vec![],
-                    build: Side::Right,
-                }
+                },
+            };
+            body.op = PhysOp::Aggregate {
+                input: Box::new(PhysNode::new(4, join)),
+                group_by,
+                aggs,
             };
             let by_hand = PhysPlan::new(root);
             let (out, m) = by_hand.execute_analyze(db.state()).unwrap();
-            assert_eq!(out, merged, "{}", by_hand.render(None));
+            assert_eq!(out, grouped, "{}", by_hand.render(None));
             let rendered = by_hand.render(Some(&m));
-            let line = if index {
-                "IndexJoin (probe=left, index S[#0])"
-            } else {
-                "HashJoin"
-            };
             let join = rendered.lines().find(|l| l.contains(line)).unwrap();
             assert!(join.contains("built=0"), "{rendered}");
         }
@@ -973,5 +998,52 @@ mod tests {
         ));
         // But Auto handles it fine.
         assert!(db.query_with(q, Strategy::Auto).is_ok());
+    }
+
+    #[test]
+    fn sum_overflow_does_not_depend_on_row_order() {
+        // The running total passes `i64::MAX + 1` only if (2, 1) is added
+        // before (3, −1); the true total is `i64::MAX`.
+        let mut db = Database::new();
+        db.define("R", 2).unwrap();
+        db.load("R", [tuple![1, i64::MAX], tuple![2, 1], tuple![3, -1]])
+            .unwrap();
+        let want = Relation::singleton(tuple![i64::MAX]);
+        for q in [
+            "aggregate [; sum 1] (R)",
+            "aggregate [; sum 1] (select #1 <= 1 (R) union select #1 > 1 (R))",
+            "aggregate [; sum 1] (R) when {insert into R (row(4, 0))}",
+        ] {
+            for s in [
+                Strategy::Auto,
+                Strategy::Lazy,
+                Strategy::Hql2,
+                Strategy::Delta,
+            ] {
+                assert_eq!(db.query_with(q, s).unwrap(), want, "{q} ({s})");
+                // The tree-walking oracle of the same plan agrees.
+                let stats = Statistics::of(db.state());
+                let plan = db.plan_with(&db.prepare(q).unwrap(), s, &stats).unwrap();
+                assert_eq!(plan.execute_legacy(db.state()).unwrap(), want, "{q} ({s})");
+            }
+        }
+        // A total outside the range still fails, whatever the order.
+        let q = "aggregate [; sum 1] (R) when {insert into R (row(4, 1))}";
+        for s in [
+            Strategy::Auto,
+            Strategy::Lazy,
+            Strategy::Hql2,
+            Strategy::Delta,
+        ] {
+            assert!(
+                matches!(
+                    db.query_with(q, s),
+                    Err(EngineError::Eval(
+                        hypoquery_eval::EvalError::AggregateOverflow { agg: "sum" }
+                    ))
+                ),
+                "{q} ({s})"
+            );
+        }
     }
 }

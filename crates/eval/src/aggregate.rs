@@ -7,9 +7,17 @@
 //! through [`Row`], so the pipeline folds a join's row views straight in.
 //! Groups are found through a keyed hash table ([`ChainTable`]) over
 //! the group-by columns; each group keeps only its key values, so a row
-//! that joins an existing group allocates nothing. A `sum` that leaves the
-//! 64-bit range fails with [`EvalError::AggregateOverflow`] instead of
-//! wrapping.
+//! that joins an existing group allocates nothing.
+//!
+//! A `sum` accumulates in `i128` and is checked against the 64-bit range
+//! once, when the group's row is built: a total outside it fails with
+//! [`EvalError::AggregateOverflow`] instead of wrapping, and whether it
+//! fails does not depend on the order the rows arrive in.
+//!
+//! `RunFold` is the group join's way in: it folds whole blocks of join
+//! pairs — a run of left rows of one key, each paired with one right row —
+//! into the same accumulators, adding the block's size, its precomputed
+//! total or `size × value`, and its extreme, without building a pair.
 //!
 //! Aggregation is over a *set*: every row pushed must be distinct. The
 //! legacy evaluators push the rows of a [`Relation`]; the pipeline pushes
@@ -26,48 +34,78 @@ use crate::error::EvalError;
 /// Running state of one aggregate within one group.
 enum Acc {
     Count(i64),
-    Sum(usize, i64),
-    Min(usize, Value),
-    Max(usize, Value),
+    Sum(i128),
+    Min(Value),
+    Max(Value),
+}
+
+/// What a block of rows adds to one aggregate: its number of rows
+/// (`count`), its total in the summed column (`sum`), or its least or
+/// greatest value in the column (`min`/`max`). A single row is a block.
+#[derive(Clone, Copy)]
+enum Part<'v> {
+    Rows(i64),
+    Total(i128),
+    Extreme(&'v Value),
+}
+
+impl Part<'_> {
+    /// Row `t` as a block of one, for `agg`.
+    #[inline]
+    fn of<'v, R: Row + ?Sized>(agg: &AggExpr, t: &'v R) -> Result<Part<'v>, EvalError> {
+        Ok(match *agg {
+            AggExpr::Count => Part::Rows(1),
+            AggExpr::Sum(c) => Part::Total(int_for_sum(t.col(c))?.into()),
+            AggExpr::Min(c) | AggExpr::Max(c) => Part::Extreme(t.col(c)),
+        })
+    }
 }
 
 impl Acc {
-    /// The state after the group's first row.
-    fn first<R: Row + ?Sized>(agg: &AggExpr, t: &R) -> Result<Acc, EvalError> {
-        Ok(match *agg {
-            AggExpr::Count => Acc::Count(1),
-            AggExpr::Sum(c) => Acc::Sum(c, int_for_sum(t.col(c))?),
-            AggExpr::Min(c) => Acc::Min(c, t.col(c).clone()),
-            AggExpr::Max(c) => Acc::Max(c, t.col(c).clone()),
-        })
+    /// The state after the group's first block.
+    fn first(agg: &AggExpr, p: Part<'_>) -> Acc {
+        match (agg, p) {
+            (AggExpr::Count, Part::Rows(n)) => Acc::Count(n),
+            (AggExpr::Sum(_), Part::Total(s)) => Acc::Sum(s),
+            (AggExpr::Min(_), Part::Extreme(v)) => Acc::Min(v.clone()),
+            (AggExpr::Max(_), Part::Extreme(v)) => Acc::Max(v.clone()),
+            _ => unreachable!("a part is made for its aggregate"),
+        }
     }
 
     #[inline]
-    fn update<R: Row + ?Sized>(&mut self, t: &R) -> Result<(), EvalError> {
-        match self {
-            Acc::Count(n) => *n += 1,
-            Acc::Sum(c, total) => *total = checked_sum(*total, int_for_sum(t.col(*c))?)?,
-            Acc::Min(c, m) => {
-                if t.col(*c) < m {
-                    *m = t.col(*c).clone();
+    fn add(&mut self, p: Part<'_>) {
+        match (self, p) {
+            (Acc::Count(n), Part::Rows(k)) => *n += k,
+            // A block's total is below 2⁹⁶ in magnitude (under 2³² rows
+            // times an `i64`), so the sum can saturate only after 2³¹ such
+            // blocks, and a saturated total is still outside the `i64`
+            // range `value` checks.
+            (Acc::Sum(total), Part::Total(s)) => *total = total.saturating_add(s),
+            (Acc::Min(m), Part::Extreme(v)) => {
+                if v < m {
+                    *m = v.clone();
                 }
             }
-            Acc::Max(c, m) => {
-                if t.col(*c) > m {
-                    *m = t.col(*c).clone();
+            (Acc::Max(m), Part::Extreme(v)) => {
+                if v > m {
+                    *m = v.clone();
                 }
             }
+            _ => unreachable!("a part is made for its aggregate"),
         }
-        Ok(())
     }
 
-    fn value(&self) -> Value {
-        match self {
-            Acc::Count(n) | Acc::Sum(_, n) => Value::int(*n),
-            Acc::Min(_, v) | Acc::Max(_, v) => v.clone(),
-        }
+    fn value(&self) -> Result<Value, EvalError> {
+        Ok(match self {
+            Acc::Count(n) => Value::int(*n),
+            Acc::Sum(total) => sum_value(*total)?,
+            Acc::Min(v) | Acc::Max(v) => v.clone(),
+        })
     }
 }
+
+const OVERFLOW: EvalError = EvalError::AggregateOverflow { agg: "sum" };
 
 fn int_for_sum(v: &Value) -> Result<i64, EvalError> {
     v.as_int().ok_or_else(|| EvalError::AggregateType {
@@ -76,12 +114,10 @@ fn int_for_sum(v: &Value) -> Result<i64, EvalError> {
     })
 }
 
-/// `total + v`, or [`EvalError::AggregateOverflow`] outside the `i64`
-/// range.
-pub(crate) fn checked_sum(total: i64, v: i64) -> Result<i64, EvalError> {
-    total
-        .checked_add(v)
-        .ok_or(EvalError::AggregateOverflow { agg: "sum" })
+/// A finished `sum` as a value, or [`EvalError::AggregateOverflow`]
+/// outside the `i64` range.
+pub(crate) fn sum_value(total: i128) -> Result<Value, EvalError> {
+    i64::try_from(total).map(Value::int).map_err(|_| OVERFLOW)
 }
 
 /// Streaming accumulator for `aggregate [group_by; aggs]` over a set of
@@ -93,7 +129,8 @@ pub(crate) struct AggState<'a> {
     group_by: &'a [usize],
     aggs: &'a [AggExpr],
     /// Groups by hash of their group-by columns; unused when `group_by`
-    /// is empty (then there is at most one group).
+    /// is empty (then there is at most one group) and by [`RunFold`]
+    /// (whose groups arrive in order).
     table: ChainTable,
     /// `group_by.len()` key values per group, group-major.
     keys: Vec<Value>,
@@ -118,55 +155,176 @@ impl<'a> AggState<'a> {
 
     /// Fold one row into its group. Rows must be distinct across calls.
     /// Fails with [`EvalError::AggregateType`] when a `sum` column holds
-    /// a non-integer, and with [`EvalError::AggregateOverflow`] when a
-    /// sum leaves the `i64` range.
+    /// a non-integer.
     #[inline]
     pub(crate) fn push<R: Row + ?Sized>(&mut self, t: &R) -> Result<(), EvalError> {
-        let n = self.aggs.len();
-        if self.group_by.is_empty() {
+        let g = if self.group_by.is_empty() {
             if self.groups == 0 {
                 return self.open_group(t, None);
             }
-            return self.accs.iter_mut().try_for_each(|a| a.update(t));
-        }
-        let k = self.group_by.len();
-        let hash = self.table.hash_cols(t, self.group_by);
-        let found = self.table.matches(hash).find(|&g| {
-            self.keys[g * k..(g + 1) * k]
-                .iter()
-                .zip(self.group_by)
-                .all(|(v, &c)| v == t.col(c))
-        });
-        match found {
-            Some(g) => self.accs[g * n..(g + 1) * n]
-                .iter_mut()
-                .try_for_each(|a| a.update(t)),
-            None => self.open_group(t, Some(hash)),
-        }
+            0
+        } else {
+            let k = self.group_by.len();
+            let hash = self.table.hash_cols(t, self.group_by);
+            let found = self.table.matches(hash).find(|&g| {
+                self.keys[g * k..(g + 1) * k]
+                    .iter()
+                    .zip(self.group_by)
+                    .all(|(v, &c)| v == t.col(c))
+            });
+            match found {
+                Some(g) => g,
+                None => return self.open_group(t, Some(hash)),
+            }
+        };
+        self.fold(g, |_, agg| Part::of(agg, t))
     }
 
     fn open_group<R: Row + ?Sized>(&mut self, t: &R, hash: Option<u64>) -> Result<(), EvalError> {
-        for agg in self.aggs {
-            self.accs.push(Acc::first(agg, t)?);
-        }
         if let Some(h) = hash {
             self.table.push(h);
         }
         self.keys
             .extend(self.group_by.iter().map(|&c| t.col(c).clone()));
+        self.open_with(|_, agg| Part::of(agg, t))
+    }
+
+    /// Open a group whose key values are already in `keys`, with its
+    /// first block: `part(i, agg)` is what it adds to aggregate `i`.
+    fn open_with<'v>(
+        &mut self,
+        part: impl Fn(usize, &AggExpr) -> Result<Part<'v>, EvalError>,
+    ) -> Result<(), EvalError> {
+        for (i, agg) in self.aggs.iter().enumerate() {
+            self.accs.push(Acc::first(agg, part(i, agg)?));
+        }
         self.groups += 1;
         Ok(())
     }
 
+    /// Fold a block into group `g`, as `open_with` opens one.
+    #[inline]
+    fn fold<'v>(
+        &mut self,
+        g: usize,
+        part: impl Fn(usize, &AggExpr) -> Result<Part<'v>, EvalError>,
+    ) -> Result<(), EvalError> {
+        let n = self.aggs.len();
+        let accs = &mut self.accs[g * n..(g + 1) * n];
+        for (i, (a, agg)) in accs.iter_mut().zip(self.aggs).enumerate() {
+            a.add(part(i, agg)?);
+        }
+        Ok(())
+    }
+
     /// The result relation: one row per group, group-by values then
-    /// aggregate values.
+    /// aggregate values. Fails with [`EvalError::AggregateOverflow`] when
+    /// a group's sum lies outside the `i64` range.
     pub(crate) fn finish(self) -> Result<Relation, EvalError> {
         let (k, n) = (self.group_by.len(), self.aggs.len());
-        let rows = (0..self.groups).map(|g| {
-            let key = self.keys[g * k..(g + 1) * k].iter().cloned();
-            Tuple::new(key.chain(self.accs[g * n..(g + 1) * n].iter().map(Acc::value)))
-        });
-        Ok(Relation::from_tuple_set(k + n, rows.collect())?)
+        let rows = (0..self.groups)
+            .map(|g| {
+                let key = self.keys[g * k..(g + 1) * k].iter().cloned().map(Ok);
+                let accs = self.accs[g * n..(g + 1) * n].iter().map(Acc::value);
+                key.chain(accs)
+                    .collect::<Result<Vec<Value>, _>>()
+                    .map(Tuple::new)
+            })
+            .collect::<Result<Vec<Tuple>, _>>()?;
+        Ok(Relation::from_tuple_set(k + n, rows)?)
+    }
+}
+
+/// The aggregates of a group join: `aggregate [group_by; aggs]` over the
+/// pairs of an equi-join on column 0 of both sides, `group_by` naming only
+/// the two key columns (`#0` and `#split`) or nothing. The join hands it
+/// every right row with its *run*, the left rows of the same key, and it
+/// folds the run × row block whole: `count` adds the run's size, a `sum`
+/// over a right column `size × value`, a `sum` over a left column the
+/// run's total (computed once per run), and `min`/`max` the run's extreme
+/// or the right row's value. Keys arrive in order, so a new run is a new
+/// group (when grouping), with no hash lookup.
+pub(crate) struct RunFold<'a, 's> {
+    st: AggState<'a>,
+    /// The left operand's arity: columns from here on are the right row's.
+    split: usize,
+    /// For each aggregate over a left column, the current run's part.
+    run: Vec<Part<'s>>,
+}
+
+impl<'a, 's> RunFold<'a, 's> {
+    /// A fold with no groups yet.
+    pub(crate) fn new(group_by: &'a [usize], aggs: &'a [AggExpr], split: usize) -> Self {
+        RunFold {
+            st: AggState::new(group_by, aggs),
+            split,
+            run: Vec::with_capacity(aggs.len()),
+        }
+    }
+
+    /// Fold the pairs of `run` (non-empty, every row of one key) with the
+    /// right row `t` of that key. `fresh` says the run is not the one of
+    /// the previous call. Fails with [`EvalError::AggregateType`] when a
+    /// summed column of a pair holds a non-integer.
+    pub(crate) fn push(
+        &mut self,
+        run: &[&'s Tuple],
+        fresh: bool,
+        t: &'s Tuple,
+    ) -> Result<(), EvalError> {
+        let split = self.split;
+        if fresh {
+            self.run.clear();
+            for agg in self.st.aggs {
+                self.run.push(match *agg {
+                    AggExpr::Sum(c) if c < split => {
+                        let mut total = 0i128;
+                        for m in run {
+                            total += i128::from(int_for_sum(&m[c])?);
+                        }
+                        Part::Total(total)
+                    }
+                    AggExpr::Min(c) if c < split => Part::Extreme(
+                        run.iter()
+                            .map(|&m| &m[c])
+                            .min()
+                            .expect("runs are non-empty"),
+                    ),
+                    AggExpr::Max(c) if c < split => Part::Extreme(
+                        run.iter()
+                            .map(|&m| &m[c])
+                            .max()
+                            .expect("runs are non-empty"),
+                    ),
+                    // Read off the right row (or the run's size) per call.
+                    _ => Part::Rows(0),
+                });
+            }
+        }
+        let n = run.len() as i64;
+        let run_parts = &self.run;
+        let part = |i: usize, agg: &AggExpr| {
+            Ok(match *agg {
+                AggExpr::Count => Part::Rows(n),
+                AggExpr::Sum(c) if c >= split => {
+                    Part::Total(i128::from(n) * i128::from(int_for_sum(&t[c - split])?))
+                }
+                AggExpr::Min(c) | AggExpr::Max(c) if c >= split => Part::Extreme(&t[c - split]),
+                _ => run_parts[i],
+            })
+        };
+        if self.st.groups == 0 || (fresh && !self.st.group_by.is_empty()) {
+            let k = self.st.group_by.len();
+            self.st.keys.extend(std::iter::repeat_n(&t[0], k).cloned());
+            self.st.open_with(part)
+        } else {
+            self.st.fold(self.st.groups - 1, part)
+        }
+    }
+
+    /// The result relation, in key order: see [`AggState::finish`].
+    pub(crate) fn finish(self) -> Result<Relation, EvalError> {
+        self.st.finish()
     }
 }
 

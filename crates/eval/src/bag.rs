@@ -28,7 +28,7 @@ use hypoquery_storage::{BagRelation, Catalog, RelName, Tuple, Value};
 
 use hypoquery_algebra::{AggExpr, ExplicitSubst, Predicate, Query, StateExpr, Update};
 
-use crate::aggregate::checked_sum;
+use crate::aggregate::sum_value;
 use crate::error::EvalError;
 use crate::join::split_equi_pairs;
 
@@ -257,7 +257,9 @@ fn eval_bag_aggregate(
             fields.push(match agg {
                 AggExpr::Count => Value::int(members.iter().map(|(_, m)| *m as i64).sum()),
                 AggExpr::Sum(col) => {
-                    let mut total = 0i64;
+                    // Exact in `i128` (|v × m| < 2¹²⁷); the `i64` range is
+                    // checked once, on the total.
+                    let mut total = 0i128;
                     for (t, m) in &members {
                         let Some(v) = t[*col].as_int() else {
                             return Err(EvalError::AggregateType {
@@ -265,13 +267,11 @@ fn eval_bag_aggregate(
                                 value: t[*col].to_string(),
                             });
                         };
-                        let term = i64::try_from(*m)
-                            .ok()
-                            .and_then(|m| v.checked_mul(m))
+                        total = total
+                            .checked_add(i128::from(v) * i128::from(*m))
                             .ok_or(EvalError::AggregateOverflow { agg: "sum" })?;
-                        total = checked_sum(total, term)?;
                     }
-                    Value::int(total)
+                    sum_value(total)?
                 }
                 AggExpr::Min(col) => members
                     .iter()

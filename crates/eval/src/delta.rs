@@ -19,6 +19,7 @@
 //! only nominally above a plain join, which is exactly the Heraclitus
 //! rule-of-thumb bench E5 reproduces.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -204,111 +205,84 @@ impl fmt::Display for DeltaValue {
 }
 
 /// Iterate the *effective* relation `(base − deleted) ∪ inserted` in sorted
-/// order without materializing it: a three-way sorted merge over the
-/// `BTreeSet`-backed operands. This is the streaming core of the §5.5
-/// delta-filtered operators. With a `range`, each operand walks only its
-/// column-0 slice ([`Relation::range`]) and the merge is the same: the
-/// slices of sorted sets are sorted.
+/// order without materializing it: a three-way merge over the operands'
+/// sorted tuple slices, by position, with no per-row lookup. This is the
+/// streaming core of the §5.5 delta-filtered operators. With a `range`,
+/// each operand walks only its column-0 slice ([`Relation::range_slice`])
+/// and the merge is the same: the slices of sorted relations are sorted.
+/// With no delta the deleted and inserted slices are empty and the walk
+/// is the base slice's.
 pub fn effective_iter<'a>(
     base: &'a Relation,
     delta: Option<&'a RelDelta>,
     range: Option<&'a KeyRange>,
-) -> Box<dyn Iterator<Item = &'a Tuple> + 'a> {
-    match (delta, range) {
-        (None, None) => Box::new(base.iter()),
-        (None, Some(r)) => Box::new(base.range(r)),
-        (Some(d), None) => Box::new(merge_delta(
-            base.iter(),
-            d.deleted.iter(),
-            d.inserted.iter(),
-        )),
-        (Some(d), Some(r)) => Box::new(merge_delta(
-            base.range(r),
-            d.deleted.range(r),
-            d.inserted.range(r),
-        )),
-    }
-}
-
-/// `(base − deleted) ∪ inserted` over three ascending tuple streams.
-fn merge_delta<'a>(
-    base: impl Iterator<Item = &'a Tuple>,
-    deleted: impl Iterator<Item = &'a Tuple>,
-    inserted: impl Iterator<Item = &'a Tuple>,
-) -> impl Iterator<Item = &'a Tuple> {
-    // (base − deleted) by sorted anti-merge — O(1) amortized per tuple,
-    // never a per-tuple tree lookup — then ∪ inserted by sorted merge.
-    // This is the streaming discipline behind the §5.5 "only nominally
-    // more expensive" claim.
-    let survivors = SortedDiff {
-        a: base.peekable(),
-        b: deleted.peekable(),
+) -> EffectiveIter<'a> {
+    let slice = |rel: &'a Relation| match range {
+        Some(r) => rel.range_slice(r),
+        None => rel.as_slice(),
     };
-    SortedUnion {
-        a: survivors.peekable(),
-        b: inserted.peekable(),
+    EffectiveIter {
+        base: slice(base),
+        deleted: delta.map_or(&[][..], |d| slice(&d.deleted)),
+        inserted: delta.map_or(&[][..], |d| slice(&d.inserted)),
     }
 }
 
-/// Sorted-merge difference of two ascending tuple streams.
-struct SortedDiff<A: Iterator, B: Iterator> {
-    a: std::iter::Peekable<A>,
-    b: std::iter::Peekable<B>,
+/// The iterator of [`effective_iter`]: the unread rest of each sorted,
+/// duplicate-free operand slice.
+pub struct EffectiveIter<'a> {
+    base: &'a [Tuple],
+    deleted: &'a [Tuple],
+    inserted: &'a [Tuple],
 }
 
-impl<'a, A, B> Iterator for SortedDiff<A, B>
-where
-    A: Iterator<Item = &'a Tuple>,
-    B: Iterator<Item = &'a Tuple>,
-{
+impl<'a> Iterator for EffectiveIter<'a> {
     type Item = &'a Tuple;
 
     fn next(&mut self) -> Option<&'a Tuple> {
-        loop {
-            let x = self.a.peek()?;
-            match self.b.peek() {
-                None => return self.a.next(),
-                Some(y) => match x.cmp(y) {
-                    std::cmp::Ordering::Less => return self.a.next(),
-                    std::cmp::Ordering::Greater => {
-                        self.b.next();
+        // The next base row not deleted: the deleted rows below it are
+        // passed over, one equal to it drops it.
+        let mut survivor = None;
+        'base: while let Some((x, rest)) = self.base.split_first() {
+            while let Some((d, more)) = self.deleted.split_first() {
+                match d.cmp(x) {
+                    Ordering::Less => self.deleted = more,
+                    Ordering::Equal => {
+                        self.deleted = more;
+                        self.base = rest;
+                        continue 'base;
                     }
-                    std::cmp::Ordering::Equal => {
-                        self.a.next();
-                        self.b.next();
-                    }
-                },
-            }
-        }
-    }
-}
-
-/// Sorted-merge union of two ascending tuple streams, deduplicating.
-struct SortedUnion<A: Iterator, B: Iterator> {
-    a: std::iter::Peekable<A>,
-    b: std::iter::Peekable<B>,
-}
-
-impl<'a, A, B> Iterator for SortedUnion<A, B>
-where
-    A: Iterator<Item = &'a Tuple>,
-    B: Iterator<Item = &'a Tuple>,
-{
-    type Item = &'a Tuple;
-
-    fn next(&mut self) -> Option<&'a Tuple> {
-        match (self.a.peek(), self.b.peek()) {
-            (None, None) => None,
-            (Some(_), None) => self.a.next(),
-            (None, Some(_)) => self.b.next(),
-            (Some(x), Some(y)) => match x.cmp(y) {
-                std::cmp::Ordering::Less => self.a.next(),
-                std::cmp::Ordering::Greater => self.b.next(),
-                std::cmp::Ordering::Equal => {
-                    self.b.next();
-                    self.a.next()
+                    Ordering::Greater => break,
                 }
-            },
+            }
+            survivor = Some((x, rest));
+            break;
+        }
+        // Then the smaller of it and the next inserted row (both, if equal).
+        match (survivor, self.inserted.split_first()) {
+            (None, None) => None,
+            (Some((x, rest)), None) => {
+                self.base = rest;
+                Some(x)
+            }
+            (None, Some((y, more))) => {
+                self.inserted = more;
+                Some(y)
+            }
+            (Some((x, rest)), Some((y, more))) => {
+                match x.cmp(y) {
+                    Ordering::Less => self.base = rest,
+                    Ordering::Greater => {
+                        self.inserted = more;
+                        return Some(y);
+                    }
+                    Ordering::Equal => {
+                        self.base = rest;
+                        self.inserted = more;
+                    }
+                }
+                Some(x)
+            }
         }
     }
 }
@@ -448,6 +422,13 @@ mod tests {
                 .collect()
         };
         assert_eq!(vals(Some(&d), None), [1, 3, 4, 5, 6]);
+        // Deleted rows the base lacks are passed over; a row both deleted
+        // and inserted is in.
+        let d2 = RelDelta {
+            deleted: rel(&[0, 2, 4, 7]),
+            inserted: rel(&[2, 3, 8]),
+        };
+        assert_eq!(vals(Some(&d2), None), [1, 2, 3, 5, 8]);
         // No delta: base order.
         assert_eq!(vals(None, None), [1, 2, 3, 5]);
         // A range slices all three operands before the merge.

@@ -78,8 +78,13 @@ pub fn join_iter<'a>(
     pred: &Predicate,
 ) -> Relation {
     let (pairs, residual) = split_equi_pairs(pred, left_arity);
-    let mut out = Relation::empty(left_arity + right_arity);
+    // Collected, then sorted into a relation once.
+    let mut out = Vec::new();
     let passes = |t: &Tuple| residual.iter().all(|p| p.eval(t));
+    let seal = |out: Vec<Tuple>| {
+        Relation::from_tuple_set(left_arity + right_arity, out)
+            .expect("concatenations of the operands' rows have the joined arity")
+    };
 
     if pairs.is_empty() {
         // Nested loop over the (possibly small) right side.
@@ -88,11 +93,11 @@ pub fn join_iter<'a>(
             for r in &right {
                 let joined = l.concat(r);
                 if passes(&joined) {
-                    let _ = out.insert(joined);
+                    out.push(joined);
                 }
             }
         }
-        return out;
+        return seal(out);
     }
 
     // Hash join: build on right, probe with left.
@@ -109,12 +114,12 @@ pub fn join_iter<'a>(
             for r in matches {
                 let joined = l.concat(r);
                 if passes(&joined) {
-                    let _ = out.insert(joined);
+                    out.push(joined);
                 }
             }
         }
     }
-    out
+    seal(out)
 }
 
 #[cfg(test)]

@@ -18,18 +18,22 @@
 //! operator tree), realized **push-based**: each operator drives its
 //! children and hands produced rows to a consumer callback. Push
 //! composition sidesteps the self-referential-iterator problem that a
-//! pull-based design hits with `Arc<BTreeSet>`-backed storage, while
+//! pull-based design hits with `Arc`-shared relation storage, while
 //! keeping the same pipelining property — a row flows from its scan
 //! through every streaming operator above it before the next row is
-//! produced.
+//! produced. A scan reads its relation's sorted tuple slice (or the
+//! column-0 sub-slice of a range) front to back.
 //!
-//! One operator pulls instead: [`PhysOp::MergeJoin`]. Its operands are
-//! *ordered sources* ([`is_ordered_source`]) — a scan, or filters over
-//! one — whose rows arrive in column-0 order, so it resolves both scans
-//! in its own frame, holds their two iterators (the same
-//! [`effective_iter`] streams a `Scan` pushes), and advances whichever is
-//! behind. It counts each child's `rows_out` as it pulls; its own output
-//! is pushed on like any other operator's.
+//! Two operators pull instead: [`PhysOp::MergeJoin`] and
+//! [`PhysOp::GroupJoin`]. Their operands are *ordered sources*
+//! ([`is_ordered_source`]) — a scan, or filters over one — whose rows
+//! arrive in column-0 order, so they resolve both scans in their own
+//! frame, hold their two iterators (the same [`effective_iter`] streams a
+//! `Scan` pushes), and advance whichever is behind; both share one walk
+//! (`merge_runs`), which hands each right row its run of equal-key left
+//! rows. They count each child's `rows_out` as they pull. The merge join
+//! pushes each pair of the run on; the group join folds the run whole into
+//! its aggregates and pushes only its groups.
 //!
 //! A row is handed on as a borrowed *view* (`RowView`), not a tuple: a
 //! stored tuple, a join pair of two views, or a projection of a view.
@@ -57,10 +61,10 @@
 //!
 //! Building a view of a stored tuple shares it (a reference-count bump);
 //! building a join pair or a projection allocates one tuple. `Aggregate`
-//! keeps no input row at all, only each group's key values and running
-//! accumulators. Every build is counted in [`OpStats::built`] of the
-//! operator whose output row was kept, so `EXPLAIN ANALYZE` shows where
-//! materialization happens. Set semantics are restored at every breaker
+//! and `GroupJoin` keep no input row at all, only each group's key values
+//! and running accumulators. Every build is counted in [`OpStats::built`]
+//! of the operator whose output row was kept, so `EXPLAIN ANALYZE` shows
+//! where materialization happens. Set semantics are restored at every breaker
 //! and at the output — streaming segments may carry duplicates in flight
 //! (see [`PhysOp::Dedup`] for where the lowering chooses to collapse them
 //! early).
@@ -68,9 +72,10 @@
 //! # Duplicate-freedom
 //!
 //! Each node carries a static [`PhysNode::distinct`] flag: `true` when
-//! its output stream provably never repeats a row. Sources, `Dedup` and
-//! `Aggregate` are distinct; filters, set differences/intersections and
-//! the hypothetical wrappers inherit it from their streaming input; joins
+//! its output stream provably never repeats a row. Sources, `Dedup`,
+//! `Aggregate` and `GroupJoin` are distinct; filters, set
+//! differences/intersections and the hypothetical wrappers inherit it
+//! from their streaming input; joins
 //! are distinct when every streamed input is; `Project` and `Union` are
 //! not. The lowering puts a `Dedup` under a join operand exactly when the
 //! operand is not distinct, and `Aggregate` folds a distinct input
@@ -87,9 +92,11 @@
 //! patch, and — keyed on whole rows — every seen set (`Dedup`, a
 //! non-distinct `Aggregate`, the right operand of `Diff`/`Intersect`).
 //! Both joins probe through one routine (`JoinProbe`). The aggregate's
-//! groups use the bare chained table. The merge join builds no table at
-//! all: equal keys meet because both inputs are sorted, and the one thing
-//! it keeps is the current key's run of left rows, as references.
+//! groups use the bare chained table. The merge and group joins build no
+//! table at all: equal keys meet because both inputs are sorted, and the
+//! one thing they keep is the current key's run of left rows, as
+//! references; the group join's groups arrive in key order, so it needs
+//! no group table either.
 //!
 //! # Hypothetical operators
 //!
@@ -106,12 +113,12 @@
 //!   atom's source query is evaluated under the accumulated delta, the
 //!   resulting [`RelDelta`]s are smashed left-to-right, and the body's
 //!   base scans stream `(base − ∇) ∪ Δ` via [`effective_iter`] without
-//!   materializing the hypothetical state. A [`PhysOp::MergeJoin`]
-//!   walks two such streams side by side (the paper's sort-merge
-//!   `join-when`, with no sort: every stream is already in order). An
-//!   [`PhysOp::IndexJoin`] on an updated name probes the stored index and
-//!   patches the matches of each probe key with the ∇ and Δ rows of that
-//!   key.
+//!   materializing the hypothetical state. A [`PhysOp::MergeJoin`] or
+//!   [`PhysOp::GroupJoin`] walks two such streams side by side (the
+//!   paper's sort-merge `join-when`, with no sort: every stream is already
+//!   in order). An [`PhysOp::IndexJoin`] on an updated name probes the
+//!   stored index and patches the matches of each probe key with the ∇
+//!   and Δ rows of that key.
 //!
 //! # Instrumentation
 //!
@@ -136,7 +143,7 @@ use hypoquery_storage::{
 
 use hypoquery_algebra::{AggExpr, Predicate};
 
-use crate::aggregate::AggState;
+use crate::aggregate::{AggState, RunFold};
 use crate::delta::{effective_iter, DeltaValue, RelDelta};
 use crate::error::EvalError;
 use crate::join::EquiPair;
@@ -170,9 +177,10 @@ pub enum PhysOp {
     /// Stream a base relation: its xsub binding in the environment
     /// (whole-relation replacement), else the stored base, merged with
     /// any delta binding via the streaming three-way merge of
-    /// [`effective_iter`]. With a `range`, every one of those sorted sets
-    /// is walked only over its column-0 slice ([`Relation::range`]); any
-    /// relation the name resolves to is sorted, so no shadow gate applies.
+    /// [`effective_iter`]. With a `range`, every one of those sorted
+    /// relations is walked only over its column-0 slice
+    /// ([`Relation::range`]); any relation the name resolves to is sorted,
+    /// so no shadow gate applies.
     Scan {
         /// The relation scanned.
         name: RelName,
@@ -255,13 +263,13 @@ pub enum PhysOp {
     /// Merge join on column 0 of two *ordered sources* (see
     /// [`is_ordered_source`]): a `Scan`, or a `Filter` over one, whose
     /// rows arrive in column-0 order — every relation a scan resolves to
-    /// is a sorted set, and [`effective_iter`] merges a delta in order.
-    /// The one operator that pulls instead of being pushed to: it walks
-    /// both streams by key in its own frame, keeps the left side's run of
-    /// rows with the current key as references, and pushes each pair that
-    /// passes `residual` on as a view, so it hashes and builds nothing
-    /// (§5.5's sort-merge `join-when`, with no sort). Output columns are
-    /// `left ++ right`.
+    /// is sorted, and [`effective_iter`] merges a delta in order.
+    /// It pulls instead of being pushed to (as does the group join): it
+    /// walks both streams by key in its own frame, keeps the left side's
+    /// run of rows with the current key as references, and pushes each
+    /// pair that passes `residual` on as a view, so it hashes and builds
+    /// nothing (§5.5's sort-merge `join-when`, with no sort). Output
+    /// columns are `left ++ right`.
     MergeJoin {
         /// Left operand (an ordered source).
         left: Box<PhysNode>,
@@ -270,6 +278,24 @@ pub enum PhysOp {
         /// Residual conjuncts over the concatenated tuple, among them any
         /// equi pair other than column 0 of both sides.
         residual: Vec<Predicate>,
+    },
+    /// Grouped aggregation over a residual-free [`PhysOp::MergeJoin`] of
+    /// the same operands, grouped by nothing or by the key columns only
+    /// (`#0` and `#left.arity`): the groupjoin of Moerkotte & Neumann,
+    /// with no sort. It walks the operands exactly as the merge join does,
+    /// but folds each right row with its whole run of left rows into the
+    /// accumulators — the run's size, its precomputed sum, or
+    /// `size × value` — so no pair is built, pushed or even formed. Groups
+    /// come out in key order. A full pipeline breaker, like `Aggregate`.
+    GroupJoin {
+        /// Left operand (an ordered source).
+        left: Box<PhysNode>,
+        /// Right operand (an ordered source).
+        right: Box<PhysNode>,
+        /// Grouping columns, each `0` or `left.arity`, over `left ++ right`.
+        group_by: Vec<usize>,
+        /// Aggregates per group, over `left ++ right`.
+        aggs: Vec<AggExpr>,
     },
     /// Streaming union (both children pushed through; duplicates collapse
     /// at the next breaker or the sink).
@@ -347,6 +373,7 @@ macro_rules! child_nodes {
             | PhysOp::Aggregate { input, .. } => vec![input],
             PhysOp::HashJoin { left, right, .. }
             | PhysOp::MergeJoin { left, right, .. }
+            | PhysOp::GroupJoin { left, right, .. }
             | PhysOp::Union { left, right }
             | PhysOp::Diff { left, right }
             | PhysOp::Intersect { left, right } => vec![left, right],
@@ -389,7 +416,8 @@ impl PhysNode {
             | PhysOp::IndexProbe { .. }
             | PhysOp::Const { .. }
             | PhysOp::Dedup { .. }
-            | PhysOp::Aggregate { .. } => true,
+            | PhysOp::Aggregate { .. }
+            | PhysOp::GroupJoin { .. } => true,
             PhysOp::Filter { input, .. } => input.distinct,
             PhysOp::Diff { left, .. } | PhysOp::Intersect { left, .. } => left.distinct,
             PhysOp::XsubRebind { body, .. } | PhysOp::DeltaApply { body, .. } => body.distinct,
@@ -467,15 +495,14 @@ impl PhysPlan {
             ctrs: (0..self.node_count).map(|_| NodeCtr::default()).collect(),
         };
         let env = Env::empty();
-        // Buffer rows and bulk-build the result set once: `from_iter`
-        // sorts and bulk-loads the tree, far cheaper than a per-row
-        // sorted insert.
+        // Buffer rows and build the result set once: one sort and dedup,
+        // far cheaper than a per-row sorted insert.
         let mut out: Vec<Tuple> = Vec::new();
         run(&self.root, &ctx, &env, &mut |v| {
             out.push(ctx.keep(self.root.id, v));
             Ok(())
         })?;
-        let rel = Relation::from_tuple_set(self.root.arity, out.into_iter().collect())?;
+        let rel = Relation::from_tuple_set(self.root.arity, out)?;
         Ok((rel, ctx.into_metrics(&self.root)))
     }
 
@@ -634,7 +661,7 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
         PhysOp::Scan { name, range } => {
             let base = scan_base(name, ctx, env)?;
             let base = &*base;
-            // The delta-free cases skip the boxed merge iterator.
+            // The delta-free cases skip the merge's checks per row.
             match (env.delta.get(name), range) {
                 (None, None) => scan_emit(id, ctx, base.iter(), out),
                 (None, Some(r)) => scan_emit(id, ctx, base.range(r), out),
@@ -746,28 +773,9 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
                 OrderedSource::new(left, ctx, env)?,
                 OrderedSource::new(right, ctx, env)?,
             );
-            let mut lefts = l.rows(ctx);
-            let mut next_left = lefts.next();
-            // The left rows whose key is the current right row's.
-            let mut run: Vec<&Tuple> = Vec::new();
-            for t in r.rows(ctx) {
-                let key = &t[0];
-                if run.first().is_none_or(|m| &m[0] != key) {
-                    run.clear();
-                    while let Some(m) = next_left {
-                        match m[0].cmp(key) {
-                            Ordering::Less => {}
-                            Ordering::Equal => run.push(m),
-                            Ordering::Greater => break,
-                        }
-                        next_left = lefts.next();
-                    }
-                    if run.is_empty() && next_left.is_none() {
-                        break;
-                    }
-                }
+            merge_runs(l.rows(ctx), r.rows(ctx), |run, _, t| {
                 let right_row = RowView::Stored(t);
-                for m in &run {
+                for m in run {
                     let left_row = RowView::Stored(m);
                     let joined = RowView::pair(&left_row, &right_row);
                     if residual.iter().all(|p| p.eval(&joined)) {
@@ -775,6 +783,26 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
                         out(&joined)?;
                     }
                 }
+                Ok(())
+            })
+        }
+        PhysOp::GroupJoin {
+            left,
+            right,
+            group_by,
+            aggs,
+        } => {
+            let (l, r) = (
+                OrderedSource::new(left, ctx, env)?,
+                OrderedSource::new(right, ctx, env)?,
+            );
+            let mut fold = RunFold::new(group_by, aggs, left.arity);
+            merge_runs(l.rows(ctx), r.rows(ctx), |run, fresh, t| {
+                fold.push(run, fresh, t)
+            })?;
+            for t in fold.finish()?.iter() {
+                ctx.row_out(id);
+                out(&RowView::Stored(t))?;
             }
             Ok(())
         }
@@ -790,7 +818,7 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
         PhysOp::Diff { left, right } | PhysOp::Intersect { left, right } => {
             let keep_present = matches!(node.op, PhysOp::Intersect { .. });
             // The right operand is probed per left row, so O(1)
-            // membership beats a sorted set.
+            // membership beats a binary search.
             let mut rset = KeyedRows::set(right.arity);
             run(right, ctx, env, &mut |v| {
                 rset.insert_with(v, |v| ctx.keep(right.id, v));
@@ -975,6 +1003,45 @@ impl<'p> OrderedSource<'p> {
     }
 }
 
+/// The walk [`PhysOp::MergeJoin`] and [`PhysOp::GroupJoin`] share: pull
+/// two column-0-ordered streams by key and call `each(run, fresh, t)` for
+/// every right row `t` whose key has left rows, `run` being those left
+/// rows in order and `fresh` whether the run changed since the previous
+/// call (a new key). A right row with no left rows is skipped; once the
+/// left stream is exhausted no further right row is pulled.
+fn merge_runs<'s>(
+    mut lefts: impl Iterator<Item = &'s Tuple>,
+    rights: impl Iterator<Item = &'s Tuple>,
+    mut each: impl FnMut(&[&'s Tuple], bool, &'s Tuple) -> Result<(), EvalError>,
+) -> Result<(), EvalError> {
+    let mut next_left = lefts.next();
+    // The left rows whose key is the current right row's.
+    let mut run: Vec<&Tuple> = Vec::new();
+    for t in rights {
+        let key = &t[0];
+        let fresh = run.first().is_none_or(|m| &m[0] != key);
+        if fresh {
+            run.clear();
+            while let Some(m) = next_left {
+                match m[0].cmp(key) {
+                    Ordering::Less => {}
+                    Ordering::Equal => run.push(m),
+                    Ordering::Greater => break,
+                }
+                next_left = lefts.next();
+            }
+            if run.is_empty() {
+                if next_left.is_none() {
+                    break;
+                }
+                continue;
+            }
+        }
+        each(&run, fresh, t)?;
+    }
+    Ok(())
+}
+
 /// Materialize a sub-plan into a relation. A constant sub-plan is handed
 /// back by `Arc` bump (with the same row counts a streamed copy would
 /// record), so a prepared xsub-value bound as constants is reused, not
@@ -993,7 +1060,7 @@ fn materialize(node: &PhysNode, ctx: &Ctx<'_>, env: &Env) -> Result<Relation, Ev
         rows.push(ctx.keep(node.id, v));
         Ok(())
     })?;
-    let rel = Relation::from_tuple_set(node.arity, rows.into_iter().collect())?;
+    let rel = Relation::from_tuple_set(node.arity, rows)?;
     Ok(rel)
 }
 
@@ -1138,6 +1205,16 @@ fn op_label(node: &PhysNode) -> String {
             "MergeJoin (on #0=#{}, residual={})",
             left.arity,
             residual.len()
+        ),
+        PhysOp::GroupJoin {
+            left,
+            group_by,
+            aggs,
+            ..
+        } => format!(
+            "GroupJoin (on #0=#{}, group_by={group_by:?}, aggs={})",
+            left.arity,
+            aggs.len()
         ),
         PhysOp::Union { .. } => "Union".into(),
         PhysOp::Diff { .. } => "Diff".into(),
@@ -1567,6 +1644,16 @@ mod tests {
             },
         );
         assert!(merge_join.distinct);
+        let PhysOp::MergeJoin { left, right, .. } = merge_join.op else {
+            unreachable!()
+        };
+        let group_join = PhysOp::GroupJoin {
+            left,
+            right,
+            group_by: vec![0],
+            aggs: vec![AggExpr::Count],
+        };
+        assert!(PhysNode::new(2, group_join).distinct);
     }
 
     #[test]
@@ -1757,6 +1844,17 @@ mod tests {
                 },
             )
         };
+        let group_join = |group_by: Vec<usize>| {
+            PhysNode::new(
+                group_by.len() + 1,
+                PhysOp::GroupJoin {
+                    left: Box::new(scan("R")),
+                    right: Box::new(scan("S")),
+                    group_by,
+                    aggs: vec![AggExpr::Count],
+                },
+            )
+        };
         let set_op = |intersect: bool| {
             let (left, right) = (Box::new(scan("R")), Box::new(r_ge_2()));
             let op = if intersect {
@@ -1845,6 +1943,8 @@ mod tests {
             ("index join", index_join(), 3, 2),
             ("merge join", merge_join(scan("R")), 5, 2),
             ("merge join, filtered side", merge_join(r_ge_2()), 4, 2),
+            ("group join", group_join(vec![]), 5, 1),
+            ("group join, by key", group_join(vec![2]), 5, 2),
             ("union", union(scan("R"), scan("S")), 5, 5),
             ("diff", set_op(false), 5, 1),
             ("intersect", set_op(true), 5, 2),
@@ -1918,6 +2018,71 @@ mod tests {
             line.contains("MergeJoin (on #0=#2, residual=0)  (rows in=5 out=2 built=0)"),
             "{rendered}"
         );
+
+        // The group join walks the same runs and forms no pair: one
+        // output row, the count of the two pairs.
+        let plan = PhysPlan::new(delta(group_join(vec![])));
+        let (out, m) = plan.execute_analyze(&db).unwrap();
+        assert_eq!(out, Relation::singleton(tuple![2]));
+        let rendered = plan.render(Some(&m));
+        let line = rendered.lines().find(|l| l.contains("GroupJoin")).unwrap();
+        assert!(
+            line.contains("GroupJoin (on #0=#2, group_by=[], aggs=1)  (rows in=5 out=1 built=0)"),
+            "{rendered}"
+        );
+    }
+
+    #[test]
+    fn group_join_folds_each_run_whole() {
+        // Keys 1 and 3 repeat on both sides; key 2 only on the left, key
+        // 4 only on the right.
+        let mut cat = Catalog::new();
+        cat.declare_arity("A", 2).unwrap();
+        cat.declare_arity("B", 2).unwrap();
+        let mut db = DatabaseState::new(cat);
+        let a = [[1, 10], [1, 11], [2, 20], [3, 30], [3, 31], [3, 32]];
+        let b = [[1, 5], [1, 6], [3, 7], [4, 8]];
+        db.insert_rows("A", a.map(|[k, v]| tuple![k, v])).unwrap();
+        db.insert_rows("B", b.map(|[k, v]| tuple![k, v])).unwrap();
+        let aggs = vec![
+            AggExpr::Count,
+            AggExpr::Sum(1),
+            AggExpr::Sum(3),
+            AggExpr::Min(1),
+            AggExpr::Max(3),
+        ];
+        for group_by in [vec![], vec![0], vec![2, 0]] {
+            let join = |op| PhysNode::new(group_by.len() + aggs.len(), op);
+            let grouped = PhysPlan::new(join(PhysOp::GroupJoin {
+                left: Box::new(scan("A")),
+                right: Box::new(scan("B")),
+                group_by: group_by.clone(),
+                aggs: aggs.clone(),
+            }));
+            let paired = PhysPlan::new(join(PhysOp::Aggregate {
+                input: Box::new(hash_join(scan("A"), scan("B"))),
+                group_by: group_by.clone(),
+                aggs: aggs.clone(),
+            }));
+            let out = grouped.execute(&db).unwrap();
+            assert_eq!(out, paired.execute(&db).unwrap(), "{group_by:?}");
+            let want = if group_by.is_empty() {
+                vec![tuple![7, 2 * 21 + 93, 2 * 11 + 3 * 7, 10, 7]]
+            } else {
+                let key = |k: i64| vec![Value::int(k); group_by.len()];
+                let row =
+                    |k, rest: [i64; 5]| Tuple::new(key(k).into_iter().chain(rest.map(Value::int)));
+                vec![
+                    row(1, [4, 2 * 21, 2 * 11, 10, 6]),
+                    row(3, [3, 93, 3 * 7, 30, 7]),
+                ]
+            };
+            assert_eq!(
+                out,
+                Relation::from_rows(out.arity(), want).unwrap(),
+                "{group_by:?}"
+            );
+        }
     }
 
     #[test]

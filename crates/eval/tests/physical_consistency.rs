@@ -12,7 +12,8 @@
 //! row as a tuple. Joins of indexed base names under `when {U}` probe the
 //! stored index through the delta's ∇/Δ⁺ patch and must match the same
 //! query run with no index declared. Merge joins on column 0 must match a
-//! hash join over the same operands and the direct semantics.
+//! hash join over the same operands and the direct semantics, and so must
+//! the group join that aggregates a merge join's runs.
 
 use proptest::prelude::*;
 
@@ -22,7 +23,7 @@ use hypoquery_core::{fully_lazy, to_enf_query, to_mod_enf, RewriteTrace};
 use hypoquery_eval::join::EquiPair;
 use hypoquery_eval::{
     algorithm_hql1, algorithm_hql2, algorithm_hql3, eval_bag_query, eval_pure, eval_query,
-    BagState, PhysNode, PhysOp, PhysPlan, Side,
+    BagState, EvalError, PhysNode, PhysOp, PhysPlan, Side,
 };
 use hypoquery_opt::{lower_query, plan, Statistics};
 use hypoquery_storage::{DatabaseState, RelName, Relation, Tuple, Value};
@@ -298,27 +299,46 @@ fn arb_join_when_update() -> BoxedStrategy<Update> {
 }
 
 /// `plan` with every [`PhysOp::MergeJoin`] replaced by what `make` builds
-/// from its operands and residual, installed anew with
-/// [`PhysPlan::new`]; and how many merges it replaced.
+/// from its operands and residual, and every [`PhysOp::GroupJoin`] by an
+/// [`PhysOp::Aggregate`] over what `make` builds from its operands,
+/// installed anew with [`PhysPlan::new`]; and how many joins it replaced.
 fn swap_merge_joins(
     plan: &PhysPlan,
     make: fn(PhysNode, PhysNode, Vec<Predicate>) -> PhysOp,
 ) -> (PhysPlan, usize) {
     fn walk(n: &mut PhysNode, make: fn(PhysNode, PhysNode, Vec<Predicate>) -> PhysOp) -> usize {
-        if let PhysOp::MergeJoin {
-            left,
-            right,
-            residual,
-        } = &n.op
-        {
-            n.op = make((**left).clone(), (**right).clone(), residual.clone());
-            return 1;
+        match &n.op {
+            PhysOp::MergeJoin {
+                left,
+                right,
+                residual,
+            } => {
+                n.op = make((**left).clone(), (**right).clone(), residual.clone());
+                return 1;
+            }
+            PhysOp::GroupJoin {
+                left,
+                right,
+                group_by,
+                aggs,
+            } => {
+                let arity = left.arity + right.arity;
+                let join = make((**left).clone(), (**right).clone(), Vec::new());
+                n.op = PhysOp::Aggregate {
+                    input: Box::new(PhysNode::new(arity, join)),
+                    group_by: group_by.clone(),
+                    aggs: aggs.clone(),
+                };
+                return 1;
+            }
+            _ => {}
         }
         match &mut n.op {
             PhysOp::Scan { .. }
             | PhysOp::IndexProbe { .. }
             | PhysOp::Const { .. }
-            | PhysOp::MergeJoin { .. } => 0,
+            | PhysOp::MergeJoin { .. }
+            | PhysOp::GroupJoin { .. } => 0,
             PhysOp::Filter { input, .. }
             | PhysOp::Project { input, .. }
             | PhysOp::Dedup { input }
@@ -347,6 +367,15 @@ fn swap_merge_joins(
     let mut root = plan.root.clone();
     let swapped = walk(&mut root, make);
     (PhysPlan::new(root), swapped)
+}
+
+/// A merge join on column 0 of both operands, as the lowering builds one.
+fn merge_join_on_key(left: PhysNode, right: PhysNode, residual: Vec<Predicate>) -> PhysOp {
+    PhysOp::MergeJoin {
+        left: Box::new(left),
+        right: Box::new(right),
+        residual,
+    }
 }
 
 /// A hash join on column 0 of both operands, building the right one.
@@ -450,6 +479,55 @@ fn arb_merge_join() -> BoxedStrategy<Query> {
             a.join(b, p)
         })
         .boxed()
+}
+
+/// A value for a summed column: mostly a small int, sometimes one near
+/// the `i64` bounds (so sums leave the range, or only pass through it),
+/// sometimes a string or a boolean (so a `sum` over it fails).
+fn arb_sum_value() -> BoxedStrategy<Value> {
+    let big = vec![
+        i64::MAX,
+        i64::MAX - 1,
+        i64::MIN,
+        i64::MIN + 1,
+        i64::MAX / 2 + 1,
+        -(i64::MAX / 2),
+    ];
+    prop_oneof![
+        4 => arb_int_value(),
+        2 => prop::sample::select(big).prop_map(Value::int),
+        1 => prop::sample::select(vec!["a", "b"]).prop_map(Value::str),
+        1 => any::<bool>().prop_map(Value::bool),
+    ]
+    .boxed()
+}
+
+/// `R` and `S` (up to 8 rows each, mixed-type keys that repeat on both
+/// sides, either may be empty) whose column 1 is an [`arb_sum_value`].
+fn arb_group_join_db() -> BoxedStrategy<DatabaseState> {
+    let rel = || {
+        prop::collection::vec((arb_mixed_value(), arb_sum_value()), 0..=8).prop_map(|rows| {
+            let rows = rows.into_iter().map(|(k, v)| Tuple::new(vec![k, v]));
+            Relation::from_rows(2, rows).unwrap()
+        })
+    };
+    (rel(), rel())
+        .prop_map(|(r, s)| {
+            let mut db = DatabaseState::new(universe().catalog);
+            db.set("R", r).unwrap();
+            db.set("S", s).unwrap();
+            db
+        })
+        .boxed()
+}
+
+/// What a query answers, with an error reduced to its kind: which value
+/// a failing `sum` meets first depends on the order the rows arrive in.
+fn outcome(r: Result<Relation, EvalError>) -> Result<Relation, String> {
+    r.map_err(|e| match e {
+        EvalError::AggregateType { agg, .. } => format!("{agg}: not an integer"),
+        e => e.to_string(),
+    })
 }
 
 proptest! {
@@ -657,12 +735,20 @@ proptest! {
         let indexed = declare_all(&db);
         let phys = lower_query(&q, indexed.catalog(), &Statistics::of(&indexed)).unwrap();
         let shape = phys.render(None);
-        prop_assert!(shape.contains("IndexJoin") || shape.contains("MergeJoin"), "{}", shape);
+        prop_assert!(
+            ["IndexJoin", "MergeJoin", "GroupJoin"].iter().any(|op| shape.contains(op)),
+            "{}",
+            shape
+        );
         // Where the merge takes a column-0 key, the patched index join on
         // that key runs in its place, built by hand.
         let (by_index, _) = swap_merge_joins(&phys, index_join_on_key);
         let shape = by_index.render(None);
-        prop_assert!(shape.contains("IndexJoin") && !shape.contains("MergeJoin"), "{}", shape);
+        prop_assert!(
+            shape.contains("IndexJoin") && !shape.contains("MergeJoin") && !shape.contains("GroupJoin"),
+            "{}",
+            shape
+        );
         prop_assert_eq!(&by_index.execute(&indexed).unwrap(), &expected);
         for d in [&db, &indexed] {
             prop_assert_eq!(&pipelined(&q, d)?, &expected);
@@ -699,5 +785,59 @@ proptest! {
         prop_assert_eq!(&phys.execute(&db).unwrap(), &expected);
         prop_assert_eq!(&hashed.execute(&db).unwrap(), &expected);
         check_all_strategies(&q, &db)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Aggregates over a residual-free merge join on column 0, grouped by
+    /// nothing or by the key columns, lower to a group join. Over ordered
+    /// operands of every kind (bare, ranged, filtered, xsub-bound,
+    /// delta-rebound, with deletes and re-inserts of one key), keys that
+    /// repeat on both sides, empty sides, summed columns holding a
+    /// non-integer or values near the `i64` bounds: the group join, an
+    /// `Aggregate` over a hand-built `MergeJoin` and over a `HashJoin` of
+    /// the same operands, and the direct semantics give one answer — or
+    /// fail alike.
+    #[test]
+    fn group_join_matches_aggregate_over_joins(
+        a in arb_ordered_operand(),
+        b in arb_ordered_operand(),
+        group_by in prop::sample::select(vec![vec![], vec![0], vec![2], vec![0, 2], vec![2, 0]]),
+        aggs in prop::collection::vec(arb_agg(4), 1..=3),
+        u in arb_join_when_update(),
+        binding in arb_ordered_operand(),
+        bound in arb_joined_name(),
+        shape in 0..4usize,
+        db in arb_group_join_db(),
+    ) {
+        let join = a.join(b, Predicate::col_col(0, CmpOp::Eq, 2));
+        let eps = || StateExpr::subst(ExplicitSubst::single(bound.clone(), binding.clone()));
+        let agg = join.aggregate(group_by, aggs);
+        let q = match shape {
+            0 => agg,
+            1 => agg.when(StateExpr::update(u)),
+            2 => agg.when(eps()),
+            _ => agg.when(StateExpr::update(u)).when(eps()),
+        };
+        let expected = outcome(eval_query(&q, &db));
+        let phys = lower_query(&q, db.catalog(), &Statistics::of(&db)).unwrap();
+        let shape = phys.render(None);
+        // Under the `when` wrappers (whose atoms may join too).
+        let mut body = &phys.root;
+        while let PhysOp::XsubRebind { body: inner, .. } | PhysOp::DeltaApply { body: inner, .. } =
+            &body.op
+        {
+            body = inner;
+        }
+        prop_assert!(matches!(body.op, PhysOp::GroupJoin { .. }), "{}", shape);
+        prop_assert_eq!(&outcome(phys.execute(&db)), &expected, "{}", shape);
+        for make in [merge_join_on_key as fn(_, _, _) -> _, hash_join_on_key] {
+            let (swapped, _) = swap_merge_joins(&phys, make);
+            let shape = swapped.render(None);
+            prop_assert!(!shape.contains("GroupJoin"), "{}", shape);
+            prop_assert_eq!(&outcome(swapped.execute(&db)), &expected, "{}", shape);
+        }
     }
 }

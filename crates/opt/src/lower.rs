@@ -14,7 +14,8 @@
 //!
 //! # Access-path selection
 //!
-//! Every relation is a `BTreeSet` of tuples, so it is sorted on column 0.
+//! Every relation stores its tuples as one sorted vector, so it is sorted
+//! on column 0.
 //! The lowering picks an access path for a `Select` directly over a base
 //! name (one of the first three below) and for each side of a join:
 //!
@@ -33,7 +34,7 @@
 //!   range holds exactly the rows the predicate keeps. A ranged scan
 //!   needs no shadow gate: whatever the name resolves to at run time —
 //!   the stored base, an xsub binding, or either merged with a delta —
-//!   is a sorted set the scan can range.
+//!   is a sorted relation the scan can range.
 //! * **Full scan.** A predicate with no column-0 bound (`<>`, `or`,
 //!   `not`, column-to-column) filters a plain `Scan`.
 //! * **Joins.** An equi pair on column 0 of both sides, each an *ordered
@@ -58,6 +59,13 @@
 //!   `MERGE_MAX_RATIO` (2, from `report e11`'s sweep) times the probe
 //!   side's: then reading all of the indexed side costs more than probing
 //!   it. Otherwise joins hash-build the smaller (estimated) side.
+//!
+//! * **Group joins.** An `aggregate` over a merge join with no residual,
+//!   grouped by nothing or by the join's key columns only (`#0` and the
+//!   right side's `#0`), lowers to one [`PhysOp::GroupJoin`]: the merge's
+//!   walk folds each key's run of left rows with each right row into the
+//!   accumulators, and no pair is formed. A residual, or a grouping column
+//!   that is not a key, keeps the `Aggregate` over the `MergeJoin`.
 //!
 //! The cost model ([`crate::stats::estimate`]) prices the two index
 //! paths, but without the shadow analysis below, so it can price a path
@@ -89,7 +97,7 @@
 use hypoquery_storage::{Catalog, KeyRange, RelName};
 
 use hypoquery_algebra::scope::NameSet;
-use hypoquery_algebra::{CmpOp, Predicate, Query, StateExpr, Update};
+use hypoquery_algebra::{AggExpr, CmpOp, Predicate, Query, StateExpr, Update};
 
 use hypoquery_eval::join::{split_equi_pairs, EquiPair};
 use hypoquery_eval::physical::{is_ordered_source, DeltaAtom, PhysNode, PhysOp, PhysPlan, Side};
@@ -247,17 +255,11 @@ impl Lowerer<'_> {
                 input,
                 group_by,
                 aggs,
-            } => {
-                let input = self.lower(input, sh)?;
-                Ok(PhysNode::new(
-                    group_by.len() + aggs.len(),
-                    PhysOp::Aggregate {
-                        input: Box::new(input),
-                        group_by: group_by.clone(),
-                        aggs: aggs.clone(),
-                    },
-                ))
-            }
+            } => Ok(aggregate(
+                self.lower(input, sh)?,
+                group_by.clone(),
+                aggs.clone(),
+            )),
         }
     }
 
@@ -494,6 +496,40 @@ fn merge_join(
             residual,
         },
     )
+}
+
+/// An [`PhysOp::Aggregate`] over `input` — or, when `input` is a merge
+/// join with no residual and `group_by` names only its key columns (`#0`
+/// and the right side's `#0`) or nothing, the [`PhysOp::GroupJoin`] that
+/// folds each key's runs in the join's own walk instead of aggregating its
+/// pairs. A residual decides pair by pair, and any other grouping column
+/// splits a run, so both keep the plain aggregate.
+fn aggregate(input: PhysNode, group_by: Vec<usize>, aggs: Vec<AggExpr>) -> PhysNode {
+    let arity = group_by.len() + aggs.len();
+    match input.op {
+        PhysOp::MergeJoin {
+            left,
+            right,
+            residual,
+        } if residual.is_empty() && group_by.iter().all(|&c| c == 0 || c == left.arity) => {
+            let op = PhysOp::GroupJoin {
+                left,
+                right,
+                group_by,
+                aggs,
+            };
+            PhysNode::new(arity, op)
+        }
+        op => {
+            let input = Box::new(PhysNode { op, ..input });
+            let op = PhysOp::Aggregate {
+                input,
+                group_by,
+                aggs,
+            };
+            PhysNode::new(arity, op)
+        }
+    }
 }
 
 /// The range of the scan at the bottom of an ordered source.
@@ -891,6 +927,52 @@ mod tests {
         for (q, residual) in cases {
             let plan = lower_in(&db, &q);
             assert_eq!(merged(&plan), residual, "{q}: {}", plan.render(None));
+            assert_eq!(
+                plan.execute(&db).unwrap(),
+                eval_query(&q, &db).unwrap(),
+                "{q}"
+            );
+        }
+    }
+
+    #[test]
+    fn aggregate_over_a_merge_join_lowers_to_a_group_join() {
+        let db = db();
+        let agg = |q: Query, group_by: Vec<usize>| {
+            q.aggregate(
+                group_by,
+                vec![AggExpr::Count, AggExpr::Sum(3), AggExpr::Min(1)],
+            )
+        };
+        let with_residual = Query::base("R").join(
+            Query::base("S"),
+            Predicate::col_col(0, CmpOp::Eq, 2).and(Predicate::col_col(1, CmpOp::Lt, 3)),
+        );
+        let ins = StateExpr::update(Update::insert("S", Query::singleton(tuple![1, 11])));
+        // (query, whether it groups the merge's runs)
+        let cases = [
+            (agg(r_join_s(), vec![]), true),
+            (agg(r_join_s(), vec![0]), true),
+            (agg(r_join_s(), vec![2]), true),
+            (agg(r_join_s(), vec![0, 2]), true),
+            (agg(r_join_s(), vec![]).when(ins), true),
+            // A residual decides pair by pair.
+            (agg(with_residual, vec![]), false),
+            // A non-key grouping column splits a key's run.
+            (agg(r_join_s(), vec![1]), false),
+            (agg(r_join_s(), vec![0, 3]), false),
+        ];
+        for (q, grouped) in cases {
+            let plan = lower_in(&db, &q);
+            let shape = plan.render(None);
+            match under_wrappers(&plan.root) {
+                PhysOp::GroupJoin { .. } => assert!(grouped, "{q}: {shape}"),
+                PhysOp::Aggregate { input, .. } => {
+                    assert!(!grouped, "{q}: {shape}");
+                    assert!(matches!(input.op, PhysOp::MergeJoin { .. }), "{q}: {shape}");
+                }
+                _ => panic!("{q}: {shape}"),
+            }
             assert_eq!(
                 plan.execute(&db).unwrap(),
                 eval_query(&q, &db).unwrap(),

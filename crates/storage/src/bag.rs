@@ -77,11 +77,8 @@ impl BagRelation {
 
     /// The supporting set (distinct tuples).
     pub fn to_set(&self) -> Relation {
-        let mut out = Relation::empty(self.arity);
-        for t in self.tuples.keys() {
-            let _ = out.insert(t.clone());
-        }
-        out
+        Relation::from_rows(self.arity, self.tuples.keys().cloned())
+            .expect("a bag's rows share its arity")
     }
 
     /// This bag's arity.

@@ -151,7 +151,9 @@ impl DatabaseState {
     }
 
     /// Bulk-load rows into `R`, all or nothing: every row is checked
-    /// against the catalog before any is inserted.
+    /// against the catalog before any is inserted. The batch, in any order
+    /// and with repeats, is sorted once and merged into the stored rows in
+    /// one pass (a point insert would shift the stored rows per row).
     pub fn insert_rows(
         &mut self,
         name: impl Into<RelName> + Clone,
@@ -159,18 +161,9 @@ impl DatabaseState {
     ) -> Result<(), StorageError> {
         let name = name.into();
         let arity = self.catalog.arity(&name)?;
-        let rows: Vec<Tuple> = rows.into_iter().collect();
-        if let Some(bad) = rows.iter().find(|t| t.arity() != arity) {
-            return Err(StorageError::ArityMismatch {
-                context: "relation insert",
-                expected: arity,
-                found: bad.arity(),
-            });
-        }
-        for row in rows {
-            self.insert_row(name.clone(), row)?;
-        }
-        Ok(())
+        let batch = Relation::from_rows(arity, rows)?;
+        let merged = self.get(&name)?.union(&batch)?;
+        self.set(name, merged)
     }
 
     /// Declare a hash index on column `col` of `name`. Errors if `name`
@@ -343,6 +336,32 @@ mod tests {
         assert_eq!(db, before);
         assert!(db.insert_rows("Z", [tuple![1]]).is_err());
         assert_eq!(db, before);
+    }
+
+    #[test]
+    fn insert_rows_merges_an_unsorted_batch_once() {
+        let mut db = DatabaseState::new(cat());
+        db.insert_rows("R", [tuple![2, 2], tuple![4, 4]]).unwrap();
+        let before = db.get(&"R".into()).unwrap();
+        // Unsorted, repeating itself, overlapping the stored rows.
+        let batch = [
+            tuple![5, 5],
+            tuple![1, 1],
+            tuple![4, 4],
+            tuple![3, 3],
+            tuple![1, 1],
+            tuple![2, 2],
+        ];
+        db.insert_rows("R", batch).unwrap();
+        let after = db.get(&"R".into()).unwrap();
+        let rows: Vec<Tuple> = after.iter().cloned().collect();
+        assert_eq!(rows, (1..=5).map(|k| tuple![k, k]).collect::<Vec<_>>());
+        assert_eq!(db.total_tuples(), 5);
+        // The stored rows it replaced are untouched.
+        assert_eq!(before.len(), 2);
+        // A batch of stored rows only keeps the storage shared.
+        db.insert_rows("R", [tuple![3, 3], tuple![1, 1]]).unwrap();
+        assert!(db.get(&"R".into()).unwrap().ptr_eq(&after));
     }
 
     #[test]

@@ -1,13 +1,21 @@
 //! Relations: finite sets of same-arity tuples.
 //!
-//! Set semantics, as in the paper. Backed by a `BTreeSet` so iteration is
-//! deterministic and already sorted — [`Relation::range`] exploits this,
-//! walking only the tuples whose column 0 lies in a [`KeyRange`], and so
-//! does the streaming merge of a base with a delta in `hypoquery-eval`.
+//! Set semantics, as in the paper. The tuples are kept as one sorted,
+//! duplicate-free `Vec`, so iteration is deterministic and already in
+//! order, and a scan reads a flat slice. [`Relation::range`] exploits the
+//! order: it finds the slice of tuples whose column 0 lies in a
+//! [`KeyRange`] by binary search (`partition_point`), and so does the
+//! streaming merge of a base with a delta in `hypoquery-eval`. Membership
+//! is a binary search, the set operations are linear merges of two sorted
+//! slices, and the bulk constructors sort and deduplicate once. A point
+//! [`Relation::insert`]/[`Relation::remove`] shifts the tail (O(n)), so
+//! loaders build a relation from all of its rows at once
+//! ([`Relation::from_rows`], [`DatabaseState::insert_rows`](crate::DatabaseState::insert_rows))
+//! instead of inserting them one by one.
 //!
 //! Tuple storage is `Arc`-shared and copy-on-write: `clone()` is a pointer
 //! bump, and the first mutation of a shared relation clones the underlying
-//! set (`Arc::make_mut`). This is what makes hypothetical snapshots cheap —
+//! vector (`Arc::make_mut`). This is what makes hypothetical snapshots cheap —
 //! the k states of a what-if tree or a prepared family all share the
 //! untouched base relations physically.
 //!
@@ -15,7 +23,8 @@
 //! the tuples — built column indexes and per-column distinct counts — so
 //! snapshots that share storage share those caches by construction.
 
-use std::collections::{BTreeSet, HashMap};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::Bound;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -27,7 +36,7 @@ use crate::value::Value;
 
 /// A relation: a set of tuples sharing one arity.
 ///
-/// Cloning is O(1) (shared storage); mutating a clone copies the tuple set
+/// Cloning is O(1) (shared storage); mutating a clone copies the tuples
 /// first (copy-on-write), so clones are fully isolated from each other.
 #[derive(Clone, Debug)]
 pub struct Relation {
@@ -35,13 +44,14 @@ pub struct Relation {
     store: Arc<Store>,
 }
 
-/// A relation's shared storage: the tuple set plus the caches derived
-/// from it (see [`crate::index`]). The caches are only valid for these
-/// exact tuples, so every mutation goes through `Relation::tuples_mut`,
-/// which clears them, and a copy-on-write clone starts with none.
+/// A relation's shared storage: the tuples, sorted and duplicate-free,
+/// plus the caches derived from them (see [`crate::index`]). The caches
+/// are only valid for these exact tuples, so every mutation goes through
+/// `Relation::tuples_mut`, which clears them, and a copy-on-write clone
+/// starts with none.
 #[derive(Default)]
 pub(crate) struct Store {
-    pub(crate) tuples: BTreeSet<Tuple>,
+    pub(crate) tuples: Vec<Tuple>,
     /// Built column indexes, keyed by column list.
     pub(crate) indexes: Mutex<HashMap<Vec<usize>, Arc<KeyedRows>>>,
     /// Distinct-value count of every column, filled in one pass.
@@ -59,7 +69,7 @@ impl Clone for Store {
 
 impl fmt::Debug for Store {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.tuples.fmt(f)
+        f.debug_set().entries(&self.tuples).finish()
     }
 }
 
@@ -75,7 +85,7 @@ impl Eq for Relation {}
 impl Relation {
     /// The empty relation of the given arity.
     pub fn empty(arity: usize) -> Self {
-        Relation::from_set(arity, BTreeSet::new())
+        Relation::from_sorted(arity, Vec::new())
     }
 
     /// Whether `self` and `other` physically share one tuple store.
@@ -92,7 +102,7 @@ impl Relation {
         &self.store
     }
 
-    fn tuples(&self) -> &BTreeSet<Tuple> {
+    fn tuples(&self) -> &[Tuple] {
         &self.store.tuples
     }
 
@@ -100,7 +110,7 @@ impl Relation {
     /// (copy-on-write) and clears its caches. Clearing matters when this
     /// relation is the unique owner, because `make_mut` then mutates in
     /// place and the caches would otherwise describe the old tuples.
-    fn tuples_mut(&mut self) -> &mut BTreeSet<Tuple> {
+    fn tuples_mut(&mut self) -> &mut Vec<Tuple> {
         let store = Arc::make_mut(&mut self.store);
         store
             .indexes
@@ -111,7 +121,9 @@ impl Relation {
         &mut store.tuples
     }
 
-    fn from_set(arity: usize, tuples: BTreeSet<Tuple>) -> Self {
+    /// Wrap tuples that are already sorted and duplicate-free.
+    fn from_sorted(arity: usize, tuples: Vec<Tuple>) -> Self {
+        debug_assert!(is_strictly_sorted(&tuples));
         Relation {
             arity,
             store: Arc::new(Store {
@@ -121,47 +133,48 @@ impl Relation {
         }
     }
 
-    /// Build a relation from rows, checking that every row has `arity`.
-    pub fn from_rows(
+    /// Sort and deduplicate `tuples` (skipping the sort when they already
+    /// are), checking that every row has `arity`.
+    fn from_vec(
         arity: usize,
-        rows: impl IntoIterator<Item = Tuple>,
+        mut tuples: Vec<Tuple>,
+        context: &'static str,
     ) -> Result<Self, StorageError> {
-        let mut tuples = BTreeSet::new();
-        for row in rows {
-            if row.arity() != arity {
-                return Err(StorageError::ArityMismatch {
-                    context: "relation insert",
-                    expected: arity,
-                    found: row.arity(),
-                });
-            }
-            tuples.insert(row);
-        }
-        Ok(Relation::from_set(arity, tuples))
-    }
-
-    /// Wrap an already-built tuple set, checking that every row has
-    /// `arity`. Unlike per-row [`Relation::insert`], this performs no
-    /// membership pre-checks and no copy-on-write bookkeeping — it is the
-    /// bulk constructor for operators that accumulate a result set and
-    /// seal it once.
-    pub fn from_tuple_set(arity: usize, tuples: BTreeSet<Tuple>) -> Result<Self, StorageError> {
         if let Some(t) = tuples.iter().find(|t| t.arity() != arity) {
             return Err(StorageError::ArityMismatch {
-                context: "relation from set",
+                context,
                 expected: arity,
                 found: t.arity(),
             });
         }
-        Ok(Relation::from_set(arity, tuples))
+        if !is_strictly_sorted(&tuples) {
+            tuples.sort_unstable();
+            tuples.dedup();
+        }
+        Ok(Relation::from_sorted(arity, tuples))
+    }
+
+    /// Build a relation from rows in any order, duplicates allowed,
+    /// checking that every row has `arity`. Sorts once.
+    pub fn from_rows(
+        arity: usize,
+        rows: impl IntoIterator<Item = Tuple>,
+    ) -> Result<Self, StorageError> {
+        Relation::from_vec(arity, rows.into_iter().collect(), "relation insert")
+    }
+
+    /// Seal rows an operator has accumulated, checking that every row has
+    /// `arity`: [`Relation::from_rows`] for a vector already in hand. The
+    /// rows may repeat and come in any order; rows that arrive sorted (an
+    /// aggregate's ordered groups, a scan's survivors) are not sorted
+    /// again.
+    pub fn from_tuple_set(arity: usize, tuples: Vec<Tuple>) -> Result<Self, StorageError> {
+        Relation::from_vec(arity, tuples, "relation from set")
     }
 
     /// Build a single-tuple relation (the paper's `{t}`).
     pub fn singleton(t: Tuple) -> Self {
-        let arity = t.arity();
-        let mut tuples = BTreeSet::new();
-        tuples.insert(t);
-        Relation::from_set(arity, tuples)
+        Relation::from_sorted(t.arity(), vec![t])
     }
 
     /// This relation's arity.
@@ -179,13 +192,15 @@ impl Relation {
         self.tuples().is_empty()
     }
 
-    /// Whether `t` is a member.
+    /// Whether `t` is a member (a binary search).
     pub fn contains(&self, t: &Tuple) -> bool {
-        self.tuples().contains(t)
+        self.tuples().binary_search(t).is_ok()
     }
 
     /// Insert a tuple; errors if its arity differs. Returns whether the
-    /// tuple was newly inserted.
+    /// tuple was newly inserted. O(n): the tuples after it shift by one,
+    /// so bulk loads go through [`Relation::from_rows`] or
+    /// [`Relation::union`] instead.
     pub fn insert(&mut self, t: Tuple) -> Result<bool, StorageError> {
         if t.arity() != self.arity {
             return Err(StorageError::ArityMismatch {
@@ -194,48 +209,60 @@ impl Relation {
                 found: t.arity(),
             });
         }
-        if self.contains(&t) {
+        match self.tuples().binary_search(&t) {
             // Duplicate insert: never un-share the storage for a no-op.
-            return Ok(false);
+            Ok(_) => Ok(false),
+            Err(at) => {
+                self.tuples_mut().insert(at, t);
+                Ok(true)
+            }
         }
-        Ok(self.tuples_mut().insert(t))
     }
 
-    /// Remove a tuple; returns whether it was present.
+    /// Remove a tuple; returns whether it was present. O(n), like
+    /// [`Relation::insert`].
     ///
-    /// Copy-on-write note: a removal that misses still un-shares the
-    /// storage only when the tuple is present — we check membership first
-    /// so no-op removes never force a copy of a shared set.
+    /// Copy-on-write note: membership is checked first, so a removal that
+    /// misses never forces a copy of a shared store.
     pub fn remove(&mut self, t: &Tuple) -> bool {
-        if !self.contains(t) {
-            return false;
+        match self.tuples().binary_search(t) {
+            Ok(at) => {
+                self.tuples_mut().remove(at);
+                true
+            }
+            Err(_) => false,
         }
-        self.tuples_mut().remove(t)
     }
 
     /// Iterate tuples in sorted order.
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> + '_ {
+    pub fn iter(&self) -> std::slice::Iter<'_, Tuple> {
         self.tuples().iter()
+    }
+
+    /// The tuples in sorted order, as one slice.
+    pub fn as_slice(&self) -> &[Tuple] {
+        self.tuples()
     }
 
     /// Iterate, in sorted order, the tuples whose column 0 lies in `r`.
     ///
-    /// Tuples sort on column 0 first, so this seeks to the lower bound's
-    /// one-field prefix and stops at the first tuple past the upper bound:
-    /// it touches only the rows it yields (plus, for an exclusive lower
-    /// bound, the rows equal to it).
-    pub fn range<'a>(&'a self, r: &'a KeyRange) -> impl Iterator<Item = &'a Tuple> + 'a {
-        let start = match &r.lo {
-            Bound::Included(v) | Bound::Excluded(v) => Bound::Included(Tuple::new([v.clone()])),
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        self.tuples()
-            .range((start, Bound::Unbounded))
-            .skip_while(move |t| !r.above_lo(t))
-            .take_while(move |t| r.below_hi(t))
+    /// Tuples sort on column 0 first, so those tuples are one slice of the
+    /// sorted vector ([`Relation::range_slice`]): this touches only the
+    /// rows it yields, plus the O(log n) probes of two binary searches.
+    pub fn range(&self, r: &KeyRange) -> std::slice::Iter<'_, Tuple> {
+        self.range_slice(r).iter()
     }
 
-    /// Set union. Errors on arity mismatch.
+    /// The slice of tuples whose column 0 lies in `r`, found by binary
+    /// search on each bound.
+    pub fn range_slice(&self, r: &KeyRange) -> &[Tuple] {
+        let all = self.tuples();
+        let start = all.partition_point(|t| !r.above_lo(t));
+        let rest = &all[start..];
+        &rest[..rest.partition_point(|t| r.below_hi(t))]
+    }
+
+    /// Set union, a linear merge. Errors on arity mismatch.
     ///
     /// When one operand is empty (or both share storage) the other is
     /// returned as a shared-storage clone — no tuples are copied.
@@ -247,39 +274,36 @@ impl Relation {
         if self.is_empty() {
             return Ok(other.clone());
         }
-        let out: BTreeSet<Tuple> = self.tuples().union(other.tuples()).cloned().collect();
+        let out = merge(self.tuples(), other.tuples(), true, true, true);
         // other ⊆ self (or vice versa): the union *is* one operand — hand
         // its storage back shared instead of keeping the fresh copy.
-        if out.len() == self.tuples().len() {
+        if out.len() == self.len() {
             return Ok(self.clone());
         }
-        if out.len() == other.tuples().len() {
+        if out.len() == other.len() {
             return Ok(other.clone());
         }
-        Ok(Relation::from_set(self.arity, out))
+        Ok(Relation::from_sorted(self.arity, out))
     }
 
-    /// Set intersection. Errors on arity mismatch.
+    /// Set intersection, a linear merge. Errors on arity mismatch.
     pub fn intersect(&self, other: &Relation) -> Result<Relation, StorageError> {
         self.check_same_arity(other, "intersection")?;
         if Arc::ptr_eq(&self.store, &other.store) {
             return Ok(self.clone());
         }
-        let out: BTreeSet<Tuple> = self
-            .tuples()
-            .intersection(other.tuples())
-            .cloned()
-            .collect();
-        if out.len() == self.tuples().len() {
+        let out = merge(self.tuples(), other.tuples(), false, true, false);
+        if out.len() == self.len() {
             return Ok(self.clone());
         }
-        if out.len() == other.tuples().len() {
+        if out.len() == other.len() {
             return Ok(other.clone());
         }
-        Ok(Relation::from_set(self.arity, out))
+        Ok(Relation::from_sorted(self.arity, out))
     }
 
-    /// Set difference (`self − other`). Errors on arity mismatch.
+    /// Set difference (`self − other`), a linear merge. Errors on arity
+    /// mismatch.
     ///
     /// Subtracting nothing returns `self` as a shared-storage clone.
     pub fn difference(&self, other: &Relation) -> Result<Relation, StorageError> {
@@ -290,36 +314,29 @@ impl Relation {
         if Arc::ptr_eq(&self.store, &other.store) {
             return Ok(Relation::empty(self.arity));
         }
-        let out: BTreeSet<Tuple> = self.tuples().difference(other.tuples()).cloned().collect();
+        let out = merge(self.tuples(), other.tuples(), true, false, false);
         // Disjoint subtrahend: nothing was removed — keep shared storage.
-        if out.len() == self.tuples().len() {
+        if out.len() == self.len() {
             return Ok(self.clone());
         }
-        Ok(Relation::from_set(self.arity, out))
+        Ok(Relation::from_sorted(self.arity, out))
     }
 
-    /// Cartesian product: arity is the sum of operand arities.
+    /// Cartesian product: arity is the sum of operand arities. Pairs come
+    /// out sorted (every left tuple has one arity), so nothing is sorted.
     pub fn product(&self, other: &Relation) -> Relation {
-        let mut tuples = BTreeSet::new();
-        for a in self.tuples().iter() {
-            for b in other.tuples().iter() {
-                tuples.insert(a.concat(b));
-            }
-        }
-        Relation::from_set(self.arity + other.arity, tuples)
+        let tuples = self
+            .tuples()
+            .iter()
+            .flat_map(|a| other.tuples().iter().map(move |b| a.concat(b)))
+            .collect();
+        Relation::from_sorted(self.arity + other.arity, tuples)
     }
 
-    /// Select: keep tuples satisfying `pred`.
+    /// Select: keep tuples satisfying `pred`. The survivors stay sorted.
     pub fn select(&self, mut pred: impl FnMut(&Tuple) -> bool) -> Relation {
-        Relation::from_set(
-            self.arity,
-            self.store
-                .tuples
-                .iter()
-                .filter(|t| pred(t))
-                .cloned()
-                .collect::<BTreeSet<_>>(),
-        )
+        let tuples = self.tuples().iter().filter(|t| pred(t)).cloned().collect();
+        Relation::from_sorted(self.arity, tuples)
     }
 
     /// Project onto column positions. Errors if any position is out of range.
@@ -331,10 +348,8 @@ impl Relation {
                 found: bad,
             });
         }
-        Ok(Relation::from_set(
-            cols.len(),
-            self.tuples().iter().map(|t| t.project(cols)).collect(),
-        ))
+        let rows = self.tuples().iter().map(|t| t.project(cols)).collect();
+        Relation::from_vec(cols.len(), rows, "projection")
     }
 
     fn check_same_arity(
@@ -351,6 +366,50 @@ impl Relation {
         }
         Ok(())
     }
+}
+
+/// Whether `tuples` ascend strictly: sorted, with no repeats.
+fn is_strictly_sorted(tuples: &[Tuple]) -> bool {
+    tuples.windows(2).all(|w| w[0] < w[1])
+}
+
+/// One linear merge of two sorted, duplicate-free slices, keeping the
+/// tuples only in `a` (`only_a`), in both (`both`) and only in `b`
+/// (`only_b`): union, intersection and difference are its three settings.
+fn merge(a: &[Tuple], b: &[Tuple], only_a: bool, both: bool, only_b: bool) -> Vec<Tuple> {
+    let mut out =
+        Vec::with_capacity(if only_a { a.len() } else { 0 } + if only_b { b.len() } else { 0 });
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => {
+                if only_a {
+                    out.push(a[i].clone());
+                }
+                i += 1;
+            }
+            Ordering::Greater => {
+                if only_b {
+                    out.push(b[j].clone());
+                }
+                j += 1;
+            }
+            Ordering::Equal => {
+                if both {
+                    out.push(a[i].clone());
+                }
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    if only_a {
+        out.extend_from_slice(&a[i..]);
+    }
+    if only_b {
+        out.extend_from_slice(&b[j..]);
+    }
+    out
 }
 
 /// A range of column-0 values: what [`Relation::range`] walks. Bounds

@@ -2,8 +2,8 @@
 //!
 //! The paper works over abstract relations; the concrete domains we provide
 //! are 64-bit integers, strings, and booleans. All three are totally ordered
-//! and hashable, which the `BTreeSet`-backed relations and their ranged scans,
-//! and the hash tables of [`crate::chain`], rely on.
+//! and hashable, which the sorted tuple vectors of relations and their
+//! ranged scans, and the hash tables of [`crate::chain`], rely on.
 
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
