@@ -38,7 +38,7 @@ use hypoquery_eval::{
     algorithm_hql1, algorithm_hql2, algorithm_hql3, eval_pure, filter1, materialize_subst,
     XsubValue,
 };
-use hypoquery_opt::{lower_query, optimize, plan, plan_as, PlannedStrategy, Statistics};
+use hypoquery_opt::{lower_query, optimize, plan, plan_as, Plan, PlannedStrategy, Statistics};
 use hypoquery_storage::{tuple, DatabaseState, KeyRange, RelName, Relation, Value};
 use hypoquery_testkit::{example_2_4, Levels};
 
@@ -287,6 +287,12 @@ fn auto(q: &Query, db: &DatabaseState, stats: &Statistics) -> usize {
         .execute_legacy(db)
         .unwrap()
         .len()
+}
+
+/// A plan lowered and run on the pipelined executor, as `QUERY` runs it.
+fn run_plan(p: &Plan, db: &DatabaseState, stats: &Statistics) -> usize {
+    let phys = lower_query(&p.query, db.catalog(), stats).unwrap();
+    phys.execute(db).unwrap().len()
 }
 
 fn e1(json: &mut BenchJson) {
@@ -645,29 +651,41 @@ fn e8(json: &mut BenchJson) {
         ),
         ("many_occurrences", "E7", e7_query(8)),
     ];
+    // Every cell plans (`plan_as` for a fixed strategy, `plan` for Auto),
+    // lowers and runs the plan on the pipelined executor, as `QUERY` does;
+    // a scenario's four cells alternate round by round.
     for (name, from, q) in &scenarios {
-        let tl = json.time(&format!("fixed_lazy_{name}"), 3, || {
-            let reduced = fully_lazy(q, &mut |q| q, &mut RewriteTrace::new());
-            let (optimized, _) = optimize(&reduced, db.catalog());
-            eval_pure(&optimized, &db).unwrap().len()
-        });
-        let enf = to_enf_query(q, &mut RewriteTrace::new());
-        let t2 = json.time(&format!("fixed_hql2_{name}"), 3, || {
-            algorithm_hql2(&enf, &db).unwrap().len()
-        });
-        // HQL-3 needs a mod-ENF form; without one the cell stays empty.
-        let t3 = match to_mod_enf(q) {
-            Ok(m) => ms(json.time(&format!("fixed_hql3_{name}"), 3, || {
-                algorithm_hql3(&m, &db).unwrap().len()
-            })),
-            Err(_) => "—".to_string(),
+        let fixed = |strategy| {
+            let (db, stats) = (&db, &stats);
+            move || {
+                run_plan(
+                    &plan_as(q, db.catalog(), stats, strategy).unwrap(),
+                    db,
+                    stats,
+                )
+            }
         };
+        let [tl, t2, t3, ta] = json.time_round(
+            [
+                &format!("fixed_lazy_{name}"),
+                &format!("fixed_hql2_{name}"),
+                &format!("fixed_hql3_{name}"),
+                &format!("auto_{name}"),
+            ],
+            reps(5),
+            [
+                &mut fixed(PlannedStrategy::Lazy),
+                &mut fixed(PlannedStrategy::EagerXsub),
+                &mut fixed(PlannedStrategy::EagerDelta),
+                &mut || run_plan(&plan(q, db.catalog(), &stats), &db, &stats),
+            ],
+        );
         let picked = plan(q, db.catalog(), &stats).strategy;
-        let ta = json.time(&format!("auto_{name}"), 3, || auto(q, &db, &stats));
         println!(
-            "| {name} ({from}) | {} | {} | {t3} | {} | {picked} |",
+            "| {name} ({from}) | {} | {} | {} | {} | {picked} |",
             ms(tl),
             ms(t2),
+            ms(t3),
             ms(ta)
         );
     }
@@ -1300,31 +1318,28 @@ fn merge_join_on_key(left: PhysNode, right: PhysNode, residual: Vec<Predicate>) 
     }
 }
 
-/// A hash join on column 0 of both operands, building the right one.
-fn hash_join_on_key(left: PhysNode, right: PhysNode, residual: Vec<Predicate>) -> PhysOp {
+/// A hash join on column 0 of both operands, building the right one, or
+/// with `stored`, taking the right one's stored index as its table.
+fn key_join(left: PhysNode, right: PhysNode, residual: Vec<Predicate>, stored: bool) -> PhysOp {
     PhysOp::HashJoin {
         left: Box::new(left),
         right: Box::new(right),
         pairs: vec![EquiPair { left: 0, right: 0 }],
         residual,
         build: Side::Right,
+        stored,
     }
+}
+
+/// A hash join on column 0 of both operands, building the right one.
+fn hash_join_on_key(left: PhysNode, right: PhysNode, residual: Vec<Predicate>) -> PhysOp {
+    key_join(left, right, residual, false)
 }
 
 /// An index join on column 0 of both operands: the left one probes the
 /// stored index of the base relation the right one scans.
 fn index_join_on_key(left: PhysNode, right: PhysNode, residual: Vec<Predicate>) -> PhysOp {
-    let PhysOp::Scan { name, range: None } = right.op else {
-        panic!("not a whole base scan: {:?}", right.op);
-    };
-    PhysOp::IndexJoin {
-        probe: Box::new(left),
-        probe_side: Side::Left,
-        rel: name,
-        index_cols: vec![0],
-        probe_cols: vec![0],
-        residual,
-    }
+    key_join(left, right, residual, true)
 }
 
 fn e12(json: &mut BenchJson) {

@@ -37,7 +37,7 @@
 //!
 //! A row is handed on as a borrowed *view* (`RowView`), not a tuple: a
 //! stored tuple, a join pair of two views, or a projection of a view.
-//! Filters, projections, joins (hash, nested-loop, index and merge) and unions
+//! Filters, projections, joins (hash, nested-loop and merge) and unions
 //! pass views on and allocate nothing per row; predicates, key hashing
 //! and aggregate accumulators read columns through the
 //! [`Row`] trait that both views and tuples implement. A three-way join's
@@ -87,12 +87,13 @@
 //! [`KeyedRows`]: an arena of rows plus a chained hash table over their
 //! key columns, hashed in place with a per-table keyed SipHash and
 //! compared on a hash match, so no operator allocates a key per row. It
-//! is the hash join's build side, the stored index an index join probes
-//! (cached in the relation's storage), that index's per-execution delta
-//! patch, and — keyed on whole rows — every seen set (`Dedup`, a
-//! non-distinct `Aggregate`, the right operand of `Diff`/`Intersect`).
-//! Both joins probe through one routine (`JoinProbe`). The aggregate's
-//! groups use the bare chained table. The merge and group joins build no
+//! is the hash join's build side, the stored index a *stored* hash join
+//! takes in its place (cached in the relation's storage), that index's
+//! per-execution delta patch, and — keyed on whole rows — every seen set
+//! (`Dedup`, a non-distinct `Aggregate`, the right operand of
+//! `Diff`/`Intersect`). A hash join probes either table through one
+//! routine (`JoinProbe`). The aggregate's groups use the bare chained
+//! table. The merge and group joins build no
 //! table at all: equal keys meet because both inputs are sorted, and the
 //! one thing they keep is the current key's run of left rows, as
 //! references; the group join's groups arrive in key order, so it needs
@@ -116,9 +117,9 @@
 //!   materializing the hypothetical state. A [`PhysOp::MergeJoin`] or
 //!   [`PhysOp::GroupJoin`] walks two such streams side by side (the
 //!   paper's sort-merge `join-when`, with no sort: every stream is already
-//!   in order). An [`PhysOp::IndexJoin`] on an updated name probes the
-//!   stored index and patches the matches of each probe key with the ∇
-//!   and Δ rows of that key.
+//!   in order). A stored [`PhysOp::HashJoin`] on an updated name probes
+//!   the stored index and patches the matches of each probe key with the
+//!   ∇ and Δ rows of that key.
 //!
 //! # Instrumentation
 //!
@@ -136,6 +137,7 @@ use std::borrow::Cow;
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use hypoquery_storage::{
     lookup_or_build_index, DatabaseState, KeyRange, KeyedRows, RelName, Relation, Row, Tuple, Value,
@@ -157,6 +159,24 @@ pub enum Side {
     Left,
     /// The right operand.
     Right,
+}
+
+impl Side {
+    /// The other side.
+    pub fn flip(self) -> Side {
+        match self {
+            Side::Left => Side::Right,
+            Side::Right => Side::Left,
+        }
+    }
+
+    /// Whichever of `left` and `right` this side names.
+    pub fn pick<T>(self, left: T, right: T) -> T {
+        match self {
+            Side::Left => left,
+            Side::Right => right,
+        }
+    }
 }
 
 /// An atom of a [`PhysOp::DeltaApply`]: one `insert into`/`delete from`
@@ -226,6 +246,14 @@ pub enum PhysOp {
     /// `build` side is materialized into a hash table (resp. vector);
     /// the other side streams through as the probe. Output columns are
     /// always `left ++ right` regardless of build side.
+    ///
+    /// A `stored` join (an index join) does not run its build child, a
+    /// whole `Scan` of a base relation that no xsub rebinds with declared
+    /// indexes on its equi columns: it probes the relation's cached index
+    /// instead — the same [`KeyedRows`] table a build makes. A delta on
+    /// that name in scope patches each probe's matches: the ∇ rows of its
+    /// key are dropped and the Δ⁺ rows of its key added (§5.5's
+    /// `join-when`), found with the probe's one hash.
     HashJoin {
         /// Left operand.
         left: Box<PhysNode>,
@@ -237,28 +265,8 @@ pub enum PhysOp {
         residual: Vec<Predicate>,
         /// Which side is materialized.
         build: Side,
-    },
-    /// Index nested-loop join: the build side is a base scan that no
-    /// xsub rebinds, with declared indexes on its equi columns, so
-    /// instead of hashing it the probe side streams against the shared
-    /// cached index — the same [`KeyedRows`] table a hash join builds.
-    /// A delta on `rel` in scope patches each probe's matches: the ∇ rows
-    /// of its key are dropped and the Δ⁺ rows of its key added (§5.5's
-    /// `join-when`), found with the probe's one hash. Output columns are
-    /// always `left ++ right`.
-    IndexJoin {
-        /// The streaming (probe) operand.
-        probe: Box<PhysNode>,
-        /// Which side of the join the probe operand is.
-        probe_side: Side,
-        /// The indexed base relation standing in for the other side.
-        rel: RelName,
-        /// Indexed columns (build side, local coordinates).
-        index_cols: Vec<usize>,
-        /// Probe-side key columns, aligned with `index_cols`.
-        probe_cols: Vec<usize>,
-        /// Residual conjuncts over the concatenated tuple.
-        residual: Vec<Predicate>,
+        /// Whether the build side's table is its relation's stored index.
+        stored: bool,
     },
     /// Merge join on column 0 of two *ordered sources* (see
     /// [`is_ordered_source`]): a `Scan`, or a `Filter` over one, whose
@@ -377,7 +385,6 @@ macro_rules! child_nodes {
             | PhysOp::Union { left, right }
             | PhysOp::Diff { left, right }
             | PhysOp::Intersect { left, right } => vec![left, right],
-            PhysOp::IndexJoin { probe, .. } => vec![probe],
             PhysOp::XsubRebind { bindings, body } => bindings
                 .$iter()
                 .map(|(_, n)| n)
@@ -421,13 +428,12 @@ impl PhysNode {
             PhysOp::Filter { input, .. } => input.distinct,
             PhysOp::Diff { left, .. } | PhysOp::Intersect { left, .. } => left.distinct,
             PhysOp::XsubRebind { body, .. } | PhysOp::DeltaApply { body, .. } => body.distinct,
-            // Distinct pairs of input rows concatenate to distinct rows;
-            // an index join's other side is a stored base relation, or
-            // one patched by a delta (still a set).
+            // Distinct pairs of input rows concatenate to distinct rows
+            // (a stored join's table is a base relation, or one patched
+            // by a delta: still a set).
             PhysOp::HashJoin { left, right, .. } | PhysOp::MergeJoin { left, right, .. } => {
                 left.distinct && right.distinct
             }
-            PhysOp::IndexJoin { probe, .. } => probe.distinct,
             PhysOp::Project { .. } | PhysOp::Union { .. } => false,
         };
         PhysNode {
@@ -711,58 +717,52 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
             pairs,
             residual,
             build,
+            stored,
         } => {
-            // The build rows are kept in a keyed table; the other side
-            // streams through as probes, on the opposite side of the
-            // output. No equi pairs means no key: a nested loop.
-            let (build_child, probe_child, probe_side) = match build {
-                Side::Left => (left, right, Side::Right),
-                Side::Right => (right, left, Side::Left),
-            };
+            // The build rows are kept in a keyed table, or a stored join
+            // takes its relation's index; the other side streams through
+            // as probes, on the opposite side of the output. No equi
+            // pairs means no key: a nested loop.
+            let probe_side = build.flip();
+            let (build_child, probe_child) =
+                (build.pick(left, right), probe_side.pick(left, right));
             let cols = |side: Side| -> Vec<usize> {
-                let col = |p: &EquiPair| if side == Side::Left { p.left } else { p.right };
-                pairs.iter().map(col).collect()
+                pairs.iter().map(|p| side.pick(p.left, p.right)).collect()
             };
-            let mut table = KeyedRows::new(cols(*build));
-            run(build_child, ctx, env, &mut |v| {
-                table.push(ctx.keep(build_child.id, v));
-                Ok(())
-            })?;
+            let (table, patch) = if *stored {
+                let PhysOp::Scan { name, range: None } = &build_child.op else {
+                    return Err(EvalError::UnsupportedShape(format!(
+                        "stored join side {} is not a whole base scan",
+                        op_label(build_child)
+                    )));
+                };
+                // The lowering never stores an xsub-rebound name: a
+                // binding replaces the stored base whose index this reads.
+                debug_assert!(
+                    env.xsub.get(name).is_none(),
+                    "stored join on xsub-rebound {name}"
+                );
+                let base = ctx.db.get(name)?;
+                let index = lookup_or_build_index(&base, &cols(*build), ctx.db.index_stats());
+                let patch = env.delta.get(name).map(|d| DeltaPatch::new(&index, d));
+                (index, patch)
+            } else {
+                let mut table = KeyedRows::new(cols(*build));
+                run(build_child, ctx, env, &mut |v| {
+                    table.push(ctx.keep(build_child.id, v));
+                    Ok(())
+                })?;
+                (Arc::new(table), None)
+            };
             let join = JoinProbe {
                 id,
                 table: &table,
-                patch: None,
+                patch,
                 cols: &cols(probe_side),
                 side: probe_side,
                 residual,
             };
             run(probe_child, ctx, env, &mut |v| join.probe(ctx, v, out))
-        }
-        PhysOp::IndexJoin {
-            probe,
-            probe_side,
-            rel,
-            index_cols,
-            probe_cols,
-            residual,
-        } => {
-            // The lowering never indexes an xsub-rebound name: a binding
-            // replaces the stored base whose index this probes.
-            debug_assert!(
-                env.xsub.get(rel).is_none(),
-                "IndexJoin on xsub-rebound {rel}"
-            );
-            let base = ctx.db.get(rel)?;
-            let table = lookup_or_build_index(&base, index_cols, ctx.db.index_stats());
-            let join = JoinProbe {
-                id,
-                table: &table,
-                patch: env.delta.get(rel).map(|d| DeltaPatch::new(&table, d)),
-                cols: probe_cols,
-                side: *probe_side,
-                residual,
-            };
-            run(probe, ctx, env, &mut |v| join.probe(ctx, v, out))
         }
         PhysOp::MergeJoin {
             left,
@@ -1064,7 +1064,7 @@ fn materialize(node: &PhysNode, ctx: &Ctx<'_>, env: &Env) -> Result<Relation, Ev
     Ok(rel)
 }
 
-/// What a delta on an [`PhysOp::IndexJoin`]'s relation takes from (∇)
+/// What a delta on a stored [`PhysOp::HashJoin`]'s relation takes from (∇)
 /// and adds to (Δ⁺) the stored index's matches of each probe key (§5.5's
 /// `join-when` on a base access path). Both tables are keyed like the
 /// index and with its hash key, so one hash of a probe key finds its rows
@@ -1089,11 +1089,10 @@ impl DeltaPatch {
     }
 }
 
-/// The probe half of an equi-join, shared by [`PhysOp::HashJoin`] (its
-/// build rows) and [`PhysOp::IndexJoin`] (a stored index, patched when a
-/// delta rebinds its relation): each probe row meets the rows of `table`
-/// whose key equals its `cols`, and every pair that passes `residual` is
-/// pushed on as a view.
+/// The probe half of a [`PhysOp::HashJoin`], over its build rows or a
+/// stored index (patched when a delta rebinds its relation): each probe
+/// row meets the rows of `table` whose key equals its `cols`, and every
+/// pair that passes `residual` is pushed on as a view.
 struct JoinProbe<'p> {
     /// The join's node id.
     id: usize,
@@ -1164,42 +1163,31 @@ fn op_label(node: &PhysNode) -> String {
             format!("Project [{}]", cs.join(", "))
         }
         PhysOp::HashJoin {
+            left,
+            right,
             pairs,
             residual,
             build,
-            ..
+            stored,
         } => {
-            if pairs.is_empty() {
-                format!(
-                    "NestedLoop (build={}, residual={})",
-                    side_name(*build),
-                    residual.len()
-                )
-            } else {
-                let ks: Vec<String> = pairs
-                    .iter()
-                    .map(|p| format!("#{}=#{}", p.left, p.right))
-                    .collect();
-                format!(
-                    "HashJoin (build={}, on {}, residual={})",
-                    side_name(*build),
-                    ks.join(" "),
-                    residual.len()
-                )
+            let keys = |key: &dyn Fn(&EquiPair) -> String, sep| {
+                pairs.iter().map(key).collect::<Vec<_>>().join(sep)
+            };
+            let (build_side, residual) = (side_name(*build), residual.len());
+            match &build.pick(left, right).op {
+                PhysOp::Scan { name, .. } if *stored => format!(
+                    "IndexJoin (probe={}, index {name}[{}])",
+                    side_name(build.flip()),
+                    keys(&|p| format!("#{}", build.pick(p.left, p.right)), ", ")
+                ),
+                _ if pairs.is_empty() => {
+                    format!("NestedLoop (build={build_side}, residual={residual})")
+                }
+                _ => format!(
+                    "HashJoin (build={build_side}, on {}, residual={residual})",
+                    keys(&|p| format!("#{}=#{}", p.left, p.right), " ")
+                ),
             }
-        }
-        PhysOp::IndexJoin {
-            probe_side,
-            rel,
-            index_cols,
-            ..
-        } => {
-            let cs: Vec<String> = index_cols.iter().map(|c| format!("#{c}")).collect();
-            format!(
-                "IndexJoin (probe={}, index {rel}[{}])",
-                side_name(*probe_side),
-                cs.join(", ")
-            )
         }
         PhysOp::MergeJoin { left, residual, .. } => format!(
             "MergeJoin (on #0=#{}, residual={})",
@@ -1324,6 +1312,7 @@ mod tests {
                     pairs: vec![EquiPair { left: 0, right: 0 }],
                     residual: vec![],
                     build,
+                    stored: false,
                 },
             ));
             let out = plan.execute(&db).unwrap();
@@ -1501,7 +1490,9 @@ mod tests {
         )
     }
 
-    fn hash_join(l: PhysNode, r: PhysNode) -> PhysNode {
+    /// A join on column 0 of both operands, building the right one: a
+    /// hash join, or with `stored`, the right one's stored index.
+    fn key_join(l: PhysNode, r: PhysNode, stored: bool) -> PhysNode {
         PhysNode::new(
             l.arity + r.arity,
             PhysOp::HashJoin {
@@ -1510,8 +1501,18 @@ mod tests {
                 pairs: vec![EquiPair { left: 0, right: 0 }],
                 residual: vec![],
                 build: Side::Right,
+                stored,
             },
         )
+    }
+
+    fn hash_join(l: PhysNode, r: PhysNode) -> PhysNode {
+        key_join(l, r, false)
+    }
+
+    /// `probe` joined with `S` through `S`'s stored index on `#0`.
+    fn index_join(probe: PhysNode) -> PhysNode {
+        key_join(probe, scan("S"), true)
     }
 
     #[test]
@@ -1551,19 +1552,6 @@ mod tests {
                 rel: Relation::empty(2),
             },
         );
-        let index_join = |probe: PhysNode| {
-            PhysNode::new(
-                4,
-                PhysOp::IndexJoin {
-                    probe: Box::new(probe),
-                    probe_side: Side::Left,
-                    rel: "S".into(),
-                    index_cols: vec![0],
-                    probe_cols: vec![0],
-                    residual: vec![],
-                },
-            )
-        };
         let diff = |l: PhysNode, r: PhysNode| {
             PhysNode::new(
                 2,
@@ -1767,6 +1755,7 @@ mod tests {
                         pairs: vec![],
                         residual: vec![Predicate::col_col(1, CmpOp::Eq, 3)],
                         build: Side::Left,
+                        stored: false,
                     },
                 )),
             },
@@ -1817,23 +1806,11 @@ mod tests {
                     pairs,
                     residual,
                     build,
+                    stored: false,
                 },
             )
         };
         let on_key = || vec![EquiPair { left: 0, right: 0 }];
-        let index_join = || {
-            PhysNode::new(
-                4,
-                PhysOp::IndexJoin {
-                    probe: Box::new(scan("R")),
-                    probe_side: Side::Left,
-                    rel: "S".into(),
-                    index_cols: vec![0],
-                    probe_cols: vec![0],
-                    residual: vec![],
-                },
-            )
-        };
         let merge_join = |left: PhysNode| {
             PhysNode::new(
                 4,
@@ -1940,7 +1917,7 @@ mod tests {
                 5,
                 3,
             ),
-            ("index join", index_join(), 3, 2),
+            ("index join", index_join(scan("R")), 3, 2),
             ("merge join", merge_join(scan("R")), 5, 2),
             ("merge join, filtered side", merge_join(r_ge_2()), 4, 2),
             ("group join", group_join(vec![]), 5, 1),
@@ -1979,7 +1956,7 @@ mod tests {
 
         // An index join whose indexed side a delta patches: R probes
         // S' = {(1, 100), (3, 300)}.
-        let plan = PhysPlan::new(delta(index_join()));
+        let plan = PhysPlan::new(delta(index_join(scan("R"))));
         let (out, m) = plan.execute_analyze(&db).unwrap();
         assert_eq!(
             out,
@@ -1991,6 +1968,15 @@ mod tests {
         let (root, join) = (m.node(plan.root.id), m.node(body.id));
         assert_eq!((root.rows_in, root.rows_out), (2, 2));
         assert_eq!((join.rows_in, join.rows_out), (3, 2));
+        // The stored side is never scanned: its index answers.
+        let rendered = plan.render(Some(&m));
+        assert!(
+            rendered.contains(
+                "  IndexJoin (probe=left, index S[#0])  (rows in=3 out=2 built=0)\n    \
+                 Scan R  (rows in=0 out=3 built=0)\n    Scan S  (rows in=0 out=0 built=0)\n"
+            ),
+            "{rendered}"
+        );
 
         // A merge join pulls both sides through the same delta, R against
         // S', and hands its pairs to the aggregate unbuilt.
@@ -2129,6 +2115,7 @@ mod tests {
                 ],
                 residual: vec![],
                 build: Side::Left,
+                stored: false,
             },
         ));
         let out = plan.execute(&db).unwrap();

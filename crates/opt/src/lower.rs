@@ -46,19 +46,20 @@
 //!   merge replaces the hash join wherever it qualifies: both read every
 //!   row, but the merge hashes nothing.
 //!
-//!   A side that is a base scan with declared indexes on all its equi
-//!   columns, and that no xsub rebinds, becomes the probed side of an
-//!   [`PhysOp::IndexJoin`]. A delta-rebound side qualifies: the executor
-//!   probes the stored index and patches each probe's matches with the
-//!   delta's ∇ and Δ⁺ rows of that key (§5.5's `join-when` on a base
-//!   access path). With both sides qualifying, the side no delta rebinds
-//!   is indexed (its probes need no patch), and between equals the
+//!   Every other join is one [`PhysOp::HashJoin`]. A side that is a base
+//!   scan with declared indexes on all its equi columns, and that no xsub
+//!   rebinds, may be its *stored* side (an index join): the executor takes
+//!   that relation's stored index as the join's table instead of building
+//!   one. A delta-rebound side qualifies: each probe's matches are patched
+//!   with the delta's ∇ and Δ⁺ rows of that key (§5.5's `join-when` on a
+//!   base access path). With both sides qualifying, the side no delta
+//!   rebinds is stored (its probes need no patch), and between equals the
 //!   *larger* (estimated) side, leaving the smaller to stream — the same
-//!   cost-based policy the planner assumes. The merge replaces that index
-//!   join too, unless the indexed side's estimate exceeds
+//!   cost-based policy the planner assumes. The merge replaces that stored
+//!   join too, unless the stored side's estimate exceeds
 //!   `MERGE_MAX_RATIO` (2, from `report e11`'s sweep) times the probe
-//!   side's: then reading all of the indexed side costs more than probing
-//!   it. Otherwise joins hash-build the smaller (estimated) side.
+//!   side's: then reading all of the stored side costs more than probing
+//!   it. Otherwise the hash join builds the smaller (estimated) side.
 //!
 //! * **Group joins.** An `aggregate` over a merge join with no residual,
 //!   grouped by nothing or by the join's key columns only (`#0` and the
@@ -69,7 +70,7 @@
 //!
 //! The cost model ([`crate::stats::estimate`]) prices the two index
 //! paths, but without the shadow analysis below, so it can price a path
-//! the lowering does not take in two cases: an index join on an
+//! the lowering does not take in two cases: a stored join on an
 //! xsub-rebound name, and an index probe on any rebound name (a point
 //! select under a delta stays a ranged scan). It also streams the smaller
 //! side where the lowering keeps a delta-rebound larger side streaming,
@@ -83,8 +84,8 @@
 //! statically-known domains to the environment, so gating on these sets
 //! is sound. A name in neither set is *guaranteed* unrebound in every
 //! execution and may take either index path. A name only in the delta
-//! set may still take an index join, which applies whatever delta is in
-//! scope at run time. An xsub binding replaces the base outright, so a
+//! set may still be a join's stored side, which applies whatever delta is
+//! in scope at run time. An xsub binding replaces the base outright, so a
 //! name in the xsub set takes neither. This is the only place index
 //! access paths are chosen: the legacy evaluators
 //! (`filter1`/`filter2`/`filter3`) are index-free oracles.
@@ -141,8 +142,8 @@ pub fn lower_under_xsub(
     Ok(PhysPlan::new(root))
 }
 
-/// How many times the probe side's estimated rows the indexed side's may
-/// be before an index join beats a merge join on the same operands (see
+/// How many times the probe side's estimated rows the stored side's may
+/// be before a stored join beats a merge join on the same operands (see
 /// *Joins* above). `report e11`'s `merge_vs_index_*` sweep (2000 probe
 /// rows under a 1% delta, `BENCH_e11.json`) has the merge 1.31× as fast
 /// as the index join at 1× and 0.88× at 4×, crossing at
@@ -288,9 +289,9 @@ impl Lowerer<'_> {
         Ok(PhysNode::new(arity, make(Box::new(l), Box::new(r))))
     }
 
-    /// Lower a join (`pred = None` for a plain product): pick index
-    /// nested-loop when an indexed base scan that no xsub rebinds
-    /// qualifies, else a hash join building the smaller estimated side.
+    /// Lower a join (`pred = None` for a plain product): a merge join, or
+    /// a hash join whose table is the stored index of a qualifying side
+    /// or else built from the smaller estimated side.
     fn lower_join(
         &self,
         a: &Query,
@@ -314,73 +315,46 @@ impl Lowerer<'_> {
             && is_ordered_source(&l)
             && is_ordered_source(&r);
 
-        if !pairs.is_empty() {
-            // A side qualifies for an index nested-loop when it is a base
-            // scan with every equi column declared that no xsub rebinds:
-            // a binding replaces the stored base, while a delta only
-            // patches it (the executor's `DeltaPatch`).
-            let qualifies = |q: &Query, cols: &[usize]| -> bool {
-                match q {
-                    Query::Base(name) => {
-                        !sh.xsub.contains(name)
-                            && cols.iter().all(|&c| self.stats.has_index(name, c))
-                    }
-                    _ => false,
-                }
-            };
-            let left_cols: Vec<usize> = pairs.iter().map(|p| p.left).collect();
-            let right_cols: Vec<usize> = pairs.iter().map(|p| p.right).collect();
-            let left_ok = qualifies(a, &left_cols);
-            let right_ok = qualifies(b, &right_cols);
-            // With both sides indexed, index the one no delta rebinds (its
-            // probes need no patch), then the larger: only the smaller
-            // side streams.
-            let undelta = |q: &Query| !matches!(q, Query::Base(n) if sh.delta.contains(n));
-            let index_left = left_ok && (!right_ok || (undelta(a), est_l) >= (undelta(b), est_r));
-            // A merge hashes nothing, but reads every row of both sides
-            // where an index join reads only the probe side's: it keeps
-            // the index join once the indexed side is `MERGE_MAX_RATIO`
-            // times the probe side.
-            let (est_indexed, est_probe) = if index_left {
-                (est_l, est_r)
-            } else {
-                (est_r, est_l)
-            };
-            let index =
-                (index_left || right_ok) && !(merge && est_indexed <= MERGE_MAX_RATIO * est_probe);
-            if index {
-                let (rel, index_cols, probe_cols, probe, probe_side) = if index_left {
-                    let Query::Base(name) = a else { unreachable!() };
-                    (name.clone(), left_cols, right_cols, r, Side::Right)
-                } else {
-                    let Query::Base(name) = b else { unreachable!() };
-                    (name.clone(), right_cols, left_cols, l, Side::Left)
-                };
-                return Ok(PhysNode::new(
-                    arity,
-                    PhysOp::IndexJoin {
-                        probe: Box::new(dedup_if_dup_stream(probe)),
-                        probe_side,
-                        rel,
-                        index_cols,
-                        probe_cols,
-                        residual,
-                    },
-                ));
+        // A side's stored index stands in for its table when it is a base
+        // scan with every equi column declared that no xsub rebinds: a
+        // binding replaces the stored base, while a delta only patches it
+        // (the executor's `DeltaPatch`).
+        let qualifies = |q: &Query, side: Side| match q {
+            Query::Base(name) => {
+                !pairs.is_empty()
+                    && !sh.xsub.contains(name)
+                    && pairs
+                        .iter()
+                        .all(|p| self.stats.has_index(name, side.pick(p.left, p.right)))
             }
-        }
-
-        if merge {
+            _ => false,
+        };
+        let (left_ok, right_ok) = (qualifies(a, Side::Left), qualifies(b, Side::Right));
+        // With both sides indexed, store the one no delta rebinds (its
+        // probes need no patch), then the larger: only the smaller side
+        // streams.
+        let undelta = |q: &Query| !matches!(q, Query::Base(n) if sh.delta.contains(n));
+        let store_left = left_ok && (!right_ok || (undelta(a), est_l) >= (undelta(b), est_r));
+        // A merge hashes nothing, but reads every row of both sides where
+        // a stored join reads only the probe side's: it keeps the stored
+        // join once the stored side is `MERGE_MAX_RATIO` times the probe
+        // side.
+        let (est_stored, est_probe) = if store_left {
+            (est_l, est_r)
+        } else {
+            (est_r, est_l)
+        };
+        let stored =
+            (store_left || right_ok) && !(merge && est_stored <= MERGE_MAX_RATIO * est_probe);
+        if merge && !stored {
             return Ok(merge_join(l, r, pairs, residual));
         }
 
-        // Hash join / nested loop: materialize the smaller estimated
-        // side (ties keep the legacy build-on-right default).
-        let build = if est_l < est_r {
-            Side::Left
-        } else {
-            Side::Right
-        };
+        // The stored side is the build side; a built table (or, with no
+        // equi pairs, a nested loop's rows) comes from the smaller
+        // estimated side, ties keeping the legacy build-on-right default.
+        let build_left = if stored { store_left } else { est_l < est_r };
+        let build = if build_left { Side::Left } else { Side::Right };
         Ok(PhysNode::new(
             arity,
             PhysOp::HashJoin {
@@ -389,6 +363,7 @@ impl Lowerer<'_> {
                 pairs,
                 residual,
                 build,
+                stored,
             },
         ))
     }
@@ -739,19 +714,36 @@ mod tests {
         Query::base("R").join(Query::base("S"), Predicate::col_col(1, CmpOp::Eq, 3))
     }
 
+    /// The relation whose stored index `op` joins with and the probe
+    /// side, if `op` is a stored hash join.
+    fn stored_join(op: &PhysOp) -> Option<(&str, Side)> {
+        let PhysOp::HashJoin {
+            left,
+            right,
+            build,
+            stored: true,
+            ..
+        } = op
+        else {
+            return None;
+        };
+        let PhysOp::Scan { name, range: None } = &build.pick(left, right).op else {
+            panic!("stored side is not a whole scan: {op:?}");
+        };
+        Some((name.as_str(), build.flip()))
+    }
+
     #[test]
     fn join_uses_declared_index_side() {
         let db = value_join_db(&["S"]);
         let q = r_join_s_on_values();
         let plan = lower_in(&db, &q);
-        let PhysOp::IndexJoin {
-            probe_side, rel, ..
-        } = &plan.root.op
-        else {
-            panic!("expected IndexJoin, got {:?}", plan.root.op);
-        };
-        assert_eq!(*probe_side, Side::Left);
-        assert_eq!(rel.as_str(), "S");
+        assert_eq!(
+            stored_join(&plan.root.op),
+            Some(("S", Side::Left)),
+            "{}",
+            plan.render(None)
+        );
         let out = plan.execute(&db).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out, eval_query(&q, &db).unwrap());
@@ -782,13 +774,12 @@ mod tests {
         for u in [del_s.clone(), ins_s.clone(), del_s.then(ins_s)] {
             let q = r_join_s_on_values().when(StateExpr::update(u));
             let plan = lower_in(&db, &q);
-            let PhysOp::IndexJoin {
-                rel, probe_side, ..
-            } = under_wrappers(&plan.root)
-            else {
-                panic!("expected IndexJoin, got {}", plan.render(None));
-            };
-            assert_eq!((rel.as_str(), *probe_side), ("S", Side::Left));
+            assert_eq!(
+                stored_join(under_wrappers(&plan.root)),
+                Some(("S", Side::Left)),
+                "{}",
+                plan.render(None)
+            );
             assert_eq!(
                 plan.execute(&db).unwrap(),
                 eval_query(&q, &db).unwrap(),
@@ -816,7 +807,10 @@ mod tests {
         ] {
             let plan = lower_in(&db, &q);
             assert!(
-                matches!(under_wrappers(&plan.root), PhysOp::HashJoin { .. }),
+                matches!(
+                    under_wrappers(&plan.root),
+                    PhysOp::HashJoin { stored: false, .. }
+                ),
                 "{q}: {}",
                 plan.render(None)
             );
@@ -835,7 +829,7 @@ mod tests {
         let plan = lower_under_xsub(&q, &e, db.catalog(), &Statistics::of(&db)).unwrap();
         assert!(matches!(
             under_wrappers(&plan.root),
-            PhysOp::HashJoin { .. }
+            PhysOp::HashJoin { stored: false, .. }
         ));
         let applied = e.apply(&db).unwrap();
         assert_eq!(
@@ -854,20 +848,22 @@ mod tests {
             Query::singleton(tuple![4, 40]),
         )));
         let plan = lower_in(&db, &q);
-        let PhysOp::IndexJoin {
-            rel, probe_side, ..
-        } = under_wrappers(&plan.root)
-        else {
-            panic!("expected IndexJoin, got {}", plan.render(None));
-        };
-        assert_eq!((rel.as_str(), *probe_side), ("S", Side::Left));
+        assert_eq!(
+            stored_join(under_wrappers(&plan.root)),
+            Some(("S", Side::Left)),
+            "{}",
+            plan.render(None)
+        );
         assert_eq!(plan.execute(&db).unwrap(), eval_query(&q, &db).unwrap());
         // Without the delta, both sides are stored bases: the larger, R,
         // is indexed.
-        let PhysOp::IndexJoin { rel, .. } = &lower_in(&db, &r_join_s_on_values()).root.op else {
-            panic!("expected IndexJoin");
-        };
-        assert_eq!(rel.as_str(), "R");
+        let plan = lower_in(&db, &r_join_s_on_values());
+        assert_eq!(
+            stored_join(&plan.root.op),
+            Some(("R", Side::Right)),
+            "{}",
+            plan.render(None)
+        );
     }
 
     /// The residual count of the merge join under `plan`'s hypothetical
@@ -1027,8 +1023,8 @@ mod tests {
             let plan = lower_in(&db, &q);
             let op = under_wrappers(&plan.root);
             assert_eq!(
-                matches!(op, PhysOp::IndexJoin { .. }),
-                index,
+                stored_join(op),
+                index.then_some(("R", Side::Left)),
                 "{big}×: {}",
                 plan.render(None)
             );

@@ -130,9 +130,8 @@ impl Metrics {
     /// Render the whole registry as `key value` lines — the `STATS`
     /// reply body. Verbs with zero traffic are omitted. The served
     /// database's secondary-index counters `idx` ride along as `index.*`
-    /// lines: `hits` are probes answered from cache, `misses` are probes
-    /// that found no cached build, `builds` are physical index
-    /// constructions — `misses == builds` means no rebuild was wasted.
+    /// lines: `hits` are probes answered from cache, `builds` are probes
+    /// that found no cached index and built one.
     pub fn render(&self, idx: IndexCounters) -> String {
         let mut out = String::new();
         for (key, val) in [
@@ -148,11 +147,7 @@ impl Metrics {
             out.push_str(&val.load(Ordering::Relaxed).to_string());
             out.push('\n');
         }
-        for (key, val) in [
-            ("index.hits", idx.hits),
-            ("index.misses", idx.misses),
-            ("index.builds", idx.builds),
-        ] {
+        for (key, val) in [("index.hits", idx.hits), ("index.builds", idx.builds)] {
             out.push_str(key);
             out.push(' ');
             out.push_str(&val.to_string());
@@ -224,11 +219,7 @@ mod tests {
         m.record_request(Some(Verb::Query), 80, true);
         m.record_request(Some(Verb::Ping), 5, false);
         m.record_request(None, 1, true); // malformed frame: no verb
-        let idx = IndexCounters {
-            hits: 3,
-            misses: 2,
-            builds: 1,
-        };
+        let idx = IndexCounters { hits: 3, builds: 1 };
         let text = m.render(idx);
         assert!(text.contains("server.requests 4"), "{text}");
         assert!(text.contains("server.errors 2"), "{text}");
@@ -239,7 +230,6 @@ mod tests {
         assert!(!text.contains("verb.DUMP"), "{text}");
         // Index cache counters are always present.
         assert!(text.contains("index.hits 3\n"), "{text}");
-        assert!(text.contains("index.misses 2\n"), "{text}");
         assert!(text.contains("index.builds 1\n"), "{text}");
         // Every line is `key value`.
         for line in text.lines() {

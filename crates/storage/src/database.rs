@@ -35,7 +35,7 @@ pub struct DatabaseState {
     /// metadata only — excluded from `PartialEq`, which compares the
     /// logical state function the paper quantifies over.
     indexes: Arc<BTreeMap<RelName, BTreeSet<usize>>>,
-    /// Index hit/miss/build counters, shared by every snapshot of this
+    /// Index hit and build counters, shared by every snapshot of this
     /// state (also physical metadata).
     index_stats: Arc<IndexStats>,
 }

@@ -10,7 +10,7 @@
 //! seen. The per-column distinct counts the planner reads are cached the
 //! same way.
 //!
-//! Hit/miss/build counters live in an [`IndexStats`] handle that each
+//! Hit and build counters live in an [`IndexStats`] handle that each
 //! [`DatabaseState`](crate::DatabaseState) carries and its snapshots share,
 //! so two databases in one process count independently. The server's
 //! `STATS` verb and the E11 bench read them.
@@ -28,9 +28,7 @@ use crate::value::Value;
 pub struct IndexCounters {
     /// Probes answered by a cached index.
     pub hits: u64,
-    /// Build requests that found no valid cached index.
-    pub misses: u64,
-    /// Indexes physically built (every build is also a miss).
+    /// Probes that found no valid cached index, and so built one.
     pub builds: u64,
 }
 
@@ -39,7 +37,6 @@ pub struct IndexCounters {
 #[derive(Debug, Default)]
 pub struct IndexStats {
     hits: AtomicU64,
-    misses: AtomicU64,
     builds: AtomicU64,
 }
 
@@ -48,7 +45,6 @@ impl IndexStats {
     pub fn counters(&self) -> IndexCounters {
         IndexCounters {
             hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
             builds: self.builds.load(Ordering::Relaxed),
         }
     }
@@ -56,7 +52,7 @@ impl IndexStats {
 
 /// The index over `rel` keyed on `cols`, building and caching it in the
 /// relation's storage on first use. A cached answer counts as a hit in
-/// `stats`; building counts as one miss and one build.
+/// `stats`, building as a build.
 pub fn lookup_or_build_index(rel: &Relation, cols: &[usize], stats: &IndexStats) -> Arc<KeyedRows> {
     let mut cache = rel
         .store()
@@ -69,7 +65,6 @@ pub fn lookup_or_build_index(rel: &Relation, cols: &[usize], stats: &IndexStats)
     }
     // Built under the lock: concurrent first probes of one store wait
     // for a single build instead of each building their own.
-    stats.misses.fetch_add(1, Ordering::Relaxed);
     stats.builds.fetch_add(1, Ordering::Relaxed);
     let mut idx = KeyedRows::new(cols.to_vec());
     idx.extend(rel.iter().cloned());
@@ -161,11 +156,7 @@ mod tests {
         let (mine, other) = (IndexStats::default(), IndexStats::default());
         let _ = lookup_or_build_index(&rel, &[1], &mine);
         let _ = lookup_or_build_index(&rel, &[1], &mine);
-        let want = IndexCounters {
-            hits: 1,
-            misses: 1,
-            builds: 1,
-        };
+        let want = IndexCounters { hits: 1, builds: 1 };
         assert_eq!(mine.counters(), want);
         assert_eq!(other.counters(), IndexCounters::default());
         // A shared cache is a hit for whoever probes it.
